@@ -8,7 +8,6 @@ from .expr import (
     SingularPointError,
     diff,
     evaluate,
-    numeric_partial,
     parse,
 )
 from .tensor import (
@@ -51,7 +50,6 @@ from .bundle import (
     vertical_lift,
 )
 from .connection_lift import (
-    GaussTensor,
     LiftedConnectionCoeffs,
     TorsionError,
     complete_lift_connection,

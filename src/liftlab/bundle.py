@@ -10,12 +10,12 @@ statements about those lifts on sampled points.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import sampling
-from .expr import Const, diff
 from .tensor import (
     CovariantField,
     EndomorphismField,
@@ -25,11 +25,11 @@ from .tensor import (
     apply_endo_vec,
     compose_endo,
     contract_slot_endo,
-    iter_multi_indices,
+    derivative_grid,
     lie_derivative_cov,
     lie_derivative_endo,
-    rank_multi_index,
-    replace_slot,
+    slot_einsum,
+    sum_over_slots,
 )
 
 MAX_RANK = 3
@@ -190,23 +190,9 @@ def complete_lift_vector_natural(v: VectorField, at: BundlePoint) -> BundleVecto
     horizontal part V^j, fibre part -sum_s t_{j1..m..jq} d_{js} V^m."""
     if v.n != at.n:
         raise ValueError("vector field and bundle point have different dimensions")
-    n, q = at.n, at.q
-    t = at.fibre_tensor()
-    dv = np.array(
-        [[float(diff(v.component(m), a).value(at.base)) for m in range(1, n + 1)]
-         for a in range(1, n + 1)]
-    )  # dv[a-1, m-1] = d_a V^m
-    fib = np.zeros(n**q)
-    for mi in iter_multi_indices(n, q):
-        r = rank_multi_index(mi, n)
-        total = 0.0
-        for slot in range(q):
-            for m in range(1, n + 1):
-                total += t[tuple(k - 1 for k in replace_slot(mi, slot, m))] * dv[
-                    mi[slot] - 1, m - 1
-                ]
-        fib[r] = -total
-    return BundleVector(n, q, "natural", v.evaluate(at.base), fib)
+    dv = v.partials_at(at.base)  # dv[a, m] = d_a V^m
+    fib = -sum_over_slots("{s}m,{R}->{S}", at.q, dv, at.fibre_tensor())
+    return BundleVector(at.n, at.q, "natural", v.evaluate(at.base), fib.reshape(-1))
 
 
 def complete_lift_vector_on_section(v: VectorField, xi: CovariantField, x) -> BundleVector:
@@ -237,11 +223,9 @@ def purity_residual(phi: EndomorphismField, xi: CovariantField, points=None) -> 
     contractions = [
         contract_slot_endo(xi, phi, slot).evaluate(points) for slot in range(1, xi.q + 1)
     ]
-    residual = 0.0
-    for a in range(len(contractions)):
-        for b in range(a + 1, len(contractions)):
-            residual = max(residual, sampling.max_abs_difference(contractions[a], contractions[b]))
-    return residual
+    return max(
+        sampling.max_abs_difference(a, b) for a, b in itertools.combinations(contractions, 2)
+    )
 
 
 def _tachibana_field(phi: EndomorphismField, xi: CovariantField) -> CovariantField:
@@ -249,22 +233,14 @@ def _tachibana_field(phi: EndomorphismField, xi: CovariantField) -> CovariantFie
     Phi_{l k1..kq} = phi^m_l d_m xi_{k1..kq} - d_l (phi xi)_{k1..kq}
                      + sum_a (d_{ka} phi^m_l) xi_{k1..m..kq},
     with (phi xi) the first-slot action.  No purity gate here."""
-    n, q = xi.n, xi.q
+    q = xi.q
     starred = apply_endo_cov(phi, xi)
-    flat = []
-    for mi in iter_multi_indices(n, q + 1):
-        l, rest = mi[0], mi[1:]
-        term = Const(0.0)
-        for m in range(1, n + 1):
-            term = term + phi.component(m, l) * diff(xi.component(rest), m)
-        term = term - diff(starred.component(rest), l)
-        for slot in range(q):
-            for m in range(1, n + 1):
-                term = term + diff(phi.component(m, l), rest[slot]) * xi.component(
-                    replace_slot(rest, slot, m)
-                )
-        flat.append(term)
-    return CovariantField(n, q + 1, flat)
+    out = (
+        slot_einsum("ml,m{S}->l{S}", q, phi.array(), derivative_grid(xi))
+        - derivative_grid(starred)
+        + sum_over_slots("{s}ml,{R}->l{S}", q, derivative_grid(phi), xi.array())
+    )
+    return CovariantField._of(xi.n, out)
 
 
 def tachibana(
@@ -300,49 +276,24 @@ def is_almost_analytic(
     purity = purity_residual(phi, xi, points)
     if purity > tol:
         return sampling.SampledCheck(False, purity, None)
-    values = np.abs(_tachibana_field(phi, xi).evaluate(points))
-    per_point = values.reshape(values.shape[0], -1).max(axis=1)
-    worst = sampling.worst_point(points, per_point)
-    residual = float(per_point.max())
-    return sampling.SampledCheck(residual <= tol, residual, tuple(worst))
+    per_point = sampling.max_per_point(_tachibana_field(phi, xi).evaluate(points))
+    return sampling.sampled_check(points, per_point, tol)
 
 
 def nijenhuis(phi: EndomorphismField) -> OneTwoTensorField:
     """N^l_{jk} = phi^m_j d_m phi^l_k - phi^m_k d_m phi^l_j
                  - phi^l_m (d_j phi^m_k - d_k phi^m_j)."""
-    n = phi.n
-    planes = []
-    for l in range(1, n + 1):
-        plane = []
-        for j in range(1, n + 1):
-            row = []
-            for k in range(1, n + 1):
-                term = Const(0.0)
-                for m in range(1, n + 1):
-                    term = term + phi.component(m, j) * diff(phi.component(l, k), m)
-                    term = term - phi.component(m, k) * diff(phi.component(l, j), m)
-                    term = term - phi.component(l, m) * (
-                        diff(phi.component(m, k), j) - diff(phi.component(m, j), k)
-                    )
-                row.append(term)
-            plane.append(row)
-        planes.append(plane)
-    return OneTwoTensorField(n, planes)
+    f, df = phi.array(), derivative_grid(phi)  # df[m, l, k] = d_m phi^l_k
+    # the terms of N^l_{jk} with j before k; the rest is its j <-> k mirror
+    half = np.einsum("mj,mlk->ljk", f, df) - np.einsum("lm,jmk->ljk", f, df)
+    return OneTwoTensorField._of(phi.n, half - half.transpose(0, 2, 1))
 
 
 def contract_one_two_cov(t: OneTwoTensorField, xi: CovariantField) -> CovariantField:
     """(T xi)_{j i1..iq} = T^m_{j i1} xi_{m i2..iq}."""
     if t.n != xi.n:
         raise ValueError("fields live on different charts")
-    n, q = xi.n, xi.q
-    flat = []
-    for mi in iter_multi_indices(n, q + 1):
-        j, rest = mi[0], mi[1:]
-        term = Const(0.0)
-        for m in range(1, n + 1):
-            term = term + t.component(m, j, rest[0]) * xi.component(replace_slot(rest, 0, m))
-        flat.append(term)
-    return CovariantField(n, q + 1, flat)
+    return CovariantField._of(xi.n, slot_einsum("mj{s},{R}->j{S}", xi.q, t.array(), xi.array()))
 
 
 # ---------------------------------------------------------------------------
@@ -367,15 +318,6 @@ class BundleEndomorphism:
             raise ValueError("upper-right block must be exactly zero")
         object.__setattr__(self, "matrix", mat)
 
-    def top_left(self) -> np.ndarray:
-        return self.matrix[: self.n, : self.n]
-
-    def lower_left(self) -> np.ndarray:
-        return self.matrix[self.n :, : self.n]
-
-    def lower_right(self) -> np.ndarray:
-        return self.matrix[self.n :, self.n :]
-
     def apply(self, vec: BundleVector) -> BundleVector:
         if vec.frame != "adapted":
             raise ValueError("bundle endomorphisms act on adapted components")
@@ -398,19 +340,15 @@ def complete_lift_endo_on_section(
         raise ValueError("endomorphism and tensor field live on different charts")
     n, q = xi.n, check_rank(xi.q)
     nf = n**q
-    dim = n + nf
     x = np.asarray(x, dtype=np.float64)
     phi_mat = phi.evaluate(x)
-    tach = _tachibana_field(phi, xi).evaluate(x)  # tach[l-1, k1-1, .., kq-1]
-    mat = np.zeros((dim, dim))
+    tach = _tachibana_field(phi, xi).evaluate(x)  # tach[l, k1, .., kq]
+    mat = np.zeros((n + nf, n + nf))
     mat[:n, :n] = phi_mat
-    for mi in iter_multi_indices(n, q):
-        r = rank_multi_index(mi, n)
-        for l in range(1, n + 1):
-            mat[n + r, l - 1] = -tach[(l - 1,) + tuple(k - 1 for k in mi)]
-        for m in range(1, n + 1):
-            rin = rank_multi_index(replace_slot(mi, 0, m), n)
-            mat[n + r, n + rin] = phi_mat[m - 1, mi[0] - 1]
+    mat[n:, :n] = -tach.reshape(n, nf).T
+    # first-slot action on rank-ordered fibre coordinates: phi^m_{k1} on the
+    # leading slot, the identity on the other q - 1
+    mat[n:, n:] = np.kron(phi_mat.T, np.eye(n ** (q - 1)))
     return BundleEndomorphism(n, q, mat)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -58,6 +59,11 @@ _REQUIRES = {
 
 class ScenarioError(ValueError):
     """Malformed scenario file or incompatible field data."""
+
+
+def _is_int(v) -> bool:
+    """A JSON integer; JSON true and false parse to bool, an int subclass."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass
@@ -154,7 +160,7 @@ def _parse_entries(raw: dict, length: int, n: int, what: str) -> dict:
         idx = _parse_key(key, length, n, what)
         if idx in out:
             raise ScenarioError(f"{what}: duplicate index key {key!r}")
-        if not isinstance(text, (str, int, float)):
+        if isinstance(text, bool) or not isinstance(text, (str, int, float)):
             raise ScenarioError(f"{what}: component {key!r} must be a string or number")
         out[idx] = text
     return out
@@ -179,22 +185,13 @@ def _build_field(kind: str, raw, n: int, q: int):
         return _resolve_preset(kind, raw, n, q)
     try:
         if kind == "phi":
-            entries = _parse_entries(raw, 2, n, "phi")
-            grid = [[0.0] * n for _ in range(n)]
-            for (i, j), text in entries.items():
-                grid[i - 1][j - 1] = text
-            return EndomorphismField(n, grid)
+            return EndomorphismField(n, _parse_entries(raw, 2, n, "phi"))
         if kind == "gamma":
-            entries = _parse_entries(raw, 3, n, "gamma")
-            return ConnectionField.from_dict(n, entries)
+            return ConnectionField(n, _parse_entries(raw, 3, n, "gamma"))
         if kind in ("xi", "a"):
             return CovariantField(n, q, _parse_entries(raw, q, n, kind))
         if kind == "v":
-            entries = _parse_entries(raw, 1, n, "v")
-            comps = [0.0] * n
-            for (i,), text in entries.items():
-                comps[i - 1] = text
-            return VectorField(n, comps)
+            return VectorField(n, _parse_entries(raw, 1, n, "v"))
     except ParseError as exc:
         raise ScenarioError(f"{kind}: bad component expression: {exc}") from None
     except (ValueError, TypeError) as exc:
@@ -223,10 +220,10 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"unknown scenario keys: {', '.join(sorted(unknown))}")
 
     n = data.get("n")
-    if not isinstance(n, int) or not 1 <= n <= 4:
+    if not _is_int(n) or not 1 <= n <= 4:
         raise ScenarioError("scenario needs integer n in 1..4")
     q = data.get("q", 1)
-    if not isinstance(q, int) or not 1 <= q <= 3:
+    if not _is_int(q) or not 1 <= q <= 3:
         raise ScenarioError("scenario needs integer q in 1..3")
 
     checks = data.get("checks")
@@ -245,20 +242,23 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError("scenario name must be a string")
 
     seed = data.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and not _is_int(seed):
         raise ScenarioError("seed must be an integer")
     count = data.get("points")
-    if count is not None and (not isinstance(count, int) or count < 1):
+    if count is not None and (not _is_int(count) or count < 1):
         raise ScenarioError("points must be a positive integer")
     box = data.get("box")
     if box is not None:
         if (
             not isinstance(box, list)
             or len(box) != 2
-            or not all(isinstance(b, (int, float)) for b in box)
+            or not all(
+                isinstance(b, (int, float)) and not isinstance(b, bool) and math.isfinite(b)
+                for b in box
+            )
             or not box[0] < box[1]
         ):
-            raise ScenarioError("box must be [lo, hi] with lo < hi")
+            raise ScenarioError("box must be [lo, hi], both finite, with lo < hi")
         box = (float(box[0]), float(box[1]))
 
     sc = Scenario(name=name, n=n, q=q, checks=list(checks), seed=seed, count=count, box=box)
@@ -278,23 +278,12 @@ def load_scenario(path: str) -> Scenario:
 
 
 def _field_exprs(sc: Scenario):
-    for f in (sc.phi, sc.xi, sc.v, sc.a):
-        if f is None:
-            continue
-        if isinstance(f, EndomorphismField):
-            for row in f.comps:
-                yield from row
-        elif isinstance(f, (CovariantField, VectorField)):
+    for f in (sc.phi, sc.xi, sc.v, sc.a, sc.gamma):
+        if f is not None:
             yield from f.comps
     if sc.gamma is not None:
-        for plane in sc.gamma.comps:
-            for row in plane:
-                yield from row
         # curvature enters most connection checks; screen its poles too
-        for block in curvature(sc.gamma).comps:
-            for plane in block:
-                for row in plane:
-                    yield from row
+        yield from curvature(sc.gamma).comps
 
 
 def _sample_scenario_points(sc: Scenario, seed: int, count: int, box) -> np.ndarray:
@@ -353,20 +342,6 @@ def _execute_check(check: str, sc: Scenario, points, seed: int, tol: float) -> C
     if check == "purity":
         r = bundle.purity_residual(sc.phi, sc.xi, points)
         return CheckResult(check, r <= tol, r, tol)
-    if check == "tachibana_zero":
-        purity = bundle.purity_residual(sc.phi, sc.xi, points)
-        if purity > tol:
-            return CheckResult(
-                check, False, purity, tol, detail={"reason": "tensor is not pure"}
-            )
-        out = bundle.is_almost_analytic(sc.phi, sc.xi, points, tol)
-        return CheckResult(check, out.passed, out.residual, tol, out.worst_point)
-    if check == "nijenhuis_zero":
-        values = np.abs(bundle.nijenhuis(sc.phi).evaluate(points))
-        per_point = values.reshape(values.shape[0], -1).max(axis=1)
-        r = float(per_point.max())
-        wp = tuple(sampling.worst_point(points, per_point))
-        return CheckResult(check, r <= tol, r, tol, wp)
     if check == "theorem1":
         rep = bundle.verify_theorem1(sc.phi, sc.xi, points, tol)
         detail = {
@@ -390,24 +365,32 @@ def _execute_check(check: str, sc: Scenario, points, seed: int, tol: float) -> C
     if check == "lift_connection_zeros":
         rng = np.random.default_rng([seed, 2003])
         return _check_lift_zeros(sc.gamma, sc.q, points, rng, min(tol, STRUCTURAL_TOL))
-    if check == "induced_equals_base":
-        per_point = np.zeros(len(points))
-        for i, p in enumerate(points):
+    # the rest are sampled checks with one residual per point
+    if check == "tachibana_zero":
+        purity = bundle.purity_residual(sc.phi, sc.xi, points)
+        if purity > tol:
+            return CheckResult(
+                check, False, purity, tol, detail={"reason": "tensor is not pure"}
+            )
+        out = bundle.is_almost_analytic(sc.phi, sc.xi, points, tol)
+    elif check == "nijenhuis_zero":
+        per_point = sampling.max_per_point(bundle.nijenhuis(sc.phi).evaluate(points))
+        out = sampling.sampled_check(points, per_point, tol)
+    elif check == "induced_equals_base":
+        per_point = []
+        for p in points:
             induced = connection_lift.induced_connection(sc.gamma, sc.xi, p)
-            per_point[i] = np.max(np.abs(induced - sc.gamma.evaluate(p)))
-        r = float(per_point.max())
-        wp = tuple(sampling.worst_point(points, per_point))
-        return CheckResult(check, r <= tol, r, tol, wp)
-    if check == "gauss_consistency":
+            per_point.append(np.max(np.abs(induced - sc.gamma.evaluate(p))))
+        out = sampling.sampled_check(points, per_point, tol)
+    elif check == "gauss_consistency":
         out = connection_lift.gauss_consistency(sc.gamma, sc.xi, points, tol)
-        return CheckResult(check, out.passed, out.residual, tol, out.worst_point)
-    if check == "totally_geodesic":
+    elif check == "totally_geodesic":
         out = connection_lift.is_totally_geodesic(sc.gamma, sc.xi, points, tol)
-        return CheckResult(check, out.passed, out.residual, tol, out.worst_point)
-    if check == "curvature_tangency":
+    elif check == "curvature_tangency":
         out = connection_lift.curvature_tangency(sc.gamma, sc.xi, points, tol)
-        return CheckResult(check, out.passed, out.residual, tol, out.worst_point)
-    raise ScenarioError(f"unknown check {check!r}")
+    else:
+        raise ScenarioError(f"unknown check {check!r}")
+    return CheckResult(check, out.passed, out.residual, tol, out.worst_point)
 
 
 def run_scenario(

@@ -15,21 +15,20 @@ cross-section.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import sampling
 from .bundle import BundlePoint, adapted_frame, check_rank, cross_section_point
-from .expr import ScalarExpr
 from .tensor import (
     ConnectionField,
     CovariantField,
     covariant_derivative_cov,
     curvature,
-    iter_multi_indices,
-    rank_multi_index,
-    replace_slot,
+    slot_einsum,
+    sum_over_slots,
 )
 
 
@@ -84,6 +83,14 @@ class LiftedConnectionCoeffs:
         return float(np.max(np.abs(full - np.swapaxes(full, 1, 2))))
 
 
+def _slot_operator(mats: np.ndarray, slot: int, q: int) -> np.ndarray:
+    """A batch of n x n matrices acting on one slot of rank-ordered (0,q)
+    fibre coordinates: out[..., I, J] = mats[..., I_slot, J_slot] when the
+    multi-indices I and J agree off that slot, else 0."""
+    n = mats.shape[-1]
+    return np.kron(np.kron(np.eye(n**slot), mats), np.eye(n ** (q - 1 - slot)))
+
+
 def complete_lift_connection(
     gamma: ConnectionField, at: BundlePoint, curvature_sign: float = 1.0
 ) -> LiftedConnectionCoeffs:
@@ -97,54 +104,32 @@ def complete_lift_connection(
     if gamma.n != at.n:
         raise ValueError("connection and bundle point have different dimensions")
     n, q = at.n, at.q
-    nf = n**q
-    t = at.fibre_tensor()
+    t = at.fibre  # rank order
     g = gamma.evaluate(at.base)  # g[h, j, i] = Gamma^h_{ji}
     dg = gamma.partials_at(at.base)  # dg[m, h, j, i] = d_m Gamma^h_{ji}
     r4 = curvature(gamma).evaluate(at.base)  # r4[k, j, i, l] = R_{kji}^l
 
-    mixed_bf = np.zeros((nf, n, nf))
-    mixed_fb = np.zeros((nf, nf, n))
-    fibre_bb = np.zeros((nf, n, n))
-    for mi in iter_multi_indices(n, q):
-        row = rank_multi_index(mi, n)
-        for c in range(q):
-            ic = mi[c] - 1
-            for a in range(1, n + 1):
-                col = rank_multi_index(replace_slot(mi, c, a), n)
-                # mixed blocks: minus a base coefficient, one slot replaced
-                mixed_bf[row, :, col] -= g[a - 1, :, ic]
-                mixed_fb[row, col, :] -= g[a - 1, :, ic]
-                # single-replacement part of the t-linear block, as an
-                # [m, s] grid:
-                #   -d_m Gamma^a_{s ic} + Gamma^r_{m ic} Gamma^a_{sr}
-                #                       + Gamma^r_{ms} Gamma^a_{r ic}
-                term = -dg[:, a - 1, :, ic]
-                term = term + np.einsum("rm,sr->ms", g[:, :, ic], g[a - 1])
-                term = term + np.einsum("rms,r->ms", g, g[a - 1, :, ic])
-                fibre_bb[row] += term * t[tuple(k - 1 for k in replace_slot(mi, c, a))]
-        # two-slot quadratic part: ordered pairs of distinct slots, each
-        # coefficient eating one slot and depositing its upper index there
-        for b in range(q):
-            for c in range(q):
-                if b == c:
-                    continue
-                for rb in range(1, n + 1):
-                    for rc in range(1, n + 1):
-                        two = replace_slot(replace_slot(mi, b, rb), c, rc)
-                        val = t[tuple(k - 1 for k in two)]
-                        if val != 0.0:
-                            fibre_bb[row] += val * np.outer(
-                                g[rb - 1, :, mi[b] - 1], g[rc - 1, :, mi[c] - 1]
-                            )
-        # curvature part: R_{(slot index) s m}^l against t with that slot
-        # replaced by l; r4 slice has axes [s, m], hence the transpose
-        for d in range(q):
-            for l in range(1, n + 1):
-                val = t[tuple(k - 1 for k in replace_slot(mi, d, l))]
-                if val != 0.0:
-                    fibre_bb[row] += curvature_sign * val * r4[mi[d] - 1, :, :, l - 1].T
-    return LiftedConnectionCoeffs(n, q, g.copy(), mixed_bf, mixed_fb, fibre_bb)
+    # Each term replaces one fibre slot value x by a, or two slots at once.
+    # Replacing one slot through Gamma^a_{m x}, with m the lower base index:
+    # minus this makes the mixed blocks, and two of them at distinct slots
+    # make the quadratic part of the t-linear block.
+    coupling = [_slot_operator(np.einsum("amx->mxa", g), c, q) for c in range(q)]
+    mixed = -sum(coupling)  # [m, row, col]
+    # The single-replacement part of the t-linear block, as [m, s, x, a]:
+    #   -d_m Gamma^a_{s x} + Gamma^r_{m x} Gamma^a_{s r} + Gamma^r_{m s} Gamma^a_{r x}
+    #   + R_{x s m}^a (times curvature_sign)
+    single = (
+        -np.einsum("masx->msxa", dg)
+        + np.einsum("rmx,asr->msxa", g, g)
+        + np.einsum("rms,arx->msxa", g, g)
+        + curvature_sign * np.einsum("xsma->msxa", r4)
+    )
+    fibre_bb = sum(np.einsum("msrk,k->rms", _slot_operator(single, c, q), t) for c in range(q))
+    for b, c in itertools.permutations(range(q), 2):
+        fibre_bb += np.einsum("mrk,sk->rms", coupling[b], coupling[c] @ t)
+    return LiftedConnectionCoeffs(
+        n, q, g, mixed.transpose(1, 0, 2), mixed.transpose(1, 2, 0), fibre_bb
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -181,48 +166,24 @@ def induced_connection(gamma: ConnectionField, xi: CovariantField, x) -> np.ndar
     return np.einsum("hA,Aji->hji", frame.b_inv, total)
 
 
-@dataclass(frozen=True)
-class GaussTensor:
-    """Second-fundamental-form analogue of the cross-section.
+def gauss_second_fundamental(gamma: ConnectionField, xi: CovariantField) -> CovariantField:
+    """Second-fundamental-form analogue of the cross-section,
 
-    Components H_{ji,(h1..hq)} are stored as a rank q+2 symbolic grid
-    ordered (j, i, h1..hq); symmetric in (j, i) for a symmetric base
-    connection.  The cross-section is totally geodesic exactly when H
-    vanishes.
-    """
+      H_{ji,(h1..hq)} = (nabla_j nabla_i xi)_{h1..hq}
+                        + sum_s xi_{h1..l..hq} R_{hs i j}^l,
 
-    n: int
-    q: int
-    field: CovariantField
-
-    def component(self, j: int, i: int, mi) -> ScalarExpr:
-        return self.field.component((j, i) + tuple(mi))
-
-    def evaluate(self, point) -> np.ndarray:
-        return self.field.evaluate(point)
-
-
-def gauss_second_fundamental(gamma: ConnectionField, xi: CovariantField) -> GaussTensor:
-    """H_{ji,(h1..hq)} = (nabla_j nabla_i xi)_{h1..hq}
-                         + sum_s xi_{h1..l..hq} R_{hs i j}^l."""
+    as a rank q+2 field ordered (j, i, h1..hq).  It is symmetric in
+    (j, i) for a symmetric base connection, and the cross-section is
+    totally geodesic exactly when H vanishes."""
     _require_symmetric(gamma)
     check_rank(xi.q)
     if gamma.n != xi.n:
         raise ValueError("connection and tensor field live on different charts")
-    n, q = xi.n, xi.q
     second = covariant_derivative_cov(gamma, covariant_derivative_cov(gamma, xi))
-    curv = curvature(gamma)
-    flat = []
-    for mi in iter_multi_indices(n, q + 2):
-        j, i, rest = mi[0], mi[1], mi[2:]
-        term = second.component(mi)
-        for slot in range(q):
-            for l in range(1, n + 1):
-                term = term + xi.component(replace_slot(rest, slot, l)) * curv.component(
-                    rest[slot], i, j, l
-                )
-        flat.append(term)
-    return GaussTensor(n, q, CovariantField(n, q + 2, flat))
+    out = second.array() + sum_over_slots(
+        "{s}ijm,{R}->ji{S}", xi.q, curvature(gamma).array(), xi.array()
+    )
+    return CovariantField._of(xi.n, out)
 
 
 def is_totally_geodesic(
@@ -235,12 +196,8 @@ def is_totally_geodesic(
     cross-section (up to tol)."""
     if points is None:
         points = sampling.sample_points(xi.n)
-    values = np.abs(gauss_second_fundamental(gamma, xi).evaluate(points))
-    per_point = values.reshape(values.shape[0], -1).max(axis=1)
-    residual = float(per_point.max())
-    return sampling.SampledCheck(
-        residual <= tol, residual, tuple(sampling.worst_point(points, per_point))
-    )
+    per_point = sampling.max_per_point(gauss_second_fundamental(gamma, xi).evaluate(points))
+    return sampling.sampled_check(points, per_point, tol)
 
 
 def gauss_consistency(
@@ -282,10 +239,7 @@ def gauss_consistency(
         rhs = np.zeros_like(lhs)
         rhs[n:] = gauss.evaluate(p).reshape(n, n, nf).transpose(2, 0, 1)
         per_point[idx] = np.max(np.abs(lhs - rhs))
-    residual = float(per_point.max())
-    return sampling.SampledCheck(
-        residual <= tol, residual, tuple(sampling.worst_point(points, per_point))
-    )
+    return sampling.sampled_check(points, per_point, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +283,7 @@ def curvature_tangency(
         raise ValueError("connection and tensor field live on different charts")
     if points is None:
         points = sampling.sample_points(xi.n)
-    n, q = xi.n, xi.q
+    q = xi.q
     nabla_xi = covariant_derivative_cov(gamma, xi)
     per_point = np.zeros(len(points))
     for idx, p in enumerate(points):
@@ -337,27 +291,16 @@ def curvature_tangency(
         dr = _curvature_cov_derivative(gamma, p)
         xiv = xi.evaluate(p)
         dxi = nabla_xi.evaluate(p)  # [c, h1, .., hq]
-        worst = 0.0
-        for k in range(n):
-            for j in range(n):
-                for i in range(n):
-                    for mi in iter_multi_indices(n, q):
-                        mi0 = tuple(h - 1 for h in mi)
-                        lhs = 0.0
-                        rhs = 0.0
-                        for l in range(n):
-                            rhs += r4[k, j, i, l] * dxi[(l,) + mi0]
-                        for slot in range(q):
-                            hs = mi0[slot]
-                            for l in range(n):
-                                rep = replace_slot(mi0, slot, l)
-                                lhs += (dr[k, hs, i, j, l] - dr[j, hs, i, k, l]) * xiv[rep]
-                                rhs += r4[k, j, hs, l] * dxi[(i,) + rep]
-                                rhs -= r4[hs, i, j, l] * dxi[(k,) + rep]
-                                rhs += r4[hs, i, k, l] * dxi[(j,) + rep]
-                        worst = max(worst, abs(lhs - rhs))
-        per_point[idx] = worst
-    residual = float(per_point.max())
-    return sampling.SampledCheck(
-        residual <= tol, residual, tuple(sampling.worst_point(points, per_point))
-    )
+        # Both sides indexed [k, j, i, h1..hq].  The terms at k and j come
+        # in pairs that differ by k <-> j, so each pair is built once and
+        # antisymmetrized.
+        lhs = sum_over_slots("k{s}ijm,{R}->kji{S}", q, dr, xiv)
+        lhs = lhs - lhs.swapaxes(0, 1)
+        pair = sum_over_slots("{s}ijm,k{R}->kji{S}", q, r4, dxi)
+        rhs = (
+            slot_einsum("kjim,m{S}->kji{S}", q, r4, dxi)
+            + sum_over_slots("kj{s}m,i{R}->kji{S}", q, r4, dxi)
+            - (pair - pair.swapaxes(0, 1))
+        )
+        per_point[idx] = np.max(np.abs(lhs - rhs))
+    return sampling.sampled_check(points, per_point, tol)

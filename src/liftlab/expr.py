@@ -613,14 +613,3 @@ def diff(e: ScalarExpr, axis: int) -> ScalarExpr:
     if axis < 1:
         raise ValueError(f"axis must be >= 1, got {axis}")
     return e.deriv(axis)
-
-
-def numeric_partial(e: ScalarExpr, point, axis: int, step: float = 1e-5) -> float:
-    """Centered-difference partial derivative, for checking diff() against.
-
-    Kept deliberately independent of the symbolic rules.
-    """
-    p = np.asarray(point, dtype=np.float64)
-    shift = np.zeros_like(p)
-    shift[axis - 1] = step
-    return (evaluate(e, p + shift) - evaluate(e, p - shift)) / (2.0 * step)

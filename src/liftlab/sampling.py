@@ -18,8 +18,6 @@ DEFAULT_BOX = (0.2, 1.5)
 
 # Relative tolerance for symbolic-against-symbolic comparisons.
 SYMBOLIC_RTOL = 1e-9
-# Looser tolerance when one side is a finite-difference oracle.
-ORACLE_RTOL = 1e-6
 
 
 def sample_points(
@@ -59,20 +57,21 @@ def max_abs_difference(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) if np.asarray(a).size else 0.0
 
 
-def relative_residual(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a - b| / (1 + max(|a|, |b|)) over matching entries."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.size == 0:
-        return 0.0
-    scale = 1.0 + np.maximum(np.abs(a), np.abs(b))
-    return float(np.max(np.abs(a - b) / scale))
-
-
 def worst_point(points: np.ndarray, residuals: Sequence[float]) -> np.ndarray:
     """Point attaining the largest residual; ties go to the earliest draw."""
     idx = int(np.argmax(np.asarray(residuals)))
     return np.asarray(points)[idx]
+
+
+def max_per_point(values: np.ndarray) -> np.ndarray:
+    """Largest |component| at each point of a batch evaluation."""
+    return np.abs(values).reshape(len(values), -1).max(axis=1)
+
+
+def sampled_check(points: np.ndarray, per_point: np.ndarray, tol: float) -> "SampledCheck":
+    """Verdict on the largest per-point residual, with the point attaining it."""
+    residual = float(np.max(per_point))
+    return SampledCheck(residual <= tol, residual, tuple(worst_point(points, per_point)))
 
 
 @dataclass(frozen=True)

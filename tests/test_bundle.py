@@ -332,6 +332,22 @@ def test_characterization_identities(xi):
     assert report.vertical_residual < 1e-9
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_characterization_nonconstant_structure(n):
+    # a non-constant phi exercises the d phi term of the Tachibana block,
+    # which every constant structure above leaves at zero
+    rng = np.random.default_rng(31)
+    phi = EndomorphismField(
+        n, [[f"{i - j + 0.5}*x{(i + j) % n + 1}" for j in range(n)] for i in range(n)]
+    )
+    xi = random_covariant_field(rng, n, 1)
+    v = random_vector_field(rng, n)
+    a = random_covariant_field(rng, n, 1)
+    report = verify_characterization(phi, xi, v, a, sampling.sample_points(n, count=8))
+    assert report.complete_residual < 1e-9
+    assert report.vertical_residual < 1e-9
+
+
 def test_characterization_rejects_rank_mismatch():
     phi = standard_complex_r2()
     v = VectorField(2, ["1", "0"])

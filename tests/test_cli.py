@@ -165,6 +165,12 @@ def test_invalid_json(tmp_path, capsys):
         {"unknown_key": 1},
         {"xi": {"1": "x3", "2": "0"}},
         {"checks": ["gauss_consistency"]},  # needs gamma
+        {"n": True},  # JSON true is not an integer
+        {"points": True},
+        {"box": [0.2, float("inf")]},  # written as Infinity
+        {"q": True},
+        {"seed": False},
+        {"xi": {"1": True, "2": "0"}},
     ],
 )
 def test_scenario_validation_errors(tmp_path, overrides, capsys):

@@ -21,9 +21,22 @@ from liftlab.presets import (
     sphere_chart_connection,
     sphere_chart_metric,
 )
-from liftlab.tensor import ConnectionField, CovariantField
+from liftlab.tensor import (
+    ConnectionField,
+    CovariantField,
+    covariant_derivative_cov,
+    curvature,
+    iter_multi_indices,
+    rank_multi_index,
+    replace_slot,
+)
 
 POINTS = sampling.sample_points(2, count=16)
+POINTS_BY_DIM = {2: POINTS, 3: sampling.sample_points(3, count=16)}
+# (n, q) cases; the ids of the n=2 cases are their q alone
+DIM_RANK = pytest.mark.parametrize(
+    "n,q", [(2, 1), (2, 2), (3, 1), (3, 2)], ids=["1", "2", "n3-1", "n3-2"]
+)
 
 FLAT = flat_connection(2)
 SPHERE = sphere_chart_connection()
@@ -101,18 +114,66 @@ def test_lift_rejects_torsion():
         gauss_consistency(gamma, CovariantField(2, 1, ["x1", "0"]), POINTS[:2])
 
 
+def _lift_blocks_by_entry(gamma, at):
+    """Reference for complete_lift_connection: every block filled entry by
+    entry, one multi-index and one replaced slot at a time."""
+    n, q = at.n, at.q
+    nf = n**q
+    t = at.fibre_tensor()
+    g = gamma.evaluate(at.base)
+    dg = gamma.partials_at(at.base)
+    r4 = curvature(gamma).evaluate(at.base)
+    mixed_bf = np.zeros((nf, n, nf))
+    fibre_bb = np.zeros((nf, n, n))
+    for mi in iter_multi_indices(n, q):
+        row = rank_multi_index(mi, n)
+        for c in range(q):
+            x = mi[c] - 1
+            for a in range(n):
+                rep = replace_slot(mi, c, a + 1)
+                mixed_bf[row, :, rank_multi_index(rep, n)] -= g[a, :, x]
+                val = t[tuple(k - 1 for k in rep)]
+                for m in range(n):
+                    for s in range(n):
+                        term = -dg[m, a, s, x] + r4[x, s, m, a]
+                        for r in range(n):
+                            term += g[r, m, x] * g[a, s, r] + g[r, m, s] * g[a, r, x]
+                        fibre_bb[row, m, s] += term * val
+        for b in range(q):
+            for c in range(q):
+                if b == c:
+                    continue
+                for rb in range(n):
+                    for rc in range(n):
+                        two = replace_slot(replace_slot(mi, b, rb + 1), c, rc + 1)
+                        val = t[tuple(k - 1 for k in two)]
+                        fibre_bb[row] += val * np.outer(g[rb, :, mi[b] - 1], g[rc, :, mi[c] - 1])
+    return g, mixed_bf, mixed_bf.transpose(0, 2, 1), fibre_bb
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 1), (3, 2), (3, 3)])
+def test_lift_blocks_match_entrywise_reference(n, q):
+    rng = np.random.default_rng(400 + 10 * n + q)
+    gamma = random_symmetric_connection(rng, n)
+    at = BundlePoint(n, q, POINTS_BY_DIM[n][5], _random_fibre(rng, n, q))
+    got = complete_lift_connection(gamma, at)
+    want = _lift_blocks_by_entry(gamma, at)
+    for block, ref in zip((got.base, got.mixed_bf, got.mixed_fb, got.fibre_bb), want):
+        assert np.max(np.abs(block - ref)) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # induced connection
 
 
-@pytest.mark.parametrize("q", [1, 2])
-def test_induced_connection_equals_base(q):
-    rng = np.random.default_rng(200 + q)
+@DIM_RANK
+def test_induced_connection_equals_base(n, q):
+    rng = np.random.default_rng(200 + q if n == 2 else 210 + q)
     for _ in range(5):
-        gamma = random_symmetric_connection(rng, 2)
-        xi = random_covariant_field(rng, 2, q)
+        gamma = random_symmetric_connection(rng, n)
+        xi = random_covariant_field(rng, n, q)
         worst = 0.0
-        for p in POINTS[:8]:
+        for p in POINTS_BY_DIM[n][:8]:
             got = induced_connection(gamma, xi, p)
             worst = max(worst, np.max(np.abs(got - gamma.evaluate(p))))
         assert worst < 1e-12
@@ -185,13 +246,15 @@ def test_gauss_consistency_flat_and_sphere():
     assert check.residual < 1e-12
 
 
-@pytest.mark.parametrize("q", [1, 2])
-def test_gauss_consistency_random(q):
-    rng = np.random.default_rng(300 + q)
-    gamma = random_symmetric_connection(rng, 2)
-    xi = random_covariant_field(rng, 2, q)
-    assert gauss_consistency(gamma, xi, POINTS[:8], tol=1e-9).passed
-    assert gauss_consistency(SPHERE, xi, POINTS[:8], tol=1e-9).passed
+@DIM_RANK
+def test_gauss_consistency_random(n, q):
+    rng = np.random.default_rng(300 + q if n == 2 else 310 + q)
+    gamma = random_symmetric_connection(rng, n)
+    xi = random_covariant_field(rng, n, q)
+    points = POINTS_BY_DIM[n][:8]
+    assert gauss_consistency(gamma, xi, points, tol=1e-9).passed
+    other = SPHERE if n == 2 else flat_connection(3)  # the sphere chart is 2d
+    assert gauss_consistency(other, xi, points, tol=1e-9).passed
 
 
 def test_gauss_consistency_rank_three():
@@ -236,6 +299,46 @@ def test_tangency_sphere_generic_fails():
     assert not check.passed
     assert check.residual > 1e-3
     assert len(check.worst_point) == 2
+
+
+def _tangency_residual_by_entry(gamma, xi, p):
+    """Reference for one point of curvature_tangency: both sides summed
+    entry by entry."""
+    n, q = xi.n, xi.q
+    r4 = curvature(gamma).evaluate(p)
+    dr = _curvature_cov_derivative(gamma, p)
+    xiv = xi.evaluate(p)
+    dxi = covariant_derivative_cov(gamma, xi).evaluate(p)
+    worst = 0.0
+    for k in range(n):
+        for j in range(n):
+            for i in range(n):
+                for mi in iter_multi_indices(n, q):
+                    h = tuple(v - 1 for v in mi)
+                    lhs = 0.0
+                    rhs = sum(r4[k, j, i, l] * dxi[(l,) + h] for l in range(n))
+                    for slot in range(q):
+                        hs = h[slot]
+                        for l in range(n):
+                            rep = replace_slot(h, slot, l)
+                            lhs += (dr[k, hs, i, j, l] - dr[j, hs, i, k, l]) * xiv[rep]
+                            rhs += r4[k, j, hs, l] * dxi[(i,) + rep]
+                            rhs -= r4[hs, i, j, l] * dxi[(k,) + rep]
+                            rhs += r4[hs, i, k, l] * dxi[(j,) + rep]
+                    worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (3, 1), (3, 2)])
+def test_tangency_matches_entrywise_reference(n, q):
+    rng = np.random.default_rng(500 + 10 * n + q)
+    gamma = random_symmetric_connection(rng, n)
+    xi = random_covariant_field(rng, n, q)
+    points = POINTS_BY_DIM[n][:3]
+    check = curvature_tangency(gamma, xi, points, tol=1e-3)
+    want = max(_tangency_residual_by_entry(gamma, xi, p) for p in points)
+    assert check.residual > 1e-3
+    assert check.residual == pytest.approx(want, rel=1e-12)
 
 
 def test_tangency_rejects_mismatched_chart():

@@ -18,6 +18,7 @@ from liftlab.presets import (
 from liftlab.tensor import (
     ConnectionField,
     CovariantField,
+    CurvatureField,
     EndomorphismField,
     OneTwoTensorField,
     VectorField,
@@ -36,6 +37,7 @@ from liftlab.tensor import (
 )
 
 POINTS = sampling.sample_points(2, count=16)
+POINTS3 = sampling.sample_points(3, count=16)
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +141,34 @@ def test_one_two_tensor_layout():
     assert arr[1, 0, 1] == 6.0
 
 
+def _nested(n, rank, text):
+    """Nested component lists of the given rank with distinct entries."""
+    if rank == 0:
+        return text
+    return [_nested(n, rank - 1, f"{text}*x{i} + {i}") for i in range(1, n + 1)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: CovariantField(3, 2, [f"sin(x1)*x2^{k} + exp(x3/{k + 1})" for k in range(9)]),
+        lambda: VectorField(3, ["x1*x2", "cos(x3)/(x1 + 1)", "exp(x2)"]),
+        lambda: EndomorphismField(3, _nested(3, 2, "sin(x2)")),
+        lambda: OneTwoTensorField(3, _nested(3, 3, "cos(x1*x3)")),
+        lambda: ConnectionField(3, _nested(3, 3, "x1/(x2 + 2)"), symmetric=False),
+        lambda: CurvatureField(3, _nested(3, 4, "exp(x1 - x3)")),
+    ],
+    ids=["covariant", "vector", "endomorphism", "one_two", "connection", "curvature"],
+)
+def test_batch_evaluate_stacks_single_points(make):
+    field = make()
+    batch = field.evaluate(POINTS3)
+    assert batch.shape == (len(POINTS3),) + (3,) * len(field.shape)
+    single = np.stack([field.evaluate(p) for p in POINTS3])
+    assert np.array_equal(batch, single)
+    assert batch.tobytes() == single.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # endomorphism actions and purity
 
@@ -180,17 +210,25 @@ def test_lie_derivative_rotation_kills_radial_covector():
     assert np.max(np.abs(out)) == 0.0
 
 
+FLOW_CASES = {
+    2: (VectorField(2, ["x2", "x1*x1"]), POINTS),
+    3: (VectorField(3, ["x2*x3", "x1*x1", "sin(x2)"]), POINTS3),
+}
+
+
 @pytest.mark.parametrize(
     "xi",
     [
         CovariantField(2, 1, ["x1*x2", "sin(x1)"]),
         CovariantField(2, 2, {(1, 1): "x2^2", (1, 2): "x1", (2, 1): "cos(x2)"}),
+        CovariantField(3, 1, ["x1*x3", "cos(x2)", "x2^2"]),
+        CovariantField(3, 2, {(1, 2): "x3^2", (2, 3): "x1*x2", (3, 1): "sin(x3)", (3, 3): "x1"}),
     ],
 )
 def test_lie_derivative_matches_flow_oracle(xi):
-    v = VectorField(2, ["x2", "x1*x1"])
+    v, points = FLOW_CASES[xi.n]
     sym_field = lie_derivative_cov(v, xi)
-    for p in POINTS[:4]:
+    for p in points[:4]:
         sym = sym_field.evaluate(p)
         flow = _oracles.flow_lie_derivative(v, xi, p)
         assert np.max(np.abs(sym - flow)) < 3e-5
@@ -270,6 +308,10 @@ def test_curvature_matches_fd_oracle():
     for p in POINTS[:4]:
         oracle = _oracles.fd_curvature(sphere, p)
         assert np.max(np.abs(curvature(sphere).evaluate(p) - oracle)) < 1e-6
+    gamma3 = random_symmetric_connection(rng, 3)
+    for p in POINTS3[:4]:
+        oracle = _oracles.fd_curvature(gamma3, p)
+        assert np.max(np.abs(curvature(gamma3).evaluate(p) - oracle)) < 1e-6
 
 
 def test_first_bianchi_identity():
