@@ -338,14 +338,20 @@ def complete_lift_endo_on_section(
     """
     if phi.n != xi.n:
         raise ValueError("endomorphism and tensor field live on different charts")
-    n, q = xi.n, check_rank(xi.q)
+    check_rank(xi.q)
+    return _lift_endo(phi, _tachibana_field(phi, xi), x)
+
+
+def _lift_endo(phi: EndomorphismField, tach: CovariantField, x) -> BundleEndomorphism:
+    """complete_lift_endo_on_section with the Tachibana field of (phi, xi)
+    already built, so a check builds it once for all its points."""
+    n, q = tach.n, tach.q - 1
     nf = n**q
     x = np.asarray(x, dtype=np.float64)
     phi_mat = phi.evaluate(x)
-    tach = _tachibana_field(phi, xi).evaluate(x)  # tach[l, k1, .., kq]
     mat = np.zeros((n + nf, n + nf))
     mat[:n, :n] = phi_mat
-    mat[n:, :n] = -tach.reshape(n, nf).T
+    mat[n:, :n] = -tach.evaluate(x).reshape(n, nf).T  # from tach[l, k1, .., kq]
     # first-slot action on rank-ordered fibre coordinates: phi^m_{k1} on the
     # leading slot, the identity on the other q - 1
     mat[n:, n:] = np.kron(phi_mat.T, np.eye(n ** (q - 1)))
@@ -394,11 +400,12 @@ def verify_characterization(
     lie_phi_v_xi = lie_derivative_cov(phi_v, xi)
     lie_phi_on_xi = apply_endo_cov(lie_derivative_endo(v, phi), xi)
     phi_a = apply_endo_cov(phi, a)
+    tach = _tachibana_field(phi, xi)
     n = xi.n
     res_c = np.zeros(len(points))
     res_v = np.zeros(len(points))
     for idx, p in enumerate(points):
-        lift = complete_lift_endo_on_section(phi, xi, p)
+        lift = _lift_endo(phi, tach, p)
         cl_v = np.concatenate([v.evaluate(p), -lie_xi.evaluate(p).reshape(-1)])
         rhs_c = np.concatenate(
             [
@@ -464,14 +471,15 @@ def verify_theorem1(
     phi_sq = compose_endo(phi, phi).evaluate(points) + np.eye(n)
     square_res = float(np.max(np.abs(phi_sq)))
     purity_res = purity_residual(phi, xi, points)
-    tach_res = float(np.max(np.abs(_tachibana_field(phi, xi).evaluate(points))))
+    tach = _tachibana_field(phi, xi)
+    tach_res = float(np.max(np.abs(tach.evaluate(points))))
     nij_res = float(
         np.max(np.abs(contract_one_two_cov(nijenhuis(phi), xi).evaluate(points)))
     )
 
     per_point = np.zeros(len(points))
     for idx, p in enumerate(points):
-        mat = complete_lift_endo_on_section(phi, xi, p).matrix
+        mat = _lift_endo(phi, tach, p).matrix
         per_point[idx] = np.max(np.abs(mat @ mat + np.eye(dim)))
     lift_res = float(per_point.max())
     worst = tuple(sampling.worst_point(points, per_point))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bundle, connection_lift, presets, sampling
-from .expr import ParseError
+from .expr import ParseError, Tape
 from .tensor import (
     ConnectionField,
     CovariantField,
@@ -287,11 +287,10 @@ def _field_exprs(sc: Scenario):
 
 
 def _sample_scenario_points(sc: Scenario, seed: int, count: int, box) -> np.ndarray:
-    exprs = list(_field_exprs(sc))
+    screen = Tape(list(_field_exprs(sc)))
 
     def reject(p: np.ndarray) -> bool:
-        with np.errstate(all="ignore"):
-            return any(not np.isfinite(e.value(p)) for e in exprs)
+        return not np.all(np.isfinite(screen(p)))
 
     try:
         return sampling.sample_points(sc.n, seed=seed, count=count, box=box, reject=reject)
@@ -576,6 +575,9 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     _print_report(report)
     if args.json:
         try:

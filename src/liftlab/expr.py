@@ -8,13 +8,37 @@ Construction goes through smart constructors that fold constants and
 drop additive zeros / multiplicative ones.  Folding is best effort and
 never load-bearing: expression equality is always decided by sampled
 evaluation, not by tree shape.
+
+Evaluation goes through a Tape, compiled once from a list of
+expressions.  Compiling merges structurally equal subtrees into one
+slot and lists the slots children first, in array columns: an opcode,
+two integer arguments, a constants list, and the output slots.  Running
+the tape applies one NumPy operation per slot over the whole (..., n)
+batch of points, so a subtree shared by many expressions, or repeated
+inside one, is computed once.  The tables that find equal subtrees live
+only while the tape is compiled.
+
+Derivatives are built with a memo keyed by node identity (diffs); a
+subtree that appears once in memory is differentiated once and its
+derivative is shared in turn, so a DAG stays a DAG under diff.  The
+compile and diffs walk expressions with an explicit stack, so nesting
+depth is not bounded by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+from array import array
 
 import numpy as np
+
+# Tape opcodes, in the order the evaluation loop tests them.
+MUL, ADD, NEG, POW, DIV, CONST, VAR, SIN, COS, EXP = range(10)
+# Flags on an opcode: after this slot, drop the value of argument a / b,
+# which no later slot and no output reads.
+_DROP_A, _DROP_B = 16, 32
+_OP_MASK = 15
 
 
 class ParseError(ValueError):
@@ -42,12 +66,14 @@ class ScalarExpr:
 
     __slots__ = ()
     children: tuple
+    op: int  # tape opcode
 
     def value(self, coords):
         """Raw evaluation; coords has shape (..., n).  May return inf/nan."""
-        raise NotImplementedError
+        return Tape([self])(coords)[..., 0][()]
 
-    def deriv(self, axis: int) -> "ScalarExpr":
+    def deriv(self, axis: int, *d: "ScalarExpr") -> "ScalarExpr":
+        """Partial along x<axis>, given d, the partials of the children."""
         raise NotImplementedError
 
     def __add__(self, other):
@@ -100,15 +126,10 @@ class Const(ScalarExpr):
     __slots__ = ("c",)
     children = ()
     prec = _P_ATOM
+    op = CONST
 
     def __init__(self, c: float):
         self.c = float(c)
-
-    def value(self, coords):
-        coords = np.asarray(coords)
-        if coords.ndim <= 1:
-            return np.float64(self.c)
-        return np.full(coords.shape[:-1], self.c)
 
     def deriv(self, axis: int) -> ScalarExpr:
         return Const(0.0)
@@ -129,14 +150,12 @@ class Var(ScalarExpr):
     __slots__ = ("axis",)
     children = ()
     prec = _P_ATOM
+    op = VAR
 
     def __init__(self, axis: int):
         if axis < 1:
             raise ValueError(f"variable axis must be >= 1, got {axis}")
         self.axis = axis
-
-    def value(self, coords):
-        return np.asarray(coords, dtype=np.float64)[..., self.axis - 1]
 
     def deriv(self, axis: int) -> ScalarExpr:
         return Const(1.0 if axis == self.axis else 0.0)
@@ -148,6 +167,7 @@ class Var(ScalarExpr):
 class Add(ScalarExpr):
     __slots__ = ("a", "b")
     prec = _P_ADD
+    op = ADD
 
     def __init__(self, a: ScalarExpr, b: ScalarExpr):
         self.a, self.b = a, b
@@ -156,11 +176,8 @@ class Add(ScalarExpr):
     def children(self):
         return (self.a, self.b)
 
-    def value(self, coords):
-        return self.a.value(coords) + self.b.value(coords)
-
-    def deriv(self, axis: int) -> ScalarExpr:
-        return add(self.a.deriv(axis), self.b.deriv(axis))
+    def deriv(self, axis: int, da: ScalarExpr, db: ScalarExpr) -> ScalarExpr:
+        return add(da, db)
 
     def __str__(self):
         left = _wrap(self.a, _P_ADD)
@@ -172,6 +189,7 @@ class Add(ScalarExpr):
 class Mul(ScalarExpr):
     __slots__ = ("a", "b")
     prec = _P_MUL
+    op = MUL
 
     def __init__(self, a: ScalarExpr, b: ScalarExpr):
         self.a, self.b = a, b
@@ -180,11 +198,7 @@ class Mul(ScalarExpr):
     def children(self):
         return (self.a, self.b)
 
-    def value(self, coords):
-        return self.a.value(coords) * self.b.value(coords)
-
-    def deriv(self, axis: int) -> ScalarExpr:
-        da, db = self.a.deriv(axis), self.b.deriv(axis)
+    def deriv(self, axis: int, da: ScalarExpr, db: ScalarExpr) -> ScalarExpr:
         return add(mul(da, self.b), mul(self.a, db))
 
     def __str__(self):
@@ -194,6 +208,7 @@ class Mul(ScalarExpr):
 class Div(ScalarExpr):
     __slots__ = ("a", "b")
     prec = _P_MUL
+    op = DIV
 
     def __init__(self, a: ScalarExpr, b: ScalarExpr):
         self.a, self.b = a, b
@@ -202,11 +217,7 @@ class Div(ScalarExpr):
     def children(self):
         return (self.a, self.b)
 
-    def value(self, coords):
-        return self.a.value(coords) / self.b.value(coords)
-
-    def deriv(self, axis: int) -> ScalarExpr:
-        da, db = self.a.deriv(axis), self.b.deriv(axis)
+    def deriv(self, axis: int, da: ScalarExpr, db: ScalarExpr) -> ScalarExpr:
         num = add(mul(da, self.b), neg(mul(self.a, db)))
         return div(num, ipow(self.b, 2))
 
@@ -217,6 +228,7 @@ class Div(ScalarExpr):
 class Neg(ScalarExpr):
     __slots__ = ("a",)
     prec = _P_NEG
+    op = NEG
 
     def __init__(self, a: ScalarExpr):
         self.a = a
@@ -225,11 +237,8 @@ class Neg(ScalarExpr):
     def children(self):
         return (self.a,)
 
-    def value(self, coords):
-        return -self.a.value(coords)
-
-    def deriv(self, axis: int) -> ScalarExpr:
-        return neg(self.a.deriv(axis))
+    def deriv(self, axis: int, da: ScalarExpr) -> ScalarExpr:
+        return neg(da)
 
     def __str__(self):
         return f"-{_wrap(self.a, _P_ATOM)}"
@@ -240,6 +249,7 @@ class IntPow(ScalarExpr):
 
     __slots__ = ("a", "k")
     prec = _P_POW
+    op = POW
 
     def __init__(self, a: ScalarExpr, k: int):
         self.a, self.k = a, int(k)
@@ -248,12 +258,8 @@ class IntPow(ScalarExpr):
     def children(self):
         return (self.a,)
 
-    def value(self, coords):
-        return np.power(self.a.value(coords), self.k)
-
-    def deriv(self, axis: int) -> ScalarExpr:
+    def deriv(self, axis: int, da: ScalarExpr) -> ScalarExpr:
         # d(a^k) = k * a^(k-1) * da; stays inside the grammar for any k.
-        da = self.a.deriv(axis)
         return mul(mul(Const(self.k), ipow(self.a, self.k - 1)), da)
 
     def __str__(self):
@@ -264,7 +270,6 @@ class _Func(ScalarExpr):
     __slots__ = ("a",)
     prec = _P_ATOM
     name = ""
-    fn = None
 
     def __init__(self, a: ScalarExpr):
         self.a = a
@@ -273,35 +278,35 @@ class _Func(ScalarExpr):
     def children(self):
         return (self.a,)
 
-    def value(self, coords):
-        return type(self).fn(self.a.value(coords))
-
     def __str__(self):
         return f"{self.name}({self.a})"
 
 
 class Sin(_Func):
     __slots__ = ()
-    name, fn = "sin", np.sin
+    op = SIN
+    name = "sin"
 
-    def deriv(self, axis: int) -> ScalarExpr:
-        return mul(cos(self.a), self.a.deriv(axis))
+    def deriv(self, axis: int, da: ScalarExpr) -> ScalarExpr:
+        return mul(cos(self.a), da)
 
 
 class Cos(_Func):
     __slots__ = ()
-    name, fn = "cos", np.cos
+    op = COS
+    name = "cos"
 
-    def deriv(self, axis: int) -> ScalarExpr:
-        return neg(mul(sin(self.a), self.a.deriv(axis)))
+    def deriv(self, axis: int, da: ScalarExpr) -> ScalarExpr:
+        return neg(mul(sin(self.a), da))
 
 
 class Exp(_Func):
     __slots__ = ()
-    name, fn = "exp", np.exp
+    op = EXP
+    name = "exp"
 
-    def deriv(self, axis: int) -> ScalarExpr:
-        return mul(exp(self.a), self.a.deriv(axis))
+    def deriv(self, axis: int, da: ScalarExpr) -> ScalarExpr:
+        return mul(exp(self.a), da)
 
 
 def _wrap(e: ScalarExpr, minimum: int) -> str:
@@ -328,11 +333,12 @@ def var(axis: int) -> ScalarExpr:
 
 
 def add(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
-    if _is_const(a) and _is_const(b):
+    ca, cb = isinstance(a, Const), isinstance(b, Const)
+    if ca and cb:
         return Const(a.c + b.c)
-    if _is_const(a, 0.0):
+    if ca and a.c == 0.0:
         return b
-    if _is_const(b, 0.0):
+    if cb and b.c == 0.0:
         return a
     return Add(a, b)
 
@@ -350,13 +356,14 @@ def neg(a: ScalarExpr) -> ScalarExpr:
 
 
 def mul(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
-    if _is_const(a) and _is_const(b):
+    ca, cb = isinstance(a, Const), isinstance(b, Const)
+    if ca and cb:
         return Const(a.c * b.c)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
+    if (ca and a.c == 0.0) or (cb and b.c == 0.0):
         return Const(0.0)
-    if _is_const(a, 1.0):
+    if ca and a.c == 1.0:
         return b
-    if _is_const(b, 1.0):
+    if cb and b.c == 1.0:
         return a
     return Mul(a, b)
 
@@ -568,11 +575,164 @@ def parse(text: str, dim: int) -> ScalarExpr:
 # Evaluation and differentiation
 
 
+def _postorder(root: ScalarExpr, done: dict):
+    """The nodes under root that are not keys of done, each once, children
+    first.  Iterative, so depth is not bounded by the recursion limit; the
+    caller enters each node into done before asking for the next."""
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node in done:
+            stack.pop()
+            continue
+        ready = True
+        for c in node.children:
+            if c not in done:
+                stack.append(c)
+                ready = False
+        if ready:
+            stack.pop()
+            yield node
+
+
 def max_axis(e: ScalarExpr) -> int:
     """Largest variable axis appearing in e (0 for constant expressions)."""
-    if isinstance(e, Var):
-        return e.axis
-    return max((max_axis(c) for c in e.children), default=0)
+    seen: dict = {}
+    top = 0
+    for node in _postorder(e, seen):
+        seen[node] = None
+        if isinstance(node, Var):
+            top = max(top, node.axis)
+    return top
+
+
+class Tape:
+    """A list of expressions compiled for batch evaluation.
+
+    Slot i holds one structurally distinct subtree; its children sit in
+    earlier slots.  ops[i] is the opcode (with drop flags), and args_a[i],
+    args_b[i] its arguments: child slots (a unary op's in both), or for
+    CONST an index into consts, for VAR the 0-based axis, for POW the
+    child slot and the index of the exponent in consts.  Calling the tape on points of shape
+    (..., n) returns shape (..., len(outputs)), column r the value of
+    expression r.
+    """
+
+    __slots__ = ("ops", "args_a", "args_b", "consts", "outputs", "dim")
+
+    def __init__(self, exprs):
+        ops, args_a, args_b = array("B"), array("i"), array("i")
+        consts: list = []
+        # Compile scratch, freed on return.  slot_of is keyed by the nodes
+        # themselves (identity hash); table by structure: an int packing
+        # opcode and argument slots, or a tuple for CONST and POW.
+        slot_of: dict[ScalarExpr, int] = {}
+        table: dict = {}
+        last_read = array("i")  # per slot, the last slot that reads it
+        dim = 0
+        for root in exprs:
+            for node in _postorder(root, slot_of):
+                kids = node.children
+                op, b = node.op, 0
+                if op == CONST:
+                    # by bit pattern: 0.0 and -0.0 stay apart, and so do
+                    # nan and inf of either sign
+                    a, key = 0, (CONST, struct.pack("d", node.c))
+                elif op == VAR:
+                    a = node.axis - 1
+                    key = a << 4 | VAR
+                    dim = max(dim, node.axis)
+                elif op == POW:
+                    a = slot_of[kids[0]]
+                    key = (POW, a, node.k)
+                else:  # a unary op carries its argument in both columns
+                    a = b = slot_of[kids[0]]
+                    if len(kids) == 2:
+                        b = slot_of[kids[1]]
+                    key = (a << 32 | b) << 4 | op
+                slot = table.get(key)
+                if slot is None:
+                    slot = table[key] = len(ops)
+                    if op == CONST:
+                        a = len(consts)
+                        consts.append(np.float64(node.c))
+                    elif op == POW:
+                        last_read[a] = slot
+                        b = len(consts)
+                        consts.append(node.k)
+                    elif op != VAR:
+                        last_read[a] = last_read[b] = slot
+                    ops.append(op)
+                    args_a.append(a)
+                    args_b.append(b)
+                    last_read.append(-1)
+                slot_of[node] = slot
+        self.outputs = array("i", [slot_of[e] for e in exprs])
+        # Drop flags: a slot's value goes after its last read, unless it
+        # is an output.
+        for s in self.outputs:
+            last_read[s] = -1
+        for s, i in enumerate(last_read):
+            if i >= 0:
+                ops[i] |= _DROP_A if args_a[i] == s else _DROP_B
+        self.ops, self.args_a, self.args_b = ops, args_a, args_b
+        self.consts, self.dim = consts, dim
+
+    def __len__(self) -> int:
+        return len(self.ops)
+
+    def arguments(self, slot: int) -> tuple[int, ...]:
+        """Child slots of a slot, in the order of the node's children."""
+        op = self.ops[slot] & _OP_MASK
+        if op in (CONST, VAR):
+            return ()
+        if op in (MUL, ADD, DIV):
+            return (self.args_a[slot], self.args_b[slot])
+        return (self.args_a[slot],)
+
+    def _slots(self, p: np.ndarray, keep: bool) -> list:
+        """Value of every slot at points p, raw (inf/nan pass through).
+        Unless keep, a value is dropped after its last read."""
+        consts = self.consts
+        vals: list = [None] * len(self.ops)
+        with np.errstate(all="ignore"):
+            for i, (code, a, b) in enumerate(zip(self.ops, self.args_a, self.args_b)):
+                op = code & _OP_MASK
+                if op == MUL:
+                    v = vals[a] * vals[b]
+                elif op == ADD:
+                    v = vals[a] + vals[b]
+                elif op == NEG:
+                    v = -vals[a]
+                elif op == POW:
+                    v = np.power(vals[a], consts[b])
+                elif op == DIV:
+                    v = vals[a] / vals[b]
+                elif op == CONST:
+                    v = consts[a]
+                elif op == VAR:
+                    v = p[..., a]
+                elif op == SIN:
+                    v = np.sin(vals[a])
+                elif op == COS:
+                    v = np.cos(vals[a])
+                else:
+                    v = np.exp(vals[a])
+                vals[i] = v
+                if code > _OP_MASK and not keep:
+                    if code & _DROP_A:
+                        vals[a] = None
+                    if code & _DROP_B:
+                        vals[b] = None
+        return vals
+
+    def __call__(self, points) -> np.ndarray:
+        p = np.asarray(points, dtype=np.float64)
+        vals = self._slots(p, keep=False)
+        out = np.empty(p.shape[:-1] + (len(self.outputs),))
+        for r, s in enumerate(self.outputs):
+            out[..., r] = vals[s]
+        return out
 
 
 def evaluate(e: ScalarExpr, point) -> float:
@@ -587,29 +747,40 @@ def evaluate(e: ScalarExpr, point) -> float:
         raise ValueError("point must be a flat coordinate sequence")
     if not np.all(np.isfinite(p)):
         raise ValueError("point coordinates must be finite")
-    if max_axis(e) > p.shape[0]:
+    tape = Tape([e])
+    if tape.dim > p.shape[0]:
         raise ValueError(
-            f"expression uses x{max_axis(e)} but the point has {p.shape[0]} coordinates"
+            f"expression uses x{tape.dim} but the point has {p.shape[0]} coordinates"
         )
-    with np.errstate(all="ignore"):
-        v = e.value(p)
-        if math.isfinite(v):
-            return float(v)
-        # Walk down to the deepest node that itself evaluates non-finite.
-        node = e
-        while True:
-            bad = None
-            for child in node.children:
-                if not math.isfinite(child.value(p)):
-                    bad = child
-                    break
-            if bad is None:
-                raise SingularPointError(node, p)
-            node = bad
+    vals = tape._slots(p, keep=True)
+    node, slot = e, tape.outputs[0]
+    if math.isfinite(vals[slot]):
+        return float(vals[slot])
+    # Walk down to the deepest node that itself evaluates non-finite; the
+    # tape arguments of a slot line up with the node's children.
+    while True:
+        args = tape.arguments(slot)
+        bad = next((k for k, s in enumerate(args) if not math.isfinite(vals[s])), None)
+        if bad is None:
+            raise SingularPointError(node, p)
+        node, slot = node.children[bad], args[bad]
+
+
+def diffs(exprs, axis: int) -> list[ScalarExpr]:
+    """Exact partials of several expressions with respect to x<axis>.
+
+    One derivative memo serves the whole list, so a node shared between
+    or within the expressions is differentiated once.
+    """
+    if axis < 1:
+        raise ValueError(f"axis must be >= 1, got {axis}")
+    memo: dict = {}  # node -> its partial; nodes hash by identity
+    for e in exprs:
+        for node in _postorder(e, memo):
+            memo[node] = node.deriv(axis, *[memo[c] for c in node.children])
+    return [memo[e] for e in exprs]
 
 
 def diff(e: ScalarExpr, axis: int) -> ScalarExpr:
     """Exact partial derivative with respect to x<axis>; closed over the grammar."""
-    if axis < 1:
-        raise ValueError(f"axis must be >= 1, got {axis}")
-    return e.deriv(axis)
+    return diffs([e], axis)[0]

@@ -32,6 +32,14 @@ Operators are written as np.einsum over object arrays of expressions;
 the smart constructors of expr fold the zeros.  Components are validated
 once, where a caller hands them to a public constructor; operator
 outputs are assembled from already validated inputs and skip that walk.
+
+A field compiles its components into an expr.Tape on first evaluation
+and keeps it in _cache, so every later evaluate or partials_at call runs
+the tape: each structurally distinct subexpression once per call, over
+the whole batch of points.  partials() differentiates all components
+along one axis with one derivative memo (expr.diffs), scoped to that
+build: a node shared between components is differentiated once, and
+the grid comes out sharing as much as its source.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from . import expr
-from .expr import ScalarExpr, diff
+from .expr import ScalarExpr, Tape
 
 MAX_DIM = 4
 
@@ -176,7 +184,7 @@ class Field:
 
     def evaluate(self, points) -> np.ndarray:
         """Component values, shape points.shape[:-1] + shape."""
-        return _values(self.comps, self.shape, points, self.kind)
+        return self._values(points, self.kind)
 
     def partials(self) -> "Field":
         """Plain partial-derivative grid d_m (component), derivative axis
@@ -184,7 +192,7 @@ class Field:
         (0,q+1) CovariantField, that of any other kind a bare Field."""
         if "partials" not in self._cache:
             grid = _object_array(
-                [diff(c, m) for m in range(1, self.n + 1) for c in self.comps],
+                [d for m in range(1, self.n + 1) for d in expr.diffs(self.comps, m)],
                 (self.n,) + self.shape,
             )
             cls = type(self) if isinstance(self, CovariantField) else Field
@@ -193,19 +201,17 @@ class Field:
 
     def partials_at(self, points) -> np.ndarray:
         """Values of partials(), shape points.shape[:-1] + (n,) + shape."""
-        grid = self.partials()
-        return _values(grid.comps, grid.shape, points, self.kind + " partials")
+        return self.partials()._values(points, self.kind + " partials")
 
-
-def _values(comps, shape, points, what: str) -> np.ndarray:
-    p = np.asarray(points, dtype=np.float64)
-    out = np.empty(p.shape[:-1] + (len(comps),))
-    with np.errstate(all="ignore"):
-        for r, c in enumerate(comps):
-            out[..., r] = c.value(p)
-    if not np.all(np.isfinite(out)):
-        raise ArithmeticError(f"{what} evaluated non-finite; point is singular")
-    return out.reshape(p.shape[:-1] + shape)
+    def _values(self, points, what: str) -> np.ndarray:
+        tape = self._cache.get("tape")
+        if tape is None:
+            tape = self._cache["tape"] = Tape(self.comps)
+        p = np.asarray(points, dtype=np.float64)
+        out = tape(p)
+        if not np.all(np.isfinite(out)):
+            raise ArithmeticError(f"{what} evaluated non-finite; point is singular")
+        return out.reshape(p.shape[:-1] + self.shape)
 
 
 def derivative_grid(f: Field) -> np.ndarray:

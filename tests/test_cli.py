@@ -191,6 +191,31 @@ def test_asymmetric_gamma_rejected(tmp_path, capsys):
     assert "symmetric" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        "characterization",
+        "gauss_consistency",
+        "totally_geodesic",
+        "curvature_tangency",
+        "induced_equals_base",
+    ],
+)
+def test_overflowing_input_is_an_error_not_a_fail(check, tmp_path, capsys):
+    # xi passes the sampler's screen, but its derivatives overflow
+    path = write_scenario(
+        tmp_path,
+        q=2,
+        xi={"1,1": "1e308*x1^2", "2,2": "x2"},
+        gamma="flat",
+        checks=[check],
+    )
+    assert main(["run", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_load_scenario_defaults(tmp_path):
     path = write_scenario(tmp_path)
     sc = load_scenario(path)

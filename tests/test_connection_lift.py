@@ -32,10 +32,13 @@ from liftlab.tensor import (
 )
 
 POINTS = sampling.sample_points(2, count=16)
-POINTS_BY_DIM = {2: POINTS, 3: sampling.sample_points(3, count=16)}
-# (n, q) cases; the ids of the n=2 cases are their q alone
+POINTS_BY_DIM = {n: sampling.sample_points(n, count=16) for n in (3, 4)} | {2: POINTS}
+# (n, q) cases up to the top of the supported envelope; the ids of the
+# n=2 cases are their q alone
 DIM_RANK = pytest.mark.parametrize(
-    "n,q", [(2, 1), (2, 2), (3, 1), (3, 2)], ids=["1", "2", "n3-1", "n3-2"]
+    "n,q",
+    [(2, 1), (2, 2), (3, 1), (3, 2), (4, 3)],
+    ids=["1", "2", "n3-1", "n3-2", "n4-3"],
 )
 
 FLAT = flat_connection(2)
@@ -253,7 +256,7 @@ def test_gauss_consistency_random(n, q):
     xi = random_covariant_field(rng, n, q)
     points = POINTS_BY_DIM[n][:8]
     assert gauss_consistency(gamma, xi, points, tol=1e-9).passed
-    other = SPHERE if n == 2 else flat_connection(3)  # the sphere chart is 2d
+    other = SPHERE if n == 2 else flat_connection(n)  # the sphere chart is 2d
     assert gauss_consistency(other, xi, points, tol=1e-9).passed
 
 

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,13 +7,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import _oracles
+from liftlab import expr as E
 from liftlab.expr import (
     ParseError,
     SingularPointError,
+    Tape,
     add,
     const,
     cos,
     diff,
+    div,
     evaluate,
     exp,
     ipow,
@@ -125,6 +129,14 @@ def test_diff_quotient_value():
     assert evaluate(diff(e, 2), p) == pytest.approx(-math.sin(0.8) / 2.3**2)
 
 
+def test_deep_expressions_differentiate_and_evaluate():
+    # 1501 terms nest 1501 Add nodes deep, past the interpreter's
+    # recursion limit: diff and evaluation must not recurse per level
+    e = parse("x1*x2" + " + x1*x2" * 1500, 2)
+    assert evaluate(diff(e, 1), [0.5, 0.7]) == pytest.approx(1501 * 0.7)
+    assert evaluate(e, [0.5, 0.7]) == pytest.approx(1501 * 0.35)
+
+
 def test_numeric_partial_matches_symbolic():
     e = parse("exp(x1)*sin(x2) + x1^3", 2)
     p = [0.4, 1.1]
@@ -196,3 +208,140 @@ def test_printer_parse_round_trip(e, p):
     assume(math.isfinite(val) and abs(val) < 1e8)
     again = evaluate(parse(str(e), DIM), p)
     assert again == pytest.approx(val, rel=1e-12, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the compiled tape against a tree-walking reference
+
+
+def _reference(e, p):
+    """Evaluate e by walking its tree, one NumPy operation per node, as
+    the tape must; p has shape (..., n)."""
+    kind = type(e)
+    if kind is E.Const:
+        return np.float64(e.c)
+    if kind is E.Var:
+        return p[..., e.axis - 1]
+    if kind is E.Neg:
+        return -_reference(e.a, p)
+    if kind is E.IntPow:
+        return np.power(_reference(e.a, p), e.k)
+    if kind in (E.Sin, E.Cos, E.Exp):
+        return {E.Sin: np.sin, E.Cos: np.cos, E.Exp: np.exp}[kind](_reference(e.a, p))
+    a, b = _reference(e.a, p), _reference(e.b, p)
+    return {E.Add: np.add, E.Mul: np.multiply, E.Div: np.divide}[kind](a, b)
+
+
+def _bits(values, shape):
+    return np.broadcast_to(np.asarray(values, dtype=np.float64), shape).view(np.int64)
+
+
+def _struct_key(e):
+    payload = {"Const": lambda: struct.pack("d", e.c), "Var": lambda: e.axis,
+               "IntPow": lambda: e.k}.get(type(e).__name__, lambda: None)()
+    return (type(e).__name__, payload) + tuple(_struct_key(c) for c in e.children)
+
+
+def _structurally_unique(exprs):
+    seen = set()
+    stack = list(exprs)
+    while stack:
+        node = stack.pop()
+        seen.add(_struct_key(node))
+        stack.extend(node.children)
+    return len(seen)
+
+
+_INF = mul(const(1e308), const(10.0))  # folds to Const(inf)
+_SPECIAL = st.sampled_from(
+    [const(0.0), const(-0.0), _INF, neg(_INF), add(_INF, neg(_INF))]
+)
+
+
+def _tape_extend(children):
+    pairs = st.tuples(children, children)
+    # sin, cos, exp and ^ through the node classes: their smart
+    # constructors fold with math, which raises on some non-finite inputs
+    return st.one_of(
+        children.map(neg),
+        children.map(E.Sin),
+        children.map(E.Cos),
+        children.map(E.Exp),
+        st.tuples(children, st.integers(min_value=-3, max_value=3)).map(lambda t: E.IntPow(*t)),
+        pairs.map(lambda ab: add(*ab)),
+        pairs.map(lambda ab: mul(*ab)),
+        pairs.map(lambda ab: div(*ab)),
+        pairs.map(lambda ab: E.Add(*ab)),  # unfolded, constants may meet
+        children.map(lambda a: mul(a, a)),  # one node in both argument slots
+        pairs.map(lambda ab: mul(ab[0], add(ab[0], ab[1]))),  # shared subtree
+    )
+
+
+_tape_exprs = st.recursive(_consts | _vars | _SPECIAL, _tape_extend, max_leaves=8)
+_batch_shapes = st.sampled_from([(), (3,), (2, 3)])
+
+
+@given(
+    exprs=st.lists(_tape_exprs, min_size=1, max_size=4),
+    shape=_batch_shapes,
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=150, deadline=None)
+def test_tape_matches_tree_walk_bit_for_bit(exprs, shape, seed):
+    points = np.random.default_rng(seed).uniform(-1.5, 1.5, size=shape + (DIM,))
+    tape = Tape(exprs)
+    got = tape(points)
+    assert got.shape == shape + (len(exprs),)
+    with np.errstate(all="ignore"):
+        for r, e in enumerate(exprs):
+            assert np.array_equal(_bits(got[..., r], shape), _bits(_reference(e, points), shape))
+    assert len(tape) == _structurally_unique(exprs)
+
+
+def test_tape_shares_equal_subtrees():
+    x1, x2 = var(1), var(2)
+    s = sin(mul(x1, x2))
+    again = sin(mul(var(1), var(2)))  # equal in structure, distinct objects
+    exprs = [add(s, s), mul(s, x1), cos(again)]
+    tape = Tape(exprs)
+    # x1, x2, x1*x2, sin, s + s, s*x1, cos
+    assert len(tape) == 7 == _structurally_unique(exprs)
+    for shape in [(), (4,), (2, 3)]:
+        points = np.random.default_rng(len(shape)).uniform(0.2, 1.5, size=shape + (2,))
+        want = [_reference(e, points) for e in exprs]
+        assert np.array_equal(_bits(tape(points), shape + (3,)),
+                              _bits(np.stack(np.broadcast_arrays(*want), -1), shape + (3,)))
+
+
+def test_tape_keeps_distinct_nodes_apart():
+    x1, x2 = var(1), var(2)
+    exprs = [ipow(x1, 2), ipow(x1, 3), mul(x1, x2), div(x1, x2), div(x2, x1),
+             add(x1, x2), add(x2, x1), sin(x1), cos(x1), exp(x1), neg(x1)]
+    tape = Tape(exprs)
+    assert len(tape) == 2 + len(exprs) == _structurally_unique(exprs)
+    points = np.random.default_rng(4).uniform(0.2, 1.5, size=(5, 2))
+    got = tape(points)
+    for r, e in enumerate(exprs):
+        assert np.array_equal(_bits(got[:, r], (5,)), _bits(_reference(e, points), (5,)))
+
+
+def test_tape_keeps_signed_zeros_and_non_finite_constants_apart():
+    inf = _INF
+    assert isinstance(inf, E.Const) and inf.c == math.inf
+    nan = add(inf, neg(inf))
+    assert isinstance(nan, E.Const) and math.isnan(nan.c)
+    exprs = [const(0.0), const(-0.0), inf, neg(inf), nan, add(inf, neg(inf)), const(0.0)]
+    tape = Tape(exprs)
+    assert len(tape) == 5  # the repeated nan and 0.0 share a slot
+    got = tape(np.zeros((3, 2)))
+    for r, e in enumerate(exprs):
+        assert np.array_equal(_bits(got[:, r], (3,)), _bits(e.c, (3,)))
+    assert tape.outputs[0] != tape.outputs[1]
+
+
+def test_tape_values_for_one_point_and_batches_agree():
+    e = parse("sin(x1)*exp(x2)/(x1 + x2) - x1^-2", 2)
+    points = np.random.default_rng(9).uniform(0.2, 1.5, size=(4, 3, 2))
+    batch = Tape([e])(points)[..., 0]
+    one = [[Tape([e])(p)[0] for p in row] for row in points]
+    assert np.array_equal(batch, np.array(one))
