@@ -60,13 +60,9 @@ def check_rank(q: int) -> int:
     return q
 
 
-def _default_points(n: int):
-    return sampling.sample_points(n)
-
-
 @dataclass(frozen=True)
 class BundlePoint:
-    """A point (x, t) of the bundle; fibre coordinates in rank order."""
+    """A point (x, t) of the bundle, or a batch: base (..., n), fibre (..., n^q)."""
 
     n: int
     q: int
@@ -77,9 +73,9 @@ class BundlePoint:
         check_rank(self.q)
         base = np.asarray(self.base, dtype=np.float64)
         fibre = np.asarray(self.fibre, dtype=np.float64)
-        if base.shape != (self.n,):
+        if base.ndim < 1 or base.shape[-1] != self.n:
             raise ValueError(f"base point must have {self.n} coordinates")
-        if fibre.shape != (self.n**self.q,):
+        if fibre.shape != base.shape[:-1] + (self.n**self.q,):
             raise ValueError(f"fibre must have {self.n ** self.q} coordinates")
         if not (np.all(np.isfinite(base)) and np.all(np.isfinite(fibre))):
             raise ValueError("bundle point coordinates must be finite")
@@ -87,14 +83,14 @@ class BundlePoint:
         object.__setattr__(self, "fibre", fibre)
 
     def fibre_tensor(self) -> np.ndarray:
-        """Fibre coordinates reshaped to an (n,)*q array."""
-        return self.fibre.reshape((self.n,) * self.q)
+        """Fibre coordinates reshaped to (..., n, .., n), q slots."""
+        return self.fibre.reshape(self.base.shape[:-1] + (self.n,) * self.q)
 
 
 def cross_section_point(xi: CovariantField, x) -> BundlePoint:
     """The point (x, xi(x)) on the cross-section determined by xi."""
     check_rank(xi.q)
-    return BundlePoint(xi.n, xi.q, np.asarray(x, dtype=np.float64), xi.evaluate(x).reshape(-1))
+    return BundlePoint(xi.n, xi.q, x, xi.evaluate(x).reshape(np.shape(x)[:-1] + (-1,)))
 
 
 @dataclass(frozen=True)
@@ -126,8 +122,8 @@ class AdaptedFrame:
     """Frame along the cross-section adapted to it, plus its coframe.
 
     Columns of b and c span the tangent space at (x, xi(x)); rows of
-    b_inv and c_inv are the dual coframe.  Stacked, they are exact
-    matrix inverses of each other by construction.
+    b_inv and c_inv are the dual coframe.  Stacked, they are exact matrix
+    inverses of each other by construction; a batch puts its axes first.
     """
 
     n: int
@@ -138,12 +134,12 @@ class AdaptedFrame:
     c_inv: np.ndarray
 
     def frame_matrix(self) -> np.ndarray:
-        """Columns [b | c], shape (n + n^q, n + n^q)."""
-        return np.hstack([self.b, self.c])
+        """Columns [b | c], shape (..., n + n^q, n + n^q)."""
+        return np.concatenate([self.b, self.c], axis=-1)
 
     def coframe_matrix(self) -> np.ndarray:
         """Rows [b_inv ; c_inv], the inverse of frame_matrix()."""
-        return np.vstack([self.b_inv, self.c_inv])
+        return np.concatenate([self.b_inv, self.c_inv], axis=-2)
 
     def to_adapted(self, vec: BundleVector) -> BundleVector:
         if vec.frame == "adapted":
@@ -159,7 +155,7 @@ class AdaptedFrame:
 
 
 def adapted_frame(xi: CovariantField, x) -> AdaptedFrame:
-    """Adapted frame at (x, xi(x)).
+    """Adapted frame at (x, xi(x)), or at each point of a batch.
 
     The horizontal legs carry the slopes d_j xi below an identity; the
     fibre legs are the bare fibre directions.  The coframe is written
@@ -167,12 +163,13 @@ def adapted_frame(xi: CovariantField, x) -> AdaptedFrame:
     """
     n, q = xi.n, check_rank(xi.q)
     nf = n**q
-    slopes = xi.partials().evaluate(x).reshape(n, nf)  # slopes[j, fibre-rank]
-    b = np.vstack([np.eye(n), slopes.T])
-    c = np.vstack([np.zeros((n, nf)), np.eye(nf)])
-    b_inv = np.hstack([np.eye(n), np.zeros((n, nf))])
-    c_inv = np.hstack([-slopes.T, np.eye(nf)])
-    return AdaptedFrame(n, q, b, c, b_inv, c_inv)
+    batch = np.shape(x)[:-1]
+    slopes = xi.partials().evaluate(x).reshape(batch + (n, nf))  # [.., j, fibre-rank]
+    eye = np.broadcast_to(np.eye(n + nf), batch + (n + nf, n + nf))
+    b, c_inv = eye[..., :n].copy(), eye[..., n:, :].copy()
+    b[..., n:, :] = np.swapaxes(slopes, -1, -2)
+    c_inv[..., :n] = -b[..., n:, :]
+    return AdaptedFrame(n, q, b, eye[..., n:], eye[..., :n, :], c_inv)
 
 
 def vertical_lift(a: CovariantField, x) -> BundleVector:
@@ -219,7 +216,7 @@ def purity_residual(phi: EndomorphismField, xi: CovariantField, points=None) -> 
     if xi.q == 1:
         return 0.0
     if points is None:
-        points = _default_points(xi.n)
+        points = sampling.sample_points(xi.n)
     contractions = [
         contract_slot_endo(xi, phi, slot).evaluate(points) for slot in range(1, xi.q + 1)
     ]
@@ -257,7 +254,7 @@ def tachibana(
     """
     check_rank(xi.q)
     if points is None:
-        points = _default_points(xi.n)
+        points = sampling.sample_points(xi.n)
     residual = purity_residual(phi, xi, points)
     if residual > tol:
         raise NotPureError(residual, tol)
@@ -272,7 +269,7 @@ def is_almost_analytic(
 ) -> "sampling.SampledCheck":
     """Pure with vanishing Tachibana image, on sampled points."""
     if points is None:
-        points = _default_points(xi.n)
+        points = sampling.sample_points(xi.n)
     purity = purity_residual(phi, xi, points)
     if purity > tol:
         return sampling.SampledCheck(False, purity, None)
@@ -303,7 +300,8 @@ def contract_one_two_cov(t: OneTwoTensorField, xi: CovariantField) -> CovariantF
 @dataclass(frozen=True)
 class BundleEndomorphism:
     """Endomorphism of the tangent space at a cross-section point, in the
-    adapted frame.  The horizontal-from-fibre block is structurally zero."""
+    adapted frame, or a batch of them with the point axes in front.  The
+    horizontal-from-fibre block is structurally zero."""
 
     n: int
     q: int
@@ -312,9 +310,9 @@ class BundleEndomorphism:
     def __post_init__(self):
         dim = bundle_dim(self.n, self.q)
         mat = np.asarray(self.matrix, dtype=np.float64)
-        if mat.shape != (dim, dim):
+        if mat.shape[-2:] != (dim, dim):
             raise ValueError(f"matrix must be {dim} x {dim}")
-        if np.any(mat[: self.n, self.n :] != 0.0):
+        if np.any(mat[..., : self.n, self.n :] != 0.0):
             raise ValueError("upper-right block must be exactly zero")
         object.__setattr__(self, "matrix", mat)
 
@@ -348,18 +346,26 @@ def _lift_endo(phi: EndomorphismField, tach: CovariantField, x) -> BundleEndomor
     n, q = tach.n, tach.q - 1
     nf = n**q
     x = np.asarray(x, dtype=np.float64)
+    batch = x.shape[:-1]
     phi_mat = phi.evaluate(x)
-    mat = np.zeros((n + nf, n + nf))
-    mat[:n, :n] = phi_mat
-    mat[n:, :n] = -tach.evaluate(x).reshape(n, nf).T  # from tach[l, k1, .., kq]
+    mat = np.zeros(batch + (n + nf, n + nf))
+    mat[..., :n, :n] = phi_mat
+    # from tach[.., l, k1, .., kq]
+    mat[..., n:, :n] = -np.swapaxes(tach.evaluate(x).reshape(batch + (n, nf)), -1, -2)
     # first-slot action on rank-ordered fibre coordinates: phi^m_{k1} on the
     # leading slot, the identity on the other q - 1
-    mat[n:, n:] = np.kron(phi_mat.T, np.eye(n ** (q - 1)))
+    first = np.einsum("...ij,ab->...jaib", phi_mat, np.eye(n ** (q - 1)))
+    mat[..., n:, n:] = first.reshape(batch + (nf, nf))
     return BundleEndomorphism(n, q, mat)
 
 
 # ---------------------------------------------------------------------------
 # Verification of the lift identities
+
+
+def _adapted_components(horizontal: np.ndarray, fibre: np.ndarray) -> np.ndarray:
+    """[horizontal | fibre] components of a batch of bundle vectors."""
+    return np.concatenate([horizontal, fibre.reshape(len(horizontal), -1)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -394,29 +400,22 @@ def verify_characterization(
     if a.n != xi.n or a.q != xi.q:
         raise ValueError("probe tensor must match xi in dimension and rank")
     if points is None:
-        points = _default_points(xi.n)
+        points = sampling.sample_points(xi.n)
     phi_v = apply_endo_vec(phi, v)
     lie_xi = lie_derivative_cov(v, xi)
     lie_phi_v_xi = lie_derivative_cov(phi_v, xi)
     lie_phi_on_xi = apply_endo_cov(lie_derivative_endo(v, phi), xi)
     phi_a = apply_endo_cov(phi, a)
-    tach = _tachibana_field(phi, xi)
-    n = xi.n
-    res_c = np.zeros(len(points))
-    res_v = np.zeros(len(points))
-    for idx, p in enumerate(points):
-        lift = _lift_endo(phi, tach, p)
-        cl_v = np.concatenate([v.evaluate(p), -lie_xi.evaluate(p).reshape(-1)])
-        rhs_c = np.concatenate(
-            [
-                phi_v.evaluate(p),
-                -lie_phi_v_xi.evaluate(p).reshape(-1) + lie_phi_on_xi.evaluate(p).reshape(-1),
-            ]
-        )
-        res_c[idx] = np.max(np.abs(lift.matrix @ cl_v - rhs_c))
-        vl_a = np.concatenate([np.zeros(n), a.evaluate(p).reshape(-1)])
-        rhs_v = np.concatenate([np.zeros(n), phi_a.evaluate(p).reshape(-1)])
-        res_v[idx] = np.max(np.abs(lift.matrix @ vl_a - rhs_v))
+    lift = _lift_endo(phi, _tachibana_field(phi, xi), points).matrix
+    zeros = np.zeros((len(points), xi.n))
+    cl_v = _adapted_components(v.evaluate(points), -lie_xi.evaluate(points))
+    rhs_c = _adapted_components(
+        phi_v.evaluate(points), lie_phi_on_xi.evaluate(points) - lie_phi_v_xi.evaluate(points)
+    )
+    vl_a = _adapted_components(zeros, a.evaluate(points))
+    rhs_v = _adapted_components(zeros, phi_a.evaluate(points))
+    res_c = sampling.max_per_point(np.matmul(lift, cl_v[..., None])[..., 0] - rhs_c)
+    res_v = sampling.max_per_point(np.matmul(lift, vl_a[..., None])[..., 0] - rhs_v)
     per_point = np.maximum(res_c, res_v)
     worst = sampling.worst_point(points, per_point)
     residual = float(per_point.max())
@@ -464,23 +463,18 @@ def verify_theorem1(
     structure along the cross-section (its square is minus the identity),
     and the Nijenhuis contraction into xi vanishes."""
     if points is None:
-        points = _default_points(xi.n)
+        points = sampling.sample_points(xi.n)
     n, q = xi.n, check_rank(xi.q)
-    dim = bundle_dim(n, q)
 
     phi_sq = compose_endo(phi, phi).evaluate(points) + np.eye(n)
     square_res = float(np.max(np.abs(phi_sq)))
     purity_res = purity_residual(phi, xi, points)
     tach = _tachibana_field(phi, xi)
     tach_res = float(np.max(np.abs(tach.evaluate(points))))
-    nij_res = float(
-        np.max(np.abs(contract_one_two_cov(nijenhuis(phi), xi).evaluate(points)))
-    )
+    nij_res = float(np.max(np.abs(contract_one_two_cov(nijenhuis(phi), xi).evaluate(points))))
 
-    per_point = np.zeros(len(points))
-    for idx, p in enumerate(points):
-        mat = _lift_endo(phi, tach, p).matrix
-        per_point[idx] = np.max(np.abs(mat @ mat + np.eye(dim)))
+    mat = _lift_endo(phi, tach, points).matrix
+    per_point = sampling.max_per_point(np.matmul(mat, mat) + np.eye(bundle_dim(n, q)))
     lift_res = float(per_point.max())
     worst = tuple(sampling.worst_point(points, per_point))
 

@@ -44,7 +44,8 @@ def _require_symmetric(gamma: ConnectionField) -> ConnectionField:
 
 @dataclass(frozen=True)
 class LiftedConnectionCoeffs:
-    """Lifted coefficients at one bundle point, stored by block.
+    """Lifted coefficients at one bundle point, stored by block; a batch
+    of points puts its axes in front of every block.
 
     Block naming follows the lower-index signature, in order: 'b' for a
     base (horizontal) index, 'f' for a fibre index.
@@ -67,20 +68,29 @@ class LiftedConnectionCoeffs:
     fibre_bb: np.ndarray
 
     def full_array(self) -> np.ndarray:
-        """Dense coefficients L[upper, first_lower, second_lower]."""
-        n, nf = self.n, self.n**self.q
-        dim = n + nf
-        full = np.zeros((dim, dim, dim))
-        full[:n, :n, :n] = self.base
-        full[n:, :n, n:] = self.mixed_bf
-        full[n:, n:, :n] = self.mixed_fb
-        full[n:, :n, :n] = self.fibre_bb
+        """Dense coefficients L[..., upper, first_lower, second_lower]."""
+        n, dim = self.n, self.n + self.n**self.q
+        full = np.zeros(self.base.shape[:-3] + (dim, dim, dim))
+        full[..., :n, :n, :n] = self.base
+        full[..., n:, :n, n:] = self.mixed_bf
+        full[..., n:, n:, :n] = self.mixed_fb
+        full[..., n:, :n, :n] = self.fibre_bb
         return full
 
-    def symmetry_residual(self) -> float:
-        """The lift of a symmetric connection is symmetric in its lower pair."""
-        full = self.full_array()
-        return float(np.max(np.abs(full - np.swapaxes(full, 1, 2))))
+    def symmetry_residual(self):
+        """The lift of a symmetric connection is symmetric in its lower pair:
+        the largest asymmetry of full_array(), a float or one per point,
+        taken by block (the other entries are zero on both sides)."""
+        pairs = ((self.base, self.base), (self.mixed_bf, self.mixed_fb), (self.fibre_bb,) * 2)
+        asym = [np.abs(a - np.swapaxes(b, -1, -2)).max(axis=(-3, -2, -1)) for a, b in pairs]
+        return np.max(asym, axis=0)
+
+    def along_section(self, slopes: np.ndarray) -> np.ndarray:
+        """L^A_{CB} B^C_j B^B_i as [.., A, j, i], for the horizontal frame legs
+        B = [I ; slopes], slopes[.., fibre, i] = d_i xi; summed by block."""
+        bf = np.einsum("...rjk,...ki->...rji", self.mixed_bf, slopes)
+        fb = np.einsum("...rki,...kj->...rji", self.mixed_fb, slopes)
+        return np.concatenate([self.base, self.fibre_bb + bf + fb], axis=-3)
 
 
 def _slot_operator(mats: np.ndarray, slot: int, q: int) -> np.ndarray:
@@ -88,13 +98,24 @@ def _slot_operator(mats: np.ndarray, slot: int, q: int) -> np.ndarray:
     fibre coordinates: out[..., I, J] = mats[..., I_slot, J_slot] when the
     multi-indices I and J agree off that slot, else 0."""
     n = mats.shape[-1]
-    return np.kron(np.kron(np.eye(n**slot), mats), np.eye(n ** (q - 1 - slot)))
+    ops = np.einsum("ab,...ij,cd->...aicbjd", np.eye(n**slot), mats, np.eye(n ** (q - 1 - slot)))
+    return ops.reshape(mats.shape[:-2] + (n**q, n**q))
+
+
+def _slot_apply(mats: np.ndarray, slot: int, q: int, t: np.ndarray) -> np.ndarray:
+    """_slot_operator(mats, slot, q) times fibre coordinates t[.., n^q], never
+    formed; mats may carry axes E behind the point axes: out[.., E, n^q]."""
+    n = mats.shape[-1]
+    split = t.reshape(t.shape[:-1] + (n**slot, n, n ** (q - 1 - slot)))
+    flat = mats.reshape(t.shape[:-1] + (-1, n, n))
+    return np.einsum("...exa,...lar->...elxr", flat, split).reshape(mats.shape[:-2] + (n**q,))
 
 
 def complete_lift_connection(
     gamma: ConnectionField, at: BundlePoint, curvature_sign: float = 1.0
 ) -> LiftedConnectionCoeffs:
-    """Lifted coefficients of a symmetric connection at a bundle point.
+    """Lifted coefficients of a symmetric connection at a bundle point, or
+    at each point of a batch.
 
     curvature_sign scales the curvature contribution of the fibre_bb
     block.  It exists as a deliberate spoiler for negative controls in
@@ -103,32 +124,34 @@ def complete_lift_connection(
     _require_symmetric(gamma)
     if gamma.n != at.n:
         raise ValueError("connection and bundle point have different dimensions")
-    n, q = at.n, at.q
+    q = at.q
     t = at.fibre  # rank order
-    g = gamma.evaluate(at.base)  # g[h, j, i] = Gamma^h_{ji}
-    dg = gamma.partials_at(at.base)  # dg[m, h, j, i] = d_m Gamma^h_{ji}
-    r4 = curvature(gamma).evaluate(at.base)  # r4[k, j, i, l] = R_{kji}^l
+    g = gamma.evaluate(at.base)  # g[.., h, j, i] = Gamma^h_{ji}
+    dg = gamma.partials_at(at.base)  # dg[.., m, h, j, i] = d_m Gamma^h_{ji}
+    r4 = curvature(gamma).evaluate(at.base)  # r4[.., k, j, i, l] = R_{kji}^l
 
     # Each term replaces one fibre slot value x by a, or two slots at once.
     # Replacing one slot through Gamma^a_{m x}, with m the lower base index:
     # minus this makes the mixed blocks, and two of them at distinct slots
     # make the quadratic part of the t-linear block.
-    coupling = [_slot_operator(np.einsum("amx->mxa", g), c, q) for c in range(q)]
-    mixed = -sum(coupling)  # [m, row, col]
-    # The single-replacement part of the t-linear block, as [m, s, x, a]:
+    replace = np.einsum("...amx->...mxa", g)
+    coupling = [_slot_operator(replace, c, q) for c in range(q)]
+    mixed = -sum(coupling)  # [.., m, row, col]
+    # The single-replacement part of the t-linear block, as [.., m, s, x, a]:
     #   -d_m Gamma^a_{s x} + Gamma^r_{m x} Gamma^a_{s r} + Gamma^r_{m s} Gamma^a_{r x}
     #   + R_{x s m}^a (times curvature_sign)
     single = (
-        -np.einsum("masx->msxa", dg)
-        + np.einsum("rmx,asr->msxa", g, g)
-        + np.einsum("rms,arx->msxa", g, g)
-        + curvature_sign * np.einsum("xsma->msxa", r4)
+        -np.einsum("...masx->...msxa", dg)
+        + np.einsum("...rmx,...asr->...msxa", g, g)
+        + np.einsum("...rms,...arx->...msxa", g, g)
+        + curvature_sign * np.einsum("...xsma->...msxa", r4)
     )
-    fibre_bb = sum(np.einsum("msrk,k->rms", _slot_operator(single, c, q), t) for c in range(q))
+    fibre_bb = sum(np.moveaxis(_slot_apply(single, c, q, t), -1, -3) for c in range(q))
+    moved = [_slot_apply(replace, c, q, t) for c in range(q)]  # [.., s, row]
     for b, c in itertools.permutations(range(q), 2):
-        fibre_bb += np.einsum("mrk,sk->rms", coupling[b], coupling[c] @ t)
+        fibre_bb += np.einsum("...mrk,...sk->...rms", coupling[b], moved[c])
     return LiftedConnectionCoeffs(
-        n, q, g, mixed.transpose(1, 0, 2), mixed.transpose(1, 2, 0), fibre_bb
+        at.n, q, g, np.swapaxes(mixed, -3, -2), np.moveaxis(mixed, -3, -1), fibre_bb
     )
 
 
@@ -137,33 +160,29 @@ def complete_lift_connection(
 
 
 def _frame_and_slope_arrays(xi: CovariantField, x):
-    """Frame column matrix and the derivative of its columns at x."""
+    """The adapted frame at x, the slopes d_i xi as [.., fibre, i], and the
+    derivative of the horizontal frame legs, [.., A, j, i] = d_j B^A_i."""
     n, q = xi.n, xi.q
-    nf = n**q
     frame = adapted_frame(xi, x)
-    bmat = frame.b  # [A, i]
-    dd = xi.partials().partials().evaluate(x).reshape(n, n, nf)  # [j, i, fibre]
-    db = np.zeros((n, n + nf, n))  # [j, A, i] = d_j of column i
-    db[:, n:, :] = dd.transpose(0, 2, 1)
-    return frame, bmat, db
+    db = np.zeros(frame.b.shape + (n,))
+    dd = xi.partials().partials().evaluate(x).reshape(db.shape[:-3] + (n, n, n**q))
+    db[..., n:, :, :] = np.moveaxis(dd, -1, -3)  # from dd[.., j, i, fibre]
+    return frame, frame.b[..., n:, :], db
 
 
 def induced_connection(gamma: ConnectionField, xi: CovariantField, x) -> np.ndarray:
     """Connection induced on the cross-section by the lifted connection.
 
-    Returns the coefficients at x as an array [h, j, i].  Assembled the
-    long way through the lifted coefficients and the adapted coframe;
+    Returns the coefficients at x as an array [.., h, j, i].  Assembled
+    the long way through the lifted coefficients and the adapted coframe;
     agreeing with the base coefficients is the point of the check built
     on top of this.
     """
     _require_symmetric(gamma)
     check_rank(xi.q)
-    x = np.asarray(x, dtype=np.float64)
-    at = cross_section_point(xi, x)
-    frame, bmat, db = _frame_and_slope_arrays(xi, x)
-    lifted = complete_lift_connection(gamma, at).full_array()
-    total = db.transpose(1, 0, 2) + np.einsum("ACB,Cj,Bi->Aji", lifted, bmat, bmat)
-    return np.einsum("hA,Aji->hji", frame.b_inv, total)
+    frame, slopes, db = _frame_and_slope_arrays(xi, x)
+    lifted = complete_lift_connection(gamma, cross_section_point(xi, x))
+    return np.einsum("...hA,...Aji->...hji", frame.b_inv, db + lifted.along_section(slopes))
 
 
 def gauss_second_fundamental(gamma: ConnectionField, xi: CovariantField) -> CovariantField:
@@ -174,16 +193,20 @@ def gauss_second_fundamental(gamma: ConnectionField, xi: CovariantField) -> Cova
 
     as a rank q+2 field ordered (j, i, h1..hq).  It is symmetric in
     (j, i) for a symmetric base connection, and the cross-section is
-    totally geodesic exactly when H vanishes."""
+    totally geodesic exactly when H vanishes.  Cached on xi per
+    connection, keyed by the connection object itself."""
     _require_symmetric(gamma)
     check_rank(xi.q)
     if gamma.n != xi.n:
         raise ValueError("connection and tensor field live on different charts")
-    second = covariant_derivative_cov(gamma, covariant_derivative_cov(gamma, xi))
-    out = second.array() + sum_over_slots(
-        "{s}ijm,{R}->ji{S}", xi.q, curvature(gamma).array(), xi.array()
-    )
-    return CovariantField._of(xi.n, out)
+    key = ("gauss", gamma)
+    if key not in xi._cache:
+        second = covariant_derivative_cov(gamma, covariant_derivative_cov(gamma, xi))
+        out = second.array() + sum_over_slots(
+            "{s}ijm,{R}->ji{S}", xi.q, curvature(gamma).array(), xi.array()
+        )
+        xi._cache[key] = CovariantField._of(xi.n, out)
+    return xi._cache[key]
 
 
 def is_totally_geodesic(
@@ -222,24 +245,14 @@ def gauss_consistency(
     _require_symmetric(gamma)
     if points is None:
         points = sampling.sample_points(xi.n)
-    n, q = xi.n, xi.q
-    nf = n**q
-    gauss = gauss_second_fundamental(gamma, xi)
-    per_point = np.zeros(len(points))
-    for idx, p in enumerate(points):
-        at = cross_section_point(xi, p)
-        frame, bmat, db = _frame_and_slope_arrays(xi, p)
-        lifted = complete_lift_connection(gamma, at, curvature_sign).full_array()
-        g = gamma.evaluate(p)
-        lhs = (
-            db.transpose(1, 0, 2)
-            + np.einsum("ACB,Cj,Bi->Aji", lifted, bmat, bmat)
-            - np.einsum("hji,Ah->Aji", g, bmat)
-        )
-        rhs = np.zeros_like(lhs)
-        rhs[n:] = gauss.evaluate(p).reshape(n, n, nf).transpose(2, 0, 1)
-        per_point[idx] = np.max(np.abs(lhs - rhs))
-    return sampling.sampled_check(points, per_point, tol)
+    n, m = xi.n, len(points)
+    gauss = gauss_second_fundamental(gamma, xi).evaluate(points).reshape(m, n, n, -1)
+    frame, slopes, db = _frame_and_slope_arrays(xi, points)
+    lifted = complete_lift_connection(gamma, cross_section_point(xi, points), curvature_sign)
+    lhs = db + lifted.along_section(slopes)
+    lhs -= np.einsum("...hji,...Ah->...Aji", gamma.evaluate(points), frame.b)
+    lhs[:, n:] -= np.moveaxis(gauss, -1, -3)  # the right-hand side, H C
+    return sampling.sampled_check(points, sampling.max_per_point(lhs), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -247,15 +260,14 @@ def gauss_consistency(
 
 
 def _curvature_cov_derivative(gamma: ConnectionField, point) -> np.ndarray:
-    """(nabla_c R)_{kji}^l at a point, as dr[c, k, j, i, l]."""
+    """(nabla_c R)_{kji}^l at a point, as dr[.., c, k, j, i, l]."""
     g = gamma.evaluate(point)
     r4 = curvature(gamma).evaluate(point)
-    rp = curvature(gamma).partials_at(point)
-    dr = rp.copy()
-    dr -= np.einsum("mck,mjil->ckjil", g, r4)
-    dr -= np.einsum("mcj,kmil->ckjil", g, r4)
-    dr -= np.einsum("mci,kjml->ckjil", g, r4)
-    dr += np.einsum("lcm,kjim->ckjil", g, r4)
+    dr = curvature(gamma).partials_at(point)
+    dr -= np.einsum("...mck,...mjil->...ckjil", g, r4)
+    dr -= np.einsum("...mcj,...kmil->...ckjil", g, r4)
+    dr -= np.einsum("...mci,...kjml->...ckjil", g, r4)
+    dr += np.einsum("...lcm,...kjim->...ckjil", g, r4)
     return dr
 
 
@@ -284,23 +296,20 @@ def curvature_tangency(
     if points is None:
         points = sampling.sample_points(xi.n)
     q = xi.q
-    nabla_xi = covariant_derivative_cov(gamma, xi)
-    per_point = np.zeros(len(points))
-    for idx, p in enumerate(points):
-        r4 = curvature(gamma).evaluate(p)
-        dr = _curvature_cov_derivative(gamma, p)
-        xiv = xi.evaluate(p)
-        dxi = nabla_xi.evaluate(p)  # [c, h1, .., hq]
-        # Both sides indexed [k, j, i, h1..hq].  The terms at k and j come
-        # in pairs that differ by k <-> j, so each pair is built once and
-        # antisymmetrized.
-        lhs = sum_over_slots("k{s}ijm,{R}->kji{S}", q, dr, xiv)
-        lhs = lhs - lhs.swapaxes(0, 1)
-        pair = sum_over_slots("{s}ijm,k{R}->kji{S}", q, r4, dxi)
-        rhs = (
-            slot_einsum("kjim,m{S}->kji{S}", q, r4, dxi)
-            + sum_over_slots("kj{s}m,i{R}->kji{S}", q, r4, dxi)
-            - (pair - pair.swapaxes(0, 1))
-        )
-        per_point[idx] = np.max(np.abs(lhs - rhs))
+    r4 = curvature(gamma).evaluate(points)
+    dr = _curvature_cov_derivative(gamma, points)
+    xiv = xi.evaluate(points)
+    dxi = covariant_derivative_cov(gamma, xi).evaluate(points)  # [.., c, h1, .., hq]
+    # Both sides indexed [point, k, j, i, h1..hq].  The terms at k and j come
+    # in pairs that differ by k <-> j, so each pair is built once and
+    # antisymmetrized.
+    lhs = sum_over_slots("...k{s}ijm,...{R}->...kji{S}", q, dr, xiv)
+    lhs = lhs - lhs.swapaxes(1, 2)
+    pair = sum_over_slots("...{s}ijm,...k{R}->...kji{S}", q, r4, dxi)
+    rhs = (
+        slot_einsum("...kjim,...m{S}->...kji{S}", q, r4, dxi)
+        + sum_over_slots("...kj{s}m,...i{R}->...kji{S}", q, r4, dxi)
+        - (pair - pair.swapaxes(1, 2))
+    )
+    per_point = sampling.max_per_point(lhs - rhs)
     return sampling.sampled_check(points, per_point, tol)

@@ -9,6 +9,7 @@ from liftlab.bundle import (
     BundlePoint,
     BundleVector,
     NotPureError,
+    _tachibana_field,
     adapted_frame,
     bundle_dim,
     check_rank,
@@ -28,10 +29,19 @@ from liftlab.bundle import (
 )
 from liftlab.presets import (
     random_covariant_field,
+    random_polynomial_expr,
     random_vector_field,
     standard_complex_r2,
 )
-from liftlab.tensor import CovariantField, EndomorphismField, VectorField
+from liftlab.tensor import (
+    CovariantField,
+    EndomorphismField,
+    VectorField,
+    apply_endo_cov,
+    apply_endo_vec,
+    lie_derivative_cov,
+    lie_derivative_endo,
+)
 
 POINTS = sampling.sample_points(2, count=16)
 
@@ -387,3 +397,121 @@ def test_theorem_detects_non_complex_structure():
     report = verify_theorem1(phi, ANALYTIC_XI, POINTS, tol=1e-9)
     assert not report.hypotheses_hold
     assert report.square_residual == 1.0
+
+
+# ---------------------------------------------------------------------------
+# a batch of points: the stack of single-point results, one code path
+
+BATCH_SHAPES = pytest.mark.parametrize("n,q", [(2, 1), (2, 3), (3, 2), (4, 1)])
+# a batch and a single point may sum in different orders
+BATCH_ATOL = 1e-13
+CHECK_RTOL = 1e-12
+
+
+def _batch_inputs(n, q):
+    rng = np.random.default_rng(600 + 10 * n + q)
+    phi = EndomorphismField(
+        n, [[random_polynomial_expr(rng, n) for _ in range(n)] for _ in range(n)]
+    )
+    xi = random_covariant_field(rng, n, q)
+    v = random_vector_field(rng, n)
+    a = random_covariant_field(rng, n, q)
+    return phi, xi, v, a, sampling.sample_points(n, count=5, seed=n + q)
+
+
+def test_bundle_point_batch_validation():
+    at = BundlePoint(2, 2, np.full((3, 2), 0.5), np.zeros((3, 4)))
+    assert at.fibre_tensor().shape == (3, 2, 2)
+    with pytest.raises(ValueError):
+        BundlePoint(2, 2, np.full((3, 2), 0.5), np.zeros((2, 4)))
+    with pytest.raises(ValueError):
+        BundlePoint(2, 1, 0.5, np.zeros(2))
+
+
+@BATCH_SHAPES
+def test_bundle_batch_stacks_single_points(n, q):
+    # evaluation, placement and products with 0 and 1 only: bit for bit
+    phi, xi, _, _, points = _batch_inputs(n, q)
+    fibre = np.random.default_rng(1).uniform(-1.0, 1.0, size=(len(points), n**q))
+    tensors = BundlePoint(n, q, points, fibre).fibre_tensor()
+    section = cross_section_point(xi, points)
+    frame = adapted_frame(xi, points)
+    lift = complete_lift_endo_on_section(phi, xi, points)
+    for i, p in enumerate(points):
+        assert np.array_equal(tensors[i], BundlePoint(n, q, p, fibre[i]).fibre_tensor())
+        one = cross_section_point(xi, p)
+        assert np.array_equal(section.base[i], one.base)
+        assert np.array_equal(section.fibre[i], one.fibre)
+        single = adapted_frame(xi, p)
+        for name in ("b", "c", "b_inv", "c_inv", "frame_matrix", "coframe_matrix"):
+            got, want = getattr(frame, name), getattr(single, name)
+            got, want = (got(), want()) if callable(got) else (got, want)
+            assert np.array_equal(got[i], want), name
+        assert np.array_equal(lift.matrix[i], complete_lift_endo_on_section(phi, xi, p).matrix)
+
+
+def _lift_matrix_by_blocks(phi, xi, p):
+    """Reference for the lifted endomorphism at one point: the blocks
+    written out, the first-slot block as a Kronecker product."""
+    n, q = xi.n, xi.q
+    nf = n**q
+    phi_mat = phi.evaluate(p)
+    mat = np.zeros((n + nf, n + nf))
+    mat[:n, :n] = phi_mat
+    mat[n:, :n] = -_tachibana_field(phi, xi).evaluate(p).reshape(n, nf).T
+    mat[n:, n:] = np.kron(phi_mat.T, np.eye(n ** (q - 1)))
+    return mat
+
+
+def _characterization_residual_at(phi, xi, v, a, p):
+    """Reference for one point of verify_characterization."""
+    n = xi.n
+    lift = _lift_matrix_by_blocks(phi, xi, p)
+    cl_v = np.concatenate([v.evaluate(p), -lie_derivative_cov(v, xi).evaluate(p).reshape(-1)])
+    phi_v = apply_endo_vec(phi, v)
+    rhs_c = np.concatenate(
+        [
+            phi_v.evaluate(p),
+            -lie_derivative_cov(phi_v, xi).evaluate(p).reshape(-1)
+            + apply_endo_cov(lie_derivative_endo(v, phi), xi).evaluate(p).reshape(-1),
+        ]
+    )
+    vl_a = np.concatenate([np.zeros(n), a.evaluate(p).reshape(-1)])
+    rhs_v = np.concatenate([np.zeros(n), apply_endo_cov(phi, a).evaluate(p).reshape(-1)])
+    return max(np.max(np.abs(lift @ cl_v - rhs_c)), np.max(np.abs(lift @ vl_a - rhs_v)))
+
+
+def _assert_matches_reference(got_each, whole, points, want):
+    """Per-point residuals of the batched code (one-point batches) against
+    the reference loop, and the whole batch's verdict point."""
+    np.testing.assert_allclose(got_each, want, rtol=CHECK_RTOL, atol=BATCH_ATOL)
+    assert whole.residual == pytest.approx(max(want), rel=CHECK_RTOL, abs=BATCH_ATOL)
+    if max(want) > 1e-6:  # well above rounding, so the worst point is unambiguous
+        assert whole.worst_point == tuple(points[int(np.argmax(want))])
+
+
+@BATCH_SHAPES
+def test_characterization_matches_per_point_reference(n, q):
+    phi, xi, v, a, points = _batch_inputs(n, q)
+    got = [
+        verify_characterization(phi, xi, v, a, points[i : i + 1]).residual
+        for i in range(len(points))
+    ]
+    want = [_characterization_residual_at(phi, xi, v, a, p) for p in points]
+    _assert_matches_reference(got, verify_characterization(phi, xi, v, a, points), points, want)
+
+
+@BATCH_SHAPES
+def test_theorem1_lift_square_matches_per_point_reference(n, q):
+    phi, xi, _, _, points = _batch_inputs(n, q)
+    got = [verify_theorem1(phi, xi, points[i : i + 1]) for i in range(len(points))]
+    want = []
+    for p in points:
+        mat = _lift_matrix_by_blocks(phi, xi, p)
+        want.append(np.max(np.abs(mat @ mat + np.eye(len(mat)))))
+    whole = verify_theorem1(phi, xi, points)
+    np.testing.assert_allclose(
+        [r.lift_square_residual for r in got], want, rtol=CHECK_RTOL, atol=BATCH_ATOL
+    )
+    assert whole.lift_square_residual == pytest.approx(max(want), rel=CHECK_RTOL)
+    assert whole.worst_point == tuple(points[int(np.argmax(want))])

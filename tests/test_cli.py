@@ -216,6 +216,24 @@ def test_overflowing_input_is_an_error_not_a_fail(check, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("component", ["exp(1000)*x1", "10^400*x1"])
+def test_constant_overflow_at_load_names_the_field(component, tmp_path, capsys):
+    # the constant folds out of float range while the scenario loads: a
+    # malformed scenario, not a check meeting a non-finite value
+    path = write_scenario(tmp_path, xi={"1": component, "2": "0"})
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: xi: ") and len(err.splitlines()) == 1
+
+
+def test_lift_zeros_names_its_worst_point(tmp_path):
+    # an all-zero residual still names a point, the earliest draw
+    report = run_scenario(str(SCENARIOS / "flat_quadratic.json"))
+    check = next(c for c in report.to_dict()["checks"] if c["id"] == "lift_connection_zeros")
+    assert check["residual"] == 0.0
+    assert check["worst_point"] is not None
+
+
 def test_load_scenario_defaults(tmp_path):
     path = write_scenario(tmp_path)
     sc = load_scenario(path)

@@ -3,10 +3,15 @@ import pytest
 
 import _oracles
 from liftlab import sampling
-from liftlab.bundle import BundlePoint, cross_section_point
+from liftlab.bundle import BundlePoint, adapted_frame, cross_section_point
+from liftlab.cli import _check_lift_zeros
 from liftlab.connection_lift import (
+    LiftedConnectionCoeffs,
     TorsionError,
     _curvature_cov_derivative,
+    _frame_and_slope_arrays,
+    _slot_apply,
+    _slot_operator,
     complete_lift_connection,
     curvature_tangency,
     gauss_consistency,
@@ -348,3 +353,195 @@ def test_tangency_rejects_mismatched_chart():
     xi = CovariantField(3, 1, ["x1", "0", "0"])
     with pytest.raises(ValueError):
         curvature_tangency(SPHERE, xi, POINTS[:2])
+
+
+def test_gauss_tensor_built_once_per_connection():
+    xi = random_covariant_field(np.random.default_rng(32), 2, 2)
+    first = gauss_second_fundamental(SPHERE, xi)
+    assert gauss_second_fundamental(SPHERE, xi) is first
+    assert gauss_second_fundamental(FLAT, xi) is not first
+    # keyed by the connection itself, so a new connection equal in content,
+    # possibly at the address of a collected one, gets its own entry
+    assert gauss_second_fundamental(flat_connection(2), xi) is not gauss_second_fundamental(
+        flat_connection(2), xi
+    )
+
+
+# ---------------------------------------------------------------------------
+# a batch of points: the stack of single-point results, one code path
+
+BATCH_SHAPES = pytest.mark.parametrize("n,q", [(2, 1), (2, 3), (3, 2), (4, 1)])
+# a batch and a single point may sum in different orders
+BATCH_ATOL = 1e-13
+CHECK_RTOL = 1e-12
+BLOCKS = ("base", "mixed_bf", "mixed_fb", "fibre_bb")
+
+
+def _batch_inputs(n, q):
+    rng = np.random.default_rng(700 + 10 * n + q)
+    gamma = random_symmetric_connection(rng, n)
+    xi = random_covariant_field(rng, n, q)
+    points = POINTS_BY_DIM[n][:5]
+    return gamma, xi, points, rng.uniform(-1.0, 1.0, size=(len(points), n**q))
+
+
+@BATCH_SHAPES
+def test_slot_operator_batch_matches_kron(n, q):
+    rng = np.random.default_rng(750 + 10 * n + q)
+    mats = rng.normal(size=(5, n, n))
+    t = rng.normal(size=(5, n**q))
+    for slot in range(q):
+        ops = _slot_operator(mats, slot, q)
+        for i in range(len(mats)):
+            want = np.kron(np.kron(np.eye(n**slot), mats[i]), np.eye(n ** (q - 1 - slot)))
+            assert np.array_equal(ops[i], want)
+        applied = np.einsum("...ij,...j->...i", ops, t)
+        assert np.max(np.abs(_slot_apply(mats, slot, q, t) - applied)) <= BATCH_ATOL
+
+
+@BATCH_SHAPES
+def test_lift_batch_stacks_single_points(n, q):
+    gamma, xi, points, fibre = _batch_inputs(n, q)
+    lifted = complete_lift_connection(gamma, BundlePoint(n, q, points, fibre))
+    full = lifted.full_array()
+    asym = lifted.symmetry_residual()
+    induced = induced_connection(gamma, xi, points)
+    dr = _curvature_cov_derivative(gamma, points)
+    _, slopes, dframe = _frame_and_slope_arrays(xi, points)
+    for i, p in enumerate(points):
+        one = complete_lift_connection(gamma, BundlePoint(n, q, p, fibre[i]))
+        for block in BLOCKS:
+            assert np.max(np.abs(getattr(lifted, block)[i] - getattr(one, block))) <= BATCH_ATOL
+        # placement and swaps alone, given the same blocks: bit for bit
+        sliced = LiftedConnectionCoeffs(n, q, *(getattr(lifted, b)[i] for b in BLOCKS))
+        assert np.array_equal(full[i], sliced.full_array())
+        assert asym[i] == sliced.symmetry_residual()
+        dense = sliced.full_array()
+        assert asym[i] == np.max(np.abs(dense - dense.transpose(0, 2, 1)))
+        assert np.max(np.abs(induced[i] - induced_connection(gamma, xi, p))) <= BATCH_ATOL
+        assert np.max(np.abs(dr[i] - _curvature_cov_derivative(gamma, p))) <= BATCH_ATOL
+        _, one_slopes, one_dframe = _frame_and_slope_arrays(xi, p)
+        assert np.array_equal(slopes[i], one_slopes)
+        assert np.array_equal(dframe[i], one_dframe)
+
+
+@BATCH_SHAPES
+def test_symmetry_residual_matches_dense_array(n, q):
+    # arbitrary blocks, so every block pair carries an asymmetry
+    rng = np.random.default_rng(770 + 10 * n + q)
+    nf = n**q
+    shapes = ((5, n, n, n), (5, nf, n, nf), (5, nf, nf, n), (5, nf, n, n))
+    coeffs = LiftedConnectionCoeffs(n, q, *(rng.normal(size=s) for s in shapes))
+    dense = coeffs.full_array()
+    want = np.abs(dense - dense.transpose(0, 1, 3, 2)).max(axis=(1, 2, 3))
+    assert np.array_equal(coeffs.symmetry_residual(), want)
+
+
+def _frame_terms_by_point(gamma, xi, p, curvature_sign=1.0):
+    """Reference for one point: the dense lifted coefficients contracted
+    with the whole horizontal frame, d_j B^A_i + L^A_{CB} B^C_j B^B_i, as
+    [A, j, i]."""
+    n, q = xi.n, xi.q
+    nf = n**q
+    bmat = adapted_frame(xi, p).b
+    dd = xi.partials().partials().evaluate(p).reshape(n, n, nf)
+    db = np.zeros((n + nf, n, n))
+    db[n:] = dd.transpose(2, 0, 1)
+    at = cross_section_point(xi, p)
+    lifted = complete_lift_connection(gamma, at, curvature_sign).full_array()
+    return db + np.einsum("ACB,Cj,Bi->Aji", lifted, bmat, bmat), bmat
+
+
+def _gauss_residual_at(gamma, xi, p, curvature_sign):
+    n = xi.n
+    total, bmat = _frame_terms_by_point(gamma, xi, p, curvature_sign)
+    lhs = total - np.einsum("hji,Ah->Aji", gamma.evaluate(p), bmat)
+    rhs = np.zeros_like(lhs)
+    rhs[n:] = gauss_second_fundamental(gamma, xi).evaluate(p).reshape(n, n, -1).transpose(2, 0, 1)
+    return np.max(np.abs(lhs - rhs))
+
+
+def _assert_matches_reference(got_each, whole, points, want):
+    """Per-point residuals of the batched code (one-point batches) against
+    the reference loop, and the whole batch's verdict point."""
+    np.testing.assert_allclose(got_each, want, rtol=CHECK_RTOL, atol=BATCH_ATOL)
+    assert whole.residual == pytest.approx(max(want), rel=CHECK_RTOL, abs=BATCH_ATOL)
+    assert whole.worst_point is not None
+    if max(want) > 1e-6:  # well above rounding, so the worst point is unambiguous
+        assert whole.worst_point == tuple(points[int(np.argmax(want))])
+
+
+@BATCH_SHAPES
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["lift", "flipped"])
+def test_gauss_consistency_matches_per_point_reference(n, q, sign):
+    gamma, xi, points, _ = _batch_inputs(n, q)
+    got = [
+        gauss_consistency(gamma, xi, points[i : i + 1], curvature_sign=sign).residual
+        for i in range(len(points))
+    ]
+    want = [_gauss_residual_at(gamma, xi, p, sign) for p in points]
+    whole = gauss_consistency(gamma, xi, points, curvature_sign=sign)
+    _assert_matches_reference(got, whole, points, want)
+
+
+@BATCH_SHAPES
+def test_induced_connection_matches_per_point_reference(n, q):
+    gamma, xi, points, _ = _batch_inputs(n, q)
+    induced = induced_connection(gamma, xi, points)
+    for i, p in enumerate(points):
+        total, _ = _frame_terms_by_point(gamma, xi, p)
+        want = total[:n]  # the coframe legs b_inv = [I | 0] pick the base rows
+        assert np.max(np.abs(induced[i] - want)) <= BATCH_ATOL
+
+
+@BATCH_SHAPES
+def test_tangency_matches_per_point_reference(n, q):
+    gamma, xi, points, _ = _batch_inputs(n, q)
+    points = points[:3]
+    got = [curvature_tangency(gamma, xi, points[i : i + 1]).residual for i in range(3)]
+    want = [_tangency_residual_by_entry(gamma, xi, p) for p in points]
+    _assert_matches_reference(got, curvature_tangency(gamma, xi, points), points, want)
+
+
+def _lift_zeros_by_point(gamma, q, points, rng):
+    """Reference for the lift_connection_zeros check: one fibre draw, one
+    lift and one dense array per point."""
+    n = gamma.n
+    out = []
+    for p in points:
+        fib = rng.uniform(-1.0, 1.0, size=n**q)
+        lift = complete_lift_connection(gamma, BundlePoint(n, q, p, fib))
+        doubled = complete_lift_connection(gamma, BundlePoint(n, q, p, 2.0 * fib))
+        full = lift.full_array()
+        zeros = full.copy()
+        zeros[:n, :n, :n] = zeros[n:, :n, n:] = zeros[n:, n:, :n] = zeros[n:, :n, :n] = 0.0
+        out.append(
+            max(
+                np.max(np.abs(zeros)),
+                np.max(np.abs(full - full.transpose(0, 2, 1))),
+                np.max(np.abs(doubled.fibre_bb - 2.0 * lift.fibre_bb)),
+                np.max(np.abs(doubled.mixed_bf - lift.mixed_bf)),
+                np.max(np.abs(doubled.mixed_fb - lift.mixed_fb)),
+                np.max(np.abs(doubled.base - lift.base)),
+            )
+        )
+    return out
+
+
+@BATCH_SHAPES
+def test_lift_zeros_check_matches_per_point_reference(n, q):
+    gamma, _, points, _ = _batch_inputs(n, q)
+    want = _lift_zeros_by_point(gamma, q, points, np.random.default_rng(7))
+    # one generator across the one-point calls draws the same fibres as the
+    # whole batch's single block draw
+    rng = np.random.default_rng(7)
+    got = [_check_lift_zeros(gamma, q, points[i : i + 1], rng, 1e-12).residual for i in range(5)]
+    whole = _check_lift_zeros(gamma, q, points, np.random.default_rng(7), 1e-12)
+    _assert_matches_reference(got, whole, points, want)
+    assert whole.passed
+
+
+def test_lift_zeros_check_names_a_point_at_zero_residual():
+    check = _check_lift_zeros(FLAT, 2, POINTS, np.random.default_rng(7), 1e-12)
+    assert check.residual == 0.0
+    assert check.worst_point == tuple(POINTS[0])  # ties go to the earliest draw
