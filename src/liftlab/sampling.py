@@ -26,30 +26,43 @@ def sample_points(
     seed: int = DEFAULT_SEED,
     count: int = DEFAULT_COUNT,
     box: tuple[float, float] = DEFAULT_BOX,
-    reject: Callable[[np.ndarray], bool] | None = None,
+    screen: Callable[[np.ndarray], np.ndarray] | None = None,
     max_tries: int = 10,
 ) -> np.ndarray:
     """Draw count points uniformly from box**dim with a fixed seed.
 
-    reject(point) -> True marks a point unusable (for example a chart
-    singularity); each slot is redrawn up to max_tries times before the
-    protocol gives up.
+    Candidates come in (k, dim) blocks from one generator, so the stream
+    is the same as drawing them one at a time.  screen(block) returns a
+    bool mask (k,), True where a row is unusable (for example a chart
+    singularity).  Slots fill in draw order, each from the first usable
+    candidate after the previous slot's; a slot gives up after max_tries
+    consecutive rejected redraws, counted across blocks.
     """
     lo, hi = box
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid sampling box {box}")
+    if count < 1:
+        raise ValueError(f"sample count must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
+    if screen is None:
+        return rng.uniform(lo, hi, size=(count, dim))
     points = np.empty((count, dim), dtype=np.float64)
-    for i in range(count):
-        for attempt in range(max_tries + 1):
-            p = rng.uniform(lo, hi, size=dim)
-            if reject is None or not reject(p):
-                points[i] = p
-                break
-        else:
+    filled = misses = 0
+    while filled < count:
+        # one candidate per open slot: a block never outruns the slots
+        block = rng.uniform(lo, hi, size=(count - filled, dim))
+        kept = np.flatnonzero(~np.asarray(screen(block), dtype=bool))
+        # rejected rows in front of each kept row and after the last one;
+        # the last run carries into the next block
+        runs = np.diff(kept, prepend=-1, append=len(block)) - 1
+        runs[0] += misses
+        if runs.max() > max_tries:
             raise RuntimeError(
                 f"could not sample a regular point after {max_tries} redraws"
             )
+        misses = runs[-1]
+        points[filled : filled + len(kept)] = block[kept]
+        filled += len(kept)
     return points
 
 

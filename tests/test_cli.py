@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from liftlab.cli import (
@@ -302,3 +303,94 @@ def test_tolerance_override_fails_loose_check(tmp_path):
     by_id = {r.check: r for r in report.results}
     assert not by_id["tachibana_zero"].passed
     assert by_id["tachibana_zero"].tolerance == 1e-3
+
+
+# ---------------------------------------------------------------------------
+# sampling: screened points, counts and tolerances
+
+
+def test_always_singular_field_cannot_be_sampled(tmp_path, capsys):
+    path = write_scenario(tmp_path, phi={"1,1": "1/(x1-x1)"}, checks=["nijenhuis_zero"])
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: could not sample") and len(err.splitlines()) == 1
+
+
+def test_symmetry_probe_reads_screened_points(tmp_path, capsys):
+    # gamma overflows for x1 > 1.014, inside the default box; the screen
+    # keeps those draws out of the sample, and so out of the probe
+    path = write_scenario(
+        tmp_path,
+        points=32,
+        checks=["lift_connection_zeros"],
+        gamma={"1,1,1": "exp(700*x1)*1e-300"},
+    )
+    assert main(["run", path]) == 0
+    assert "PASS lift_connection_zeros" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--points", "0"],
+        ["--points", "-3"],
+        ["--tol", "nan"],
+        ["--tol", "inf"],
+        ["--tol=-1e-9"],
+    ],
+)
+def test_invalid_points_or_tol_is_a_usage_error(flags, capsys):
+    assert main(["run", str(SCENARIOS / "theorem1_analytic.json"), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert "checks passed" not in captured.out
+
+
+def _poly(rng, n, degree, scale):
+    """A dense random polynomial in x1..xn as an expression string."""
+    monomials = [""] + [f"*x{i}" for i in range(1, n + 1)]
+    if degree >= 2:
+        monomials += [f"*x{i}*x{j}" for i in range(1, n + 1) for j in range(i, n + 1)]
+    coefs = rng.uniform(-scale, scale, len(monomials))
+    return " + ".join(f"({c:.6f}){m}" for c, m in zip(coefs, monomials))
+
+
+def test_every_check_at_the_top_of_the_envelope(tmp_path):
+    # n=4, q=3 at 64 points: constant J, a generic degree-2 xi and a
+    # generic degree-1 symmetric connection.  By construction J is
+    # integrable (nijenhuis), the connection identities hold (lift zeros,
+    # induced, gauss), and theorem1 holds vacuously; a generic xi is
+    # impure (purity, characterization) and not almost analytic, the
+    # section is not totally geodesic and curvature is not tangent.
+    rng = np.random.default_rng(43)
+    n, q = 4, 3
+    xi = {",".join(str(i + 1) for i in k): _poly(rng, n, 2, 0.5) for k in np.ndindex((n,) * q)}
+    gamma = {}
+    for h in range(1, n + 1):
+        for j in range(1, n + 1):
+            for i in range(j, n + 1):
+                gamma[f"{h},{j},{i}"] = gamma[f"{h},{i},{j}"] = _poly(rng, n, 1, 0.4)
+    path = write_scenario(
+        tmp_path,
+        n=n,
+        q=q,
+        points=64,
+        phi={"2,1": "1", "1,2": "-1", "4,3": "1", "3,4": "-1"},
+        xi=xi,
+        gamma=gamma,
+        checks=list(CHECK_IDS),
+    )
+    report = run_scenario(path, seed=5)
+    verdicts = {r.check: r.passed for r in report.results}
+    assert verdicts == {
+        "purity": False,
+        "tachibana_zero": False,
+        "nijenhuis_zero": True,
+        "theorem1": True,
+        "characterization": False,
+        "lift_connection_zeros": True,
+        "induced_equals_base": True,
+        "gauss_consistency": True,
+        "totally_geodesic": False,
+        "curvature_tangency": False,
+    }
