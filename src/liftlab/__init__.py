@@ -6,7 +6,6 @@ from .expr import (
     ParseError,
     ScalarExpr,
     SingularPointError,
-    diff,
     evaluate,
     parse,
 )

@@ -25,7 +25,8 @@ from .tensor import (
     apply_endo_vec,
     compose_endo,
     contract_slot_endo,
-    derivative_grid,
+    contraction,
+    jet_einsum,
     lie_derivative_cov,
     lie_derivative_endo,
     slot_einsum,
@@ -164,7 +165,7 @@ def adapted_frame(xi: CovariantField, x) -> AdaptedFrame:
     n, q = xi.n, check_rank(xi.q)
     nf = n**q
     batch = np.shape(x)[:-1]
-    slopes = xi.partials().evaluate(x).reshape(batch + (n, nf))  # [.., j, fibre-rank]
+    slopes = xi.jets(x, 1)[1].reshape(batch + (n, nf))  # [.., j, fibre-rank]
     eye = np.broadcast_to(np.eye(n + nf), batch + (n + nf, n + nf))
     b, c_inv = eye[..., :n].copy(), eye[..., n:, :].copy()
     b[..., n:, :] = np.swapaxes(slopes, -1, -2)
@@ -208,20 +209,18 @@ def complete_lift_vector_on_section(v: VectorField, xi: CovariantField, x) -> Bu
 # Purity, the Tachibana operator, and the Nijenhuis tensor
 
 
-def purity_residual(phi: EndomorphismField, xi: CovariantField, points=None) -> float:
+def purity_residual(phi: EndomorphismField, xi: CovariantField, points) -> float:
     """Largest sampled disagreement among the q slot contractions of phi
     into xi.  A rank-1 tensor is pure by definition (residual 0)."""
     if phi.n != xi.n:
         raise ValueError("endomorphism and tensor field live on different charts")
     if xi.q == 1:
         return 0.0
-    if points is None:
-        points = sampling.sample_points(xi.n)
     contractions = [
         contract_slot_endo(xi, phi, slot).evaluate(points) for slot in range(1, xi.q + 1)
     ]
     return max(
-        sampling.max_abs_difference(a, b) for a, b in itertools.combinations(contractions, 2)
+        float(np.max(np.abs(a - b))) for a, b in itertools.combinations(contractions, 2)
     )
 
 
@@ -232,12 +231,16 @@ def _tachibana_field(phi: EndomorphismField, xi: CovariantField) -> CovariantFie
     with (phi xi) the first-slot action.  No purity gate here."""
     q = xi.q
     starred = apply_endo_cov(phi, xi)
-    out = (
-        slot_einsum("ml,m{S}->l{S}", q, phi.array(), derivative_grid(xi))
-        - derivative_grid(starred)
-        + sum_over_slots("{s}ml,{R}->l{S}", q, derivative_grid(phi), xi.array())
-    )
-    return CovariantField._of(xi.n, out)
+
+    def rule(p, k):
+        f, x = phi.jets(p, k + 1), xi.jets(p, k + 1)
+        return (
+            slot_einsum("ml,m{S}->l{S}", q, f, x.d)
+            - starred.jets(p, k + 1).d
+            + sum_over_slots("{s}ml,{R}->l{S}", q, f.d, x)
+        )
+
+    return CovariantField._of(xi.n, (xi.n,) + xi.shape, rule)
 
 
 def tachibana(
@@ -264,12 +267,10 @@ def tachibana(
 def is_almost_analytic(
     phi: EndomorphismField,
     xi: CovariantField,
-    points=None,
+    points,
     tol: float = sampling.SYMBOLIC_RTOL,
 ) -> "sampling.SampledCheck":
     """Pure with vanishing Tachibana image, on sampled points."""
-    if points is None:
-        points = sampling.sample_points(xi.n)
     purity = purity_residual(phi, xi, points)
     if purity > tol:
         return sampling.SampledCheck(False, purity, None)
@@ -280,17 +281,22 @@ def is_almost_analytic(
 def nijenhuis(phi: EndomorphismField) -> OneTwoTensorField:
     """N^l_{jk} = phi^m_j d_m phi^l_k - phi^m_k d_m phi^l_j
                  - phi^l_m (d_j phi^m_k - d_k phi^m_j)."""
-    f, df = phi.array(), derivative_grid(phi)  # df[m, l, k] = d_m phi^l_k
-    # the terms of N^l_{jk} with j before k; the rest is its j <-> k mirror
-    half = np.einsum("mj,mlk->ljk", f, df) - np.einsum("lm,jmk->ljk", f, df)
-    return OneTwoTensorField._of(phi.n, half - half.transpose(0, 2, 1))
+
+    def rule(p, k):
+        f = phi.jets(p, k + 1)
+        df = f.d  # df[.., m, l, k] = d_m phi^l_k
+        # the terms of N^l_{jk} with j before k; the rest is its j <-> k mirror
+        half = jet_einsum("mj,mlk->ljk", f, df) - jet_einsum("lm,jmk->ljk", f, df)
+        return half - jet_einsum("ljk->lkj", half)
+
+    return OneTwoTensorField._of(phi.n, (phi.n,) * 3, rule)
 
 
 def contract_one_two_cov(t: OneTwoTensorField, xi: CovariantField) -> CovariantField:
     """(T xi)_{j i1..iq} = T^m_{j i1} xi_{m i2..iq}."""
     if t.n != xi.n:
         raise ValueError("fields live on different charts")
-    return CovariantField._of(xi.n, slot_einsum("mj{s},{R}->j{S}", xi.q, t.array(), xi.array()))
+    return contraction(CovariantField, (xi.n,) + xi.shape, "mj{s},{R}->j{S}", t, xi, xi.q)
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +342,7 @@ def complete_lift_endo_on_section(
     """
     if phi.n != xi.n:
         raise ValueError("endomorphism and tensor field live on different charts")
-    check_rank(xi.q)
-    return _lift_endo(phi, _tachibana_field(phi, xi), x)
-
-
-def _lift_endo(phi: EndomorphismField, tach: CovariantField, x) -> BundleEndomorphism:
-    """complete_lift_endo_on_section with the Tachibana field of (phi, xi)
-    already built, so a check builds it once for all its points."""
-    n, q = tach.n, tach.q - 1
+    n, q = xi.n, check_rank(xi.q)
     nf = n**q
     x = np.asarray(x, dtype=np.float64)
     batch = x.shape[:-1]
@@ -351,7 +350,8 @@ def _lift_endo(phi: EndomorphismField, tach: CovariantField, x) -> BundleEndomor
     mat = np.zeros(batch + (n + nf, n + nf))
     mat[..., :n, :n] = phi_mat
     # from tach[.., l, k1, .., kq]
-    mat[..., n:, :n] = -np.swapaxes(tach.evaluate(x).reshape(batch + (n, nf)), -1, -2)
+    tach = _tachibana_field(phi, xi).evaluate(x)
+    mat[..., n:, :n] = -np.swapaxes(tach.reshape(batch + (n, nf)), -1, -2)
     # first-slot action on rank-ordered fibre coordinates: phi^m_{k1} on the
     # leading slot, the identity on the other q - 1
     first = np.einsum("...ij,ab->...jaib", phi_mat, np.eye(n ** (q - 1)))
@@ -386,7 +386,7 @@ def verify_characterization(
     xi: CovariantField,
     v: VectorField,
     a: CovariantField,
-    points=None,
+    points,
     tol: float = sampling.SYMBOLIC_RTOL,
 ) -> CharacterizationReport:
     """Check, on sampled points, that the lifted endomorphism satisfies
@@ -399,14 +399,12 @@ def verify_characterization(
     """
     if a.n != xi.n or a.q != xi.q:
         raise ValueError("probe tensor must match xi in dimension and rank")
-    if points is None:
-        points = sampling.sample_points(xi.n)
     phi_v = apply_endo_vec(phi, v)
     lie_xi = lie_derivative_cov(v, xi)
     lie_phi_v_xi = lie_derivative_cov(phi_v, xi)
     lie_phi_on_xi = apply_endo_cov(lie_derivative_endo(v, phi), xi)
     phi_a = apply_endo_cov(phi, a)
-    lift = _lift_endo(phi, _tachibana_field(phi, xi), points).matrix
+    lift = complete_lift_endo_on_section(phi, xi, points).matrix
     zeros = np.zeros((len(points), xi.n))
     cl_v = _adapted_components(v.evaluate(points), -lie_xi.evaluate(points))
     rhs_c = _adapted_components(
@@ -455,25 +453,22 @@ class TheoremOneReport:
 def verify_theorem1(
     phi: EndomorphismField,
     xi: CovariantField,
-    points=None,
+    points,
     tol: float = 1e-9,
 ) -> TheoremOneReport:
     """Verify on sampled points: for an almost-complex phi and an
     almost-analytic pure xi, the complete lift of phi is an almost-complex
     structure along the cross-section (its square is minus the identity),
     and the Nijenhuis contraction into xi vanishes."""
-    if points is None:
-        points = sampling.sample_points(xi.n)
     n, q = xi.n, check_rank(xi.q)
 
     phi_sq = compose_endo(phi, phi).evaluate(points) + np.eye(n)
     square_res = float(np.max(np.abs(phi_sq)))
     purity_res = purity_residual(phi, xi, points)
-    tach = _tachibana_field(phi, xi)
-    tach_res = float(np.max(np.abs(tach.evaluate(points))))
+    tach_res = float(np.max(np.abs(_tachibana_field(phi, xi).evaluate(points))))
     nij_res = float(np.max(np.abs(contract_one_two_cov(nijenhuis(phi), xi).evaluate(points))))
 
-    mat = _lift_endo(phi, tach, points).matrix
+    mat = complete_lift_endo_on_section(phi, xi, points).matrix
     per_point = sampling.max_per_point(np.matmul(mat, mat) + np.eye(bundle_dim(n, q)))
     lift_res = float(per_point.max())
     worst = tuple(sampling.worst_point(points, per_point))

@@ -125,19 +125,29 @@ def complete_lift_connection(
     if gamma.n != at.n:
         raise ValueError("connection and bundle point have different dimensions")
     q = at.q
-    t = at.fibre  # rank order
-    g = gamma.evaluate(at.base)  # g[.., h, j, i] = Gamma^h_{ji}
-    dg = gamma.partials_at(at.base)  # dg[.., m, h, j, i] = d_m Gamma^h_{ji}
+    g, dg = gamma.jets(at.base, 1)  # g[.., h, j, i], dg[.., m, h, j, i] = d_m Gamma^h_{ji}
     r4 = curvature(gamma).evaluate(at.base)  # r4[.., k, j, i, l] = R_{kji}^l
+    # minus the replacement of one fibre slot through Gamma (see t_linear_block)
+    replace = np.einsum("...amx->...mxa", g)
+    coupling = [_slot_operator(replace, c, q) for c in range(q)]  # [.., m, row, col]
+    mixed = -sum(coupling)
+    fibre_bb = t_linear_block(g, dg, r4, at.fibre, q, curvature_sign, coupling)
+    return LiftedConnectionCoeffs(
+        at.n, q, g, np.swapaxes(mixed, -3, -2), np.moveaxis(mixed, -3, -1), fibre_bb
+    )
 
+
+def t_linear_block(g, dg, r4, t, q: int, curvature_sign: float = 1.0, coupling=None):
+    """The fibre_bb block [.., i_, m, s] at fibre coordinates t[.., n^q]
+    (rank order), from Gamma g[.., h, j, i], its partials dg[.., m, h, j, i]
+    and the curvature r4[.., k, j, i, l]; linear in t.  coupling, the
+    slot operators of Gamma, is passed by a caller that has them."""
     # Each term replaces one fibre slot value x by a, or two slots at once.
     # Replacing one slot through Gamma^a_{m x}, with m the lower base index:
     # minus this makes the mixed blocks, and two of them at distinct slots
-    # make the quadratic part of the t-linear block.
+    # make the quadratic part of this block.
     replace = np.einsum("...amx->...mxa", g)
-    coupling = [_slot_operator(replace, c, q) for c in range(q)]
-    mixed = -sum(coupling)  # [.., m, row, col]
-    # The single-replacement part of the t-linear block, as [.., m, s, x, a]:
+    # The single-replacement part, as [.., m, s, x, a]:
     #   -d_m Gamma^a_{s x} + Gamma^r_{m x} Gamma^a_{s r} + Gamma^r_{m s} Gamma^a_{r x}
     #   + R_{x s m}^a (times curvature_sign)
     single = (
@@ -147,12 +157,12 @@ def complete_lift_connection(
         + curvature_sign * np.einsum("...xsma->...msxa", r4)
     )
     fibre_bb = sum(np.moveaxis(_slot_apply(single, c, q, t), -1, -3) for c in range(q))
+    if coupling is None:
+        coupling = [_slot_operator(replace, c, q) for c in range(q)]
     moved = [_slot_apply(replace, c, q, t) for c in range(q)]  # [.., s, row]
     for b, c in itertools.permutations(range(q), 2):
         fibre_bb += np.einsum("...mrk,...sk->...rms", coupling[b], moved[c])
-    return LiftedConnectionCoeffs(
-        at.n, q, g, np.swapaxes(mixed, -3, -2), np.moveaxis(mixed, -3, -1), fibre_bb
-    )
+    return fibre_bb
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +173,10 @@ def _frame_and_slope_arrays(xi: CovariantField, x):
     """The adapted frame at x, the slopes d_i xi as [.., fibre, i], and the
     derivative of the horizontal frame legs, [.., A, j, i] = d_j B^A_i."""
     n, q = xi.n, xi.q
+    dd = xi.jets(x, 2)[2]  # first, so that the frame reads the same jets
     frame = adapted_frame(xi, x)
     db = np.zeros(frame.b.shape + (n,))
-    dd = xi.partials().partials().evaluate(x).reshape(db.shape[:-3] + (n, n, n**q))
+    dd = dd.reshape(db.shape[:-3] + (n, n, n**q))
     db[..., n:, :, :] = np.moveaxis(dd, -1, -3)  # from dd[.., j, i, fibre]
     return frame, frame.b[..., n:, :], db
 
@@ -193,32 +204,31 @@ def gauss_second_fundamental(gamma: ConnectionField, xi: CovariantField) -> Cova
 
     as a rank q+2 field ordered (j, i, h1..hq).  It is symmetric in
     (j, i) for a symmetric base connection, and the cross-section is
-    totally geodesic exactly when H vanishes.  Cached on xi per
-    connection, keyed by the connection object itself."""
+    totally geodesic exactly when H vanishes."""
     _require_symmetric(gamma)
     check_rank(xi.q)
     if gamma.n != xi.n:
         raise ValueError("connection and tensor field live on different charts")
-    key = ("gauss", gamma)
-    if key not in xi._cache:
-        second = covariant_derivative_cov(gamma, covariant_derivative_cov(gamma, xi))
-        out = second.array() + sum_over_slots(
-            "{s}ijm,{R}->ji{S}", xi.q, curvature(gamma).array(), xi.array()
+    q = xi.q
+    second = covariant_derivative_cov(gamma, covariant_derivative_cov(gamma, xi))
+    r = curvature(gamma)
+
+    def rule(p, k):
+        return second.jets(p, k) + sum_over_slots(
+            "{s}ijm,{R}->ji{S}", q, r.jets(p, k), xi.jets(p, k)
         )
-        xi._cache[key] = CovariantField._of(xi.n, out)
-    return xi._cache[key]
+
+    return CovariantField._of(xi.n, (xi.n,) * (q + 2), rule)
 
 
 def is_totally_geodesic(
     gamma: ConnectionField,
     xi: CovariantField,
-    points=None,
+    points,
     tol: float = sampling.SYMBOLIC_RTOL,
 ) -> sampling.SampledCheck:
     """Sampled test for H = 0; passes exactly for a totally geodesic
     cross-section (up to tol)."""
-    if points is None:
-        points = sampling.sample_points(xi.n)
     per_point = sampling.max_per_point(gauss_second_fundamental(gamma, xi).evaluate(points))
     return sampling.sampled_check(points, per_point, tol)
 
@@ -226,7 +236,7 @@ def is_totally_geodesic(
 def gauss_consistency(
     gamma: ConnectionField,
     xi: CovariantField,
-    points=None,
+    points,
     tol: float = sampling.SYMBOLIC_RTOL,
     curvature_sign: float = 1.0,
 ) -> sampling.SampledCheck:
@@ -243,8 +253,6 @@ def gauss_consistency(
     passed through to the lift for negative controls.
     """
     _require_symmetric(gamma)
-    if points is None:
-        points = sampling.sample_points(xi.n)
     n, m = xi.n, len(points)
     gauss = gauss_second_fundamental(gamma, xi).evaluate(points).reshape(m, n, n, -1)
     frame, slopes, db = _frame_and_slope_arrays(xi, points)
@@ -262,19 +270,20 @@ def gauss_consistency(
 def _curvature_cov_derivative(gamma: ConnectionField, point) -> np.ndarray:
     """(nabla_c R)_{kji}^l at a point, as dr[.., c, k, j, i, l]."""
     g = gamma.evaluate(point)
-    r4 = curvature(gamma).evaluate(point)
-    dr = curvature(gamma).partials_at(point)
-    dr -= np.einsum("...mck,...mjil->...ckjil", g, r4)
-    dr -= np.einsum("...mcj,...kmil->...ckjil", g, r4)
-    dr -= np.einsum("...mci,...kjml->...ckjil", g, r4)
-    dr += np.einsum("...lcm,...kjim->...ckjil", g, r4)
-    return dr
+    r4, dr = curvature(gamma).jets(point, 1)
+    return (
+        dr
+        - np.einsum("...mck,...mjil->...ckjil", g, r4)
+        - np.einsum("...mcj,...kmil->...ckjil", g, r4)
+        - np.einsum("...mci,...kjml->...ckjil", g, r4)
+        + np.einsum("...lcm,...kjim->...ckjil", g, r4)
+    )
 
 
 def curvature_tangency(
     gamma: ConnectionField,
     xi: CovariantField,
-    points=None,
+    points,
     tol: float = sampling.SYMBOLIC_RTOL,
 ) -> sampling.SampledCheck:
     """Sampled residual of the identity that makes curvature variation
@@ -293,8 +302,6 @@ def curvature_tangency(
     check_rank(xi.q)
     if gamma.n != xi.n:
         raise ValueError("connection and tensor field live on different charts")
-    if points is None:
-        points = sampling.sample_points(xi.n)
     q = xi.q
     r4 = curvature(gamma).evaluate(points)
     dr = _curvature_cov_derivative(gamma, points)

@@ -16,18 +16,20 @@ two integer arguments, a constants list, and the output slots.  Running
 the tape applies one NumPy operation per slot over the whole (..., n)
 batch of points, so a subtree shared by many expressions, or repeated
 inside one, is computed once.  The tables that find equal subtrees live
-only while the tape is compiled.
+only while the tape is compiled, and the compile walks expressions with
+an explicit stack, so nesting depth is not bounded by the interpreter's
+recursion limit.
 
-Derivatives are built with a memo keyed by node identity (diffs); a
-subtree that appears once in memory is differentiated once and its
-derivative is shared in turn, so a DAG stays a DAG under diff.  The
-compile and diffs walk expressions with an explicit stack, so nesting
-depth is not bounded by the interpreter's recursion limit.
+Derivatives are never built as expressions.  Tape.jets carries the
+value, the gradient and the Hessian of every slot through the same
+slot order (truncated Taylor propagation, one rule per opcode), so the
+partials it returns are exact up to rounding.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import struct
 from array import array
 
@@ -72,9 +74,6 @@ class ScalarExpr:
         """Raw evaluation; coords has shape (..., n).  May return inf/nan."""
         return Tape([self])(coords)[..., 0][()]
 
-    def deriv(self, axis: int, *d: "ScalarExpr") -> "ScalarExpr":
-        """Partial along x<axis>, given d, the partials of the children."""
-        raise NotImplementedError
 
     def __add__(self, other):
         return add(self, _coerce(other))
@@ -131,8 +130,6 @@ class Const(ScalarExpr):
     def __init__(self, c: float):
         self.c = float(c)
 
-    def deriv(self, axis: int) -> ScalarExpr:
-        return Const(0.0)
 
     def __str__(self):
         # repr round-trips float precision; trim the ".0" of whole numbers
@@ -157,8 +154,6 @@ class Var(ScalarExpr):
             raise ValueError(f"variable axis must be >= 1, got {axis}")
         self.axis = axis
 
-    def deriv(self, axis: int) -> ScalarExpr:
-        return Const(1.0 if axis == self.axis else 0.0)
 
     def __str__(self):
         return f"x{self.axis}"
@@ -176,8 +171,6 @@ class Add(ScalarExpr):
     def children(self):
         return (self.a, self.b)
 
-    def deriv(self, axis: int, da: ScalarExpr, db: ScalarExpr) -> ScalarExpr:
-        return add(da, db)
 
     def __str__(self):
         left = _wrap(self.a, _P_ADD)
@@ -198,8 +191,6 @@ class Mul(ScalarExpr):
     def children(self):
         return (self.a, self.b)
 
-    def deriv(self, axis: int, da: ScalarExpr, db: ScalarExpr) -> ScalarExpr:
-        return add(mul(da, self.b), mul(self.a, db))
 
     def __str__(self):
         return f"{_wrap(self.a, _P_MUL)}*{_wrap(self.b, _P_MUL + 1)}"
@@ -217,9 +208,6 @@ class Div(ScalarExpr):
     def children(self):
         return (self.a, self.b)
 
-    def deriv(self, axis: int, da: ScalarExpr, db: ScalarExpr) -> ScalarExpr:
-        num = add(mul(da, self.b), neg(mul(self.a, db)))
-        return div(num, ipow(self.b, 2))
 
     def __str__(self):
         return f"{_wrap(self.a, _P_MUL)}/{_wrap(self.b, _P_MUL + 1)}"
@@ -237,8 +225,6 @@ class Neg(ScalarExpr):
     def children(self):
         return (self.a,)
 
-    def deriv(self, axis: int, da: ScalarExpr) -> ScalarExpr:
-        return neg(da)
 
     def __str__(self):
         return f"-{_wrap(self.a, _P_ATOM)}"
@@ -258,9 +244,6 @@ class IntPow(ScalarExpr):
     def children(self):
         return (self.a,)
 
-    def deriv(self, axis: int, da: ScalarExpr) -> ScalarExpr:
-        # d(a^k) = k * a^(k-1) * da; stays inside the grammar for any k.
-        return mul(mul(Const(self.k), ipow(self.a, self.k - 1)), da)
 
     def __str__(self):
         return f"{_wrap(self.a, _P_ATOM)}^{self.k}"
@@ -287,26 +270,17 @@ class Sin(_Func):
     op = SIN
     name = "sin"
 
-    def deriv(self, axis: int, da: ScalarExpr) -> ScalarExpr:
-        return mul(cos(self.a), da)
-
 
 class Cos(_Func):
     __slots__ = ()
     op = COS
     name = "cos"
 
-    def deriv(self, axis: int, da: ScalarExpr) -> ScalarExpr:
-        return neg(mul(sin(self.a), da))
-
 
 class Exp(_Func):
     __slots__ = ()
     op = EXP
     name = "exp"
-
-    def deriv(self, axis: int, da: ScalarExpr) -> ScalarExpr:
-        return mul(exp(self.a), da)
 
 
 def _wrap(e: ScalarExpr, minimum: int) -> str:
@@ -406,56 +380,35 @@ def exp(a: ScalarExpr) -> ScalarExpr:
 _FUNCTIONS = {"sin": sin, "cos": cos, "exp": exp}
 
 
+# One token after optional whitespace: a number (digits and dots, then an
+# exponent only when digits follow it), a name, an operator, or any other
+# character, which is an error; nothing at the end of the text.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>[\d.]+(?:[eE][+-]?\d+)?)|(?P<ident>[^\W\d]\w*)"
+    r"|(?P<op>[-+*/^()])|(?P<bad>.))?",
+    re.S,
+)
+
+
 class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self):
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return ("end", "", self.pos)
-        ch = self.text[self.pos]
-        if ch in "+-*/^()":
-            return ("op", ch, self.pos)
-        if ch.isdigit() or ch == ".":
-            return self._number()
-        if ch.isalpha() or ch == "_":
-            return self._ident()
-        raise ParseError(f"unexpected character {ch!r}", self.pos)
-
-    def _number(self):
-        start = self.pos
-        i = start
-        text = self.text
-        while i < len(text) and (text[i].isdigit() or text[i] == "."):
-            i += 1
-        if i < len(text) and text[i] in "eE":
-            j = i + 1
-            if j < len(text) and text[j] in "+-":
-                j += 1
-            if j < len(text) and text[j].isdigit():
-                i = j
-                while i < len(text) and text[i].isdigit():
-                    i += 1
-        lexeme = text[start:i]
-        try:
-            float(lexeme)
-        except ValueError:
-            raise ParseError(f"malformed number {lexeme!r}", start) from None
-        return ("num", lexeme, start)
-
-    def _ident(self):
-        start = self.pos
-        i = start
-        text = self.text
-        while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-            i += 1
-        return ("ident", text[start:i], start)
+        m = _TOKEN.match(self.text, self.pos)
+        kind = m.lastgroup
+        if kind is None:
+            return ("end", "", m.end())
+        lexeme, start = m.group(kind), m.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {lexeme!r}", start)
+        if kind == "num":
+            try:
+                float(lexeme)
+            except ValueError:
+                raise ParseError(f"malformed number {lexeme!r}", start) from None
+        return (kind, lexeme, start)
 
     def take(self):
         tok = self.peek()
@@ -475,44 +428,29 @@ class _Parser:
             raise ParseError(f"unexpected {lexeme!r}", pos)
         return e
 
-    def expression(self) -> ScalarExpr:
-        e = self.term()
+    def _chain(self, ops: str, operand, combine, right=None) -> ScalarExpr:
+        """operand (op right)*, folded from the left; right defaults to
+        operand."""
+        e = operand()
         while True:
             kind, lexeme, _ = self.toks.peek()
-            if kind == "op" and lexeme in "+-":
-                self.toks.take()
-                rhs = self.term()
-                e = add(e, rhs) if lexeme == "+" else add(e, neg(rhs))
-            else:
+            if kind != "op" or lexeme not in ops:
                 return e
+            self.toks.take()
+            e = combine[lexeme](e, (right or operand)())
+
+    def expression(self) -> ScalarExpr:
+        return self._chain("+-", self.term, {"+": add, "-": sub})
 
     def term(self) -> ScalarExpr:
-        e = self.unary()
-        while True:
-            kind, lexeme, _ = self.toks.peek()
-            if kind == "op" and lexeme in "*/":
-                self.toks.take()
-                rhs = self.unary()
-                e = mul(e, rhs) if lexeme == "*" else div(e, rhs)
-            else:
-                return e
+        return self._chain("*/", self.unary, {"*": mul, "/": div})
 
     def unary(self) -> ScalarExpr:
         kind, lexeme, _ = self.toks.peek()
         if kind == "op" and lexeme == "-":
             self.toks.take()
             return neg(self.unary())
-        return self.power()
-
-    def power(self) -> ScalarExpr:
-        e = self.atom()
-        while True:
-            kind, lexeme, _ = self.toks.peek()
-            if kind == "op" and lexeme == "^":
-                self.toks.take()
-                e = ipow(e, self.exponent())
-            else:
-                return e
+        return self._chain("^", self.atom, {"^": ipow}, self.exponent)
 
     def exponent(self) -> int:
         sign = 1
@@ -681,58 +619,126 @@ class Tape:
     def __len__(self) -> int:
         return len(self.ops)
 
-    def arguments(self, slot: int) -> tuple[int, ...]:
-        """Child slots of a slot, in the order of the node's children."""
-        op = self.ops[slot] & _OP_MASK
-        if op in (CONST, VAR):
-            return ()
-        if op in (MUL, ADD, DIV):
-            return (self.args_a[slot], self.args_b[slot])
-        return (self.args_a[slot],)
-
-    def _slots(self, p: np.ndarray, keep: bool) -> list:
-        """Value of every slot at points p, raw (inf/nan pass through).
-        Unless keep, a value is dropped after its last read."""
-        consts = self.consts
-        vals: list = [None] * len(self.ops)
+    def _slots(self, p: np.ndarray, order: int = 0, keep: bool = False) -> list:
+        """(value, gradient, Hessian) of every slot at points p (..., n), to
+        order <= 2, raw (inf/nan pass through).  Each opcode has one Taylor
+        rule; None stands for a derivative that vanishes identically or is
+        not asked for.  Values go through the ufuncs even for one point,
+        whose NumPy scalar operators order NaN operands differently.
+        Unless keep, a slot is dropped after its last read."""
+        unit = np.eye(p.shape[-1]) if order else None
+        consts, hess = self.consts, order == 2
+        jet: list = [None] * len(self.ops)
         with np.errstate(all="ignore"):
             for i, (code, a, b) in enumerate(zip(self.ops, self.args_a, self.args_b)):
                 op = code & _OP_MASK
+                g = h = None
                 if op == MUL:
-                    v = vals[a] * vals[b]
+                    (va, ga, ha), (vb, gb, hb) = jet[a], jet[b]
+                    v = np.multiply(va, vb)
+                    if order:
+                        g = _plus(_scale(ga, vb, 1), _scale(gb, va, 1))
+                        if hess:
+                            h = _plus(_plus(_scale(ha, vb, 2), _scale(hb, va, 2)), _sym(ga, gb))
                 elif op == ADD:
-                    v = vals[a] + vals[b]
-                elif op == NEG:
-                    v = -vals[a]
-                elif op == POW:
-                    v = np.power(vals[a], consts[b])
-                elif op == DIV:
-                    v = vals[a] / vals[b]
+                    (va, ga, ha), (vb, gb, hb) = jet[a], jet[b]
+                    v = np.add(va, vb)
+                    if order:
+                        g, h = _plus(ga, gb), _plus(ha, hb)
                 elif op == CONST:
                     v = consts[a]
                 elif op == VAR:
-                    v = p[..., a]
-                elif op == SIN:
-                    v = np.sin(vals[a])
-                elif op == COS:
-                    v = np.cos(vals[a])
-                else:
-                    v = np.exp(vals[a])
-                vals[i] = v
+                    v, g = p[..., a], None if unit is None else unit[a]
+                elif op == DIV:  # from a = v b: g = (ga - v gb) / b, and h likewise
+                    (va, ga, ha), (vb, gb, hb) = jet[a], jet[b]
+                    v = np.divide(va, vb)
+                    if order:
+                        inv = 1.0 / vb
+                        g = _scale(_plus(ga, _scale(gb, -v, 1)), inv, 1)
+                        if hess:
+                            h = _plus(_plus(ha, _scale(hb, -v, 2)), _scale(_sym(g, gb), -1, 2))
+                            h = _scale(h, inv, 2)
+                else:  # f(a): g = f' ga and h = f' ha + f'' ga ga
+                    va, ga, ha = jet[a]
+                    v, d1, d2 = _unary(op, va, consts[b] if op == POW else 0, order)
+                    if order:
+                        g = _scale(ga, d1, 1)
+                        if hess:
+                            h = _plus(_scale(ha, d1, 2), _scale(_outer(ga, ga), d2, 2))
+                jet[i] = (v, g, h)
                 if code > _OP_MASK and not keep:
                     if code & _DROP_A:
-                        vals[a] = None
+                        jet[a] = None
                     if code & _DROP_B:
-                        vals[b] = None
-        return vals
+                        jet[b] = None
+        return jet
 
     def __call__(self, points) -> np.ndarray:
+        return self.jets(points, 0)[0]
+
+    def jets(self, points, order: int) -> list:
+        """Values and partials of the outputs at points (..., n), to
+        order <= 2: [(..., K)], then (..., n, K) and (..., n, n, K), the
+        derivative axes right after the batch axes."""
+        if not 0 <= order <= 2:
+            raise ValueError(f"tape jets go up to order 2, not {order}")
         p = np.asarray(points, dtype=np.float64)
-        vals = self._slots(p, keep=False)
-        out = np.empty(p.shape[:-1] + (len(self.outputs),))
-        for r, s in enumerate(self.outputs):
-            out[..., r] = vals[s]
+        jet = self._slots(p, order)
+        batch, n, k = p.shape[:-1], p.shape[-1], len(self.outputs)
+        out = [np.empty(batch + (k,))]
+        out += [np.zeros(batch + (n,) * d + (k,)) for d in range(1, order + 1)]
+        for d, arr in enumerate(out):
+            for r, s in enumerate(self.outputs):
+                part = jet[s][d]
+                if part is not None:
+                    arr[..., r] = part
         return out
+
+
+def _plus(x, y):
+    """Sum of two derivatives, where None stands for an identically zero one."""
+    if x is None:
+        return y
+    return x if y is None else x + y
+
+
+def _scale(d, s, k: int):
+    """A gradient (k = 1) or Hessian (k = 2) times s, a number or one
+    value per point; None for None."""
+    if d is None or s is None:
+        return None
+    return d * (s.reshape(s.shape + (1,) * k) if np.ndim(s) else s)
+
+
+def _outer(x, y):
+    if x is None or y is None:
+        return None
+    return x[..., :, None] * y[..., None, :]
+
+
+def _sym(x, y):
+    """x y^T + y x^T, the mixed term of a product's Hessian."""
+    return _plus(_outer(x, y), _outer(y, x))
+
+
+def _unary(op: int, a, k: int, order: int):
+    """f(a) of a unary opcode, with f'(a) and f''(a) (None for 0) when
+    order; k is POW's exponent."""
+    if op == NEG:
+        return np.negative(a), -1.0, None
+    if op == EXP:
+        v = np.exp(a)
+        return v, v, v
+    if op == POW:
+        v = np.power(a, k)
+        if not order:
+            return v, None, None
+        d1 = k * np.power(a, k - 1) if k else None
+        return v, d1, k * (k - 1) * np.power(a, k - 2) if k not in (0, 1) else None
+    v = np.sin(a) if op == SIN else np.cos(a)
+    if not order:
+        return v, None, None
+    return v, np.cos(a) if op == SIN else -np.sin(a), -v
 
 
 def evaluate(e: ScalarExpr, point) -> float:
@@ -752,35 +758,15 @@ def evaluate(e: ScalarExpr, point) -> float:
         raise ValueError(
             f"expression uses x{tape.dim} but the point has {p.shape[0]} coordinates"
         )
-    vals = tape._slots(p, keep=True)
+    vals = [v for v, _, _ in tape._slots(p, keep=True)]
     node, slot = e, tape.outputs[0]
     if math.isfinite(vals[slot]):
         return float(vals[slot])
     # Walk down to the deepest node that itself evaluates non-finite; the
-    # tape arguments of a slot line up with the node's children.
+    # argument columns of a slot start with its children's slots.
     while True:
-        args = tape.arguments(slot)
+        args = (tape.args_a[slot], tape.args_b[slot])[: len(node.children)]
         bad = next((k for k, s in enumerate(args) if not math.isfinite(vals[s])), None)
         if bad is None:
             raise SingularPointError(node, p)
         node, slot = node.children[bad], args[bad]
-
-
-def diffs(exprs, axis: int) -> list[ScalarExpr]:
-    """Exact partials of several expressions with respect to x<axis>.
-
-    One derivative memo serves the whole list, so a node shared between
-    or within the expressions is differentiated once.
-    """
-    if axis < 1:
-        raise ValueError(f"axis must be >= 1, got {axis}")
-    memo: dict = {}  # node -> its partial; nodes hash by identity
-    for e in exprs:
-        for node in _postorder(e, memo):
-            memo[node] = node.deriv(axis, *[memo[c] for c in node.children])
-    return [memo[e] for e in exprs]
-
-
-def diff(e: ScalarExpr, axis: int) -> ScalarExpr:
-    """Exact partial derivative with respect to x<axis>; closed over the grammar."""
-    return diffs([e], axis)[0]

@@ -88,16 +88,3 @@ def random_covariant_field(rng: np.random.Generator, n: int, q: int,
 def random_vector_field(rng: np.random.Generator, n: int,
                         degree: int = 2, scale: float = 0.5) -> VectorField:
     return VectorField(n, [random_polynomial_expr(rng, n, degree, scale) for _ in range(n)])
-
-
-def random_symmetric_connection(rng: np.random.Generator, n: int,
-                                degree: int = 1, scale: float = 0.4) -> ConnectionField:
-    """Random polynomial coefficients, symmetrized in the lower pair."""
-    grid = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for h in range(n):
-        for j in range(n):
-            for i in range(j, n):
-                e = random_polynomial_expr(rng, n, degree, scale)
-                grid[h][j][i] = e
-                grid[h][i][j] = e
-    return ConnectionField(n, grid, symmetric=True)

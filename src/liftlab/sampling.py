@@ -66,10 +66,6 @@ def sample_points(
     return points
 
 
-def max_abs_difference(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) if np.asarray(a).size else 0.0
-
-
 def worst_point(points: np.ndarray, residuals: Sequence[float]) -> np.ndarray:
     """Point attaining the largest residual; ties go to the earliest draw."""
     idx = int(np.argmax(np.asarray(residuals)))

@@ -1,14 +1,12 @@
-"""Tensor fields on an n-dimensional chart, with symbolic components.
+"""Tensor fields on an n-dimensional chart.
 
-Every field is a Field: a chart dimension n, an index shape, and comps,
-a flat tuple of component expressions in row-major order over that
-shape.  One layout serves every kind of field:
-
-- evaluate(points) returns an array of shape points.shape[:-1] + shape,
-  so one point gives the bare component array and an (m, n) batch puts
-  the point axis first;
-- partials() is the grid d_m (component) of shape (n,) + shape, with the
-  derivative axis first, and partials_at(points) evaluates it.
+Every field is a Field: a chart dimension n and an index shape.  An
+input field holds comps, its component expressions in row-major order;
+an operator output holds a rule over its operands' values.  Every kind
+shares one layout: evaluate(points) has shape points.shape[:-1] + shape
+(a batch puts the point axis first), jets(points, order) adds the
+derivative axes right after the batch axes, and partials() is the field
+d_m (component) of shape (n,) + shape, derivative axis first.
 
 The named kinds differ only in how their constructors read components
 and in the index order of component(...), which is the storage order.
@@ -28,18 +26,13 @@ Indices count from 1 and coordinates are x1..xn.
   R_{kji}^l = d_k Gamma^l_{ji} - d_j Gamma^l_{ki}
               + Gamma^l_{km} Gamma^m_{ji} - Gamma^l_{jm} Gamma^m_{ki}.
 
-Operators are written as np.einsum over object arrays of expressions;
-the smart constructors of expr fold the zeros.  Components are validated
-once, where a caller hands them to a public constructor; operator
-outputs are assembled from already validated inputs and skip that walk.
-
-A field compiles its components into an expr.Tape on first evaluation
-and keeps it in _cache, so every later evaluate or partials_at call runs
-the tape: each structurally distinct subexpression once per call, over
-the whole batch of points.  partials() differentiates all components
-along one axis with one derivative memo (expr.diffs), scoped to that
-build: a node shared between components is differentiated once, and
-the grid comes out sharing as much as its source.
+An input field compiles its components into an expr.Tape once and
+takes its jets from Tape.jets, to order 2.  An operator is a float
+einsum over its operands' jets: its values contract the operands'
+values and partials, its first partials follow by the product rule, so
+it carries jets to order 1 and never asks an input for more than 2.
+Building one costs nothing, and each field keeps the jets of its last
+point set, so an operand shared by several outputs is evaluated once.
 """
 
 from __future__ import annotations
@@ -91,22 +84,65 @@ def replace_slot(mi: MultiIndex, slot: int, value: int) -> MultiIndex:
     return mi[:slot] + (value,) + mi[slot + 1 :]
 
 
-def slot_einsum(spec: str, q: int, *operands, slot: int = 0) -> np.ndarray:
+class Jets(tuple):
+    """Values and partials of one field at a batch of points: [0] the
+    values, [k] the k-th partials, the derivative axes right after the
+    batch axes.  + and - go entry by entry, to the lower of the two
+    orders."""
+
+    __slots__ = ()
+
+    def __add__(self, other: "Jets") -> "Jets":
+        return Jets(a + b for a, b in zip(self, other))
+
+    def __sub__(self, other: "Jets") -> "Jets":
+        return Jets(a - b for a, b in zip(self, other))
+
+    @property
+    def d(self) -> "Jets":
+        """The partials as a field of their own, derivative index first."""
+        return Jets(self[1:])
+
+
+def jet_einsum(spec: str, *operands: Jets) -> Jets:
+    """np.einsum of Jets over their batch axes: the values contract by
+    spec, and so, by the product rule, do the first partials when every
+    operand carries them.  The result carries order 0 or 1."""
+    ins, out = spec.split("->")
+    subs = ins.split(",")
+
+    def term(d: int) -> np.ndarray:  # with operand d differentiated, or none
+        spec = ",".join("..." + "Z" * (i == d) + s for i, s in enumerate(subs))
+        arrays = [j[1] if i == d else j[0] for i, j in enumerate(operands)]
+        return np.einsum(f"{spec}->...{'Z' * (d >= 0)}{out}", *arrays)
+
+    if min(map(len, operands)) < 2:
+        return Jets([term(-1)])
+    return Jets([term(-1), sum(term(d) for d in range(len(operands)))])
+
+
+def slot_einsum(spec: str, q: int, *operands, slot: int = 0):
     """np.einsum with a subscript template over the q slots of a tensor.
 
     In spec, {S} stands for the slot letters, {s} for the letter of the
     given 0-based slot, and {R} for the slot letters with that one
-    replaced by the summed index m.  Works alike on object arrays of
-    expressions and on float arrays.
+    replaced by the summed index m.  Works alike on float arrays and,
+    through jet_einsum, on Jets.
     """
     letters = SLOTS[:q]
     swapped = letters[:slot] + "m" + letters[slot + 1 :]
-    return np.einsum(spec.format(S=letters, s=letters[slot], R=swapped), *operands)
+    spec = spec.format(S=letters, s=letters[slot], R=swapped)
+    if isinstance(operands[0], Jets):
+        return jet_einsum(spec, *operands)
+    return np.einsum(spec, *operands)
 
 
-def sum_over_slots(spec: str, q: int, *operands) -> np.ndarray:
+def sum_over_slots(spec: str, q: int, *operands):
     """slot_einsum summed over every slot, as in sum_s A_{j1..m..jq} (..)."""
-    return sum(slot_einsum(spec, q, *operands, slot=s) for s in range(q))
+    out = slot_einsum(spec, q, *operands)
+    for s in range(1, q):
+        out = out + slot_einsum(spec, q, *operands, slot=s)
+    return out
 
 
 def _as_expr(v, n: int) -> ScalarExpr:
@@ -134,16 +170,11 @@ def _same_chart(a: "Field", b: "Field", what: str) -> None:
         raise ValueError(f"{what} live on different charts")
 
 
-def _object_array(items, shape: tuple[int, ...]) -> np.ndarray:
-    grid = np.empty(len(items), dtype=object)
-    grid[:] = items
-    return grid.reshape(shape)
-
-
 class Field:
-    """Symbolic components of one index shape on an n-dimensional chart."""
+    """Components of one index shape on an n-dimensional chart: symbolic
+    for an input field, a rule over its operands for an operator output."""
 
-    __slots__ = ("n", "shape", "comps", "_cache")
+    __slots__ = ("n", "shape", "comps", "_rule", "_cache")
     kind = "field"  # names the field in a singular-point error
 
     def __init__(self, n: int, shape: tuple[int, ...], components):
@@ -163,14 +194,14 @@ class Field:
             raise ValueError(f"expected a {' x '.join(map(str, shape))} component grid")
         self.shape = shape
         self.comps = tuple(_as_expr(v, n) for v in grid.flat)
-        self._cache = {}
+        self._rule, self._cache = None, {}
 
     @classmethod
-    def _of(cls, n: int, grid: np.ndarray) -> "Field":
-        """Operator output: an object array of expressions built from
-        validated inputs, taken as it is."""
+    def _of(cls, n: int, shape: tuple[int, ...], rule) -> "Field":
+        """Operator output: rule(points, order) gives its Jets to order
+        <= 1 from the Jets of validated operands; it has no comps."""
         f = object.__new__(cls)
-        f.n, f.shape, f.comps, f._cache = n, grid.shape, tuple(grid.flat), {}
+        f.n, f.shape, f.comps, f._rule, f._cache = n, shape, (), rule, {}
         return f
 
     def component(self, *idx: int) -> ScalarExpr:
@@ -178,46 +209,61 @@ class Field:
             raise IndexError(f"expected {len(self.shape)} indices, got {len(idx)}")
         return self.comps[rank_multi_index(idx, self.n)]
 
-    def array(self) -> np.ndarray:
-        """Components as an object array of the field's shape."""
-        return _object_array(self.comps, self.shape)
-
     def evaluate(self, points) -> np.ndarray:
         """Component values, shape points.shape[:-1] + shape."""
-        return self._values(points, self.kind)
+        return self.jets(points, 0)[0].copy()
 
     def partials(self) -> "Field":
-        """Plain partial-derivative grid d_m (component), derivative axis
-        first; not itself a tensor.  The grid of a (0,q) field is a
-        (0,q+1) CovariantField, that of any other kind a bare Field."""
-        if "partials" not in self._cache:
-            grid = _object_array(
-                [d for m in range(1, self.n + 1) for d in expr.diffs(self.comps, m)],
-                (self.n,) + self.shape,
-            )
-            cls = type(self) if isinstance(self, CovariantField) else Field
-            self._cache["partials"] = cls._of(self.n, grid)
-        return self._cache["partials"]
+        """Plain partial-derivative field d_m (component), derivative axis
+        first; not itself a tensor.  That of a (0,q) field is a (0,q+1)
+        CovariantField, that of any other kind a bare Field."""
+        cls = type(self) if isinstance(self, CovariantField) else Field
+        return cls._of(self.n, (self.n,) + self.shape, lambda p, k: self.jets(p, k + 1).d)
 
     def partials_at(self, points) -> np.ndarray:
         """Values of partials(), shape points.shape[:-1] + (n,) + shape."""
-        return self.partials()._values(points, self.kind + " partials")
+        return self.jets(points, 1)[1].copy()
 
-    def _values(self, points, what: str) -> np.ndarray:
-        tape = self._cache.get("tape")
-        if tape is None:
-            tape = self._cache["tape"] = Tape(self.comps)
+    def jets(self, points, order: int) -> Jets:
+        """Values and partials to the given order at points (..., n): an
+        input field goes to order 2, an operator output to order 1.  The
+        arrays are read-only; the last call's are kept for the next."""
+        top = 2 if self._rule is None else 1
+        if not 0 <= order <= top:
+            raise ValueError(f"{self.kind} jets go up to order {top}, not {order}")
         p = np.asarray(points, dtype=np.float64)
-        out = tape(p)
-        if not np.all(np.isfinite(out)):
-            raise ArithmeticError(f"{what} evaluated non-finite; point is singular")
-        return out.reshape(p.shape[:-1] + self.shape)
+        last = self._cache.get("jets")
+        if last and len(last[1]) > order and last[0].shape == p.shape and (last[0] == p).all():
+            return Jets(last[1][: order + 1])
+        if self._rule is None:
+            tape = self._cache.get("tape")
+            if tape is None:
+                tape = self._cache["tape"] = Tape(self.comps)
+            batch = p.shape[:-1]
+            out = Jets(
+                a.reshape(batch + (self.n,) * k + self.shape)
+                for k, a in enumerate(tape.jets(p, order))
+            )
+        else:
+            out = Jets(self._rule(p, order)[: order + 1])
+        for k, a in enumerate(out):
+            if not np.isfinite(a).all():
+                self._non_finite(p, a, k)
+            a.flags.writeable = False
+        self._cache["jets"] = (p.copy(), out)
+        return out
 
-
-def derivative_grid(f: Field) -> np.ndarray:
-    """Partial-derivative grid of a field as an object array, derivative
-    axis first."""
-    return f.partials().array()
+    def _non_finite(self, p: np.ndarray, a: np.ndarray, k: int):
+        at = np.unravel_index(np.argmin(np.isfinite(a)), a.shape)
+        b = p.ndim - 1
+        comp = tuple(int(i) + 1 for i in at[b + k :])
+        what = ("values", "partials", "second partials")[k]
+        along = "".join(f" x{int(i) + 1}" for i in at[b : b + k])
+        point = tuple(float(c) for c in p[at[:b]])
+        raise ArithmeticError(
+            f"{self.kind} {what} evaluated non-finite at component {comp}"
+            f"{' along' + along if k else ''}, point {point}; the point is singular"
+        )
 
 
 class CovariantField(Field):
@@ -239,7 +285,9 @@ class CovariantField(Field):
             flat = list(components)
             if len(flat) != n**q:
                 raise ValueError(f"expected {n ** q} components, got {len(flat)}")
-            components = _object_array(flat, (n,) * q)
+            grid = np.empty(n**q, dtype=object)
+            grid[:] = flat
+            components = grid.reshape((n,) * q)
         super().__init__(n, (n,) * q, components)
 
     @property
@@ -321,46 +369,67 @@ class CurvatureField(Field):
 
 
 # ---------------------------------------------------------------------------
-# Operators
+# Operators.  Each returns an output whose rule(p, k) gives its Jets to
+# order k from its operands', taking one order more from an operand the
+# formula differentiates.
 
 
 def lie_derivative_cov(v: VectorField, a: CovariantField) -> CovariantField:
     """(L_V A)_{j1..jq} = V^m d_m A_{j1..jq} + sum_s A_{j1..m..jq} d_{js} V^m."""
     _same_chart(v, a, "vector field and tensor field")
     q = a.q
-    transport = slot_einsum("m,m{S}->{S}", q, v.array(), derivative_grid(a))
-    out = transport + sum_over_slots("{s}m,{R}->{S}", q, derivative_grid(v), a.array())
-    return CovariantField._of(a.n, out)
+
+    def rule(p, k):
+        vj, aj = v.jets(p, k + 1), a.jets(p, k + 1)
+        transport = slot_einsum("m,m{S}->{S}", q, vj, aj.d)
+        return transport + sum_over_slots("{s}m,{R}->{S}", q, vj.d, aj)
+
+    return CovariantField._of(a.n, a.shape, rule)
 
 
 def lie_derivative_endo(v: VectorField, phi: EndomorphismField) -> EndomorphismField:
     """(L_V phi)^i_j = V^m d_m phi^i_j - phi^m_j d_m V^i + phi^i_m d_j V^m."""
     _same_chart(v, phi, "vector field and endomorphism")
-    f, dv = phi.array(), derivative_grid(v)
-    out = (
-        np.einsum("m,mij->ij", v.array(), derivative_grid(phi))
-        - np.einsum("mj,mi->ij", f, dv)
-        + np.einsum("im,jm->ij", f, dv)
-    )
-    return EndomorphismField._of(phi.n, out)
+
+    def rule(p, k):
+        vj, f = v.jets(p, k + 1), phi.jets(p, k + 1)
+        dv = vj.d
+        return (
+            jet_einsum("m,mij->ij", vj, f.d)
+            - jet_einsum("mj,mi->ij", f, dv)
+            + jet_einsum("im,jm->ij", f, dv)
+        )
+
+    return EndomorphismField._of(phi.n, phi.shape, rule)
+
+
+def contraction(cls, shape, spec: str, a: Field, b: Field, q: int = 0, slot: int = 0):
+    """The cls output of that shape contracting a and b by spec, with no
+    derivative taken; with q, spec is a slot_einsum template over q slots."""
+
+    def rule(p, k):
+        aj, bj = a.jets(p, k), b.jets(p, k)
+        return slot_einsum(spec, q, aj, bj, slot=slot) if q else jet_einsum(spec, aj, bj)
+
+    return cls._of(a.n, shape, rule)
 
 
 def apply_endo_cov(phi: EndomorphismField, a: CovariantField) -> CovariantField:
     """First-slot action (phi A)_{j1..jq} = phi^m_{j1} A_{m j2..jq}."""
     _same_chart(phi, a, "endomorphism and tensor field")
-    return CovariantField._of(a.n, slot_einsum("m{s},{R}->{S}", a.q, phi.array(), a.array()))
+    return contraction(CovariantField, a.shape, "m{s},{R}->{S}", phi, a, a.q)
 
 
 def apply_endo_vec(phi: EndomorphismField, v: VectorField) -> VectorField:
     """(phi V)^i = phi^i_m V^m."""
     _same_chart(phi, v, "endomorphism and vector field")
-    return VectorField._of(v.n, np.einsum("im,m->i", phi.array(), v.array()))
+    return contraction(VectorField, v.shape, "im,m->i", phi, v)
 
 
 def compose_endo(f: EndomorphismField, g: EndomorphismField) -> EndomorphismField:
     """(f g)^i_j = f^i_m g^m_j."""
     _same_chart(f, g, "endomorphisms")
-    return EndomorphismField._of(f.n, np.einsum("im,mj->ij", f.array(), g.array()))
+    return contraction(EndomorphismField, f.shape, "im,mj->ij", f, g)
 
 
 def contract_slot_endo(a: CovariantField, phi: EndomorphismField, slot: int) -> CovariantField:
@@ -369,8 +438,7 @@ def contract_slot_endo(a: CovariantField, phi: EndomorphismField, slot: int) -> 
     _same_chart(phi, a, "endomorphism and tensor field")
     if not 1 <= slot <= a.q:
         raise ValueError(f"slot {slot} outside 1..{a.q}")
-    out = slot_einsum("m{s},{R}->{S}", a.q, phi.array(), a.array(), slot=slot - 1)
-    return CovariantField._of(a.n, out)
+    return contraction(CovariantField, a.shape, "m{s},{R}->{S}", phi, a, a.q, slot - 1)
 
 
 def covariant_derivative_cov(gamma: ConnectionField, a: CovariantField) -> CovariantField:
@@ -379,19 +447,26 @@ def covariant_derivative_cov(gamma: ConnectionField, a: CovariantField) -> Covar
     The derivative index comes first in the result's multi-index.
     """
     _same_chart(gamma, a, "connection and tensor field")
-    out = derivative_grid(a) - sum_over_slots("mi{s},{R}->i{S}", a.q, gamma.array(), a.array())
-    return CovariantField._of(a.n, out)
+    q = a.q
+
+    def rule(p, k):
+        aj = a.jets(p, k + 1)
+        return aj.d - sum_over_slots("mi{s},{R}->i{S}", q, gamma.jets(p, k), aj)
+
+    return CovariantField._of(a.n, (a.n,) + a.shape, rule)
 
 
 def curvature(gamma: ConnectionField) -> CurvatureField:
-    """Curvature of the connection, cached on the connection instance."""
-    if "curvature" not in gamma._cache:
-        g, dg = gamma.array(), derivative_grid(gamma)  # dg[m, h, j, i] = d_m Gamma^h_{ji}
-        r = (
-            np.einsum("klji->kjil", dg)
-            - np.einsum("jlki->kjil", dg)
-            + np.einsum("lkm,mji->kjil", g, g)
-            - np.einsum("ljm,mki->kjil", g, g)
+    """Curvature of the connection."""
+
+    def rule(p, k):
+        dg = gamma.jets(p, k + 1).d  # dg[.., m, h, j, i] = d_m Gamma^h_{ji}
+        g = gamma.jets(p, k)
+        return (
+            jet_einsum("klji->kjil", dg)
+            - jet_einsum("jlki->kjil", dg)
+            + jet_einsum("lkm,mji->kjil", g, g)
+            - jet_einsum("ljm,mki->kjil", g, g)
         )
-        gamma._cache["curvature"] = CurvatureField._of(gamma.n, r)
-    return gamma._cache["curvature"]
+
+    return CurvatureField._of(gamma.n, (gamma.n,) * 4, rule)

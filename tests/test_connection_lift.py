@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import _oracles
-from liftlab import sampling
+from _fields import random_symmetric_connection
+from liftlab import connection_lift, sampling
 from liftlab.bundle import BundlePoint, adapted_frame, cross_section_point
 from liftlab.cli import _check_lift_zeros
 from liftlab.connection_lift import (
@@ -22,7 +23,6 @@ from liftlab.connection_lift import (
 from liftlab.presets import (
     flat_connection,
     random_covariant_field,
-    random_symmetric_connection,
     sphere_chart_connection,
     sphere_chart_metric,
 )
@@ -355,18 +355,6 @@ def test_tangency_rejects_mismatched_chart():
         curvature_tangency(SPHERE, xi, POINTS[:2])
 
 
-def test_gauss_tensor_built_once_per_connection():
-    xi = random_covariant_field(np.random.default_rng(32), 2, 2)
-    first = gauss_second_fundamental(SPHERE, xi)
-    assert gauss_second_fundamental(SPHERE, xi) is first
-    assert gauss_second_fundamental(FLAT, xi) is not first
-    # keyed by the connection itself, so a new connection equal in content,
-    # possibly at the address of a collected one, gets its own entry
-    assert gauss_second_fundamental(flat_connection(2), xi) is not gauss_second_fundamental(
-        flat_connection(2), xi
-    )
-
-
 # ---------------------------------------------------------------------------
 # a batch of points: the stack of single-point results, one code path
 
@@ -545,3 +533,17 @@ def test_lift_zeros_check_names_a_point_at_zero_residual():
     check = _check_lift_zeros(FLAT, 2, POINTS, np.random.default_rng(7), 1e-12)
     assert check.residual == 0.0
     assert check.worst_point == tuple(POINTS[0])  # ties go to the earliest draw
+
+
+def test_lift_zeros_check_flags_a_fibre_block_not_linear_in_t(monkeypatch):
+    linear = connection_lift.t_linear_block
+
+    def quadratic(g, dg, r4, t, q, *rest):
+        # a term in t^2, the same in every entry, so still symmetric
+        return linear(g, dg, r4, t, q, *rest) + t[..., :1, None, None] ** 2
+
+    gamma = random_symmetric_connection(np.random.default_rng(41), 2)
+    assert _check_lift_zeros(gamma, 2, POINTS[:4], np.random.default_rng(7), 1e-12).passed
+    monkeypatch.setattr(connection_lift, "t_linear_block", quadratic)
+    check = _check_lift_zeros(gamma, 2, POINTS[:4], np.random.default_rng(7), 1e-12)
+    assert not check.passed and check.residual > 1e-3

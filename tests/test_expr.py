@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import _oracles
+from _symbolic import diff
 from liftlab import expr as E
 from liftlab.expr import (
     ParseError,
@@ -15,7 +16,6 @@ from liftlab.expr import (
     add,
     const,
     cos,
-    diff,
     div,
     evaluate,
     exp,
@@ -111,7 +111,12 @@ def test_division_evaluates_away_from_poles():
 
 
 # ---------------------------------------------------------------------------
-# derivatives
+# derivatives: the Taylor jets of the tape, and the symbolic reference
+
+
+def _partial(e, p, ax):
+    """d e / d x<ax> at the point p, from the tape's first-order jets."""
+    return float(Tape([e]).jets(np.asarray(p, dtype=np.float64), 1)[1][ax - 1, 0])
 
 
 def test_diff_frozen_rules():
@@ -125,15 +130,15 @@ def test_diff_frozen_rules():
 def test_diff_quotient_value():
     e = parse("sin(x1)/(x2 + 2)", 2)
     p = [0.8, 0.3]
-    assert evaluate(diff(e, 1), p) == pytest.approx(math.cos(0.8) / 2.3)
-    assert evaluate(diff(e, 2), p) == pytest.approx(-math.sin(0.8) / 2.3**2)
+    assert _partial(e, p, 1) == pytest.approx(math.cos(0.8) / 2.3)
+    assert _partial(e, p, 2) == pytest.approx(-math.sin(0.8) / 2.3**2)
 
 
 def test_deep_expressions_differentiate_and_evaluate():
     # 1501 terms nest 1501 Add nodes deep, past the interpreter's
-    # recursion limit: diff and evaluation must not recurse per level
+    # recursion limit: jets and evaluation must not recurse per level
     e = parse("x1*x2" + " + x1*x2" * 1500, 2)
-    assert evaluate(diff(e, 1), [0.5, 0.7]) == pytest.approx(1501 * 0.7)
+    assert _partial(e, [0.5, 0.7], 1) == pytest.approx(1501 * 0.7)
     assert evaluate(e, [0.5, 0.7]) == pytest.approx(1501 * 0.35)
 
 
@@ -141,7 +146,7 @@ def test_numeric_partial_matches_symbolic():
     e = parse("exp(x1)*sin(x2) + x1^3", 2)
     p = [0.4, 1.1]
     for ax in (1, 2):
-        sym = evaluate(diff(e, ax), p)
+        sym = _partial(e, p, ax)
         assert _oracles.fd_partial(e.value, p, ax) == pytest.approx(sym, rel=1e-8)
 
 
@@ -177,7 +182,7 @@ _points = st.tuples(
 @given(e=_exprs, p=_points, ax=st.integers(min_value=1, max_value=DIM))
 @settings(max_examples=150, deadline=None)
 def test_symbolic_derivative_matches_finite_difference(e, p, ax):
-    sym = evaluate(diff(e, ax), p)
+    sym = _partial(e, p, ax)
     assume(abs(sym) < 1e4 and abs(evaluate(e, p)) < 1e4)
     fd = _oracles.fd_partial(e.value, p, ax)
     assert abs(sym - fd) <= 1e-6 * max(1.0, abs(sym))
@@ -186,8 +191,8 @@ def test_symbolic_derivative_matches_finite_difference(e, p, ax):
 @given(e=_exprs, p=_points)
 @settings(max_examples=100, deadline=None)
 def test_mixed_partials_commute(e, p):
-    a = evaluate(diff(diff(e, 1), 2), p)
-    b = evaluate(diff(diff(e, 2), 1), p)
+    hess = Tape([e]).jets(p, 2)[2][..., 0]
+    a, b = hess[0, 1], hess[1, 0]
     assume(abs(a) < 1e6)
     assert a == pytest.approx(b, rel=1e-10, abs=1e-10)
 
@@ -195,8 +200,8 @@ def test_mixed_partials_commute(e, p):
 @given(e=_exprs, f=_exprs, p=_points, ax=st.integers(min_value=1, max_value=DIM))
 @settings(max_examples=100, deadline=None)
 def test_derivative_linearity(e, f, p, ax):
-    lhs = evaluate(diff(add(e, f), ax), p)
-    rhs = evaluate(diff(e, ax), p) + evaluate(diff(f, ax), p)
+    lhs = _partial(add(e, f), p, ax)
+    rhs = _partial(e, p, ax) + _partial(f, p, ax)
     assume(abs(rhs) < 1e6)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
@@ -345,3 +350,59 @@ def test_tape_values_for_one_point_and_batches_agree():
     batch = Tape([e])(points)[..., 0]
     one = [[Tape([e])(p)[0] for p in row] for row in points]
     assert np.array_equal(batch, np.array(one))
+
+
+# ---------------------------------------------------------------------------
+# Taylor jets of the tape against the symbolic reference
+
+
+# dyadic constants: the reference folds powers of constants with float **,
+# which overflows on tiny bases
+_jet_consts = st.integers(min_value=-24, max_value=24).map(lambda k: const(k / 16))
+_jet_exprs = st.recursive(_jet_consts | _vars, _tape_extend, max_leaves=6)
+
+
+@given(
+    exprs=st.lists(_jet_exprs, min_size=1, max_size=3),
+    shape=_batch_shapes,
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=100, deadline=None)
+def test_jets_match_the_symbolic_reference(exprs, shape, seed):
+    points = np.random.default_rng(seed).uniform(0.4, 1.1, size=shape + (DIM,))
+    tape = Tape(exprs)
+    value, grad, hess = tape.jets(points, 2)
+    assert grad.shape == shape + (DIM, len(exprs))
+    assert hess.shape == shape + (DIM, DIM, len(exprs))
+    with np.errstate(all="ignore"):
+        assert np.array_equal(_bits(value, value.shape), _bits(tape(points), value.shape))
+        want_g = np.stack([Tape([diff(e, a) for e in exprs])(points) for a in (1, 2)], -2)
+        want_h = np.stack(
+            [np.stack([Tape([diff(diff(e, b), a) for e in exprs])(points) for b in (1, 2)], -2)
+             for a in (1, 2)],
+            -3,
+        )
+    assume(np.all(np.isfinite(want_h)) and np.all(np.isfinite(want_g)))
+    assume(np.max(np.abs(want_h)) < 1e6 and np.max(np.abs(value)) < 1e6)
+    for got, want in ((grad, want_g), (hess, want_h)):
+        assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+    # the first partials do not depend on the order asked for
+    assert np.array_equal(_bits(tape.jets(points, 1)[1], grad.shape), _bits(grad, grad.shape))
+
+
+def test_jets_of_constants_and_linear_terms_are_exact():
+    tape = Tape([parse("3", 2), parse("2*x1 - x2", 2), parse("x1*x2", 2)])
+    value, grad, hess = tape.jets([0.5, 0.25], 2)
+    assert value.tolist() == [3.0, 0.75, 0.125]
+    assert grad.tolist() == [[0.0, 2.0, 0.25], [0.0, -1.0, 0.5]]
+    assert hess[:, :, :2].tolist() == [[[0.0, 0.0]] * 2] * 2
+    assert hess[:, :, 2].tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
+def test_jets_order_is_at_most_two():
+    tape = Tape([parse("x1^2", 1)])
+    assert len(tape.jets([0.5], 0)) == 1
+    with pytest.raises(ValueError):
+        tape.jets([0.5], 3)
+    with pytest.raises(ValueError):
+        tape.jets([0.5], -1)

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
+from _fields import random_symmetric_connection
 from liftlab import sampling
 from liftlab.presets import (
     flat_connection,
     random_covariant_field,
-    random_symmetric_connection,
     sphere_chart_connection,
     sphere_chart_metric,
     standard_complex_r2,
@@ -119,6 +119,55 @@ def test_singular_point_raises():
     xi = CovariantField(2, 1, ["1/x1", "0"])
     with pytest.raises(ArithmeticError):
         xi.evaluate([0.0, 1.0])
+
+
+def test_non_finite_names_kind_order_component_and_point():
+    xi = CovariantField(2, 2, {(2, 1): "x1^3", (1, 2): "1/(x2 - 1)"})
+    pts = np.array([[0.5, 0.5], [0.7, 1.0]])
+    with pytest.raises(ArithmeticError) as err:
+        xi.evaluate(pts)
+    assert str(err.value) == (
+        "tensor field values evaluated non-finite at component (1, 2), "
+        "point (0.7, 1.0); the point is singular"
+    )
+    gamma = ConnectionField.from_dict(2, {(2, 1, 1): "x1*x2", (1, 2, 2): "x2^-1"})
+    with pytest.raises(ArithmeticError) as err:
+        gamma.jets(np.array([[0.3, 0.0]]), 2)
+    assert str(err.value).startswith(
+        "connection values evaluated non-finite at component (1, 2, 2), point (0.3, 0.0)"
+    )
+    # finite values and first partials, overflowing second partials: the
+    # derivative axes are named
+    overflow = CovariantField(1, 1, ["exp(700*x1)*1e-300"])
+    assert np.isfinite(overflow.jets([1.0], 1)[1]).all()
+    with pytest.raises(ArithmeticError) as err:
+        overflow.jets([1.0], 2)
+    assert str(err.value) == (
+        "tensor field second partials evaluated non-finite at component (1,) along x1 x1, "
+        "point (1.0,); the point is singular"
+    )
+
+
+def test_jets_layout_and_orders():
+    xi = CovariantField(2, 2, {(1, 2): "x1*x2^2"})
+    pts = np.array([[0.5, 2.0], [1.0, 3.0], [2.0, 1.0]])
+    value, grad, hess = xi.jets(pts, 2)
+    assert (value.shape, grad.shape, hess.shape) == ((3, 2, 2), (3, 2, 2, 2), (3, 2, 2, 2, 2))
+    assert grad[1, :, 0, 1].tolist() == [9.0, 6.0]
+    assert hess[1, :, :, 0, 1].tolist() == [[0.0, 6.0], [6.0, 2.0]]
+    assert not value.flags.writeable
+    assert np.array_equal(xi.partials_at(pts), grad)
+    assert np.array_equal(xi.partials().partials().evaluate(pts), hess)
+    for order in (-1, 3):
+        with pytest.raises(ValueError):
+            xi.jets(pts, order)
+    # an operator output carries first partials, by the product rule
+    flat = flat_connection(2)
+    nabla = covariant_derivative_cov(flat, xi)
+    assert np.array_equal(nabla.jets(pts, 1)[1], hess)
+    for order in (-1, 2):
+        with pytest.raises(ValueError):
+            nabla.jets(pts, order)
 
 
 def test_connection_field_layout():
