@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bundle, connection_lift, presets, sampling
-from .expr import ParseError, Tape
+from .expr import ParseError
 from .tensor import (
     ConnectionField,
     CovariantField,
@@ -268,16 +268,19 @@ def load_scenario(path: str) -> Scenario:
 
 
 def _sample_scenario_points(sc: Scenario, seed: int, count: int, box) -> np.ndarray:
-    fields = (sc.phi, sc.xi, sc.v, sc.a, sc.gamma)
-    tape = Tape([c for f in fields if f is not None for c in f.comps])
-    # curvature enters most connection checks; screen its poles, which
-    # are those of gamma's partials, too
-    gamma = None if sc.gamma is None else Tape(sc.gamma.comps)
+    # the fields' own tapes, read directly: the field jets would raise at
+    # the first non-finite value instead of masking it
+    tapes = [f.tape for f in (sc.phi, sc.xi, sc.v, sc.a) if f is not None]
 
     def screen(block: np.ndarray) -> np.ndarray:
-        bad = ~np.isfinite(tape(block)).all(axis=-1)
-        if gamma is not None:
-            bad |= ~np.isfinite(gamma.jets(block, 1)[1]).all(axis=(-2, -1))
+        bad = np.zeros(len(block), dtype=bool)
+        for tape in tapes:
+            bad |= ~np.isfinite(tape(block)).all(axis=-1)
+        if sc.gamma is not None:
+            # curvature enters most connection checks; screen its poles,
+            # which are those of gamma's partials, too
+            g, dg = sc.gamma.tape.jets(block, 1)
+            bad |= ~(np.isfinite(g).all(axis=-1) & np.isfinite(dg).all(axis=(-2, -1)))
         return bad
 
     try:

@@ -129,19 +129,17 @@ def complete_lift_connection(
     r4 = curvature(gamma).evaluate(at.base)  # r4[.., k, j, i, l] = R_{kji}^l
     # minus the replacement of one fibre slot through Gamma (see t_linear_block)
     replace = np.einsum("...amx->...mxa", g)
-    coupling = [_slot_operator(replace, c, q) for c in range(q)]  # [.., m, row, col]
-    mixed = -sum(coupling)
-    fibre_bb = t_linear_block(g, dg, r4, at.fibre, q, curvature_sign, coupling)
+    mixed = -sum(_slot_operator(replace, c, q) for c in range(q))  # [.., m, row, col]
+    fibre_bb = t_linear_block(g, dg, r4, at.fibre, q, curvature_sign)
     return LiftedConnectionCoeffs(
         at.n, q, g, np.swapaxes(mixed, -3, -2), np.moveaxis(mixed, -3, -1), fibre_bb
     )
 
 
-def t_linear_block(g, dg, r4, t, q: int, curvature_sign: float = 1.0, coupling=None):
+def t_linear_block(g, dg, r4, t, q: int, curvature_sign: float = 1.0):
     """The fibre_bb block [.., i_, m, s] at fibre coordinates t[.., n^q]
     (rank order), from Gamma g[.., h, j, i], its partials dg[.., m, h, j, i]
-    and the curvature r4[.., k, j, i, l]; linear in t.  coupling, the
-    slot operators of Gamma, is passed by a caller that has them."""
+    and the curvature r4[.., k, j, i, l]; linear in t."""
     # Each term replaces one fibre slot value x by a, or two slots at once.
     # Replacing one slot through Gamma^a_{m x}, with m the lower base index:
     # minus this makes the mixed blocks, and two of them at distinct slots
@@ -157,11 +155,14 @@ def t_linear_block(g, dg, r4, t, q: int, curvature_sign: float = 1.0, coupling=N
         + curvature_sign * np.einsum("...xsma->...msxa", r4)
     )
     fibre_bb = sum(np.moveaxis(_slot_apply(single, c, q, t), -1, -3) for c in range(q))
-    if coupling is None:
-        coupling = [_slot_operator(replace, c, q) for c in range(q)]
+    # The quadratic part: slot c replaced through Gamma^a_{s x}, then slot
+    # b through Gamma^a_{m x}, on the fibre axes split around slot b.
+    n = g.shape[-1]
     moved = [_slot_apply(replace, c, q, t) for c in range(q)]  # [.., s, row]
     for b, c in itertools.permutations(range(q), 2):
-        fibre_bb += np.einsum("...mrk,...sk->...rms", coupling[b], moved[c])
+        split = moved[c].reshape(moved[c].shape[:-1] + (n**b, n, n ** (q - 1 - b)))
+        quad = np.einsum("...mxa,...slar->...lxrms", replace, split)
+        fibre_bb += quad.reshape(fibre_bb.shape)
     return fibre_bb
 
 

@@ -70,11 +70,6 @@ class ScalarExpr:
     children: tuple
     op: int  # tape opcode
 
-    def value(self, coords):
-        """Raw evaluation; coords has shape (..., n).  May return inf/nan."""
-        return Tape([self])(coords)[..., 0][()]
-
-
     def __add__(self, other):
         return add(self, _coerce(other))
 
@@ -391,28 +386,37 @@ _TOKEN = re.compile(
 
 
 class _Tokenizer:
+    """The tokens of one text, scanned once.  A bad character or a
+    malformed number is kept as an error token and raised only when the
+    parser reaches it, so the first error in reading order is reported."""
+
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+        self.toks = []
+        self.i = 0
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind is None:
+                self.toks.append(("end", "", m.end()))
+                break
+            lexeme, start = m.group(kind), m.start(kind)
+            if kind == "bad":
+                kind, lexeme = "error", f"unexpected character {lexeme!r}"
+            elif kind == "num":
+                try:
+                    float(lexeme)
+                except ValueError:
+                    kind, lexeme = "error", f"malformed number {lexeme!r}"
+            self.toks.append((kind, lexeme, start))
 
     def peek(self):
-        m = _TOKEN.match(self.text, self.pos)
-        kind = m.lastgroup
-        if kind is None:
-            return ("end", "", m.end())
-        lexeme, start = m.group(kind), m.start(kind)
-        if kind == "bad":
-            raise ParseError(f"unexpected character {lexeme!r}", start)
-        if kind == "num":
-            try:
-                float(lexeme)
-            except ValueError:
-                raise ParseError(f"malformed number {lexeme!r}", start) from None
-        return (kind, lexeme, start)
+        kind, lexeme, pos = tok = self.toks[self.i]
+        if kind == "error":
+            raise ParseError(lexeme, pos)
+        return tok
 
     def take(self):
         tok = self.peek()
-        self.pos = tok[2] + len(tok[1])
+        self.i += tok[0] != "end"
         return tok
 
 
@@ -488,7 +492,7 @@ class _Parser:
             if lex != ")":
                 raise ParseError("expected ')'", p)
             return _FUNCTIONS[lexeme](arg)
-        if lexeme.startswith("x") and lexeme[1:].isdigit():
+        if lexeme[0] == "x" and lexeme[1:].isdigit() and lexeme.isascii():
             axis = int(lexeme[1:])
             if axis < 1 or axis > self.dim:
                 raise ParseError(
@@ -501,7 +505,8 @@ class _Parser:
 def parse(text: str, dim: int) -> ScalarExpr:
     """Parse text into an expression over x1..x<dim>.
 
-    Raises ParseError (with character position) on malformed input or a
+    A variable is x followed by ASCII digits.  Raises ParseError (with
+    character position) on malformed input, on any other name, or on a
     variable whose axis exceeds dim.
     """
     if not 1 <= dim:
@@ -531,17 +536,6 @@ def _postorder(root: ScalarExpr, done: dict):
         if ready:
             stack.pop()
             yield node
-
-
-def max_axis(e: ScalarExpr) -> int:
-    """Largest variable axis appearing in e (0 for constant expressions)."""
-    seen: dict = {}
-    top = 0
-    for node in _postorder(e, seen):
-        seen[node] = None
-        if isinstance(node, Var):
-            top = max(top, node.axis)
-    return top
 
 
 class Tape:

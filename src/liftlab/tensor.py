@@ -26,8 +26,9 @@ Indices count from 1 and coordinates are x1..xn.
   R_{kji}^l = d_k Gamma^l_{ji} - d_j Gamma^l_{ki}
               + Gamma^l_{km} Gamma^m_{ji} - Gamma^l_{jm} Gamma^m_{ki}.
 
-An input field compiles its components into an expr.Tape once and
-takes its jets from Tape.jets, to order 2.  An operator is a float
+An input field compiles its components into one expr.Tape when it is
+built, keeps it as its tape attribute, and takes its jets from
+Tape.jets, to order 2.  An operator is a float
 einsum over its operands' jets: its values contract the operands'
 values and partials, its first partials follow by the product rule, so
 it carries jets to order 1 and never asks an input for more than 2.
@@ -151,10 +152,6 @@ def _as_expr(v, n: int) -> ScalarExpr:
     if isinstance(v, (int, float)):
         return expr.Const(float(v))
     if isinstance(v, ScalarExpr):
-        if expr.max_axis(v) > n:
-            raise ValueError(
-                f"component uses x{expr.max_axis(v)} but the chart has dimension {n}"
-            )
         return v
     raise TypeError(f"cannot use {type(v).__name__} as a field component")
 
@@ -172,9 +169,11 @@ def _same_chart(a: "Field", b: "Field", what: str) -> None:
 
 class Field:
     """Components of one index shape on an n-dimensional chart: symbolic
-    for an input field, a rule over its operands for an operator output."""
+    for an input field, a rule over its operands for an operator output.
+    An input field's tape is compiled from its comps at construction; an
+    operator output has no comps and its tape is None."""
 
-    __slots__ = ("n", "shape", "comps", "_rule", "_cache")
+    __slots__ = ("n", "shape", "comps", "tape", "_rule", "_last")
     kind = "field"  # names the field in a singular-point error
 
     def __init__(self, n: int, shape: tuple[int, ...], components):
@@ -194,14 +193,17 @@ class Field:
             raise ValueError(f"expected a {' x '.join(map(str, shape))} component grid")
         self.shape = shape
         self.comps = tuple(_as_expr(v, n) for v in grid.flat)
-        self._rule, self._cache = None, {}
+        self.tape = Tape(self.comps)
+        if self.tape.dim > n:
+            raise ValueError(f"component uses x{self.tape.dim} but the chart has dimension {n}")
+        self._rule, self._last = None, None
 
     @classmethod
     def _of(cls, n: int, shape: tuple[int, ...], rule) -> "Field":
         """Operator output: rule(points, order) gives its Jets to order
         <= 1 from the Jets of validated operands; it has no comps."""
         f = object.__new__(cls)
-        f.n, f.shape, f.comps, f._rule, f._cache = n, shape, (), rule, {}
+        f.n, f.shape, f.comps, f.tape, f._rule, f._last = n, shape, (), None, rule, None
         return f
 
     def component(self, *idx: int) -> ScalarExpr:
@@ -232,17 +234,14 @@ class Field:
         if not 0 <= order <= top:
             raise ValueError(f"{self.kind} jets go up to order {top}, not {order}")
         p = np.asarray(points, dtype=np.float64)
-        last = self._cache.get("jets")
+        last = self._last
         if last and len(last[1]) > order and last[0].shape == p.shape and (last[0] == p).all():
             return Jets(last[1][: order + 1])
         if self._rule is None:
-            tape = self._cache.get("tape")
-            if tape is None:
-                tape = self._cache["tape"] = Tape(self.comps)
             batch = p.shape[:-1]
             out = Jets(
                 a.reshape(batch + (self.n,) * k + self.shape)
-                for k, a in enumerate(tape.jets(p, order))
+                for k, a in enumerate(self.tape.jets(p, order))
             )
         else:
             out = Jets(self._rule(p, order)[: order + 1])
@@ -250,7 +249,7 @@ class Field:
             if not np.isfinite(a).all():
                 self._non_finite(p, a, k)
             a.flags.writeable = False
-        self._cache["jets"] = (p.copy(), out)
+        self._last = (p.copy(), out)
         return out
 
     def _non_finite(self, p: np.ndarray, a: np.ndarray, k: int):

@@ -4,9 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from liftlab import expr, sampling
 from liftlab.cli import (
     CHECK_IDS,
     ScenarioError,
+    _sample_scenario_points,
     load_scenario,
     main,
     run_scenario,
@@ -225,6 +227,41 @@ def test_constant_overflow_at_load_names_the_field(component, tmp_path, capsys):
     assert main(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: xi: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("component", ["x١ + 1", "x1²", "x²"])
+def test_variable_with_non_ascii_digits_is_malformed(component, tmp_path, capsys):
+    path = write_scenario(tmp_path, xi={"1": component, "2": "0"})
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: xi: ") and "unknown identifier" in err
+
+
+def _count_tapes(monkeypatch) -> list:
+    """Record every Tape compile from here on, one entry each."""
+    compiles = []
+    init = expr.Tape.__init__
+
+    def counting(self, exprs):
+        compiles.append(self)
+        init(self, exprs)
+
+    monkeypatch.setattr(expr.Tape, "__init__", counting)
+    return compiles
+
+
+def test_each_input_field_compiles_one_tape(monkeypatch):
+    compiles = _count_tapes(monkeypatch)
+    report = run_scenario(str(SCENARIOS / "sphere_cross_section.json"))
+    assert report.passed
+    assert len(compiles) == 2  # gamma and xi; every check reads those two
+
+
+def test_sample_screen_compiles_no_tape(monkeypatch):
+    sc = load_scenario(str(SCENARIOS / "sphere_cross_section.json"))
+    compiles = _count_tapes(monkeypatch)
+    _sample_scenario_points(sc, 42, 64, sampling.DEFAULT_BOX)
+    assert compiles == []
 
 
 def test_lift_zeros_names_its_worst_point(tmp_path):

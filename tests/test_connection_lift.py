@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -385,6 +387,42 @@ def test_slot_operator_batch_matches_kron(n, q):
             assert np.array_equal(ops[i], want)
         applied = np.einsum("...ij,...j->...i", ops, t)
         assert np.max(np.abs(_slot_apply(mats, slot, q, t) - applied)) <= BATCH_ATOL
+
+
+def _t_linear_block_dense(g, dg, r4, t, q):
+    """The fibre_bb block through the dense slot operators: each fibre slot
+    replacement is an n^q x n^q matrix applied to t, and the quadratic part
+    applies one such matrix to the vector another has moved."""
+    replace = np.einsum("...amx->...mxa", g)
+    single = (
+        -np.einsum("...masx->...msxa", dg)
+        + np.einsum("...rmx,...asr->...msxa", g, g)
+        + np.einsum("...rms,...arx->...msxa", g, g)
+        + np.einsum("...xsma->...msxa", r4)
+    )
+    apply = "...ij,...j->...i"
+    t = t[..., None, None, :]
+    fibre_bb = sum(
+        np.moveaxis(np.einsum(apply, _slot_operator(single, c, q), t), -1, -3) for c in range(q)
+    )
+    coupling = [_slot_operator(replace, c, q) for c in range(q)]  # [.., m, row, col]
+    moved = [np.einsum(apply, op, t[..., 0, :, :]) for op in coupling]  # [.., s, row]
+    for b, c in itertools.permutations(range(q), 2):
+        fibre_bb += np.einsum("...mrk,...sk->...rms", coupling[b], moved[c])
+    return fibre_bb
+
+
+@pytest.mark.parametrize("n,q", [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 3)])
+def test_t_linear_block_matches_dense_slot_operators(n, q):
+    rng = np.random.default_rng(790 + 10 * n + q)
+    g, dg, r4 = (rng.normal(size=(3,) + (n,) * k) for k in (3, 4, 4))
+    t = rng.normal(size=(3, n**q))
+    got = connection_lift.t_linear_block(g, dg, r4, t, q)
+    want = _t_linear_block_dense(g, dg, r4, t, q)
+    assert got.shape == (3, n**q, n, n)
+    if n == 2:  # two products per entry, which any summation order adds alike
+        assert np.array_equal(got, want)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 @BATCH_SHAPES

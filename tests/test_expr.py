@@ -20,7 +20,6 @@ from liftlab.expr import (
     evaluate,
     exp,
     ipow,
-    max_axis,
     mul,
     neg,
     parse,
@@ -74,14 +73,38 @@ def test_parse_errors_carry_position(text, pos):
     assert err.value.position == pos
 
 
+@pytest.mark.parametrize("text,pos", [("x١ + 1", 0), ("x1²", 0), ("x²", 0), ("1 + x1²", 4)])
+def test_variable_names_take_ascii_digits_only(text, pos):
+    # x١ (an Arabic-Indic one) is not x1, and x1² is not a power
+    with pytest.raises(ParseError) as err:
+        parse(text, 2)
+    assert err.value.position == pos
+    assert "unknown identifier" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text,pos,message",
+    [
+        ("x1 + + é", 5, "unexpected '+'"),
+        ("2 * 1..5 é", 4, "malformed number '1..5'"),
+        ("x1 $ 1..5", 3, "unexpected character '$'"),
+    ],
+)
+def test_first_of_two_errors_is_reported(text, pos, message):
+    with pytest.raises(ParseError) as err:
+        parse(text, 2)
+    assert err.value.position == pos
+    assert str(err.value) == f"{message} (at position {pos})"
+
+
 def test_scientific_notation_numbers():
     assert evaluate(parse("1.2e-05*x1", 1), [3.0]) == pytest.approx(3.6e-05)
     assert evaluate(parse("2E2", 1), [0.0]) == 200.0
 
 
-def test_max_axis():
-    assert max_axis(parse("x1 + sin(x2)*x1", 2)) == 2
-    assert max_axis(parse("3.5", 4)) == 0
+def test_tape_dim():
+    assert Tape([parse("x1 + sin(x2)*x1", 2)]).dim == 2
+    assert Tape([parse("3.5", 4)]).dim == 0
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +113,8 @@ def test_max_axis():
 
 def test_batch_value():
     e = parse("x1*x2", 2)
-    got = e.value(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert got.tolist() == [2.0, 12.0]
+    got = Tape([e])(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    assert got.tolist() == [[2.0], [12.0]]
 
 
 def test_singular_point_reports_subtree():
@@ -112,6 +135,12 @@ def test_division_evaluates_away_from_poles():
 
 # ---------------------------------------------------------------------------
 # derivatives: the Taylor jets of the tape, and the symbolic reference
+
+
+def _value(e):
+    """e as a callable of one point, through its tape."""
+    tape = Tape([e])
+    return lambda p: tape(p)[0]
 
 
 def _partial(e, p, ax):
@@ -147,7 +176,7 @@ def test_numeric_partial_matches_symbolic():
     p = [0.4, 1.1]
     for ax in (1, 2):
         sym = _partial(e, p, ax)
-        assert _oracles.fd_partial(e.value, p, ax) == pytest.approx(sym, rel=1e-8)
+        assert _oracles.fd_partial(_value(e), p, ax) == pytest.approx(sym, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +213,7 @@ _points = st.tuples(
 def test_symbolic_derivative_matches_finite_difference(e, p, ax):
     sym = _partial(e, p, ax)
     assume(abs(sym) < 1e4 and abs(evaluate(e, p)) < 1e4)
-    fd = _oracles.fd_partial(e.value, p, ax)
+    fd = _oracles.fd_partial(_value(e), p, ax)
     assert abs(sym - fd) <= 1e-6 * max(1.0, abs(sym))
 
 

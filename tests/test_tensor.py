@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import _oracles
 from _fields import random_symmetric_connection
-from liftlab import sampling
+from liftlab import expr, sampling
 from liftlab.presets import (
     flat_connection,
     random_covariant_field,
@@ -104,6 +104,18 @@ def test_covariant_field_validation():
         CovariantField(2, 1, ["x1"])  # wrong length
     with pytest.raises(Exception):
         CovariantField(2, 1, ["x3", "0"])  # axis out of range
+
+
+def test_input_fields_compile_their_tape_once():
+    xi = CovariantField(2, 1, ["x1", "x2^2"])
+    assert (len(xi.tape.outputs), xi.tape.dim) == (2, 2)
+    tape = xi.tape
+    xi.evaluate([[1.0, 2.0]])
+    xi.jets([[3.0, 4.0]], 2)
+    assert xi.tape is tape
+    assert xi.partials().tape is None  # an operator output has no comps
+    with pytest.raises(ValueError, match="uses x3 but the chart has dimension 2"):
+        CovariantField(2, 1, [expr.var(3), 0])
 
 
 def test_partials_derivative_axis_first():
