@@ -26,6 +26,7 @@ from .tensor import (
     compose_endo,
     contract_slot_endo,
     contraction,
+    einsum,
     jet_einsum,
     lie_derivative_cov,
     lie_derivative_endo,
@@ -354,7 +355,7 @@ def complete_lift_endo_on_section(
     mat[..., n:, :n] = -np.swapaxes(tach.reshape(batch + (n, nf)), -1, -2)
     # first-slot action on rank-ordered fibre coordinates: phi^m_{k1} on the
     # leading slot, the identity on the other q - 1
-    first = np.einsum("...ij,ab->...jaib", phi_mat, np.eye(n ** (q - 1)))
+    first = einsum("...ij,ab->...jaib", phi_mat, np.eye(n ** (q - 1)))
     mat[..., n:, n:] = first.reshape(batch + (nf, nf))
     return BundleEndomorphism(n, q, mat)
 

@@ -27,6 +27,7 @@ from .tensor import (
     CovariantField,
     covariant_derivative_cov,
     curvature,
+    einsum,
     slot_einsum,
     sum_over_slots,
 )
@@ -88,6 +89,7 @@ class LiftedConnectionCoeffs:
     def along_section(self, slopes: np.ndarray) -> np.ndarray:
         """L^A_{CB} B^C_j B^B_i as [.., A, j, i], for the horizontal frame legs
         B = [I ; slopes], slopes[.., fibre, i] = d_i xi; summed by block."""
+        # np.einsum's own order: the fibre axis r, n^q long, outruns the points
         bf = np.einsum("...rjk,...ki->...rji", self.mixed_bf, slopes)
         fb = np.einsum("...rki,...kj->...rji", self.mixed_fb, slopes)
         return np.concatenate([self.base, self.fibre_bb + bf + fb], axis=-3)
@@ -98,6 +100,8 @@ def _slot_operator(mats: np.ndarray, slot: int, q: int) -> np.ndarray:
     fibre coordinates: out[..., I, J] = mats[..., I_slot, J_slot] when the
     multi-indices I and J agree off that slot, else 0."""
     n = mats.shape[-1]
+    # row-major at np.einsum's own order: the n^q x n^q block outruns the points
+    mats = np.ascontiguousarray(mats)
     ops = np.einsum("ab,...ij,cd->...aicbjd", np.eye(n**slot), mats, np.eye(n ** (q - 1 - slot)))
     return ops.reshape(mats.shape[:-2] + (n**q, n**q))
 
@@ -108,7 +112,7 @@ def _slot_apply(mats: np.ndarray, slot: int, q: int, t: np.ndarray) -> np.ndarra
     n = mats.shape[-1]
     split = t.reshape(t.shape[:-1] + (n**slot, n, n ** (q - 1 - slot)))
     flat = mats.reshape(t.shape[:-1] + (-1, n, n))
-    return np.einsum("...exa,...lar->...elxr", flat, split).reshape(mats.shape[:-2] + (n**q,))
+    return einsum("...exa,...lar->...elxr", flat, split).reshape(mats.shape[:-2] + (n**q,))
 
 
 def complete_lift_connection(
@@ -128,7 +132,7 @@ def complete_lift_connection(
     g, dg = gamma.jets(at.base, 1)  # g[.., h, j, i], dg[.., m, h, j, i] = d_m Gamma^h_{ji}
     r4 = curvature(gamma).evaluate(at.base)  # r4[.., k, j, i, l] = R_{kji}^l
     # minus the replacement of one fibre slot through Gamma (see t_linear_block)
-    replace = np.einsum("...amx->...mxa", g)
+    replace = einsum("...amx->...mxa", g)
     mixed = -sum(_slot_operator(replace, c, q) for c in range(q))  # [.., m, row, col]
     fibre_bb = t_linear_block(g, dg, r4, at.fibre, q, curvature_sign)
     return LiftedConnectionCoeffs(
@@ -144,15 +148,15 @@ def t_linear_block(g, dg, r4, t, q: int, curvature_sign: float = 1.0):
     # Replacing one slot through Gamma^a_{m x}, with m the lower base index:
     # minus this makes the mixed blocks, and two of them at distinct slots
     # make the quadratic part of this block.
-    replace = np.einsum("...amx->...mxa", g)
+    replace = einsum("...amx->...mxa", g)
     # The single-replacement part, as [.., m, s, x, a]:
     #   -d_m Gamma^a_{s x} + Gamma^r_{m x} Gamma^a_{s r} + Gamma^r_{m s} Gamma^a_{r x}
     #   + R_{x s m}^a (times curvature_sign)
     single = (
-        -np.einsum("...masx->...msxa", dg)
-        + np.einsum("...rmx,...asr->...msxa", g, g)
-        + np.einsum("...rms,...arx->...msxa", g, g)
-        + curvature_sign * np.einsum("...xsma->...msxa", r4)
+        -einsum("...masx->...msxa", dg)
+        + einsum("...rmx,...asr->...msxa", g, g)
+        + einsum("...rms,...arx->...msxa", g, g)
+        + curvature_sign * einsum("...xsma->...msxa", r4)
     )
     fibre_bb = sum(np.moveaxis(_slot_apply(single, c, q, t), -1, -3) for c in range(q))
     # The quadratic part: slot c replaced through Gamma^a_{s x}, then slot
@@ -161,7 +165,7 @@ def t_linear_block(g, dg, r4, t, q: int, curvature_sign: float = 1.0):
     moved = [_slot_apply(replace, c, q, t) for c in range(q)]  # [.., s, row]
     for b, c in itertools.permutations(range(q), 2):
         split = moved[c].reshape(moved[c].shape[:-1] + (n**b, n, n ** (q - 1 - b)))
-        quad = np.einsum("...mxa,...slar->...lxrms", replace, split)
+        quad = einsum("...mxa,...slar->...lxrms", replace, split)
         fibre_bb += quad.reshape(fibre_bb.shape)
     return fibre_bb
 
@@ -194,7 +198,7 @@ def induced_connection(gamma: ConnectionField, xi: CovariantField, x) -> np.ndar
     check_rank(xi.q)
     frame, slopes, db = _frame_and_slope_arrays(xi, x)
     lifted = complete_lift_connection(gamma, cross_section_point(xi, x))
-    return np.einsum("...hA,...Aji->...hji", frame.b_inv, db + lifted.along_section(slopes))
+    return einsum("...hA,...Aji->...hji", frame.b_inv, db + lifted.along_section(slopes))
 
 
 def gauss_second_fundamental(gamma: ConnectionField, xi: CovariantField) -> CovariantField:
@@ -259,7 +263,7 @@ def gauss_consistency(
     frame, slopes, db = _frame_and_slope_arrays(xi, points)
     lifted = complete_lift_connection(gamma, cross_section_point(xi, points), curvature_sign)
     lhs = db + lifted.along_section(slopes)
-    lhs -= np.einsum("...hji,...Ah->...Aji", gamma.evaluate(points), frame.b)
+    lhs -= einsum("...hji,...Ah->...Aji", gamma.evaluate(points), frame.b)
     lhs[:, n:] -= np.moveaxis(gauss, -1, -3)  # the right-hand side, H C
     return sampling.sampled_check(points, sampling.max_per_point(lhs), tol)
 
@@ -274,10 +278,10 @@ def _curvature_cov_derivative(gamma: ConnectionField, point) -> np.ndarray:
     r4, dr = curvature(gamma).jets(point, 1)
     return (
         dr
-        - np.einsum("...mck,...mjil->...ckjil", g, r4)
-        - np.einsum("...mcj,...kmil->...ckjil", g, r4)
-        - np.einsum("...mci,...kjml->...ckjil", g, r4)
-        + np.einsum("...lcm,...kjim->...ckjil", g, r4)
+        - einsum("...mck,...mjil->...ckjil", g, r4)
+        - einsum("...mcj,...kmil->...ckjil", g, r4)
+        - einsum("...mci,...kjml->...ckjil", g, r4)
+        + einsum("...lcm,...kjim->...ckjil", g, r4)
     )
 
 

@@ -375,11 +375,11 @@ def exp(a: ScalarExpr) -> ScalarExpr:
 _FUNCTIONS = {"sin": sin, "cos": cos, "exp": exp}
 
 
-# One token after optional whitespace: a number (digits and dots, then an
-# exponent only when digits follow it), a name, an operator, or any other
-# character, which is an error; nothing at the end of the text.
+# One token after optional whitespace: a number (ASCII digits and dots,
+# then an exponent only when digits follow it), a name, an operator, or
+# any other character, which is an error; nothing at the end of the text.
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>[\d.]+(?:[eE][+-]?\d+)?)|(?P<ident>[^\W\d]\w*)"
+    r"\s*(?:(?P<num>[0-9.]+(?:[eE][+-]?[0-9]+)?)|(?P<ident>[^\W\d]\w*)"
     r"|(?P<op>[-+*/^()])|(?P<bad>.))?",
     re.S,
 )
@@ -403,7 +403,8 @@ class _Tokenizer:
                 kind, lexeme = "error", f"unexpected character {lexeme!r}"
             elif kind == "num":
                 try:
-                    float(lexeme)
+                    if not math.isfinite(float(lexeme)):
+                        kind, lexeme = "error", f"number {lexeme!r} out of float range"
                 except ValueError:
                     kind, lexeme = "error", f"malformed number {lexeme!r}"
             self.toks.append((kind, lexeme, start))
@@ -418,6 +419,18 @@ class _Tokenizer:
         tok = self.peek()
         self.i += tok[0] != "end"
         return tok
+
+
+def _fold(combine, pos: int, *args) -> ScalarExpr:
+    """combine(*args), which folds constants; a fold that leaves float
+    range is a ParseError at pos, the operator's position."""
+    try:
+        e = combine(*args)
+        if not isinstance(e, Const) or math.isfinite(e.c):
+            return e
+    except OverflowError:
+        pass
+    raise ParseError("constant out of float range", pos)
 
 
 class _Parser:
@@ -437,11 +450,11 @@ class _Parser:
         operand."""
         e = operand()
         while True:
-            kind, lexeme, _ = self.toks.peek()
+            kind, lexeme, pos = self.toks.peek()
             if kind != "op" or lexeme not in ops:
                 return e
             self.toks.take()
-            e = combine[lexeme](e, (right or operand)())
+            e = _fold(combine[lexeme], pos, e, (right or operand)())
 
     def expression(self) -> ScalarExpr:
         return self._chain("+-", self.term, {"+": add, "-": sub})
@@ -491,7 +504,7 @@ class _Parser:
             kind, lex, p = self.toks.take()
             if lex != ")":
                 raise ParseError("expected ')'", p)
-            return _FUNCTIONS[lexeme](arg)
+            return _fold(_FUNCTIONS[lexeme], pos, arg)
         if lexeme[0] == "x" and lexeme[1:].isdigit() and lexeme.isascii():
             axis = int(lexeme[1:])
             if axis < 1 or axis > self.dim:
@@ -673,14 +686,15 @@ class Tape:
     def jets(self, points, order: int) -> list:
         """Values and partials of the outputs at points (..., n), to
         order <= 2: [(..., K)], then (..., n, K) and (..., n, n, K), the
-        derivative axes right after the batch axes."""
+        derivative axes right after the batch axes, each stored with the
+        first axis fastest (order "F")."""
         if not 0 <= order <= 2:
             raise ValueError(f"tape jets go up to order 2, not {order}")
         p = np.asarray(points, dtype=np.float64)
         jet = self._slots(p, order)
         batch, n, k = p.shape[:-1], p.shape[-1], len(self.outputs)
-        out = [np.empty(batch + (k,))]
-        out += [np.zeros(batch + (n,) * d + (k,)) for d in range(1, order + 1)]
+        out = [np.empty(batch + (k,), order="F")]
+        out += [np.zeros(batch + (n,) * d + (k,), order="F") for d in range(1, order + 1)]
         for d, arr in enumerate(out):
             for r, s in enumerate(self.outputs):
                 part = jet[s][d]

@@ -74,7 +74,7 @@ def worst_point(points: np.ndarray, residuals: Sequence[float]) -> np.ndarray:
 
 def max_per_point(values: np.ndarray) -> np.ndarray:
     """Largest |component| at each point of a batch evaluation."""
-    return np.abs(values).reshape(len(values), -1).max(axis=1)
+    return np.abs(values).max(axis=tuple(range(1, np.ndim(values))))
 
 
 def sampled_check(points: np.ndarray, per_point: np.ndarray, tol: float) -> "SampledCheck":

@@ -34,6 +34,13 @@ values and partials, its first partials follow by the product rule, so
 it carries jets to order 1 and never asks an input for more than 2.
 Building one costs nothing, and each field keeps the jets of its last
 point set, so an operand shared by several outputs is evaluated once.
+
+Memory layout: every batched array keeps the point axis first in its
+shape but stores it fastest in memory (stride one item), so that numpy's
+inner loops run over the points rather than over index extents of 2 to
+4.  Tape.jets writes its outputs that way, evaluate and partials_at copy
+in the same order, and einsum below, the one contraction entry point,
+returns its outputs that way too.
 """
 
 from __future__ import annotations
@@ -105,8 +112,17 @@ class Jets(tuple):
         return Jets(self[1:])
 
 
+def einsum(spec: str, *operands: np.ndarray) -> np.ndarray:
+    """np.einsum with the output stored points-fastest (order "F"), so
+    that the long point axis, not an index extent of 2 to 4, runs in
+    einsum's inner loop; the logical shape is np.einsum's.  Every
+    contraction of the package but the two dense fibre blocks of
+    connection_lift goes through here."""
+    return np.einsum(spec, *operands, order="F")
+
+
 def jet_einsum(spec: str, *operands: Jets) -> Jets:
-    """np.einsum of Jets over their batch axes: the values contract by
+    """einsum of Jets over their batch axes: the values contract by
     spec, and so, by the product rule, do the first partials when every
     operand carries them.  The result carries order 0 or 1."""
     ins, out = spec.split("->")
@@ -115,7 +131,7 @@ def jet_einsum(spec: str, *operands: Jets) -> Jets:
     def term(d: int) -> np.ndarray:  # with operand d differentiated, or none
         spec = ",".join("..." + "Z" * (i == d) + s for i, s in enumerate(subs))
         arrays = [j[1] if i == d else j[0] for i, j in enumerate(operands)]
-        return np.einsum(f"{spec}->...{'Z' * (d >= 0)}{out}", *arrays)
+        return einsum(f"{spec}->...{'Z' * (d >= 0)}{out}", *arrays)
 
     if min(map(len, operands)) < 2:
         return Jets([term(-1)])
@@ -123,7 +139,7 @@ def jet_einsum(spec: str, *operands: Jets) -> Jets:
 
 
 def slot_einsum(spec: str, q: int, *operands, slot: int = 0):
-    """np.einsum with a subscript template over the q slots of a tensor.
+    """einsum with a subscript template over the q slots of a tensor.
 
     In spec, {S} stands for the slot letters, {s} for the letter of the
     given 0-based slot, and {R} for the slot letters with that one
@@ -135,7 +151,7 @@ def slot_einsum(spec: str, q: int, *operands, slot: int = 0):
     spec = spec.format(S=letters, s=letters[slot], R=swapped)
     if isinstance(operands[0], Jets):
         return jet_einsum(spec, *operands)
-    return np.einsum(spec, *operands)
+    return einsum(spec, *operands)
 
 
 def sum_over_slots(spec: str, q: int, *operands):
@@ -213,7 +229,7 @@ class Field:
 
     def evaluate(self, points) -> np.ndarray:
         """Component values, shape points.shape[:-1] + shape."""
-        return self.jets(points, 0)[0].copy()
+        return self.jets(points, 0)[0].copy(order="K")
 
     def partials(self) -> "Field":
         """Plain partial-derivative field d_m (component), derivative axis
@@ -224,7 +240,7 @@ class Field:
 
     def partials_at(self, points) -> np.ndarray:
         """Values of partials(), shape points.shape[:-1] + (n,) + shape."""
-        return self.jets(points, 1)[1].copy()
+        return self.jets(points, 1)[1].copy(order="K")
 
     def jets(self, points, order: int) -> Jets:
         """Values and partials to the given order at points (..., n): an

@@ -17,3 +17,28 @@ def random_symmetric_connection(rng: np.random.Generator, n: int,
                 grid[h][j][i] = e
                 grid[h][i][j] = e
     return ConnectionField(n, grid, symmetric=True)
+
+
+def generic_scenario(seed: int, n: int, q: int) -> dict:
+    """Scenario fields with every verdict known by construction: constant
+    block J, a generic degree-2 xi and a generic degree-1 symmetric gamma,
+    as index-keyed component strings."""
+    rng = np.random.default_rng(seed)
+    xi = {",".join(str(i + 1) for i in k): polynomial_text(rng, n, 2, 0.5) for k in np.ndindex((n,) * q)}
+    gamma = {}
+    for h in range(1, n + 1):
+        for j in range(1, n + 1):
+            for i in range(j, n + 1):
+                gamma[f"{h},{j},{i}"] = gamma[f"{h},{i},{j}"] = polynomial_text(rng, n, 1, 0.4)
+    phi = {f"{b + 2},{b + 1}": "1" for b in range(0, n - 1, 2)}
+    phi.update({f"{b + 1},{b + 2}": "-1" for b in range(0, n - 1, 2)})
+    return {"n": n, "q": q, "phi": phi, "xi": xi, "gamma": gamma}
+
+
+def polynomial_text(rng: np.random.Generator, n: int, degree: int, scale: float) -> str:
+    """A dense random polynomial in x1..xn as an expression string."""
+    monomials = [""] + [f"*x{i}" for i in range(1, n + 1)]
+    if degree >= 2:
+        monomials += [f"*x{i}*x{j}" for i in range(1, n + 1) for j in range(i, n + 1)]
+    coefs = rng.uniform(-scale, scale, len(monomials))
+    return " + ".join(f"({c:.6f}){m}" for c, m in zip(coefs, monomials))

@@ -1,9 +1,9 @@
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+from _fields import generic_scenario
 from liftlab import expr, sampling
 from liftlab.cli import (
     CHECK_IDS,
@@ -229,6 +229,16 @@ def test_constant_overflow_at_load_names_the_field(component, tmp_path, capsys):
     assert err.startswith("error: xi: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("component", ["10^400*x1", "exp(1000)*x1", "1e999*x1", "1e308*10"])
+def test_constant_out_of_float_range_is_a_bad_expression(component, tmp_path, capsys):
+    # a ParseError with its position, not a sampling failure or a bare overflow
+    path = write_scenario(tmp_path, xi={"1": component, "2": "0"})
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: xi: bad component expression: ")
+    assert "out of float range (at position" in err and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("component", ["x١ + 1", "x1²", "x²"])
 def test_variable_with_non_ascii_digits_is_malformed(component, tmp_path, capsys):
     path = write_scenario(tmp_path, xi={"1": component, "2": "0"})
@@ -383,15 +393,6 @@ def test_invalid_points_or_tol_is_a_usage_error(flags, capsys):
     assert "checks passed" not in captured.out
 
 
-def _poly(rng, n, degree, scale):
-    """A dense random polynomial in x1..xn as an expression string."""
-    monomials = [""] + [f"*x{i}" for i in range(1, n + 1)]
-    if degree >= 2:
-        monomials += [f"*x{i}*x{j}" for i in range(1, n + 1) for j in range(i, n + 1)]
-    coefs = rng.uniform(-scale, scale, len(monomials))
-    return " + ".join(f"({c:.6f}){m}" for c, m in zip(coefs, monomials))
-
-
 def test_every_check_at_the_top_of_the_envelope(tmp_path):
     # n=4, q=3 at 64 points: constant J, a generic degree-2 xi and a
     # generic degree-1 symmetric connection.  By construction J is
@@ -399,23 +400,8 @@ def test_every_check_at_the_top_of_the_envelope(tmp_path):
     # induced, gauss), and theorem1 holds vacuously; a generic xi is
     # impure (purity, characterization) and not almost analytic, the
     # section is not totally geodesic and curvature is not tangent.
-    rng = np.random.default_rng(43)
-    n, q = 4, 3
-    xi = {",".join(str(i + 1) for i in k): _poly(rng, n, 2, 0.5) for k in np.ndindex((n,) * q)}
-    gamma = {}
-    for h in range(1, n + 1):
-        for j in range(1, n + 1):
-            for i in range(j, n + 1):
-                gamma[f"{h},{j},{i}"] = gamma[f"{h},{i},{j}"] = _poly(rng, n, 1, 0.4)
     path = write_scenario(
-        tmp_path,
-        n=n,
-        q=q,
-        points=64,
-        phi={"2,1": "1", "1,2": "-1", "4,3": "1", "3,4": "-1"},
-        xi=xi,
-        gamma=gamma,
-        checks=list(CHECK_IDS),
+        tmp_path, points=64, checks=list(CHECK_IDS), **generic_scenario(43, 4, 3)
     )
     report = run_scenario(path, seed=5)
     verdicts = {r.check: r.passed for r in report.results}

@@ -82,6 +82,26 @@ def test_variable_names_take_ascii_digits_only(text, pos):
     assert "unknown identifier" in str(err.value)
 
 
+@pytest.mark.parametrize("text,pos", [("١ + 1", 0), ("x1^١", 3), ("١٢.5", 0)])
+def test_numbers_take_ascii_digits_only(text, pos):
+    # ١ (an Arabic-Indic one) is no number, neither as an operand nor as an exponent
+    with pytest.raises(ParseError) as err:
+        parse(text, 1)
+    assert err.value.position == pos
+    assert "unexpected character" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text,pos", [("10^400*x1", 2), ("exp(1000)*x1", 0), ("1e999*x1", 0), ("1e308*10", 5)]
+)
+def test_constant_out_of_float_range_is_a_parse_error(text, pos):
+    # at the literal, or at the operator whose fold leaves float range
+    with pytest.raises(ParseError) as err:
+        parse(text, 1)
+    assert err.value.position == pos
+    assert "out of float range" in str(err.value)
+
+
 @pytest.mark.parametrize(
     "text,pos,message",
     [
