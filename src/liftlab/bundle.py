@@ -19,6 +19,7 @@ from . import sampling
 from .tensor import (
     CovariantField,
     EndomorphismField,
+    Jets,
     OneTwoTensorField,
     VectorField,
     apply_endo_cov,
@@ -46,10 +47,6 @@ class NotPureError(ValueError):
         )
         self.residual = residual
         self.tol = tol
-
-
-def fibre_dim(n: int, q: int) -> int:
-    return n**q
 
 
 def bundle_dim(n: int, q: int) -> int:
@@ -97,7 +94,8 @@ def cross_section_point(xi: CovariantField, x) -> BundlePoint:
 
 @dataclass(frozen=True)
 class BundleVector:
-    """Tangent vector to the bundle, tagged with the frame of its components."""
+    """Tangent vector to the bundle, tagged with the frame of its components,
+    or a batch of them: horizontal (..., n), fibre (..., n^q)."""
 
     n: int
     q: int
@@ -110,13 +108,19 @@ class BundleVector:
             raise ValueError(f"unknown frame {self.frame!r}")
         hor = np.asarray(self.horizontal, dtype=np.float64)
         fib = np.asarray(self.fibre, dtype=np.float64)
-        if hor.shape != (self.n,) or fib.shape != (self.n**self.q,):
-            raise ValueError("component shapes do not match (n, n^q)")
+        if hor.shape[-1:] != (self.n,) or fib.shape != hor.shape[:-1] + (self.n**self.q,):
+            raise ValueError("component shapes do not match (..., n), (..., n^q)")
         object.__setattr__(self, "horizontal", hor)
         object.__setattr__(self, "fibre", fib)
 
     def as_array(self) -> np.ndarray:
-        return np.concatenate([self.horizontal, self.fibre])
+        return np.concatenate([self.horizontal, self.fibre], axis=-1)
+
+
+def _mapped(matrix: np.ndarray, vec: BundleVector, frame: str) -> BundleVector:
+    """The components of vec multiplied by matrix (..., dim, dim), in frame."""
+    out = np.matmul(matrix, vec.as_array()[..., None])[..., 0]
+    return BundleVector(vec.n, vec.q, frame, out[..., : vec.n], out[..., vec.n :])
 
 
 @dataclass(frozen=True)
@@ -146,14 +150,12 @@ class AdaptedFrame:
     def to_adapted(self, vec: BundleVector) -> BundleVector:
         if vec.frame == "adapted":
             return vec
-        comps = self.coframe_matrix() @ vec.as_array()
-        return BundleVector(self.n, self.q, "adapted", comps[: self.n], comps[self.n :])
+        return _mapped(self.coframe_matrix(), vec, "adapted")
 
     def to_natural(self, vec: BundleVector) -> BundleVector:
         if vec.frame == "natural":
             return vec
-        comps = self.frame_matrix() @ vec.as_array()
-        return BundleVector(self.n, self.q, "natural", comps[: self.n], comps[self.n :])
+        return _mapped(self.frame_matrix(), vec, "natural")
 
 
 def adapted_frame(xi: CovariantField, x) -> AdaptedFrame:
@@ -175,34 +177,37 @@ def adapted_frame(xi: CovariantField, x) -> AdaptedFrame:
 
 
 def vertical_lift(a: CovariantField, x) -> BundleVector:
-    """Vertical lift of a (0,q) tensor field: no horizontal part, the
-    tensor's components as fibre part.  Components agree in the natural
-    and adapted frames."""
+    """Vertical lift of a (0,q) tensor field at x, or at each point of a
+    batch: no horizontal part, the tensor's components as fibre part.
+    Components agree in the natural and adapted frames."""
     check_rank(a.q)
+    batch = np.shape(x)[:-1]
     return BundleVector(
-        a.n, a.q, "adapted", np.zeros(a.n), a.evaluate(x).reshape(-1)
+        a.n, a.q, "adapted", np.zeros(batch + (a.n,)), a.evaluate(x).reshape(batch + (-1,))
     )
 
 
 def complete_lift_vector_natural(v: VectorField, at: BundlePoint) -> BundleVector:
-    """Complete lift of a vector field at any bundle point, natural frame:
-    horizontal part V^j, fibre part -sum_s t_{j1..m..jq} d_{js} V^m."""
+    """Complete lift of a vector field at any bundle point, or a batch,
+    natural frame: horizontal part V^j, fibre part
+    -sum_s t_{j1..m..jq} d_{js} V^m."""
     if v.n != at.n:
         raise ValueError("vector field and bundle point have different dimensions")
-    dv = v.partials_at(at.base)  # dv[a, m] = d_a V^m
-    fib = -sum_over_slots("{s}m,{R}->{S}", at.q, dv, at.fibre_tensor())
-    return BundleVector(at.n, at.q, "natural", v.evaluate(at.base), fib.reshape(-1))
+    # the slot term of the Lie derivative, on the Jets d_a V^m and t
+    dv, t = v.jets(at.base, 1).d, Jets([at.fibre_tensor()])
+    fib = -sum_over_slots("{s}m,{R}->{S}", at.q, dv, t)[0]
+    return BundleVector(at.n, at.q, "natural", v.evaluate(at.base), fib.reshape(at.fibre.shape))
 
 
 def complete_lift_vector_on_section(v: VectorField, xi: CovariantField, x) -> BundleVector:
-    """Complete lift evaluated on the cross-section, adapted frame:
-    (V^j, -(L_V xi)_{j1..jq})."""
+    """Complete lift on the cross-section at x, or at each point of a
+    batch, adapted frame: (V^j, -(L_V xi)_{j1..jq})."""
     if v.n != xi.n:
         raise ValueError("vector field and tensor field live on different charts")
     check_rank(xi.q)
-    lie = lie_derivative_cov(v, xi)
+    lie = lie_derivative_cov(v, xi).evaluate(x)
     return BundleVector(
-        xi.n, xi.q, "adapted", v.evaluate(x), -lie.evaluate(x).reshape(-1)
+        xi.n, xi.q, "adapted", v.evaluate(x), -lie.reshape(np.shape(x)[:-1] + (-1,))
     )
 
 
@@ -271,7 +276,8 @@ def is_almost_analytic(
     points,
     tol: float = sampling.SYMBOLIC_RTOL,
 ) -> "sampling.SampledCheck":
-    """Pure with vanishing Tachibana image, on sampled points."""
+    """Pure with vanishing Tachibana image, on sampled points.  An impure
+    xi fails on its purity residual, with no worst point."""
     purity = purity_residual(phi, xi, points)
     if purity > tol:
         return sampling.SampledCheck(False, purity, None)
@@ -326,8 +332,7 @@ class BundleEndomorphism:
     def apply(self, vec: BundleVector) -> BundleVector:
         if vec.frame != "adapted":
             raise ValueError("bundle endomorphisms act on adapted components")
-        out = self.matrix @ vec.as_array()
-        return BundleVector(self.n, self.q, "adapted", out[: self.n], out[self.n :])
+        return _mapped(self.matrix, vec, "adapted")
 
 
 def complete_lift_endo_on_section(
@@ -354,19 +359,15 @@ def complete_lift_endo_on_section(
     tach = _tachibana_field(phi, xi).evaluate(x)
     mat[..., n:, :n] = -np.swapaxes(tach.reshape(batch + (n, nf)), -1, -2)
     # first-slot action on rank-ordered fibre coordinates: phi^m_{k1} on the
-    # leading slot, the identity on the other q - 1
-    first = einsum("...ij,ab->...jaib", phi_mat, np.eye(n ** (q - 1)))
-    mat[..., n:, n:] = first.reshape(batch + (nf, nf))
+    # leading slot, the identity on the other q - 1, written in place
+    rest = n ** (q - 1)
+    fibre = mat[..., n:, n:].reshape(batch + (n, rest, n, rest))
+    einsum("...ij,ab->...jaib", phi_mat, np.eye(rest), out=fibre)
     return BundleEndomorphism(n, q, mat)
 
 
 # ---------------------------------------------------------------------------
 # Verification of the lift identities
-
-
-def _adapted_components(horizontal: np.ndarray, fibre: np.ndarray) -> np.ndarray:
-    """[horizontal | fibre] components of a batch of bundle vectors."""
-    return np.concatenate([horizontal, fibre.reshape(len(horizontal), -1)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -400,21 +401,15 @@ def verify_characterization(
     """
     if a.n != xi.n or a.q != xi.q:
         raise ValueError("probe tensor must match xi in dimension and rank")
-    phi_v = apply_endo_vec(phi, v)
-    lie_xi = lie_derivative_cov(v, xi)
-    lie_phi_v_xi = lie_derivative_cov(phi_v, xi)
-    lie_phi_on_xi = apply_endo_cov(lie_derivative_endo(v, phi), xi)
-    phi_a = apply_endo_cov(phi, a)
-    lift = complete_lift_endo_on_section(phi, xi, points).matrix
-    zeros = np.zeros((len(points), xi.n))
-    cl_v = _adapted_components(v.evaluate(points), -lie_xi.evaluate(points))
-    rhs_c = _adapted_components(
-        phi_v.evaluate(points), lie_phi_on_xi.evaluate(points) - lie_phi_v_xi.evaluate(points)
+    lift = complete_lift_endo_on_section(phi, xi, points)
+    complete = lift.apply(complete_lift_vector_on_section(v, xi, points)).as_array() - (
+        complete_lift_vector_on_section(apply_endo_vec(phi, v), xi, points).as_array()
+        + vertical_lift(apply_endo_cov(lie_derivative_endo(v, phi), xi), points).as_array()
     )
-    vl_a = _adapted_components(zeros, a.evaluate(points))
-    rhs_v = _adapted_components(zeros, phi_a.evaluate(points))
-    res_c = sampling.max_per_point(np.matmul(lift, cl_v[..., None])[..., 0] - rhs_c)
-    res_v = sampling.max_per_point(np.matmul(lift, vl_a[..., None])[..., 0] - rhs_v)
+    vertical = lift.apply(vertical_lift(a, points)).as_array()
+    vertical -= vertical_lift(apply_endo_cov(phi, a), points).as_array()
+    res_c = sampling.max_per_point(complete)
+    res_v = sampling.max_per_point(vertical)
     per_point = np.maximum(res_c, res_v)
     worst = sampling.worst_point(points, per_point)
     residual = float(per_point.max())

@@ -150,6 +150,8 @@ def _parse_entries(raw: dict, length: int, n: int, what: str) -> dict:
             raise ScenarioError(f"{what}: duplicate index key {key!r}")
         if isinstance(text, bool) or not isinstance(text, (str, int, float)):
             raise ScenarioError(f"{what}: component {key!r} must be a string or number")
+        if isinstance(text, float) and not math.isfinite(text):
+            raise ScenarioError(f"{what}: component {key!r} is not a finite number")
         out[idx] = text
     return out
 
@@ -344,12 +346,10 @@ def _execute_check(check: str, sc: Scenario, points, seed: int, tol: float) -> C
         return _check_lift_zeros(sc.gamma, sc.q, points, rng, min(tol, STRUCTURAL_TOL))
     # the rest are sampled checks with one residual per point
     if check == "tachibana_zero":
-        purity = bundle.purity_residual(sc.phi, sc.xi, points)
-        if purity > tol:
-            return CheckResult(
-                check, False, purity, tol, detail={"reason": "tensor is not pure"}
-            )
         out = bundle.is_almost_analytic(sc.phi, sc.xi, points, tol)
+        if out.worst_point is None:  # the purity gate failed
+            detail = {"reason": "tensor is not pure"}
+            return CheckResult(check, False, out.residual, tol, detail=detail)
     elif check == "nijenhuis_zero":
         per_point = sampling.max_per_point(bundle.nijenhuis(sc.phi).evaluate(points))
         out = sampling.sampled_check(points, per_point, tol)
@@ -458,7 +458,8 @@ nonzero coefficients: the base coefficients on horizontal indices, two
 mixed blocks that reshuffle base coefficients (independent of t), and a
 fibre block linear in t built from derivatives of the base
 coefficients, their quadratic combinations, and a curvature
-contraction.  The lift stores only these four blocks, so the remaining
+contraction.  The lift stores the base and fibre blocks and derives the
+two mixed blocks from the base coefficients, so the remaining
 coefficients are zero by construction, and only the fibre block depends
 on t.  The check tests the lower-index symmetry of the blocks and the
 linearity of the fibre block in t: fibre_bb(2t) = 2 fibre_bb(t).""",

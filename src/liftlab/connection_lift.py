@@ -48,71 +48,77 @@ class LiftedConnectionCoeffs:
     """Lifted coefficients at one bundle point, stored by block; a batch
     of points puts its axes in front of every block.
 
-    Block naming follows the lower-index signature, in order: 'b' for a
-    base (horizontal) index, 'f' for a fibre index.
+    Two blocks are stored:
 
     - base[h, m, s]: the base coefficients themselves;
-    - mixed_bf[i_, m, s_]: fibre upper index, lower indices (base, fibre);
-    - mixed_fb[i_, m_, s]: fibre upper index, lower indices (fibre, base);
     - fibre_bb[i_, m, s]: fibre upper index, two base lower indices, the
       only block that depends on the fibre coordinates (linearly).
 
-    Every block not listed is structurally zero, which full_array()
-    makes explicit.
+    Two mixed blocks, with a fibre upper index and one base and one
+    fibre lower index, follow from base alone: minus the replacement of
+    one fibre slot through Gamma, summed over the slots.  They are each
+    other's transpose in the lower pair.  Every other block is
+    structurally zero; full_array() writes out all of them.
     """
 
     n: int
     q: int
     base: np.ndarray
-    mixed_bf: np.ndarray
-    mixed_fb: np.ndarray
     fibre_bb: np.ndarray
+
+    def _mixed_times(self, s: np.ndarray) -> np.ndarray:
+        """The (base, fibre) mixed block contracted on its fibre lower
+        index with s[.., n^q, k]: out[.., i_, m, k] = L^{i_}_{m s_} s[s_, k]."""
+        # Gamma^a_{m x} as matrices [.., m, x, a] acting on one fibre slot;
+        # the columns of s become batch axes of the slot action
+        replace = np.moveaxis(self.base, -3, -1)[..., None, :, :, :]
+        cols = np.swapaxes(s, -1, -2)
+        out = -sum(_slot_apply(replace, c, self.q, cols) for c in range(self.q))
+        return np.swapaxes(out, -1, -3)  # from [.., k, m, i_]
 
     def full_array(self) -> np.ndarray:
         """Dense coefficients L[..., upper, first_lower, second_lower]."""
-        n, dim = self.n, self.n + self.n**self.q
-        full = np.zeros(self.base.shape[:-3] + (dim, dim, dim))
+        n, nf = self.n, self.n**self.q
+        batch = self.base.shape[:-3]
+        mixed = self._mixed_times(np.broadcast_to(np.eye(nf), batch + (nf, nf)))
+        full = np.zeros(batch + (n + nf,) * 3)
         full[..., :n, :n, :n] = self.base
-        full[..., n:, :n, n:] = self.mixed_bf
-        full[..., n:, n:, :n] = self.mixed_fb
+        full[..., n:, :n, n:] = mixed
+        full[..., n:, n:, :n] = np.swapaxes(mixed, -1, -2)
         full[..., n:, :n, :n] = self.fibre_bb
         return full
 
     def symmetry_residual(self):
         """The lift of a symmetric connection is symmetric in its lower pair:
-        the largest asymmetry of full_array(), a float or one per point,
-        taken by block (the other entries are zero on both sides)."""
-        pairs = ((self.base, self.base), (self.mixed_bf, self.mixed_fb), (self.fibre_bb,) * 2)
-        asym = [np.abs(a - np.swapaxes(b, -1, -2)).max(axis=(-3, -2, -1)) for a, b in pairs]
-        return np.max(asym, axis=0)
+        the largest asymmetry of full_array(), a float or one per point.
+        The mixed blocks are each other's transpose by construction, so
+        only base and fibre_bb can carry one."""
+        asym = [np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-3, -2, -1))
+                for a in (self.base, self.fibre_bb)]
+        return np.maximum(*asym)
 
     def along_section(self, slopes: np.ndarray) -> np.ndarray:
         """L^A_{CB} B^C_j B^B_i as [.., A, j, i], for the horizontal frame legs
-        B = [I ; slopes], slopes[.., fibre, i] = d_i xi; summed by block."""
-        # np.einsum's own order: the fibre axis r, n^q long, outruns the points
-        bf = np.einsum("...rjk,...ki->...rji", self.mixed_bf, slopes)
-        fb = np.einsum("...rki,...kj->...rji", self.mixed_fb, slopes)
-        return np.concatenate([self.base, self.fibre_bb + bf + fb], axis=-3)
-
-
-def _slot_operator(mats: np.ndarray, slot: int, q: int) -> np.ndarray:
-    """A batch of n x n matrices acting on one slot of rank-ordered (0,q)
-    fibre coordinates: out[..., I, J] = mats[..., I_slot, J_slot] when the
-    multi-indices I and J agree off that slot, else 0."""
-    n = mats.shape[-1]
-    # row-major at np.einsum's own order: the n^q x n^q block outruns the points
-    mats = np.ascontiguousarray(mats)
-    ops = np.einsum("ab,...ij,cd->...aicbjd", np.eye(n**slot), mats, np.eye(n ** (q - 1 - slot)))
-    return ops.reshape(mats.shape[:-2] + (n**q, n**q))
+        B = [I ; slopes], slopes[.., fibre, i] = d_i xi; summed by block.
+        The (fibre, base) mixed term is the j <-> i transpose of the
+        (base, fibre) one."""
+        bf = self._mixed_times(slopes)
+        return np.concatenate([self.base, self.fibre_bb + bf + bf.swapaxes(-1, -2)], axis=-3)
 
 
 def _slot_apply(mats: np.ndarray, slot: int, q: int, t: np.ndarray) -> np.ndarray:
-    """_slot_operator(mats, slot, q) times fibre coordinates t[.., n^q], never
-    formed; mats may carry axes E behind the point axes: out[.., E, n^q]."""
+    """Matrices mats[.., E, x, a] acting on one slot of the rank-ordered
+    fibre coordinates t[.., n^q]: out[.., E, I] = sum_a mats[.., E, I_slot, a]
+    t[.., I with a at slot].  The leading axes of mats broadcast against
+    those of t, and its axes E come behind them.  The output is stored
+    points-fastest, and einsum writes it in place through its split view."""
     n = mats.shape[-1]
-    split = t.reshape(t.shape[:-1] + (n**slot, n, n ** (q - 1 - slot)))
-    flat = mats.reshape(t.shape[:-1] + (-1, n, n))
-    return einsum("...exa,...lar->...elxr", flat, split).reshape(mats.shape[:-2] + (n**q,))
+    split = (n**slot, n, n ** (q - 1 - slot))
+    t = t.reshape(t.shape[:-1] + (1,) * (mats.ndim - t.ndim - 1) + split)
+    shape = np.broadcast_shapes(mats.shape[:-2], t.shape[:-3])
+    out = np.empty(shape + (n**q,), order="F")
+    einsum("...xa,...lar->...lxr", mats, t, out=out.reshape(shape + split))
+    return out
 
 
 def complete_lift_connection(
@@ -128,16 +134,10 @@ def complete_lift_connection(
     _require_symmetric(gamma)
     if gamma.n != at.n:
         raise ValueError("connection and bundle point have different dimensions")
-    q = at.q
     g, dg = gamma.jets(at.base, 1)  # g[.., h, j, i], dg[.., m, h, j, i] = d_m Gamma^h_{ji}
     r4 = curvature(gamma).evaluate(at.base)  # r4[.., k, j, i, l] = R_{kji}^l
-    # minus the replacement of one fibre slot through Gamma (see t_linear_block)
-    replace = einsum("...amx->...mxa", g)
-    mixed = -sum(_slot_operator(replace, c, q) for c in range(q))  # [.., m, row, col]
-    fibre_bb = t_linear_block(g, dg, r4, at.fibre, q, curvature_sign)
-    return LiftedConnectionCoeffs(
-        at.n, q, g, np.swapaxes(mixed, -3, -2), np.moveaxis(mixed, -3, -1), fibre_bb
-    )
+    fibre_bb = t_linear_block(g, dg, r4, at.fibre, at.q, curvature_sign)
+    return LiftedConnectionCoeffs(at.n, at.q, g, fibre_bb)
 
 
 def t_linear_block(g, dg, r4, t, q: int, curvature_sign: float = 1.0):
@@ -146,8 +146,8 @@ def t_linear_block(g, dg, r4, t, q: int, curvature_sign: float = 1.0):
     and the curvature r4[.., k, j, i, l]; linear in t."""
     # Each term replaces one fibre slot value x by a, or two slots at once.
     # Replacing one slot through Gamma^a_{m x}, with m the lower base index:
-    # minus this makes the mixed blocks, and two of them at distinct slots
-    # make the quadratic part of this block.
+    # minus this makes the mixed blocks (see LiftedConnectionCoeffs), and
+    # two of them at distinct slots make the quadratic part of this block.
     replace = einsum("...amx->...mxa", g)
     # The single-replacement part, as [.., m, s, x, a]:
     #   -d_m Gamma^a_{s x} + Gamma^r_{m x} Gamma^a_{s r} + Gamma^r_{m s} Gamma^a_{r x}

@@ -87,11 +87,6 @@ def iter_multi_indices(n: int, q: int) -> Iterator[MultiIndex]:
     return itertools.product(range(1, n + 1), repeat=q)
 
 
-def replace_slot(mi: MultiIndex, slot: int, value: int) -> MultiIndex:
-    """Copy of mi with 0-based slot replaced."""
-    return mi[:slot] + (value,) + mi[slot + 1 :]
-
-
 class Jets(tuple):
     """Values and partials of one field at a batch of points: [0] the
     values, [k] the k-th partials, the derivative axes right after the
@@ -112,13 +107,13 @@ class Jets(tuple):
         return Jets(self[1:])
 
 
-def einsum(spec: str, *operands: np.ndarray) -> np.ndarray:
+def einsum(spec: str, *operands: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """np.einsum with the output stored points-fastest (order "F"), so
     that the long point axis, not an index extent of 2 to 4, runs in
     einsum's inner loop; the logical shape is np.einsum's.  Every
-    contraction of the package but the two dense fibre blocks of
-    connection_lift goes through here."""
-    return np.einsum(spec, *operands, order="F")
+    contraction of the package goes through here; out, when given, is
+    written in place as by np.einsum."""
+    return np.einsum(spec, *operands, order="F", out=out)
 
 
 def jet_einsum(spec: str, *operands: Jets) -> Jets:

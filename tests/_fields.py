@@ -3,7 +3,12 @@
 import numpy as np
 
 from liftlab.presets import random_polynomial_expr
-from liftlab.tensor import ConnectionField
+from liftlab.tensor import ConnectionField, MultiIndex
+
+
+def replace_slot(mi: MultiIndex, slot: int, value: int) -> MultiIndex:
+    """Copy of mi with 0-based slot replaced, for the reference loops."""
+    return mi[:slot] + (value,) + mi[slot + 1 :]
 
 
 def random_symmetric_connection(rng: np.random.Generator, n: int,

@@ -18,7 +18,6 @@ from liftlab.bundle import (
     complete_lift_vector_on_section,
     contract_one_two_cov,
     cross_section_point,
-    fibre_dim,
     is_almost_analytic,
     nijenhuis,
     purity_residual,
@@ -53,7 +52,6 @@ ANALYTIC_PAIR_Q2 = CovariantField(
 
 
 def test_dimensions_and_rank_guard():
-    assert fibre_dim(2, 2) == 4
     assert bundle_dim(2, 3) == 10
     assert check_rank(3) == 3
     with pytest.raises(ValueError):
@@ -515,3 +513,63 @@ def test_theorem1_lift_square_matches_per_point_reference(n, q):
     )
     assert whole.lift_square_residual == pytest.approx(max(want), rel=CHECK_RTOL)
     assert whole.worst_point == tuple(points[int(np.argmax(want))])
+
+
+VECTOR_SHAPES = pytest.mark.parametrize("n,q", [(2, 1), (3, 2), (4, 3)])
+
+
+def test_bundle_vector_batch_validation():
+    vec = BundleVector(2, 2, "natural", np.zeros((3, 2)), np.zeros((3, 4)))
+    assert vec.as_array().shape == (3, 6)
+    with pytest.raises(ValueError):
+        BundleVector(2, 2, "natural", np.zeros((3, 2)), np.zeros((2, 4)))
+    with pytest.raises(ValueError):
+        BundleVector(2, 1, "natural", 0.5, np.zeros(2))
+
+
+@VECTOR_SHAPES
+def test_vector_lifts_batch_stacks_single_points(n, q):
+    phi, xi, v, a, points = _batch_inputs(n, q)
+    fibre = np.random.default_rng(2).uniform(-1.0, 1.0, size=(len(points), n**q))
+    frame = adapted_frame(xi, points)
+    natural = complete_lift_vector_natural(v, BundlePoint(n, q, points, fibre))
+    on_section = complete_lift_vector_on_section(v, xi, points)
+    batched = {
+        "vertical": vertical_lift(a, points),
+        "on_section": on_section,
+        "natural": natural,
+        "to_adapted": frame.to_adapted(natural),
+        "round_trip": frame.to_natural(frame.to_adapted(natural)),
+        "apply": complete_lift_endo_on_section(phi, xi, points).apply(on_section),
+    }
+    for i, p in enumerate(points):
+        one_frame = adapted_frame(xi, p)
+        one_natural = complete_lift_vector_natural(v, BundlePoint(n, q, p, fibre[i]))
+        one_on_section = complete_lift_vector_on_section(v, xi, p)
+        singles = {
+            "vertical": vertical_lift(a, p),
+            "on_section": one_on_section,
+            "natural": one_natural,
+            "to_adapted": one_frame.to_adapted(one_natural),
+            "round_trip": one_frame.to_natural(one_frame.to_adapted(one_natural)),
+            "apply": complete_lift_endo_on_section(phi, xi, p).apply(one_on_section),
+        }
+        for name, one in singles.items():
+            got = batched[name]
+            assert got.frame == one.frame, name
+            assert got.horizontal.shape == (len(points), n), name
+            assert got.fibre.shape == (len(points), n**q), name
+            assert np.max(np.abs(got.as_array()[i] - one.as_array())) <= BATCH_ATOL, name
+    back = batched["round_trip"].as_array()
+    assert np.max(np.abs(back - natural.as_array())) <= BATCH_ATOL
+
+
+@VECTOR_SHAPES
+def test_natural_complete_lift_on_a_batch_of_section_points(n, q):
+    # the natural-frame formula through the coframe, against (V, -L_V xi)
+    _, xi, v, _, points = _batch_inputs(n, q)
+    natural = complete_lift_vector_natural(v, cross_section_point(xi, points))
+    via_frame = adapted_frame(xi, points).to_adapted(natural)
+    direct = complete_lift_vector_on_section(v, xi, points)
+    assert via_frame.frame == direct.frame == "adapted"
+    assert np.max(np.abs(via_frame.as_array() - direct.as_array())) <= BATCH_ATOL

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from _fields import generic_scenario
-from liftlab import expr, sampling
+from liftlab import bundle, expr, sampling
 from liftlab.cli import (
     CHECK_IDS,
     ScenarioError,
@@ -237,6 +237,41 @@ def test_constant_out_of_float_range_is_a_bad_expression(component, tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("error: xi: bad component expression: ")
     assert "out of float range (at position" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("number", ["1e999", "NaN", "Infinity"])
+def test_non_finite_numeric_component_names_the_field(number, tmp_path, capsys):
+    # Python's json reads all three as floats: inf, nan, inf
+    path = tmp_path / "s.json"
+    path.write_text(Path(write_scenario(tmp_path)).read_text().replace('"-x2"', number))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: xi: component '2' is not a finite number\n"
+
+
+@pytest.mark.parametrize("pure", [True, False], ids=["pure", "impure"])
+def test_tachibana_zero_has_one_purity_gate(pure, tmp_path, monkeypatch):
+    calls = []
+    residual = bundle.purity_residual
+
+    def counting(*args):
+        calls.append(residual(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(bundle, "purity_residual", counting)
+    xi = {"1,1": "x1", "1,2": "-x2", "2,1": "-x2", "2,2": "-x1"}
+    if not pure:
+        xi["2,1"] = "0"
+    path = write_scenario(tmp_path, q=2, xi=xi, checks=["tachibana_zero"])
+    (result,) = run_scenario(path).to_dict()["checks"]
+    assert len(calls) == 1
+    if pure:
+        assert calls == [0.0] and result["status"] == "pass" and result["detail"] == {}
+    else:
+        assert calls[0] > 1e-3
+        assert result == {"id": "tachibana_zero", "status": "fail", "residual": calls[0],
+                          "tolerance": 1e-9, "worst_point": None,
+                          "detail": {"reason": "tensor is not pure"}}
 
 
 @pytest.mark.parametrize("component", ["x١ + 1", "x1²", "x²"])

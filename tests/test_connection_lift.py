@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import _oracles
-from _fields import random_symmetric_connection
+from _fields import random_symmetric_connection, replace_slot
 from liftlab import connection_lift, sampling
 from liftlab.bundle import BundlePoint, adapted_frame, cross_section_point
 from liftlab.cli import _check_lift_zeros
@@ -14,7 +14,6 @@ from liftlab.connection_lift import (
     _curvature_cov_derivative,
     _frame_and_slope_arrays,
     _slot_apply,
-    _slot_operator,
     complete_lift_connection,
     curvature_tangency,
     gauss_consistency,
@@ -35,7 +34,6 @@ from liftlab.tensor import (
     curvature,
     iter_multi_indices,
     rank_multi_index,
-    replace_slot,
 )
 
 POINTS = sampling.sample_points(2, count=16)
@@ -59,6 +57,11 @@ def _random_fibre(rng, n, q):
     return rng.uniform(-1.0, 1.0, size=n**q)
 
 
+def _mixed_blocks(full, n):
+    """The (base, fibre) and (fibre, base) mixed blocks of a dense lift."""
+    return full[..., n:, :n, n:], full[..., n:, n:, :n]
+
+
 # ---------------------------------------------------------------------------
 # the lifted connection coefficients
 
@@ -75,7 +78,8 @@ def test_fibre_block_vanishes_at_zero_fibre():
     at = BundlePoint(2, 1, POINTS[1], np.zeros(2))
     coeffs = complete_lift_connection(SPHERE, at)
     assert np.max(np.abs(coeffs.fibre_bb)) == 0.0
-    assert np.max(np.abs(coeffs.mixed_bf)) > 0.1  # base coupling survives
+    mixed_bf, _ = _mixed_blocks(coeffs.full_array(), 2)
+    assert np.max(np.abs(mixed_bf)) > 0.1  # base coupling survives
 
 
 def test_lift_linear_in_fibre_coordinate():
@@ -86,8 +90,8 @@ def test_lift_linear_in_fibre_coordinate():
         one = complete_lift_connection(SPHERE, BundlePoint(2, q, p, t))
         two = complete_lift_connection(SPHERE, BundlePoint(2, q, p, 2.0 * t))
         assert np.max(np.abs(two.fibre_bb - 2.0 * one.fibre_bb)) < 1e-12
-        assert np.array_equal(two.mixed_bf, one.mixed_bf)
-        assert np.array_equal(two.mixed_fb, one.mixed_fb)
+        for a, b in zip(_mixed_blocks(two.full_array(), 2), _mixed_blocks(one.full_array(), 2)):
+            assert np.array_equal(a, b)
         assert np.array_equal(two.base, one.base)
 
 
@@ -98,8 +102,10 @@ def test_lift_block_placement():
     full = coeffs.full_array()
     n = 2
     assert np.array_equal(full[:n, :n, :n], coeffs.base)
-    assert np.array_equal(full[n:, :n, n:], coeffs.mixed_bf)
-    assert np.array_equal(full[n:, n:, :n], coeffs.mixed_fb)
+    mixed_bf, mixed_fb = _mixed_blocks(full, n)
+    assert np.array_equal(mixed_fb, mixed_bf.transpose(0, 2, 1))
+    # the mixed blocks reshuffle Gamma: x -> a in the one fibre slot
+    assert np.array_equal(mixed_bf, -coeffs.base.transpose(2, 1, 0))
     assert np.array_equal(full[n:, :n, :n], coeffs.fibre_bb)
     # no horizontal output from fibre legs, no fibre-fibre legs
     assert np.max(np.abs(full[:n, n:, :])) == 0.0
@@ -168,7 +174,8 @@ def test_lift_blocks_match_entrywise_reference(n, q):
     at = BundlePoint(n, q, POINTS_BY_DIM[n][5], _random_fibre(rng, n, q))
     got = complete_lift_connection(gamma, at)
     want = _lift_blocks_by_entry(gamma, at)
-    for block, ref in zip((got.base, got.mixed_bf, got.mixed_fb, got.fibre_bb), want):
+    blocks = (got.base, *_mixed_blocks(got.full_array(), n), got.fibre_bb)
+    for block, ref in zip(blocks, want):
         assert np.max(np.abs(block - ref)) < 1e-12
 
 
@@ -364,7 +371,7 @@ BATCH_SHAPES = pytest.mark.parametrize("n,q", [(2, 1), (2, 3), (3, 2), (4, 1)])
 # a batch and a single point may sum in different orders
 BATCH_ATOL = 1e-13
 CHECK_RTOL = 1e-12
-BLOCKS = ("base", "mixed_bf", "mixed_fb", "fibre_bb")
+BLOCKS = ("base", "fibre_bb")
 
 
 def _batch_inputs(n, q):
@@ -375,24 +382,30 @@ def _batch_inputs(n, q):
     return gamma, xi, points, rng.uniform(-1.0, 1.0, size=(len(points), n**q))
 
 
+def _kron_slot_operator(mats, slot, q):
+    """Reference for one slot action: each n x n matrix of the batch as the
+    n^q x n^q operator I (x) mats (x) I on rank-ordered fibre coordinates."""
+    n = mats.shape[-1]
+    ops = np.empty(mats.shape[:-2] + (n**q, n**q))
+    for i in np.ndindex(mats.shape[:-2]):
+        ops[i] = np.kron(np.kron(np.eye(n**slot), mats[i]), np.eye(n ** (q - 1 - slot)))
+    return ops
+
+
 @BATCH_SHAPES
 def test_slot_operator_batch_matches_kron(n, q):
     rng = np.random.default_rng(750 + 10 * n + q)
     mats = rng.normal(size=(5, n, n))
     t = rng.normal(size=(5, n**q))
     for slot in range(q):
-        ops = _slot_operator(mats, slot, q)
-        for i in range(len(mats)):
-            want = np.kron(np.kron(np.eye(n**slot), mats[i]), np.eye(n ** (q - 1 - slot)))
-            assert np.array_equal(ops[i], want)
-        applied = np.einsum("...ij,...j->...i", ops, t)
+        applied = np.einsum("...ij,...j->...i", _kron_slot_operator(mats, slot, q), t)
         assert np.max(np.abs(_slot_apply(mats, slot, q, t) - applied)) <= BATCH_ATOL
 
 
 def _t_linear_block_dense(g, dg, r4, t, q):
-    """The fibre_bb block through the dense slot operators: each fibre slot
-    replacement is an n^q x n^q matrix applied to t, and the quadratic part
-    applies one such matrix to the vector another has moved."""
+    """The fibre_bb block through dense slot operators built by np.kron:
+    each fibre slot replacement is an n^q x n^q matrix applied to t, and the
+    quadratic part applies one such matrix to the vector another has moved."""
     replace = np.einsum("...amx->...mxa", g)
     single = (
         -np.einsum("...masx->...msxa", dg)
@@ -403,9 +416,10 @@ def _t_linear_block_dense(g, dg, r4, t, q):
     apply = "...ij,...j->...i"
     t = t[..., None, None, :]
     fibre_bb = sum(
-        np.moveaxis(np.einsum(apply, _slot_operator(single, c, q), t), -1, -3) for c in range(q)
+        np.moveaxis(np.einsum(apply, _kron_slot_operator(single, c, q), t), -1, -3)
+        for c in range(q)
     )
-    coupling = [_slot_operator(replace, c, q) for c in range(q)]  # [.., m, row, col]
+    coupling = [_kron_slot_operator(replace, c, q) for c in range(q)]  # [.., m, row, col]
     moved = [np.einsum(apply, op, t[..., 0, :, :]) for op in coupling]  # [.., s, row]
     for b, c in itertools.permutations(range(q), 2):
         fibre_bb += np.einsum("...mrk,...sk->...rms", coupling[b], moved[c])
@@ -453,10 +467,10 @@ def test_lift_batch_stacks_single_points(n, q):
 
 @BATCH_SHAPES
 def test_symmetry_residual_matches_dense_array(n, q):
-    # arbitrary blocks, so every block pair carries an asymmetry
+    # arbitrary blocks, so both stored blocks carry an asymmetry; the mixed
+    # blocks derived from base are each other's transpose all the same
     rng = np.random.default_rng(770 + 10 * n + q)
-    nf = n**q
-    shapes = ((5, n, n, n), (5, nf, n, nf), (5, nf, nf, n), (5, nf, n, n))
+    shapes = ((5, n, n, n), (5, n**q, n, n))
     coeffs = LiftedConnectionCoeffs(n, q, *(rng.normal(size=s) for s in shapes))
     dense = coeffs.full_array()
     want = np.abs(dense - dense.transpose(0, 1, 3, 2)).max(axis=(1, 2, 3))
@@ -538,7 +552,7 @@ def _lift_zeros_by_point(gamma, q, points, rng):
         fib = rng.uniform(-1.0, 1.0, size=n**q)
         lift = complete_lift_connection(gamma, BundlePoint(n, q, p, fib))
         doubled = complete_lift_connection(gamma, BundlePoint(n, q, p, 2.0 * fib))
-        full = lift.full_array()
+        full, doubled_full = lift.full_array(), doubled.full_array()
         zeros = full.copy()
         zeros[:n, :n, :n] = zeros[n:, :n, n:] = zeros[n:, n:, :n] = zeros[n:, :n, :n] = 0.0
         out.append(
@@ -546,8 +560,8 @@ def _lift_zeros_by_point(gamma, q, points, rng):
                 np.max(np.abs(zeros)),
                 np.max(np.abs(full - full.transpose(0, 2, 1))),
                 np.max(np.abs(doubled.fibre_bb - 2.0 * lift.fibre_bb)),
-                np.max(np.abs(doubled.mixed_bf - lift.mixed_bf)),
-                np.max(np.abs(doubled.mixed_fb - lift.mixed_fb)),
+                *(np.max(np.abs(a - b)) for a, b in
+                  zip(_mixed_blocks(doubled_full, n), _mixed_blocks(full, n))),
                 np.max(np.abs(doubled.base - lift.base)),
             )
         )

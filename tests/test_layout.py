@@ -49,12 +49,9 @@ def _np_einsum_sites() -> tuple[set, set]:
     return literals, callers
 
 
-def test_np_einsum_only_in_the_helper_and_the_dense_fibre_blocks():
-    # the two dense n^q x n^q fibre blocks keep np.einsum's own order: their
-    # trailing axes are as long as the point axis at the top of the envelope
+def test_np_einsum_only_in_the_helper():
     literals, callers = _np_einsum_sites()
-    assert callers == {"tensor.einsum", "connection_lift.along_section",
-                       "connection_lift._slot_operator"}
+    assert callers == {"tensor.einsum"}
     assert len(literals) > 30
 
 
@@ -71,6 +68,20 @@ def _layout_fields():
 
 def _points_fastest(a: np.ndarray) -> bool:
     return a.shape[0] == len(POINTS) and a.strides[0] == a.itemsize
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_slot_apply_writes_the_points_fastest(q):
+    # the slot action of the lift, with matrix axes behind the points and
+    # with the columns of a matrix as extra batch axes of t
+    rng = np.random.default_rng(20 + q)
+    mats = rng.normal(size=(len(POINTS), 3, 2, 3, 3))
+    for slot in range(q):
+        out = connection_lift._slot_apply(mats, slot, q, rng.normal(size=(len(POINTS), 3**q)))
+        assert out.shape == (len(POINTS), 3, 2, 3**q) and _points_fastest(out)
+        cols = rng.normal(size=(len(POINTS), 5, 3**q))
+        out = connection_lift._slot_apply(mats[:, None, 0], slot, q, cols)
+        assert out.shape == (len(POINTS), 5, 2, 3**q) and _points_fastest(out)
 
 
 def test_input_field_arrays_store_the_points_fastest():
@@ -107,8 +118,8 @@ def test_einsum_matches_row_major_np_einsum_on_every_spec(n, q, tmp_path, monkey
     # order, so they agree within 4 ulps of the |a|.|b| term scale.
     helper, seen, calls = tensor.einsum, set(), []
 
-    def checked(spec, *ops):
-        out = helper(spec, *ops)
+    def checked(spec, *ops, out=None):
+        out = helper(spec, *ops, out=out)
         ref = np.einsum(spec, *(np.ascontiguousarray(a) for a in ops))
         if n == 2:
             assert np.array_equal(out, ref), spec

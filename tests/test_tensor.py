@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from _fields import random_symmetric_connection
+from _fields import random_symmetric_connection, replace_slot
 from liftlab import expr, sampling
 from liftlab.presets import (
     flat_connection,
@@ -32,7 +32,6 @@ from liftlab.tensor import (
     lie_derivative_cov,
     lie_derivative_endo,
     rank_multi_index,
-    replace_slot,
     unrank_multi_index,
 )
 
