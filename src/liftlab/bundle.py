@@ -253,7 +253,7 @@ def tachibana(
     phi: EndomorphismField,
     xi: CovariantField,
     points=None,
-    tol: float = sampling.SYMBOLIC_RTOL,
+    tol: float = sampling.DEFAULT_TOL,
 ) -> CovariantField:
     """Tachibana operator of phi applied to a pure tensor xi.
 
@@ -274,13 +274,16 @@ def is_almost_analytic(
     phi: EndomorphismField,
     xi: CovariantField,
     points,
-    tol: float = sampling.SYMBOLIC_RTOL,
+    tol: float = sampling.DEFAULT_TOL,
 ) -> "sampling.SampledCheck":
     """Pure with vanishing Tachibana image, on sampled points.  An impure
-    xi fails on its purity residual, with no worst point."""
-    purity = purity_residual(phi, xi, points)
-    if purity > tol:
-        return sampling.SampledCheck(False, purity, None)
+    xi fails on its purity residual, with no worst point and the reason
+    in detail."""
+    purity = sampling.sampled_check(
+        None, purity_residual(phi, xi, points), tol, {"reason": "tensor is not pure"}
+    )
+    if not purity.passed:
+        return purity
     per_point = sampling.max_per_point(_tachibana_field(phi, xi).evaluate(points))
     return sampling.sampled_check(points, per_point, tol)
 
@@ -370,27 +373,14 @@ def complete_lift_endo_on_section(
 # Verification of the lift identities
 
 
-@dataclass(frozen=True)
-class CharacterizationReport:
-    """Sampled residuals for the two identities that pin down the lift:
-    the action on complete lifts and the action on vertical lifts."""
-
-    complete_residual: float
-    vertical_residual: float
-    residual: float
-    worst_point: tuple
-    passed: bool
-    tol: float
-
-
 def verify_characterization(
     phi: EndomorphismField,
     xi: CovariantField,
     v: VectorField,
     a: CovariantField,
     points,
-    tol: float = sampling.SYMBOLIC_RTOL,
-) -> CharacterizationReport:
+    tol: float = sampling.DEFAULT_TOL,
+) -> "sampling.SampledCheck":
     """Check, on sampled points, that the lifted endomorphism satisfies
 
       lift(phi) (complete lift of V) = complete lift of (phi V)
@@ -410,76 +400,42 @@ def verify_characterization(
     vertical -= vertical_lift(apply_endo_cov(phi, a), points).as_array()
     res_c = sampling.max_per_point(complete)
     res_v = sampling.max_per_point(vertical)
-    per_point = np.maximum(res_c, res_v)
-    worst = sampling.worst_point(points, per_point)
-    residual = float(per_point.max())
-    return CharacterizationReport(
-        complete_residual=float(res_c.max()),
-        vertical_residual=float(res_v.max()),
-        residual=residual,
-        worst_point=tuple(worst),
-        passed=residual <= tol,
-        tol=tol,
-    )
-
-
-@dataclass(frozen=True)
-class TheoremOneReport:
-    """Sampled residuals for the almost-complex lift statement.
-
-    Hypotheses: phi squares to minus the identity, xi is pure, and the
-    Tachibana image vanishes.  Conclusions: the Nijenhuis contraction
-    into xi vanishes and the lifted endomorphism squares to minus the
-    identity on the bundle.  The theorem passes when the hypotheses,
-    taken at face value on the sampled points, force the conclusions.
-    """
-
-    square_residual: float
-    purity_residual: float
-    tachibana_residual: float
-    nijenhuis_residual: float
-    lift_square_residual: float
-    hypotheses_hold: bool
-    conclusions_hold: bool
-    passed: bool
-    worst_point: tuple
-    tol: float
+    detail = {"complete_residual": float(res_c.max()), "vertical_residual": float(res_v.max())}
+    return sampling.sampled_check(points, np.maximum(res_c, res_v), tol, detail)
 
 
 def verify_theorem1(
     phi: EndomorphismField,
     xi: CovariantField,
     points,
-    tol: float = 1e-9,
-) -> TheoremOneReport:
+    tol: float = sampling.DEFAULT_TOL,
+) -> "sampling.SampledCheck":
     """Verify on sampled points: for an almost-complex phi and an
     almost-analytic pure xi, the complete lift of phi is an almost-complex
     structure along the cross-section (its square is minus the identity),
-    and the Nijenhuis contraction into xi vanishes."""
+    and the Nijenhuis contraction into xi vanishes.
+
+    Hypotheses: phi squares to minus the identity, xi is pure, and the
+    Tachibana image vanishes.  The check passes when the hypotheses,
+    taken at face value on the sampled points, fail or the conclusions
+    hold.  Its residual is that of the conclusions, and its worst point
+    that of the lift's square; detail carries every residual."""
     n, q = xi.n, check_rank(xi.q)
 
     phi_sq = compose_endo(phi, phi).evaluate(points) + np.eye(n)
-    square_res = float(np.max(np.abs(phi_sq)))
-    purity_res = purity_residual(phi, xi, points)
-    tach_res = float(np.max(np.abs(_tachibana_field(phi, xi).evaluate(points))))
+    hypotheses = {
+        "square_residual": float(np.max(np.abs(phi_sq))),
+        "purity_residual": purity_residual(phi, xi, points),
+        "tachibana_residual": float(np.max(np.abs(_tachibana_field(phi, xi).evaluate(points)))),
+    }
     nij_res = float(np.max(np.abs(contract_one_two_cov(nijenhuis(phi), xi).evaluate(points))))
 
     mat = complete_lift_endo_on_section(phi, xi, points).matrix
     per_point = sampling.max_per_point(np.matmul(mat, mat) + np.eye(bundle_dim(n, q)))
-    lift_res = float(per_point.max())
-    worst = tuple(sampling.worst_point(points, per_point))
-
-    hypotheses = max(square_res, purity_res, tach_res) <= tol
-    conclusions = max(nij_res, lift_res) <= tol
-    return TheoremOneReport(
-        square_residual=square_res,
-        purity_residual=purity_res,
-        tachibana_residual=tach_res,
-        nijenhuis_residual=nij_res,
-        lift_square_residual=lift_res,
-        hypotheses_hold=hypotheses,
-        conclusions_hold=conclusions,
-        passed=(not hypotheses) or conclusions,
-        worst_point=worst,
-        tol=tol,
-    )
+    lift = sampling.sampled_check(points, per_point, tol)
+    conclusions = sampling.sampled_check(None, [nij_res, lift.residual], tol)
+    hold = sampling.sampled_check(None, list(hypotheses.values()), tol).passed
+    detail = dict(hypotheses, nijenhuis_residual=nij_res, lift_square_residual=lift.residual,
+                  hypotheses_hold=hold)
+    passed = not hold or conclusions.passed
+    return sampling.SampledCheck(passed, conclusions.residual, tol, lift.worst_point, detail)

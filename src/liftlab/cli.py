@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,23 +26,8 @@ from .tensor import (
     curvature,
 )
 
-DEFAULT_TOL = 1e-9
+DEFAULT_TOL = sampling.DEFAULT_TOL
 STRUCTURAL_TOL = 1e-12
-
-# Every check, in report order, with the fields it needs beyond n and q.
-_REQUIRES = {
-    "purity": ("phi", "xi"),
-    "tachibana_zero": ("phi", "xi"),
-    "nijenhuis_zero": ("phi",),
-    "theorem1": ("phi", "xi"),
-    "characterization": ("phi", "xi"),
-    "lift_connection_zeros": ("gamma",),
-    "induced_equals_base": ("gamma", "xi"),
-    "gauss_consistency": ("gamma", "xi"),
-    "totally_geodesic": ("gamma", "xi"),
-    "curvature_tangency": ("gamma", "xi"),
-}
-CHECK_IDS = tuple(_REQUIRES)
 
 
 class ScenarioError(ValueError):
@@ -71,16 +56,6 @@ class Scenario:
 
 
 @dataclass
-class CheckResult:
-    check: str
-    passed: bool
-    residual: float
-    tolerance: float
-    worst_point: tuple | None = None
-    detail: dict = field(default_factory=dict)
-
-
-@dataclass
 class Report:
     scenario: str
     n: int
@@ -88,11 +63,11 @@ class Report:
     seed: int
     count: int
     box: tuple[float, float]
-    results: list[CheckResult]
+    results: list[tuple[str, sampling.SampledCheck]]
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.results)
+        return all(r.passed for _, r in self.results)
 
     def to_dict(self) -> dict:
         return {
@@ -105,14 +80,14 @@ class Report:
             "passed": self.passed,
             "checks": [
                 {
-                    "id": r.check,
+                    "id": check,
                     "status": "pass" if r.passed else "fail",
                     "residual": r.residual,
-                    "tolerance": r.tolerance,
+                    "tolerance": r.tol,
                     "worst_point": list(r.worst_point) if r.worst_point else None,
                     "detail": r.detail,
                 }
-                for r in self.results
+                for check, r in self.results
             ],
         }
 
@@ -244,13 +219,10 @@ def load_scenario(path: str) -> Scenario:
         if (
             not isinstance(box, list)
             or len(box) != 2
-            or not all(
-                isinstance(b, (int, float)) and not isinstance(b, bool) and math.isfinite(b)
-                for b in box
-            )
-            or not box[0] < box[1]
+            or not all(isinstance(b, (int, float)) and not isinstance(b, bool) for b in box)
+            or not (math.isfinite(box[1] - box[0]) and box[0] < box[1])
         ):
-            raise ScenarioError("box must be [lo, hi], both finite, with lo < hi")
+            raise ScenarioError("box must be [lo, hi] with lo < hi and a finite width hi - lo")
         box = (float(box[0]), float(box[1]))
 
     sc = Scenario(name=name, n=n, q=q, checks=list(checks), seed=seed, count=count, box=box)
@@ -259,7 +231,7 @@ def load_scenario(path: str) -> Scenario:
             setattr(sc, kind, _build_field(kind, data[kind], n, q))
 
     for c in checks:
-        for req in _REQUIRES[c]:
+        for req in _CHECKS[c][0]:
             if getattr(sc, req) is None:
                 raise ScenarioError(f"check {c!r} requires scenario field {req!r}")
     return sc
@@ -291,16 +263,16 @@ def _sample_scenario_points(sc: Scenario, seed: int, count: int, box) -> np.ndar
         raise ScenarioError(str(exc)) from None
 
 
-def _probe_fields(sc: Scenario, seed: int):
-    """Probe vector and tensor for the characterization check, taken from
-    the scenario when given, else seeded random polynomials."""
+def _characterization(sc: Scenario, points, seed: int, tol: float) -> sampling.SampledCheck:
+    """The probe vector and tensor come from the scenario when given,
+    else they are seeded random polynomials."""
     rng = np.random.default_rng([seed, 1005])
     v = sc.v or presets.random_vector_field(rng, sc.n)
     a = sc.a or presets.random_covariant_field(rng, sc.n, sc.q)
-    return v, a
+    return bundle.verify_characterization(sc.phi, sc.xi, v, a, points, tol)
 
 
-def _check_lift_zeros(gamma: ConnectionField, q: int, points, rng, tol) -> CheckResult:
+def _check_lift_zeros(gamma: ConnectionField, q: int, points, rng, tol) -> sampling.SampledCheck:
     n = gamma.n
     fib = rng.uniform(-1.0, 1.0, size=(len(points), n**q))
     lift = connection_lift.complete_lift_connection(gamma, bundle.BundlePoint(n, q, points, fib))
@@ -313,59 +285,40 @@ def _check_lift_zeros(gamma: ConnectionField, q: int, points, rng, tol) -> Check
     per_point = np.maximum(
         lift.symmetry_residual(), sampling.max_per_point(doubled - 2.0 * lift.fibre_bb)
     )
-    out = sampling.sampled_check(points, per_point, tol)
-    return CheckResult("lift_connection_zeros", out.passed, out.residual, tol, out.worst_point)
+    return sampling.sampled_check(points, per_point, tol)
 
 
-def _execute_check(check: str, sc: Scenario, points, seed: int, tol: float) -> CheckResult:
-    if check == "purity":
-        r = bundle.purity_residual(sc.phi, sc.xi, points)
-        return CheckResult(check, r <= tol, r, tol)
-    if check == "theorem1":
-        rep = bundle.verify_theorem1(sc.phi, sc.xi, points, tol)
-        detail = {
-            "square_residual": rep.square_residual,
-            "purity_residual": rep.purity_residual,
-            "tachibana_residual": rep.tachibana_residual,
-            "nijenhuis_residual": rep.nijenhuis_residual,
-            "lift_square_residual": rep.lift_square_residual,
-            "hypotheses_hold": rep.hypotheses_hold,
-        }
-        residual = max(rep.nijenhuis_residual, rep.lift_square_residual)
-        return CheckResult(check, rep.passed, residual, tol, rep.worst_point, detail)
-    if check == "characterization":
-        v, a = _probe_fields(sc, seed)
-        rep = bundle.verify_characterization(sc.phi, sc.xi, v, a, points, tol)
-        detail = {
-            "complete_residual": rep.complete_residual,
-            "vertical_residual": rep.vertical_residual,
-        }
-        return CheckResult(check, rep.passed, rep.residual, tol, rep.worst_point, detail)
-    if check == "lift_connection_zeros":
-        rng = np.random.default_rng([seed, 2003])
-        return _check_lift_zeros(sc.gamma, sc.q, points, rng, min(tol, STRUCTURAL_TOL))
-    # the rest are sampled checks with one residual per point
-    if check == "tachibana_zero":
-        out = bundle.is_almost_analytic(sc.phi, sc.xi, points, tol)
-        if out.worst_point is None:  # the purity gate failed
-            detail = {"reason": "tensor is not pure"}
-            return CheckResult(check, False, out.residual, tol, detail=detail)
-    elif check == "nijenhuis_zero":
-        per_point = sampling.max_per_point(bundle.nijenhuis(sc.phi).evaluate(points))
-        out = sampling.sampled_check(points, per_point, tol)
-    elif check == "induced_equals_base":
-        induced = connection_lift.induced_connection(sc.gamma, sc.xi, points)
-        per_point = sampling.max_per_point(induced - sc.gamma.evaluate(points))
-        out = sampling.sampled_check(points, per_point, tol)
-    elif check == "gauss_consistency":
-        out = connection_lift.gauss_consistency(sc.gamma, sc.xi, points, tol)
-    elif check == "totally_geodesic":
-        out = connection_lift.is_totally_geodesic(sc.gamma, sc.xi, points, tol)
-    elif check == "curvature_tangency":
-        out = connection_lift.curvature_tangency(sc.gamma, sc.xi, points, tol)
-    else:
-        raise ScenarioError(f"unknown check {check!r}")
-    return CheckResult(check, out.passed, out.residual, tol, out.worst_point)
+def _vanishes(values: np.ndarray, points, tol: float) -> sampling.SampledCheck:
+    return sampling.sampled_check(points, sampling.max_per_point(values), tol)
+
+
+# Every check, in report order: the fields it needs beyond n and q, and
+# run(scenario, points, seed, tol) -> SampledCheck.  Each run looks its
+# functions up in their modules when it is called, so that a function
+# replaced on its module (by a tracer, say) is the one that runs.
+_CHECKS = {
+    "purity": (("phi", "xi"), lambda sc, pts, seed, tol: sampling.sampled_check(
+        None, bundle.purity_residual(sc.phi, sc.xi, pts), tol)),
+    "tachibana_zero": (("phi", "xi"), lambda sc, pts, seed, tol: bundle.is_almost_analytic(
+        sc.phi, sc.xi, pts, tol)),
+    "nijenhuis_zero": (("phi",), lambda sc, pts, seed, tol: _vanishes(
+        bundle.nijenhuis(sc.phi).evaluate(pts), pts, tol)),
+    "theorem1": (("phi", "xi"), lambda sc, pts, seed, tol: bundle.verify_theorem1(
+        sc.phi, sc.xi, pts, tol)),
+    "characterization": (("phi", "xi"), _characterization),
+    "lift_connection_zeros": (("gamma",), lambda sc, pts, seed, tol: _check_lift_zeros(
+        sc.gamma, sc.q, pts, np.random.default_rng([seed, 2003]), min(tol, STRUCTURAL_TOL))),
+    "induced_equals_base": (("gamma", "xi"), lambda sc, pts, seed, tol: _vanishes(
+        connection_lift.induced_connection(sc.gamma, sc.xi, pts) - sc.gamma.evaluate(pts),
+        pts, tol)),
+    "gauss_consistency": (("gamma", "xi"), lambda sc, pts, seed, tol: (
+        connection_lift.gauss_consistency(sc.gamma, sc.xi, pts, tol))),
+    "totally_geodesic": (("gamma", "xi"), lambda sc, pts, seed, tol: (
+        connection_lift.is_totally_geodesic(sc.gamma, sc.xi, pts, tol))),
+    "curvature_tangency": (("gamma", "xi"), lambda sc, pts, seed, tol: (
+        connection_lift.curvature_tangency(sc.gamma, sc.xi, pts, tol))),
+}
+CHECK_IDS = tuple(_CHECKS)
 
 
 def run_scenario(
@@ -389,6 +342,8 @@ def run_scenario(
                 raise ScenarioError(f"LIFTLAB_SEED must be an integer, got {env!r}") from None
     if seed is None:
         seed = sc.seed if sc.seed is not None else sampling.DEFAULT_SEED
+    if seed < 0:
+        raise ScenarioError(f"seed must be non-negative, got {seed}")
     count = count if count is not None else (sc.count or sampling.DEFAULT_COUNT)
     box = sc.box or sampling.DEFAULT_BOX
     tol = tol if tol is not None else DEFAULT_TOL
@@ -401,7 +356,7 @@ def run_scenario(
     # the symmetry probe reads gamma only where the screen found it regular
     if sc.gamma is not None and sc.gamma.symmetry_residual(points[:16]) > STRUCTURAL_TOL:
         raise ScenarioError("gamma must be symmetric in its lower indices")
-    results = [_execute_check(c, sc, points, seed, tol) for c in sc.checks]
+    results = [(c, _CHECKS[c][1](sc, points, seed, tol)) for c in sc.checks]
     return Report(sc.name, sc.n, sc.q, seed, count, box, results)
 
 
@@ -503,14 +458,14 @@ def _print_report(report: Report) -> None:
         f"scenario {report.scenario} (n={report.n}, q={report.q}, "
         f"seed={report.seed}, points={report.count})"
     )
-    for r in report.results:
+    for check, r in report.results:
         status = "PASS" if r.passed else "FAIL"
-        line = f"{status} {r.check:<22} residual={r.residual:.3e}  tol={r.tolerance:.1e}"
+        line = f"{status} {check:<22} residual={r.residual:.3e}  tol={r.tol:.1e}"
         if r.worst_point is not None:
             coords = ", ".join(f"{c:.4f}" for c in r.worst_point)
             line += f"  worst=({coords})"
         print(line)
-    done = sum(1 for r in report.results if r.passed)
+    done = sum(1 for _, r in report.results if r.passed)
     print(f"{done}/{len(report.results)} checks passed")
 
 

@@ -160,13 +160,15 @@ def t_linear_block(g, dg, r4, t, q: int, curvature_sign: float = 1.0):
     )
     fibre_bb = sum(np.moveaxis(_slot_apply(single, c, q, t), -1, -3) for c in range(q))
     # The quadratic part: slot c replaced through Gamma^a_{s x}, then slot
-    # b through Gamma^a_{m x}, on the fibre axes split around slot b.
-    n = g.shape[-1]
+    # b through Gamma^a_{m x}, on the fibre axes split around slot b; the
+    # split of fibre_bb is a view, so the sum lands in place.
+    n, batch = g.shape[-1], fibre_bb.shape[:-3]
     moved = [_slot_apply(replace, c, q, t) for c in range(q)]  # [.., s, row]
     for b, c in itertools.permutations(range(q), 2):
-        split = moved[c].reshape(moved[c].shape[:-1] + (n**b, n, n ** (q - 1 - b)))
-        quad = einsum("...mxa,...slar->...lxrms", replace, split)
-        fibre_bb += quad.reshape(fibre_bb.shape)
+        split = (n**b, n, n ** (q - 1 - b))
+        slot_b = moved[c].reshape(moved[c].shape[:-1] + split)
+        view = fibre_bb.reshape(batch + split + (n, n))
+        view += einsum("...mxa,...slar->...lxrms", replace, slot_b)
     return fibre_bb
 
 
@@ -230,7 +232,7 @@ def is_totally_geodesic(
     gamma: ConnectionField,
     xi: CovariantField,
     points,
-    tol: float = sampling.SYMBOLIC_RTOL,
+    tol: float = sampling.DEFAULT_TOL,
 ) -> sampling.SampledCheck:
     """Sampled test for H = 0; passes exactly for a totally geodesic
     cross-section (up to tol)."""
@@ -242,7 +244,7 @@ def gauss_consistency(
     gamma: ConnectionField,
     xi: CovariantField,
     points,
-    tol: float = sampling.SYMBOLIC_RTOL,
+    tol: float = sampling.DEFAULT_TOL,
     curvature_sign: float = 1.0,
 ) -> sampling.SampledCheck:
     """Check, on sampled points, that differentiating the adapted frame
@@ -289,7 +291,7 @@ def curvature_tangency(
     gamma: ConnectionField,
     xi: CovariantField,
     points,
-    tol: float = sampling.SYMBOLIC_RTOL,
+    tol: float = sampling.DEFAULT_TOL,
 ) -> sampling.SampledCheck:
     """Sampled residual of the identity that makes curvature variation
     along the cross-section tangent to it:

@@ -7,7 +7,7 @@ coordinate singularities of the built-in charts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -16,8 +16,8 @@ DEFAULT_SEED = 42
 DEFAULT_COUNT = 64
 DEFAULT_BOX = (0.2, 1.5)
 
-# Relative tolerance for symbolic-against-symbolic comparisons.
-SYMBOLIC_RTOL = 1e-9
+# The tolerance of every check unless the caller gives another.
+DEFAULT_TOL = 1e-9
 
 
 def sample_points(
@@ -39,7 +39,7 @@ def sample_points(
     consecutive rejected redraws, counted across blocks.
     """
     lo, hi = box
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+    if not (np.isfinite(hi - lo) and lo < hi):
         raise ValueError(f"invalid sampling box {box}")
     if count < 1:
         raise ValueError(f"sample count must be at least 1, got {count}")
@@ -77,16 +77,21 @@ def max_per_point(values: np.ndarray) -> np.ndarray:
     return np.abs(values).max(axis=tuple(range(1, np.ndim(values))))
 
 
-def sampled_check(points: np.ndarray, per_point: np.ndarray, tol: float) -> "SampledCheck":
-    """Verdict on the largest per-point residual, with the point attaining it."""
+def sampled_check(points, per_point, tol: float, detail: dict | None = None) -> "SampledCheck":
+    """Verdict on the largest per-point residual, with the point attaining
+    it; points None marks residuals that name no point."""
     residual = float(np.max(per_point))
-    return SampledCheck(residual <= tol, residual, tuple(worst_point(points, per_point)))
+    worst = None if points is None else tuple(worst_point(points, per_point))
+    return SampledCheck(residual <= tol, residual, tol, worst, detail or {})
 
 
 @dataclass(frozen=True)
 class SampledCheck:
-    """Outcome of one sampled-equality check."""
+    """Outcome of one check: the verdict, the largest residual against
+    tol, the point attaining it, and the named residuals behind it."""
 
     passed: bool
     residual: float
+    tol: float
     worst_point: tuple | None = None
+    detail: dict = field(default_factory=dict)

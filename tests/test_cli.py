@@ -64,7 +64,7 @@ def test_run_prints_one_line_per_check(capsys):
 
 def test_necessity_scenario_reports_failing_check():
     report = run_scenario(str(SCENARIOS / "theorem1_necessity.json"))
-    by_id = {r.check: r for r in report.results}
+    by_id = dict(report.results)
     assert by_id["purity"].passed
     assert not by_id["tachibana_zero"].passed
     assert by_id["tachibana_zero"].residual > 1.0
@@ -138,6 +138,19 @@ def test_bad_env_seed_is_an_error(tmp_path, monkeypatch):
         run_scenario(path)
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_negative_seed_is_a_usage_error(source, tmp_path, monkeypatch, capsys):
+    # numpy's generators take no negative seed; the run stops before sampling
+    path = write_scenario(tmp_path)
+    flags = ["--seed", "-1"] if source == "flag" else []
+    if source == "env":
+        monkeypatch.setenv("LIFTLAB_SEED", "-3")
+    assert main(["run", path, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: seed must be non-negative")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+
 def test_points_override(tmp_path):
     path = write_scenario(tmp_path)
     assert run_scenario(path, count=8).count == 8
@@ -174,6 +187,8 @@ def test_invalid_json(tmp_path, capsys):
         {"q": True},
         {"seed": False},
         {"xi": {"1": True, "2": "0"}},
+        {"box": [-1e308, 1e308]},  # both ends finite, the width is not
+        {"seed": -5},
     ],
 )
 def test_scenario_validation_errors(tmp_path, overrides, capsys):
@@ -382,9 +397,9 @@ def test_tolerance_override_fails_loose_check(tmp_path):
     # the necessity instance passes purity but not tachibana at any tol <= 1
     path = write_scenario(tmp_path, xi={"1": "x1^2", "2": "0"})
     report = run_scenario(path, tol=1e-3)
-    by_id = {r.check: r for r in report.results}
+    by_id = dict(report.results)
     assert not by_id["tachibana_zero"].passed
-    assert by_id["tachibana_zero"].tolerance == 1e-3
+    assert by_id["tachibana_zero"].tol == 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +454,7 @@ def test_every_check_at_the_top_of_the_envelope(tmp_path):
         tmp_path, points=64, checks=list(CHECK_IDS), **generic_scenario(43, 4, 3)
     )
     report = run_scenario(path, seed=5)
-    verdicts = {r.check: r.passed for r in report.results}
+    verdicts = {check: r.passed for check, r in report.results}
     assert verdicts == {
         "purity": False,
         "tachibana_zero": False,
@@ -452,3 +467,20 @@ def test_every_check_at_the_top_of_the_envelope(tmp_path):
         "totally_geodesic": False,
         "curvature_tangency": False,
     }
+
+
+@pytest.mark.parametrize("check", CHECK_IDS)
+def test_report_entry_of_every_check(check, tmp_path):
+    # a generic (2,2) scenario with phi, xi and gamma; xi is impure
+    path = write_scenario(tmp_path, checks=[check], **generic_scenario(11, 2, 2))
+    (entry,) = run_scenario(path).to_dict()["checks"]
+    assert entry["id"] == check
+    assert entry["tolerance"] == (1e-12 if check == "lift_connection_zeros" else 1e-9)
+    assert (entry["worst_point"] is None) == (check in ("purity", "tachibana_zero"))
+    keys = {
+        "theorem1": {"square_residual", "purity_residual", "tachibana_residual",
+                     "nijenhuis_residual", "lift_square_residual", "hypotheses_hold"},
+        "characterization": {"complete_residual", "vertical_residual"},
+        "tachibana_zero": {"reason"},
+    }
+    assert set(entry["detail"]) == keys.get(check, set())

@@ -117,6 +117,15 @@ def test_unscreened_sampler_matches_per_candidate_loop():
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize(
+    "box", [(0.2, float("inf")), (float("nan"), 1.0), (1.5, 0.2), (-1e308, 1e308)]
+)
+def test_invalid_box_is_rejected(box):
+    # the last has finite ends, but its width overflows a float
+    with pytest.raises(ValueError, match="invalid sampling box"):
+        sampling.sample_points(2, box=box)
+
+
 def test_screen_by_value_matches_per_candidate_loop():
     # a region screen, the way the CLI uses it: reject a corner of the box
     def bad(p):
