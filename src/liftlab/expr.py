@@ -4,8 +4,9 @@ Grammar: decimal literals, variables x1..xn, binary + - * /, unary -,
 integer powers via ^, the functions sin, cos, exp, and parentheses.
 Subtraction is lowered to addition of a negation at parse time.
 
-Construction goes through smart constructors that fold constants and
-drop additive zeros / multiplicative ones.  Folding is best effort and
+Nodes are built only by the smart constructors (add, mul, ipow, ...),
+which fold constants and drop additive zeros / multiplicative ones;
+there is no Python arithmetic on nodes.  Folding is best effort and
 never load-bearing: expression equality is always decided by sampled
 evaluation, not by tree shape.
 
@@ -64,52 +65,15 @@ class SingularPointError(ArithmeticError):
 
 
 class ScalarExpr:
-    """Base class for expression nodes.  Nodes are immutable once built."""
+    """Base class for expression nodes, immutable once built.  Only the
+    smart constructors below build them."""
 
     __slots__ = ()
-    children: tuple
+    children: tuple = ()
     op: int  # tape opcode
-
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return add(self, neg(_coerce(other)))
-
-    def __rsub__(self, other):
-        return add(_coerce(other), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, k):
-        return ipow(self, k)
 
     def __repr__(self):
         return str(self)
-
-
-def _coerce(v) -> ScalarExpr:
-    if isinstance(v, ScalarExpr):
-        return v
-    if isinstance(v, (int, float)):
-        return Const(float(v))
-    raise TypeError(f"cannot use {type(v).__name__} as a scalar expression")
 
 
 # Printing precedence, loosest to tightest.
@@ -118,13 +82,11 @@ _P_ADD, _P_MUL, _P_NEG, _P_POW, _P_ATOM = 1, 2, 3, 4, 5
 
 class Const(ScalarExpr):
     __slots__ = ("c",)
-    children = ()
     prec = _P_ATOM
     op = CONST
 
     def __init__(self, c: float):
         self.c = float(c)
-
 
     def __str__(self):
         # repr round-trips float precision; trim the ".0" of whole numbers
@@ -140,7 +102,6 @@ class Var(ScalarExpr):
     """Coordinate variable x<axis>, axis counted from 1."""
 
     __slots__ = ("axis",)
-    children = ()
     prec = _P_ATOM
     op = VAR
 
@@ -149,15 +110,14 @@ class Var(ScalarExpr):
             raise ValueError(f"variable axis must be >= 1, got {axis}")
         self.axis = axis
 
-
     def __str__(self):
         return f"x{self.axis}"
 
 
-class Add(ScalarExpr):
+class _Binary(ScalarExpr):
     __slots__ = ("a", "b")
-    prec = _P_ADD
-    op = ADD
+    prec = _P_MUL
+    symbol = ""
 
     def __init__(self, a: ScalarExpr, b: ScalarExpr):
         self.a, self.b = a, b
@@ -166,6 +126,14 @@ class Add(ScalarExpr):
     def children(self):
         return (self.a, self.b)
 
+    def __str__(self):
+        return f"{_wrap(self.a, _P_MUL)}{self.symbol}{_wrap(self.b, _P_MUL + 1)}"
+
+
+class Add(_Binary):
+    __slots__ = ()
+    prec = _P_ADD
+    op = ADD
 
     def __str__(self):
         left = _wrap(self.a, _P_ADD)
@@ -174,44 +142,20 @@ class Add(ScalarExpr):
         return f"{left} + {_wrap(self.b, _P_ADD)}"
 
 
-class Mul(ScalarExpr):
-    __slots__ = ("a", "b")
-    prec = _P_MUL
+class Mul(_Binary):
+    __slots__ = ()
     op = MUL
-
-    def __init__(self, a: ScalarExpr, b: ScalarExpr):
-        self.a, self.b = a, b
-
-    @property
-    def children(self):
-        return (self.a, self.b)
+    symbol = "*"
 
 
-    def __str__(self):
-        return f"{_wrap(self.a, _P_MUL)}*{_wrap(self.b, _P_MUL + 1)}"
-
-
-class Div(ScalarExpr):
-    __slots__ = ("a", "b")
-    prec = _P_MUL
+class Div(_Binary):
+    __slots__ = ()
     op = DIV
-
-    def __init__(self, a: ScalarExpr, b: ScalarExpr):
-        self.a, self.b = a, b
-
-    @property
-    def children(self):
-        return (self.a, self.b)
+    symbol = "/"
 
 
-    def __str__(self):
-        return f"{_wrap(self.a, _P_MUL)}/{_wrap(self.b, _P_MUL + 1)}"
-
-
-class Neg(ScalarExpr):
+class _Unary(ScalarExpr):
     __slots__ = ("a",)
-    prec = _P_NEG
-    op = NEG
 
     def __init__(self, a: ScalarExpr):
         self.a = a
@@ -221,40 +165,33 @@ class Neg(ScalarExpr):
         return (self.a,)
 
 
+class Neg(_Unary):
+    __slots__ = ()
+    prec = _P_NEG
+    op = NEG
+
     def __str__(self):
         return f"-{_wrap(self.a, _P_ATOM)}"
 
 
-class IntPow(ScalarExpr):
+class IntPow(_Unary):
     """Integer power of a subexpression; the exponent is a literal."""
 
-    __slots__ = ("a", "k")
+    __slots__ = ("k",)
     prec = _P_POW
     op = POW
 
     def __init__(self, a: ScalarExpr, k: int):
         self.a, self.k = a, int(k)
 
-    @property
-    def children(self):
-        return (self.a,)
-
-
     def __str__(self):
         return f"{_wrap(self.a, _P_ATOM)}^{self.k}"
 
 
-class _Func(ScalarExpr):
-    __slots__ = ("a",)
+class _Func(_Unary):
+    __slots__ = ()
     prec = _P_ATOM
     name = ""
-
-    def __init__(self, a: ScalarExpr):
-        self.a = a
-
-    @property
-    def children(self):
-        return (self.a,)
 
     def __str__(self):
         return f"{self.name}({self.a})"
@@ -281,12 +218,6 @@ class Exp(_Func):
 def _wrap(e: ScalarExpr, minimum: int) -> str:
     s = str(e)
     return f"({s})" if e.prec < minimum else s
-
-
-def _is_const(e: ScalarExpr, c: float | None = None) -> bool:
-    if not isinstance(e, Const):
-        return False
-    return True if c is None else e.c == c
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +248,7 @@ def sub(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
 
 
 def neg(a: ScalarExpr) -> ScalarExpr:
-    if _is_const(a):
+    if isinstance(a, Const):
         return Const(-a.c)
     if isinstance(a, Neg):
         return a.a
@@ -338,9 +269,10 @@ def mul(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
 
 
 def div(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
-    if _is_const(b, 1.0):
+    ca, cb = isinstance(a, Const), isinstance(b, Const)
+    if cb and b.c == 1.0:
         return a
-    if _is_const(a) and _is_const(b) and b.c != 0.0:
+    if ca and cb and b.c != 0.0:
         return Const(a.c / b.c)
     return Div(a, b)
 
@@ -351,21 +283,21 @@ def ipow(a: ScalarExpr, k: int) -> ScalarExpr:
         return Const(1.0)
     if k == 1:
         return a
-    if _is_const(a) and not (a.c == 0.0 and k < 0):
+    if isinstance(a, Const) and not (a.c == 0.0 and k < 0):
         return Const(a.c**k)
     return IntPow(a, k)
 
 
 def sin(a: ScalarExpr) -> ScalarExpr:
-    return Const(math.sin(a.c)) if _is_const(a) else Sin(a)
+    return Const(math.sin(a.c)) if isinstance(a, Const) else Sin(a)
 
 
 def cos(a: ScalarExpr) -> ScalarExpr:
-    return Const(math.cos(a.c)) if _is_const(a) else Cos(a)
+    return Const(math.cos(a.c)) if isinstance(a, Const) else Cos(a)
 
 
 def exp(a: ScalarExpr) -> ScalarExpr:
-    return Const(math.exp(a.c)) if _is_const(a) else Exp(a)
+    return Const(math.exp(a.c)) if isinstance(a, Const) else Exp(a)
 
 
 # ---------------------------------------------------------------------------

@@ -67,14 +67,13 @@ def describe_presets() -> list[str]:
 def random_polynomial_expr(rng: np.random.Generator, n: int, degree: int = 2,
                            scale: float = 0.5) -> expr.ScalarExpr:
     """Random polynomial in x1..xn with uniform(-scale, scale) coefficients."""
-    e = expr.const(rng.uniform(-scale, scale))
-    if degree >= 1:
-        for i in range(1, n + 1):
-            e = e + rng.uniform(-scale, scale) * expr.var(i)
+    axes = range(1, n + 1)
+    monomials = [expr.var(i) for i in axes] if degree >= 1 else []
     if degree >= 2:
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                e = e + rng.uniform(-scale, scale) * (expr.var(i) * expr.var(j))
+        monomials += [expr.mul(expr.var(i), expr.var(j)) for i in axes for j in range(i, n + 1)]
+    e = expr.const(rng.uniform(-scale, scale))
+    for m in monomials:
+        e = expr.add(e, expr.mul(expr.const(rng.uniform(-scale, scale)), m))
     return e
 
 

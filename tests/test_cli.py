@@ -197,6 +197,30 @@ def test_scenario_validation_errors(tmp_path, overrides, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("box", [[0, 10**400], [-(10**400), 0]], ids=["hi", "lo"])
+def test_box_end_beyond_float_range_is_a_usage_error(box, tmp_path, capsys):
+    # JSON keeps the 401-digit integer exact; float() of it overflows
+    path = write_scenario(tmp_path, box=box)
+    assert main(["run", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: box ends must be within float range\n"
+    assert captured.out == ""
+
+
+# numpy refuses both counts before it allocates anything: 10**15 points
+# need 16 PiB, and 10**400 exceeds its largest array dimension.  A count
+# that could really be allocated is never tried here.
+@pytest.mark.parametrize("count", [10**15, 10**400], ids=["1e15", "1e400"])
+@pytest.mark.parametrize("source", ["scenario", "flag"])
+def test_point_count_too_large_to_hold_is_a_usage_error(source, count, tmp_path, capsys):
+    path = write_scenario(tmp_path, **({"points": count} if source == "scenario" else {}))
+    flags = ["--points", str(count)] if source == "flag" else []
+    assert main(["run", path, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: points: cannot hold that many sample points")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+
 def test_asymmetric_gamma_rejected(tmp_path, capsys):
     path = write_scenario(
         tmp_path,

@@ -196,6 +196,18 @@ def test_induced_connection_equals_base(n, q):
         assert worst < 1e-12
 
 
+@pytest.mark.parametrize("n,q", [(2, 1), (3, 2), (4, 3)])
+def test_induced_connection_is_the_base_bit_for_bit(n, q):
+    # exact by construction: the coframe's horizontal rows are [I 0], the
+    # base rows of d_j B^A_i are zero and those of along_section are the
+    # stored base block, so nothing of the fibre blocks reaches the result
+    rng = np.random.default_rng(230 + 10 * n + q)
+    gamma = random_symmetric_connection(rng, n)
+    xi = random_covariant_field(rng, n, q)
+    points = sampling.sample_points(n, count=64)
+    assert np.array_equal(induced_connection(gamma, xi, points), gamma.evaluate(points))
+
+
 def test_induced_connection_sphere_metric():
     for p in POINTS[:8]:
         got = induced_connection(SPHERE, METRIC, p)

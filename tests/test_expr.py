@@ -27,6 +27,7 @@ from liftlab.expr import (
     sub,
     var,
 )
+from liftlab.presets import random_polynomial_expr
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +53,40 @@ def test_print_forms():
     assert str(parse("x1^-2", 2)) == "x1^-2"
     assert str(parse("-x1^2 + 3", 2)) == "-(x1^2) + 3"
     assert str(parse("sin(x1)*cos(x2)/x1", 2)) == "sin(x1)*cos(x2)/x1"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda x: x + 1, lambda x: 2 * x, lambda x: x - x, lambda x: x / 2, lambda x: -x,
+     lambda x: x**2],
+)
+def test_nodes_have_no_python_arithmetic(build):
+    # the smart constructors are the one way to build a node
+    with pytest.raises(TypeError):
+        build(var(1))
+
+
+def test_random_polynomial_probe_tree_is_pinned():
+    # the probe fields are built by the smart constructors in this order;
+    # their printed form pins every tape and report built from them
+    e = random_polynomial_expr(np.random.default_rng(0), 3)
+    assert str(e) == (
+        "0.1369616873214543 + -0.2302132862361297*x1 + -0.4590264760638053*x2"
+        " + -0.4834723644714709*x3 + 0.3132702392002724*(x1*x1)"
+        " + 0.4127555772777217*(x1*x2) + 0.10663577576717986*(x1*x3)"
+        " + 0.2294965609839984*(x2*x2) + 0.04362499146542287*(x2*x3)"
+        " + 0.4350724237877682*(x3*x3)"
+    )
+
+
+def test_parse_builds_repeated_subtrees_as_distinct_nodes():
+    # the tree keeps both factors as their own nodes; only the tape merges
+    # them, and the benchmark's expression counts read that difference
+    e = parse("(x1 + 1)*(x1 + 1)", 1)
+    assert type(e) is E.Mul
+    a, b = e.children
+    assert type(a) is type(b) is E.Add
+    assert a is not b and str(a) == str(b) == "x1 + 1"
 
 
 @pytest.mark.parametrize(

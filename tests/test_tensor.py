@@ -439,7 +439,12 @@ def test_lie_derivative_linear_in_tensor(c):
     a = CovariantField(2, 1, ["x1^2", "x2"])
     b = CovariantField(2, 1, ["sin(x1)", "x1*x2"])
     combo = CovariantField(
-        2, 1, [a.component((i,)) * c + b.component((i,)) for i in (1, 2)]
+        2,
+        1,
+        [
+            expr.add(expr.mul(a.component((i,)), expr.const(c)), b.component((i,)))
+            for i in (1, 2)
+        ],
     )
     p = POINTS[3]
     lhs = lie_derivative_cov(v, combo).evaluate(p)
