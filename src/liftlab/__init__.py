@@ -22,11 +22,9 @@ from .tensor import (
     contract_slot_endo,
     covariant_derivative_cov,
     curvature,
-    iter_multi_indices,
     lie_derivative_cov,
     lie_derivative_endo,
     rank_multi_index,
-    unrank_multi_index,
 )
 from .bundle import (
     AdaptedFrame,
@@ -57,6 +55,7 @@ from .connection_lift import (
     gauss_second_fundamental,
     induced_connection,
     is_totally_geodesic,
+    require_symmetric,
 )
 
 __version__ = "0.1.0"

@@ -252,18 +252,16 @@ def _tachibana_field(phi: EndomorphismField, xi: CovariantField) -> CovariantFie
 def tachibana(
     phi: EndomorphismField,
     xi: CovariantField,
-    points=None,
+    points,
     tol: float = sampling.DEFAULT_TOL,
 ) -> CovariantField:
     """Tachibana operator of phi applied to a pure tensor xi.
 
-    The purity of xi is enforced by sampled residual; NotPureError
-    carries the offending residual.  The new (derivative) index of the
-    result comes first.
+    The purity of xi is enforced by its sampled residual at points;
+    NotPureError carries the offending residual.  The new (derivative)
+    index of the result comes first.
     """
     check_rank(xi.q)
-    if points is None:
-        points = sampling.sample_points(xi.n)
     residual = purity_residual(phi, xi, points)
     if residual > tol:
         raise NotPureError(residual, tol)

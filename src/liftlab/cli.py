@@ -27,7 +27,7 @@ from .tensor import (
 )
 
 DEFAULT_TOL = sampling.DEFAULT_TOL
-STRUCTURAL_TOL = 1e-12
+STRUCTURAL_TOL = sampling.STRUCTURAL_TOL
 
 
 class ScenarioError(ValueError):
@@ -178,7 +178,7 @@ def load_scenario(path: str) -> Scenario:
             data = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, not UTF-8, or an integer past the digit limit
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
@@ -359,9 +359,12 @@ def run_scenario(
         raise ScenarioError(f"tolerance must be finite and non-negative, got {tol!r}")
 
     points = _sample_scenario_points(sc, seed, count, box)
-    # the symmetry probe reads gamma only where the screen found it regular
-    if sc.gamma is not None and sc.gamma.symmetry_residual(points[:16]) > STRUCTURAL_TOL:
-        raise ScenarioError("gamma must be symmetric in its lower indices")
+    if sc.gamma is not None:
+        # where the screen found gamma regular, by the connection functions' rule
+        try:
+            connection_lift.require_symmetric(sc.gamma, points)
+        except connection_lift.TorsionError as exc:
+            raise ScenarioError(f"gamma: {exc}") from None
     results = [(c, _CHECKS[c][1](sc, points, seed, tol)) for c in sc.checks]
     return Report(sc.name, sc.n, sc.q, seed, count, box, results)
 

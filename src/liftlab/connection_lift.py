@@ -11,6 +11,9 @@ The same module carries the cross-section geometry the lift induces:
 the induced base connection, the second-fundamental-form analogue, the
 totally-geodesic test, and the curvature tangency identity along the
 cross-section.
+
+Each of them needs a symmetric (torsion-free) connection and measures
+that hypothesis at the points it evaluates, by require_symmetric.
 """
 
 from __future__ import annotations
@@ -37,10 +40,13 @@ class TorsionError(ValueError):
     """The lift and the cross-section geometry require a symmetric connection."""
 
 
-def _require_symmetric(gamma: ConnectionField) -> ConnectionField:
-    if not gamma.symmetric:
-        raise TorsionError("connection must be declared symmetric (torsion-free)")
-    return gamma
+def require_symmetric(gamma: ConnectionField, points) -> None:
+    """Raise TorsionError, naming the residual, where Gamma is not
+    symmetric in its lower pair at the points, up to STRUCTURAL_TOL."""
+    residual, tol = gamma.symmetry_residual(points), sampling.STRUCTURAL_TOL
+    if residual > tol:
+        raise TorsionError(f"connection must be symmetric in its lower indices (torsion-free): "
+                           f"asymmetry {residual:.3e} exceeds {tol:.1e}")
 
 
 @dataclass(frozen=True)
@@ -121,26 +127,19 @@ def _slot_apply(mats: np.ndarray, slot: int, q: int, t: np.ndarray) -> np.ndarra
     return out
 
 
-def complete_lift_connection(
-    gamma: ConnectionField, at: BundlePoint, curvature_sign: float = 1.0
-) -> LiftedConnectionCoeffs:
+def complete_lift_connection(gamma: ConnectionField, at: BundlePoint) -> LiftedConnectionCoeffs:
     """Lifted coefficients of a symmetric connection at a bundle point, or
-    at each point of a batch.
-
-    curvature_sign scales the curvature contribution of the fibre_bb
-    block.  It exists as a deliberate spoiler for negative controls in
-    the consistency checks and must stay 1.0 for the actual lift.
-    """
-    _require_symmetric(gamma)
+    at each point of a batch."""
     if gamma.n != at.n:
         raise ValueError("connection and bundle point have different dimensions")
     g, dg = gamma.jets(at.base, 1)  # g[.., h, j, i], dg[.., m, h, j, i] = d_m Gamma^h_{ji}
+    require_symmetric(gamma, at.base)  # reads the jets just taken
     r4 = curvature(gamma).evaluate(at.base)  # r4[.., k, j, i, l] = R_{kji}^l
-    fibre_bb = t_linear_block(g, dg, r4, at.fibre, at.q, curvature_sign)
+    fibre_bb = t_linear_block(g, dg, r4, at.fibre, at.q)
     return LiftedConnectionCoeffs(at.n, at.q, g, fibre_bb)
 
 
-def t_linear_block(g, dg, r4, t, q: int, curvature_sign: float = 1.0):
+def t_linear_block(g, dg, r4, t, q: int):
     """The fibre_bb block [.., i_, m, s] at fibre coordinates t[.., n^q]
     (rank order), from Gamma g[.., h, j, i], its partials dg[.., m, h, j, i]
     and the curvature r4[.., k, j, i, l]; linear in t."""
@@ -151,12 +150,12 @@ def t_linear_block(g, dg, r4, t, q: int, curvature_sign: float = 1.0):
     replace = einsum("...amx->...mxa", g)
     # The single-replacement part, as [.., m, s, x, a]:
     #   -d_m Gamma^a_{s x} + Gamma^r_{m x} Gamma^a_{s r} + Gamma^r_{m s} Gamma^a_{r x}
-    #   + R_{x s m}^a (times curvature_sign)
+    #   + R_{x s m}^a
     single = (
         -einsum("...masx->...msxa", dg)
         + einsum("...rmx,...asr->...msxa", g, g)
         + einsum("...rms,...arx->...msxa", g, g)
-        + curvature_sign * einsum("...xsma->...msxa", r4)
+        + einsum("...xsma->...msxa", r4)
     )
     fibre_bb = sum(np.moveaxis(_slot_apply(single, c, q, t), -1, -3) for c in range(q))
     # The quadratic part: slot c replaced through Gamma^a_{s x}, then slot
@@ -196,7 +195,6 @@ def induced_connection(gamma: ConnectionField, xi: CovariantField, x) -> np.ndar
     agreeing with the base coefficients is the point of the check built
     on top of this.
     """
-    _require_symmetric(gamma)
     check_rank(xi.q)
     frame, slopes, db = _frame_and_slope_arrays(xi, x)
     lifted = complete_lift_connection(gamma, cross_section_point(xi, x))
@@ -212,7 +210,6 @@ def gauss_second_fundamental(gamma: ConnectionField, xi: CovariantField) -> Cova
     as a rank q+2 field ordered (j, i, h1..hq).  It is symmetric in
     (j, i) for a symmetric base connection, and the cross-section is
     totally geodesic exactly when H vanishes."""
-    _require_symmetric(gamma)
     check_rank(xi.q)
     if gamma.n != xi.n:
         raise ValueError("connection and tensor field live on different charts")
@@ -221,9 +218,11 @@ def gauss_second_fundamental(gamma: ConnectionField, xi: CovariantField) -> Cova
     r = curvature(gamma)
 
     def rule(p, k):
-        return second.jets(p, k) + sum_over_slots(
+        out = second.jets(p, k) + sum_over_slots(
             "{s}ijm,{R}->ji{S}", q, r.jets(p, k), xi.jets(p, k)
         )
+        require_symmetric(gamma, p)  # reads the jets the curvature took
+        return out
 
     return CovariantField._of(xi.n, (xi.n,) * (q + 2), rule)
 
@@ -245,7 +244,6 @@ def gauss_consistency(
     xi: CovariantField,
     points,
     tol: float = sampling.DEFAULT_TOL,
-    curvature_sign: float = 1.0,
 ) -> sampling.SampledCheck:
     """Check, on sampled points, that differentiating the adapted frame
     with the lifted connection reproduces the base connection plus H in
@@ -256,14 +254,12 @@ def gauss_consistency(
 
     The two sides come from independent code paths: block assembly of
     the lifted coefficients on the left, covariant derivatives plus an
-    explicit curvature contraction on the right.  curvature_sign is
-    passed through to the lift for negative controls.
+    explicit curvature contraction on the right.
     """
-    _require_symmetric(gamma)
     n, m = xi.n, len(points)
     gauss = gauss_second_fundamental(gamma, xi).evaluate(points).reshape(m, n, n, -1)
     frame, slopes, db = _frame_and_slope_arrays(xi, points)
-    lifted = complete_lift_connection(gamma, cross_section_point(xi, points), curvature_sign)
+    lifted = complete_lift_connection(gamma, cross_section_point(xi, points))
     lhs = db + lifted.along_section(slopes)
     lhs -= einsum("...hji,...Ah->...Aji", gamma.evaluate(points), frame.b)
     lhs[:, n:] -= np.moveaxis(gauss, -1, -3)  # the right-hand side, H C
@@ -305,12 +301,12 @@ def curvature_tangency(
     Satisfied identically for a locally symmetric base connection with
     parallel xi; the residual measures the failure otherwise.
     """
-    _require_symmetric(gamma)
     check_rank(xi.q)
     if gamma.n != xi.n:
         raise ValueError("connection and tensor field live on different charts")
     q = xi.q
     r4 = curvature(gamma).evaluate(points)
+    require_symmetric(gamma, points)  # reads the jets the curvature took
     dr = _curvature_cov_derivative(gamma, points)
     xiv = xi.evaluate(points)
     dxi = covariant_derivative_cov(gamma, xi).evaluate(points)  # [.., c, h1, .., hq]

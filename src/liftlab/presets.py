@@ -22,7 +22,7 @@ def standard_complex_r2() -> EndomorphismField:
 def sphere_chart_connection() -> ConnectionField:
     """Levi-Civita coefficients of the unit round metric in polar
     coordinates (x1 = colatitude, x2 = longitude)."""
-    return ConnectionField.from_dict(
+    return ConnectionField(
         2,
         {
             (1, 2, 2): "-sin(x1)*cos(x1)",
@@ -39,7 +39,7 @@ def sphere_chart_metric() -> CovariantField:
 
 def flat_connection(n: int) -> ConnectionField:
     """All coefficients zero."""
-    return ConnectionField.zeros(n)
+    return ConnectionField(n, {})
 
 
 # What each named preset provides, by scenario field.

@@ -18,6 +18,8 @@ DEFAULT_BOX = (0.2, 1.5)
 
 # The tolerance of every check unless the caller gives another.
 DEFAULT_TOL = 1e-9
+# The tolerance of what must hold to rounding: lift zeros, Gamma's symmetry.
+STRUCTURAL_TOL = 1e-12
 
 
 def sample_points(

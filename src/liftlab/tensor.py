@@ -20,7 +20,8 @@ Indices count from 1 and coordinates are x1..xn.
   upper slot, so the evaluated matrix acts on column vectors;
 - OneTwoTensorField: T^l_{jk} at T.component(l, j, k);
 - ConnectionField: Gamma^h_{ji} at gamma.component(h, j, i), with the
-  derivative (first lower) subscript j;
+  derivative (first lower) subscript j; its symmetry in (j, i) is
+  measured at sample points, never declared;
 - CurvatureField: R_{kji}^l at R.component(k, j, i, l), lower indices
   first, following
   R_{kji}^l = d_k Gamma^l_{ji} - d_j Gamma^l_{ki}
@@ -45,8 +46,7 @@ returns its outputs that way too.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -54,8 +54,6 @@ from . import expr
 from .expr import ScalarExpr, Tape
 
 MAX_DIM = 4
-
-MultiIndex = tuple[int, ...]
 
 # einsum letters for tensor slots; "m" is kept for the summed index.
 SLOTS = "ABCDEFGH"
@@ -70,21 +68,6 @@ def rank_multi_index(mi: Sequence[int], n: int) -> int:
             raise ValueError(f"multi-index entry {j} outside 1..{n}")
         r += (j - 1) * n ** (q - slot)
     return r
-
-
-def unrank_multi_index(r: int, n: int, q: int) -> MultiIndex:
-    """Inverse of rank_multi_index for fixed n, q."""
-    if not 0 <= r < n**q:
-        raise ValueError(f"rank {r} outside 0..{n ** q - 1}")
-    out = []
-    for slot in range(q):
-        out.append(r // n ** (q - 1 - slot) % n + 1)
-    return tuple(out)
-
-
-def iter_multi_indices(n: int, q: int) -> Iterator[MultiIndex]:
-    """All multi-indices in rank order (lexicographic, last slot fastest)."""
-    return itertools.product(range(1, n + 1), repeat=q)
 
 
 class Jets(tuple):
@@ -304,10 +287,6 @@ class CovariantField(Field):
     def q(self) -> int:
         return len(self.shape)
 
-    @classmethod
-    def zeros(cls, n: int, q: int) -> "CovariantField":
-        return cls(n, q, {})
-
     def component(self, mi: Sequence[int]) -> ScalarExpr:
         return super().component(*mi)
 
@@ -341,27 +320,14 @@ class OneTwoTensorField(Field):
 
 
 class ConnectionField(Field):
-    """Affine connection coefficients Gamma^h_{ji} on the chart.
+    """Affine connection coefficients Gamma^h_{ji} on the chart, symmetric
+    in (j, i) or not; connection_lift measures the symmetry it needs."""
 
-    The symmetric flag asserts Gamma^h_{ji} = Gamma^h_{ij}; operators
-    that require a torsion-free connection check it.
-    """
-
-    __slots__ = ("symmetric",)
+    __slots__ = ()
     kind = "connection"
 
-    def __init__(self, n: int, components, symmetric: bool = True):
+    def __init__(self, n: int, components):
         super().__init__(n, (n, n, n), components)
-        self.symmetric = bool(symmetric)
-
-    @classmethod
-    def zeros(cls, n: int) -> "ConnectionField":
-        return cls(n, {}, symmetric=True)
-
-    @classmethod
-    def from_dict(cls, n: int, entries: Mapping, symmetric: bool = True) -> "ConnectionField":
-        """entries maps (h, j, i) to a component; unset entries are zero."""
-        return cls(n, entries, symmetric=symmetric)
 
     def symmetry_residual(self, points) -> float:
         g = self.evaluate(points)

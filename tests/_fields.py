@@ -1,12 +1,15 @@
-"""Seeded random fields that only the tests use."""
+"""Seeded random fields, and a spoiled lift, that only the tests use."""
+
+import contextlib
 
 import numpy as np
 
+from liftlab import connection_lift
 from liftlab.presets import random_polynomial_expr
-from liftlab.tensor import ConnectionField, MultiIndex
+from liftlab.tensor import ConnectionField
 
 
-def replace_slot(mi: MultiIndex, slot: int, value: int) -> MultiIndex:
+def replace_slot(mi: tuple[int, ...], slot: int, value: int) -> tuple[int, ...]:
     """Copy of mi with 0-based slot replaced, for the reference loops."""
     return mi[:slot] + (value,) + mi[slot + 1 :]
 
@@ -21,7 +24,23 @@ def random_symmetric_connection(rng: np.random.Generator, n: int,
                 e = random_polynomial_expr(rng, n, degree, scale)
                 grid[h][j][i] = e
                 grid[h][i][j] = e
-    return ConnectionField(n, grid, symmetric=True)
+    return ConnectionField(n, grid)
+
+
+@contextlib.contextmanager
+def flipped_curvature():
+    """Inside the block, the complete lift of a connection negates the
+    curvature term of its fibre block: a deliberate spoiler, so that the
+    Gauss consistency check has a negative control.  The lift looks up
+    connection_lift.t_linear_block when it is called, so replacing that
+    name is enough; the values are bit-identical to a lift written with
+    -R."""
+    original = connection_lift.t_linear_block
+    connection_lift.t_linear_block = lambda g, dg, r4, t, q: original(g, dg, -r4, t, q)
+    try:
+        yield
+    finally:
+        connection_lift.t_linear_block = original
 
 
 def generic_scenario(seed: int, n: int, q: int) -> dict:

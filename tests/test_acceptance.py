@@ -12,7 +12,7 @@ import numpy as np
 
 import _acceptance_log
 import _oracles
-from _fields import random_symmetric_connection
+from _fields import flipped_curvature, random_symmetric_connection
 from liftlab import sampling
 from liftlab.bundle import (
     adapted_frame,
@@ -59,7 +59,7 @@ def test_criterion_1_theorem_instance():
     xi = CovariantField(2, 1, ["x1", "-x2"])
 
     purity = purity_residual(phi, xi, POINTS64)
-    tach = float(np.max(np.abs(tachibana(phi, xi).evaluate(POINTS64))))
+    tach = float(np.max(np.abs(tachibana(phi, xi, POINTS64).evaluate(POINTS64))))
     nij = float(
         np.max(np.abs(contract_one_two_cov(nijenhuis(phi), xi).evaluate(POINTS64)))
     )
@@ -89,7 +89,7 @@ def test_criterion_2_necessity_control():
     phi = standard_complex_r2()
     xi = CovariantField(2, 1, ["x1^2", "0"])
 
-    tach_field = tachibana(phi, xi)
+    tach_field = tachibana(phi, xi, POINTS64)
     tach_res = float(np.max(np.abs(tach_field.evaluate(POINTS64))))
 
     # brute-force matrix squares, against the hand-expanded block
@@ -181,7 +181,8 @@ def test_criterion_4_gauss_consistency():
         gamma = random_symmetric_connection(rng, 2)
         xi = random_covariant_field(rng, 2, q)
         residuals[f"random q={q}"] = gauss_consistency(gamma, xi, POINTS64, tol=1e-9)
-    flipped = gauss_consistency(sphere, metric, POINTS64, tol=1e-9, curvature_sign=-1.0)
+    with flipped_curvature():
+        flipped = gauss_consistency(sphere, metric, POINTS64, tol=1e-9)
     elapsed = time.perf_counter() - t0
 
     direct_ok = all(c.passed for c in residuals.values())

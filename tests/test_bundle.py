@@ -156,15 +156,15 @@ def test_purity_frozen_residuals():
 
 def test_tachibana_zero_for_analytic_pair():
     phi = standard_complex_r2()
-    assert np.max(np.abs(tachibana(phi, ANALYTIC_XI).evaluate(POINTS))) == 0.0
-    assert np.max(np.abs(tachibana(phi, ANALYTIC_PAIR_Q2).evaluate(POINTS))) == 0.0
+    assert np.max(np.abs(tachibana(phi, ANALYTIC_XI, POINTS).evaluate(POINTS))) == 0.0
+    assert np.max(np.abs(tachibana(phi, ANALYTIC_PAIR_Q2, POINTS).evaluate(POINTS))) == 0.0
 
 
 def test_tachibana_frozen_obstruction():
     phi = standard_complex_r2()
-    tach = tachibana(phi, NECESSITY_XI).evaluate([1.0, 0.5])
+    tach = tachibana(phi, NECESSITY_XI, POINTS).evaluate([1.0, 0.5])
     assert tach.tolist() == [[0.0, 2.0], [-2.0, 0.0]]
-    tach = tachibana(phi, NECESSITY_XI).evaluate([0.7, 1.3])
+    tach = tachibana(phi, NECESSITY_XI, POINTS).evaluate([0.7, 1.3])
     assert tach[0, 1] == pytest.approx(1.4)
     assert tach[1, 0] == pytest.approx(-1.4)
 
@@ -173,7 +173,7 @@ def test_tachibana_rejects_impure():
     phi = standard_complex_r2()
     delta = CovariantField(2, 2, {(1, 1): 1.0, (2, 2): 1.0})
     with pytest.raises(NotPureError) as err:
-        tachibana(phi, delta)
+        tachibana(phi, delta, POINTS)
     assert err.value.residual == 2.0
     assert err.value.tol == sampling.DEFAULT_TOL
 

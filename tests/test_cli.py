@@ -171,6 +171,28 @@ def test_invalid_json(tmp_path, capsys):
     assert main(["run", str(path)]) == 2
 
 
+# json.load raises ValueError subclasses other than JSONDecodeError for
+# these two: the integer-digit limit of int(), and UnicodeDecodeError
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: text.replace('"points": 1', '"points": 1' + "0" * 5000).encode("utf-8"),
+        lambda text: text.replace('"inline"', '"caf\xe9"').encode("latin-1"),
+    ],
+    ids=["integer-past-digit-limit", "not-utf8"],
+)
+def test_malformed_file_is_a_usage_error(edit, tmp_path, capsys):
+    path = write_scenario(tmp_path, points=1)
+    with open(path, encoding="utf-8") as fh:
+        raw = edit(fh.read())
+    with open(path, "wb") as fh:
+        fh.write(raw)
+    assert main(["run", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: scenario is not valid JSON: ")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -227,10 +249,10 @@ def test_asymmetric_gamma_rejected(tmp_path, capsys):
         gamma={"1,1,2": "x1"},
         checks=["gauss_consistency"],
     )
-    # from_dict fills only (1,1,2); its mirror stays zero, so the declared
-    # symmetry fails on the probe points
+    # only (1,1,2) is set and its mirror stays zero, so the symmetry that
+    # the connection functions measure fails on the screened points
     assert main(["run", str(path)]) == 2
-    assert "symmetric" in capsys.readouterr().err
+    assert "must be symmetric" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

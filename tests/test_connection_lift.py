@@ -1,10 +1,11 @@
+import contextlib
 import itertools
 
 import numpy as np
 import pytest
 
 import _oracles
-from _fields import random_symmetric_connection, replace_slot
+from _fields import flipped_curvature, random_symmetric_connection, replace_slot
 from liftlab import connection_lift, sampling
 from liftlab.bundle import BundlePoint, adapted_frame, cross_section_point
 from liftlab.cli import _check_lift_zeros
@@ -32,7 +33,6 @@ from liftlab.tensor import (
     CovariantField,
     covariant_derivative_cov,
     curvature,
-    iter_multi_indices,
     rank_multi_index,
 )
 
@@ -121,13 +121,35 @@ def test_lift_symmetric_in_lower_pair():
         assert coeffs.symmetry_residual() < 1e-12
 
 
+# (1,1,2) set and its mirror (1,2,1) left zero: Gamma^1_{12} - Gamma^1_{21} = x1
+ASYMMETRIC = ConnectionField(2, {(1, 1, 2): "x1"})
+XI_Q1 = CovariantField(2, 1, ["x1", "0"])
+
+
 def test_lift_rejects_torsion():
-    gamma = ConnectionField.from_dict(2, {(1, 1, 2): "x1"}, symmetric=False)
-    at = BundlePoint(2, 1, POINTS[0], np.zeros(2))
-    with pytest.raises(TorsionError):
-        complete_lift_connection(gamma, at)
-    with pytest.raises(TorsionError):
-        gauss_consistency(gamma, CovariantField(2, 1, ["x1", "0"]), POINTS[:2])
+    # measured, not declared: the plain constructor takes any Gamma, and
+    # every function that needs symmetry finds the asymmetry at its points
+    pts = POINTS[:2]
+    calls = [
+        lambda: complete_lift_connection(ASYMMETRIC, BundlePoint(2, 1, pts, np.zeros((2, 2)))),
+        lambda: induced_connection(ASYMMETRIC, XI_Q1, pts),
+        lambda: gauss_consistency(ASYMMETRIC, XI_Q1, pts),
+        lambda: is_totally_geodesic(ASYMMETRIC, XI_Q1, pts),
+        lambda: curvature_tangency(ASYMMETRIC, XI_Q1, pts),
+        lambda: gauss_second_fundamental(ASYMMETRIC, XI_Q1).evaluate(pts),
+    ]
+    for call in calls:
+        with pytest.raises(TorsionError, match="must be symmetric") as err:
+            call()
+        assert f"asymmetry {np.max(pts[:, 0]):.3e}" in str(err.value)
+
+
+def test_mirrored_entries_written_differently_are_symmetric():
+    gamma = ConnectionField(2, {(1, 1, 2): "x1*x2", (1, 2, 1): "x2*x1"})
+    assert gamma.symmetry_residual(POINTS) == 0.0
+    complete_lift_connection(gamma, BundlePoint(2, 1, POINTS, np.zeros((16, 2))))
+    assert gauss_consistency(gamma, XI_Q1, POINTS).passed
+    curvature_tangency(gamma, XI_Q1, POINTS)
 
 
 def _lift_blocks_by_entry(gamma, at):
@@ -141,7 +163,7 @@ def _lift_blocks_by_entry(gamma, at):
     r4 = curvature(gamma).evaluate(at.base)
     mixed_bf = np.zeros((nf, n, nf))
     fibre_bb = np.zeros((nf, n, n))
-    for mi in iter_multi_indices(n, q):
+    for mi in itertools.product(range(1, n + 1), repeat=q):
         row = rank_multi_index(mi, n)
         for c in range(q):
             x = mi[c] - 1
@@ -293,7 +315,8 @@ def test_gauss_consistency_rank_three():
 
 
 def test_gauss_consistency_flipped_curvature_fails():
-    check = gauss_consistency(SPHERE, METRIC, POINTS, tol=1e-9, curvature_sign=-1.0)
+    with flipped_curvature():
+        check = gauss_consistency(SPHERE, METRIC, POINTS, tol=1e-9)
     assert not check.passed
     assert check.residual > 1e-2
 
@@ -342,7 +365,7 @@ def _tangency_residual_by_entry(gamma, xi, p):
     for k in range(n):
         for j in range(n):
             for i in range(n):
-                for mi in iter_multi_indices(n, q):
+                for mi in itertools.product(range(1, n + 1), repeat=q):
                     h = tuple(v - 1 for v in mi)
                     lhs = 0.0
                     rhs = sum(r4[k, j, i, l] * dxi[(l,) + h] for l in range(n))
@@ -489,7 +512,7 @@ def test_symmetry_residual_matches_dense_array(n, q):
     assert np.array_equal(coeffs.symmetry_residual(), want)
 
 
-def _frame_terms_by_point(gamma, xi, p, curvature_sign=1.0):
+def _frame_terms_by_point(gamma, xi, p):
     """Reference for one point: the dense lifted coefficients contracted
     with the whole horizontal frame, d_j B^A_i + L^A_{CB} B^C_j B^B_i, as
     [A, j, i]."""
@@ -500,13 +523,13 @@ def _frame_terms_by_point(gamma, xi, p, curvature_sign=1.0):
     db = np.zeros((n + nf, n, n))
     db[n:] = dd.transpose(2, 0, 1)
     at = cross_section_point(xi, p)
-    lifted = complete_lift_connection(gamma, at, curvature_sign).full_array()
+    lifted = complete_lift_connection(gamma, at).full_array()
     return db + np.einsum("ACB,Cj,Bi->Aji", lifted, bmat, bmat), bmat
 
 
-def _gauss_residual_at(gamma, xi, p, curvature_sign):
+def _gauss_residual_at(gamma, xi, p):
     n = xi.n
-    total, bmat = _frame_terms_by_point(gamma, xi, p, curvature_sign)
+    total, bmat = _frame_terms_by_point(gamma, xi, p)
     lhs = total - np.einsum("hji,Ah->Aji", gamma.evaluate(p), bmat)
     rhs = np.zeros_like(lhs)
     rhs[n:] = gauss_second_fundamental(gamma, xi).evaluate(p).reshape(n, n, -1).transpose(2, 0, 1)
@@ -524,15 +547,17 @@ def _assert_matches_reference(got_each, whole, points, want):
 
 
 @BATCH_SHAPES
-@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["lift", "flipped"])
-def test_gauss_consistency_matches_per_point_reference(n, q, sign):
+@pytest.mark.parametrize("spoiler", [contextlib.nullcontext, flipped_curvature],
+                         ids=["lift", "flipped"])
+def test_gauss_consistency_matches_per_point_reference(n, q, spoiler):
     gamma, xi, points, _ = _batch_inputs(n, q)
-    got = [
-        gauss_consistency(gamma, xi, points[i : i + 1], curvature_sign=sign).residual
-        for i in range(len(points))
-    ]
-    want = [_gauss_residual_at(gamma, xi, p, sign) for p in points]
-    whole = gauss_consistency(gamma, xi, points, curvature_sign=sign)
+    with spoiler():
+        got = [
+            gauss_consistency(gamma, xi, points[i : i + 1]).residual
+            for i in range(len(points))
+        ]
+        want = [_gauss_residual_at(gamma, xi, p) for p in points]
+        whole = gauss_consistency(gamma, xi, points)
     _assert_matches_reference(got, whole, points, want)
 
 
