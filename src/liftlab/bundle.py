@@ -262,9 +262,9 @@ def tachibana(
     index of the result comes first.
     """
     check_rank(xi.q)
-    residual = purity_residual(phi, xi, points)
-    if residual > tol:
-        raise NotPureError(residual, tol)
+    purity = sampling.sampled_check(None, purity_residual(phi, xi, points), tol)
+    if not purity.passed:
+        raise NotPureError(purity.residual, tol)
     return _tachibana_field(phi, xi)
 
 
@@ -282,8 +282,7 @@ def is_almost_analytic(
     )
     if not purity.passed:
         return purity
-    per_point = sampling.max_per_point(_tachibana_field(phi, xi).evaluate(points))
-    return sampling.sampled_check(points, per_point, tol)
+    return sampling.sampled_check(points, _tachibana_field(phi, xi).evaluate(points), tol)
 
 
 def nijenhuis(phi: EndomorphismField) -> OneTwoTensorField:
@@ -396,10 +395,9 @@ def verify_characterization(
     )
     vertical = lift.apply(vertical_lift(a, points)).as_array()
     vertical -= vertical_lift(apply_endo_cov(phi, a), points).as_array()
-    res_c = sampling.max_per_point(complete)
-    res_v = sampling.max_per_point(vertical)
-    detail = {"complete_residual": float(res_c.max()), "vertical_residual": float(res_v.max())}
-    return sampling.sampled_check(points, np.maximum(res_c, res_v), tol, detail)
+    parts = {"complete_residual": complete, "vertical_residual": vertical}
+    detail = {k: sampling.sampled_check(None, r, tol).residual for k, r in parts.items()}
+    return sampling.sampled_check(points, list(parts.values()), tol, detail)
 
 
 def verify_theorem1(
@@ -420,20 +418,24 @@ def verify_theorem1(
     that of the lift's square; detail carries every residual."""
     n, q = xi.n, check_rank(xi.q)
 
-    phi_sq = compose_endo(phi, phi).evaluate(points) + np.eye(n)
     hypotheses = {
-        "square_residual": float(np.max(np.abs(phi_sq))),
-        "purity_residual": purity_residual(phi, xi, points),
-        "tachibana_residual": float(np.max(np.abs(_tachibana_field(phi, xi).evaluate(points)))),
+        name: sampling.sampled_check(None, r, tol)
+        for name, r in (
+            ("square_residual", compose_endo(phi, phi).evaluate(points) + np.eye(n)),
+            ("purity_residual", purity_residual(phi, xi, points)),
+            ("tachibana_residual", _tachibana_field(phi, xi).evaluate(points)),
+        )
     }
-    nij_res = float(np.max(np.abs(contract_one_two_cov(nijenhuis(phi), xi).evaluate(points))))
+    nij = sampling.sampled_check(
+        None, contract_one_two_cov(nijenhuis(phi), xi).evaluate(points), tol
+    )
 
     mat = complete_lift_endo_on_section(phi, xi, points).matrix
-    per_point = sampling.max_per_point(np.matmul(mat, mat) + np.eye(bundle_dim(n, q)))
-    lift = sampling.sampled_check(points, per_point, tol)
-    conclusions = sampling.sampled_check(None, [nij_res, lift.residual], tol)
-    hold = sampling.sampled_check(None, list(hypotheses.values()), tol).passed
-    detail = dict(hypotheses, nijenhuis_residual=nij_res, lift_square_residual=lift.residual,
+    lift = sampling.sampled_check(points, np.matmul(mat, mat) + np.eye(bundle_dim(n, q)), tol)
+    conclusions = sampling.sampled_check(None, [nij.residual, lift.residual], tol)
+    hold = all(h.passed for h in hypotheses.values())
+    detail = {name: h.residual for name, h in hypotheses.items()}
+    detail.update(nijenhuis_residual=nij.residual, lift_square_residual=lift.residual,
                   hypotheses_hold=hold)
     passed = not hold or conclusions.passed
     return sampling.SampledCheck(passed, conclusions.residual, tol, lift.worst_point, detail)

@@ -43,10 +43,10 @@ class TorsionError(ValueError):
 def require_symmetric(gamma: ConnectionField, points) -> None:
     """Raise TorsionError, naming the residual, where Gamma is not
     symmetric in its lower pair at the points, up to STRUCTURAL_TOL."""
-    residual, tol = gamma.symmetry_residual(points), sampling.STRUCTURAL_TOL
-    if residual > tol:
+    check = sampling.sampled_check(None, gamma.symmetry_residual(points), sampling.STRUCTURAL_TOL)
+    if not check.passed:
         raise TorsionError(f"connection must be symmetric in its lower indices (torsion-free): "
-                           f"asymmetry {residual:.3e} exceeds {tol:.1e}")
+                           f"asymmetry {check.residual:.3e} exceeds {check.tol:.1e}")
 
 
 @dataclass(frozen=True)
@@ -93,15 +93,6 @@ class LiftedConnectionCoeffs:
         full[..., n:, n:, :n] = np.swapaxes(mixed, -1, -2)
         full[..., n:, :n, :n] = self.fibre_bb
         return full
-
-    def symmetry_residual(self):
-        """The lift of a symmetric connection is symmetric in its lower pair:
-        the largest asymmetry of full_array(), a float or one per point.
-        The mixed blocks are each other's transpose by construction, so
-        only base and fibre_bb can carry one."""
-        asym = [np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-3, -2, -1))
-                for a in (self.base, self.fibre_bb)]
-        return np.maximum(*asym)
 
     def along_section(self, slopes: np.ndarray) -> np.ndarray:
         """L^A_{CB} B^C_j B^B_i as [.., A, j, i], for the horizontal frame legs
@@ -235,8 +226,7 @@ def is_totally_geodesic(
 ) -> sampling.SampledCheck:
     """Sampled test for H = 0; passes exactly for a totally geodesic
     cross-section (up to tol)."""
-    per_point = sampling.max_per_point(gauss_second_fundamental(gamma, xi).evaluate(points))
-    return sampling.sampled_check(points, per_point, tol)
+    return sampling.sampled_check(points, gauss_second_fundamental(gamma, xi).evaluate(points), tol)
 
 
 def gauss_consistency(
@@ -263,7 +253,7 @@ def gauss_consistency(
     lhs = db + lifted.along_section(slopes)
     lhs -= einsum("...hji,...Ah->...Aji", gamma.evaluate(points), frame.b)
     lhs[:, n:] -= np.moveaxis(gauss, -1, -3)  # the right-hand side, H C
-    return sampling.sampled_check(points, sampling.max_per_point(lhs), tol)
+    return sampling.sampled_check(points, lhs, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -321,5 +311,4 @@ def curvature_tangency(
         + sum_over_slots("...kj{s}m,...i{R}->...kji{S}", q, r4, dxi)
         - (pair - pair.swapaxes(1, 2))
     )
-    per_point = sampling.max_per_point(lhs - rhs)
-    return sampling.sampled_check(points, per_point, tol)
+    return sampling.sampled_check(points, lhs - rhs, tol)

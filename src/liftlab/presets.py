@@ -42,22 +42,29 @@ def flat_connection(n: int) -> ConnectionField:
     return ConnectionField(n, {})
 
 
-# What each named preset provides, by scenario field.
+# What each named preset provides, by scenario field: the builder, the n
+# it requires (None: any n, passed to the builder), the q it requires
+# (None: any), and a description.
 PRESETS = {
-    "standard_complex_r2": {"phi": standard_complex_r2},
-    "sphere_chart": {"gamma": sphere_chart_connection, "xi": sphere_chart_metric},
-    "flat": {"gamma": flat_connection},
+    "standard_complex_r2": {
+        "phi": (standard_complex_r2, 2, None, "rotation structure, phi^2 = -id"),
+    },
+    "sphere_chart": {
+        "gamma": (sphere_chart_connection, 2, None, "round-sphere polar-chart connection"),
+        "xi": (sphere_chart_metric, 2, 2, "round metric diag(1, sin(x1)^2)"),
+    },
+    "flat": {"gamma": (flat_connection, None, None, "zero connection")},
 }
 
 
 def describe_presets() -> list[str]:
-    lines = [
-        "standard_complex_r2  phi    n=2 rotation structure, phi^2 = -id",
-        "sphere_chart         gamma  n=2 round-sphere polar-chart connection",
-        "sphere_chart         xi     n=2 round metric diag(1, sin(x1)^2), q=2",
-        "flat                 gamma  zero connection (any n)",
+    return [
+        f"{name:<20} {kind:<6} "
+        + (f"n={n} {text}" if n else f"{text} (any n)")
+        + (f", q={q}" if q else "")
+        for name, fields in PRESETS.items()
+        for kind, (_, n, q, text) in fields.items()
     ]
-    return lines
 
 
 # ---------------------------------------------------------------------------

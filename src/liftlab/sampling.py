@@ -8,7 +8,7 @@ coordinate singularities of the built-in charts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -68,22 +68,22 @@ def sample_points(
     return points
 
 
-def worst_point(points: np.ndarray, residuals: Sequence[float]) -> np.ndarray:
-    """Point attaining the largest residual; ties go to the earliest draw."""
-    idx = int(np.argmax(np.asarray(residuals)))
-    return np.asarray(points)[idx]
+def sampled_check(points, residuals, tol: float, detail: dict | None = None) -> "SampledCheck":
+    """The one place a residual becomes a verdict.
 
-
-def max_per_point(values: np.ndarray) -> np.ndarray:
-    """Largest |component| at each point of a batch evaluation."""
-    return np.abs(values).max(axis=tuple(range(1, np.ndim(values))))
-
-
-def sampled_check(points, per_point, tol: float, detail: dict | None = None) -> "SampledCheck":
-    """Verdict on the largest per-point residual, with the point attaining
-    it; points None marks residuals that name no point."""
-    residual = float(np.max(per_point))
-    worst = None if points is None else tuple(worst_point(points, per_point))
+    residuals are signed values: one array, or a list of arrays, each
+    with the point axis first.  The largest |value| over the component
+    axes (an axis tuple, so a points-fastest array is not copied) is the
+    residual at a point, a list combines per point by max, and the check
+    passes when the largest is <= tol, so NaN fails.  The worst point
+    attains it, ties going to the earliest draw.  points None marks
+    residuals that name no point: floats, or arrays of any shape."""
+    lead = 0 if points is None else 1
+    parts = [np.abs(r).max(axis=tuple(range(lead, np.ndim(r))))
+             for r in (residuals if isinstance(residuals, list) else [residuals])]
+    per_point = parts[0] if len(parts) == 1 else np.max(parts, axis=0)
+    residual = float(per_point.max())
+    worst = None if points is None else tuple(np.asarray(points)[int(np.argmax(per_point))])
     return SampledCheck(residual <= tol, residual, tol, worst, detail or {})
 
 

@@ -114,11 +114,13 @@ def test_lift_block_placement():
 
 
 def test_lift_symmetric_in_lower_pair():
-    rng = np.random.default_rng(12)
     for q in (1, 2, 3):
-        at = BundlePoint(2, q, POINTS[4], _random_fibre(rng, 2, q))
-        coeffs = complete_lift_connection(SPHERE, at)
-        assert coeffs.symmetry_residual() < 1e-12
+        # the check draws its fibre from the generator it is given
+        check = _check_lift_zeros(SPHERE, q, POINTS[4:5], np.random.default_rng(12 + q), 1e-12)
+        fib = np.random.default_rng(12 + q).uniform(-1.0, 1.0, size=(1, 2**q))
+        dense = complete_lift_connection(SPHERE, BundlePoint(2, q, POINTS[4:5], fib)).full_array()
+        asym = np.max(np.abs(dense - np.swapaxes(dense, -1, -2)))
+        assert check.passed and asym <= check.residual < 1e-12
 
 
 # (1,1,2) set and its mirror (1,2,1) left zero: Gamma^1_{12} - Gamma^1_{21} = x1
@@ -417,6 +419,17 @@ def _batch_inputs(n, q):
     return gamma, xi, points, rng.uniform(-1.0, 1.0, size=(len(points), n**q))
 
 
+def _lift_zeros_on_blocks(monkeypatch, coeffs, points):
+    """The lift_connection_zeros check run on given blocks: the lift
+    returns coeffs and the fibre block at 2t returns 2 fibre_bb, so the
+    check reads the lower-pair asymmetry of the blocks alone."""
+    with monkeypatch.context() as m:
+        m.setattr(connection_lift, "complete_lift_connection", lambda gamma, at: coeffs)
+        m.setattr(connection_lift, "t_linear_block", lambda *args: 2.0 * coeffs.fibre_bb)
+        gamma = flat_connection(coeffs.n)
+        return _check_lift_zeros(gamma, coeffs.q, points, np.random.default_rng(0), 0.0)
+
+
 def _kron_slot_operator(mats, slot, q):
     """Reference for one slot action: each n x n matrix of the batch as the
     n^q x n^q operator I (x) mats (x) I on rank-ordered fibre coordinates."""
@@ -475,11 +488,11 @@ def test_t_linear_block_matches_dense_slot_operators(n, q):
 
 
 @BATCH_SHAPES
-def test_lift_batch_stacks_single_points(n, q):
+def test_lift_batch_stacks_single_points(n, q, monkeypatch):
     gamma, xi, points, fibre = _batch_inputs(n, q)
     lifted = complete_lift_connection(gamma, BundlePoint(n, q, points, fibre))
     full = lifted.full_array()
-    asym = lifted.symmetry_residual()
+    asym = []
     induced = induced_connection(gamma, xi, points)
     dr = _curvature_cov_derivative(gamma, points)
     _, slopes, dframe = _frame_and_slope_arrays(xi, points)
@@ -490,26 +503,32 @@ def test_lift_batch_stacks_single_points(n, q):
         # placement and swaps alone, given the same blocks: bit for bit
         sliced = LiftedConnectionCoeffs(n, q, *(getattr(lifted, b)[i] for b in BLOCKS))
         assert np.array_equal(full[i], sliced.full_array())
-        assert asym[i] == sliced.symmetry_residual()
         dense = sliced.full_array()
-        assert asym[i] == np.max(np.abs(dense - dense.transpose(0, 2, 1)))
+        asym.append(np.max(np.abs(dense - dense.transpose(0, 2, 1))))
+        one = LiftedConnectionCoeffs(n, q, *(getattr(lifted, b)[i : i + 1] for b in BLOCKS))
+        assert _lift_zeros_on_blocks(monkeypatch, one, points[i : i + 1]).residual == asym[i]
         assert np.max(np.abs(induced[i] - induced_connection(gamma, xi, p))) <= BATCH_ATOL
         assert np.max(np.abs(dr[i] - _curvature_cov_derivative(gamma, p))) <= BATCH_ATOL
         _, one_slopes, one_dframe = _frame_and_slope_arrays(xi, p)
         assert np.array_equal(slopes[i], one_slopes)
         assert np.array_equal(dframe[i], one_dframe)
+    assert _lift_zeros_on_blocks(monkeypatch, lifted, points).residual == max(asym)
 
 
 @BATCH_SHAPES
-def test_symmetry_residual_matches_dense_array(n, q):
+def test_symmetry_residual_matches_dense_array(n, q, monkeypatch):
     # arbitrary blocks, so both stored blocks carry an asymmetry; the mixed
-    # blocks derived from base are each other's transpose all the same
+    # blocks derived from base are each other's transpose all the same, and
+    # the lift_connection_zeros check reads exactly the dense asymmetry
     rng = np.random.default_rng(770 + 10 * n + q)
     shapes = ((5, n, n, n), (5, n**q, n, n))
     coeffs = LiftedConnectionCoeffs(n, q, *(rng.normal(size=s) for s in shapes))
     dense = coeffs.full_array()
     want = np.abs(dense - dense.transpose(0, 1, 3, 2)).max(axis=(1, 2, 3))
-    assert np.array_equal(coeffs.symmetry_residual(), want)
+    points = POINTS_BY_DIM[n][:5]
+    check = _lift_zeros_on_blocks(monkeypatch, coeffs, points)
+    assert check.residual == want.max() and not check.passed
+    assert check.worst_point == tuple(points[int(np.argmax(want))])
 
 
 def _frame_terms_by_point(gamma, xi, p):

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liftlab import sampling
+from liftlab import bundle, sampling
 from liftlab.cli import _sample_scenario_points, load_scenario, main
 from liftlab.expr import Tape
+from liftlab.presets import standard_complex_r2
+from liftlab.sampling import SampledCheck, sampled_check
+from liftlab.tensor import CovariantField
 
 
 def reference_sample(dim, seed, count, box, reject, max_tries):
@@ -166,3 +169,80 @@ def test_cli_screen_matches_per_candidate_loop(tmp_path):
     # without the screen the same seed lands in the overflow region
     assert sampling.sample_points(2, seed=42, count=64)[:, 0].max() > 1.02
     assert main(["run", str(path)]) == 0
+
+
+# ---------------------------------------------------------------------------
+# sampled_check: the one place a residual becomes a verdict
+
+PTS = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+
+
+def test_sampled_check_reduces_every_component_axis_of_signed_values():
+    values = np.zeros((3, 2, 2))
+    values[1, 0, 1] = -0.5
+    values[2, 1, 1] = 0.25
+    assert sampled_check(PTS, values, 0.5) == SampledCheck(True, 0.5, 0.5, (2.0, 3.0), {})
+    # a points-fastest array gives the same verdict
+    assert sampled_check(PTS, np.asfortranarray(values), 0.5) == sampled_check(PTS, values, 0.5)
+
+
+def test_sampled_check_combines_a_list_per_point_by_max():
+    # per point: 3, 0, 2 from the first array and 0, -4, 2.5 from the
+    # second, whose component shape differs
+    first = np.array([[1.0, -3.0], [0.0, 0.0], [2.0, 0.0]])
+    second = np.zeros((3, 4, 1, 2))
+    second[1, 3, 0, 1] = -4.0
+    second[2, 0, 0, 0] = 2.5
+    check = sampled_check(PTS, [first, second], 3.5, {"k": 1})
+    assert check == SampledCheck(False, 4.0, 3.5, (2.0, 3.0), {"k": 1})
+    assert sampled_check(PTS, [first, second[:, :2]], 3.0).worst_point == (0.0, 1.0)
+
+
+def test_sampled_check_without_points_takes_floats_and_arrays():
+    assert sampled_check(None, 0.0, 0.0) == SampledCheck(True, 0.0, 0.0, None, {})
+    assert sampled_check(None, [0.5, -2.0], 1.0) == SampledCheck(False, 2.0, 1.0, None, {})
+    values = [np.full((2, 3), -1.5), np.array(0.25), 1.0, np.ones((1, 1, 2, 1))]
+    assert sampled_check(None, values, 1.5) == SampledCheck(True, 1.5, 1.5, None, {})
+
+
+def test_sampled_check_passes_a_residual_equal_to_tol():
+    tol = 1e-9
+    check = sampled_check(PTS, np.full((3, 2), -tol), tol)
+    assert check.passed and check.residual == tol
+    assert not sampled_check(PTS, np.full((3, 2), np.nextafter(tol, 1.0)), tol).passed
+
+
+@pytest.mark.parametrize("where", ["first", "second", "no_points"])
+def test_sampled_check_fails_on_nan_anywhere(where):
+    first, second = np.zeros((3, 2)), np.zeros((3, 2, 2))
+    (first if where == "first" else second)[2, 1] = np.nan
+    points = None if where == "no_points" else PTS
+    check = sampled_check(points, [first, second], np.inf)
+    assert not check.passed and np.isnan(check.residual)
+    if points is not None:
+        assert check.worst_point == (4.0, 5.0)
+
+
+def test_sampled_check_ties_name_the_earliest_point():
+    assert sampled_check(PTS, np.zeros((3, 2)), 0.0).worst_point == (0.0, 1.0)
+    values = np.array([[0.5], [-1.0], [1.0]])
+    assert sampled_check(PTS, values, 1.0).worst_point == (2.0, 3.0)
+
+
+@pytest.mark.parametrize(
+    "residual", [0.0, 1e-9, np.nextafter(1e-9, 1.0), 1.0, np.inf, np.nan],
+    ids=["zero", "at_tol", "past_tol", "one", "inf", "nan"],
+)
+def test_tachibana_gate_raises_where_the_purity_verdict_fails(residual, monkeypatch):
+    monkeypatch.setattr(bundle, "purity_residual", lambda *args: float(residual))
+    phi, xi = standard_complex_r2(), CovariantField(2, 2, {(1, 1): "x1"})
+    verdict = bundle.is_almost_analytic(phi, xi, PTS, 1e-9)
+    impure = verdict.detail == {"reason": "tensor is not pure"}
+    try:
+        bundle.tachibana(phi, xi, PTS, 1e-9)
+    except bundle.NotPureError as exc:
+        raised = True
+        assert exc.residual == verdict.residual or np.isnan(exc.residual)
+    else:
+        raised = False
+    assert raised == impure == (not residual <= 1e-9)
