@@ -10,8 +10,7 @@ statements about those lifts on sampled points.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -215,19 +214,17 @@ def complete_lift_vector_on_section(v: VectorField, xi: CovariantField, x) -> Bu
 # Purity, the Tachibana operator, and the Nijenhuis tensor
 
 
-def purity_residual(phi: EndomorphismField, xi: CovariantField, points) -> float:
-    """Largest sampled disagreement among the q slot contractions of phi
-    into xi.  A rank-1 tensor is pure by definition (residual 0)."""
+def purity_residual(phi: EndomorphismField, xi: CovariantField, points) -> np.ndarray:
+    """Signed disagreements of the q slot contractions of phi into xi at
+    a batch of points, every slot against every slot: [point, slot, slot,
+    *shape].  A rank-1 tensor has one contraction, so it is pure by
+    definition (residual 0)."""
     if phi.n != xi.n:
         raise ValueError("endomorphism and tensor field live on different charts")
-    if xi.q == 1:
-        return 0.0
-    contractions = [
-        contract_slot_endo(xi, phi, slot).evaluate(points) for slot in range(1, xi.q + 1)
-    ]
-    return max(
-        float(np.max(np.abs(a - b))) for a, b in itertools.combinations(contractions, 2)
-    )
+    slots = [contract_slot_endo(xi, phi, s).evaluate(points) for s in range(1, xi.q + 1)]
+    # stacked points-fastest, as each slot is stored, so the differences are too
+    c = np.stack(slots, 1, out=np.empty((len(points), xi.q) + xi.shape, order="F"))
+    return c[:, :, None] - c[:, None]
 
 
 def _tachibana_field(phi: EndomorphismField, xi: CovariantField) -> CovariantField:
@@ -262,7 +259,7 @@ def tachibana(
     index of the result comes first.
     """
     check_rank(xi.q)
-    purity = sampling.sampled_check(None, purity_residual(phi, xi, points), tol)
+    purity = sampling.sampled_check(points, purity_residual(phi, xi, points), tol)
     if not purity.passed:
         raise NotPureError(purity.residual, tol)
     return _tachibana_field(phi, xi)
@@ -275,10 +272,10 @@ def is_almost_analytic(
     tol: float = sampling.DEFAULT_TOL,
 ) -> "sampling.SampledCheck":
     """Pure with vanishing Tachibana image, on sampled points.  An impure
-    xi fails on its purity residual, with no worst point and the reason
-    in detail."""
+    xi fails on its purity residual and worst point, with the reason in
+    detail."""
     purity = sampling.sampled_check(
-        None, purity_residual(phi, xi, points), tol, {"reason": "tensor is not pure"}
+        points, purity_residual(phi, xi, points), tol, {"reason": "tensor is not pure"}
     )
     if not purity.passed:
         return purity
@@ -396,7 +393,7 @@ def verify_characterization(
     vertical = lift.apply(vertical_lift(a, points)).as_array()
     vertical -= vertical_lift(apply_endo_cov(phi, a), points).as_array()
     parts = {"complete_residual": complete, "vertical_residual": vertical}
-    detail = {k: sampling.sampled_check(None, r, tol).residual for k, r in parts.items()}
+    detail = {k: sampling.sampled_check(points, r, tol).residual for k, r in parts.items()}
     return sampling.sampled_check(points, list(parts.values()), tol, detail)
 
 
@@ -414,28 +411,22 @@ def verify_theorem1(
     Hypotheses: phi squares to minus the identity, xi is pure, and the
     Tachibana image vanishes.  The check passes when the hypotheses,
     taken at face value on the sampled points, fail or the conclusions
-    hold.  Its residual is that of the conclusions, and its worst point
-    that of the lift's square; detail carries every residual."""
+    hold.  Its residual and worst point are those of the conclusions;
+    detail carries every residual."""
     n, q = xi.n, check_rank(xi.q)
-
     hypotheses = {
-        name: sampling.sampled_check(None, r, tol)
-        for name, r in (
-            ("square_residual", compose_endo(phi, phi).evaluate(points) + np.eye(n)),
-            ("purity_residual", purity_residual(phi, xi, points)),
-            ("tachibana_residual", _tachibana_field(phi, xi).evaluate(points)),
-        )
+        "square_residual": compose_endo(phi, phi).evaluate(points) + np.eye(n),
+        "purity_residual": purity_residual(phi, xi, points),
+        "tachibana_residual": _tachibana_field(phi, xi).evaluate(points),
     }
-    nij = sampling.sampled_check(
-        None, contract_one_two_cov(nijenhuis(phi), xi).evaluate(points), tol
-    )
-
     mat = complete_lift_endo_on_section(phi, xi, points).matrix
-    lift = sampling.sampled_check(points, np.matmul(mat, mat) + np.eye(bundle_dim(n, q)), tol)
-    conclusions = sampling.sampled_check(None, [nij.residual, lift.residual], tol)
-    hold = all(h.passed for h in hypotheses.values())
-    detail = {name: h.residual for name, h in hypotheses.items()}
-    detail.update(nijenhuis_residual=nij.residual, lift_square_residual=lift.residual,
-                  hypotheses_hold=hold)
-    passed = not hold or conclusions.passed
-    return sampling.SampledCheck(passed, conclusions.residual, tol, lift.worst_point, detail)
+    conclusions = {
+        "nijenhuis_residual": contract_one_two_cov(nijenhuis(phi), xi).evaluate(points),
+        "lift_square_residual": np.matmul(mat, mat) + np.eye(bundle_dim(n, q)),
+    }
+    checks = {k: sampling.sampled_check(points, r, tol)
+              for k, r in (hypotheses | conclusions).items()}
+    detail = {k: c.residual for k, c in checks.items()}
+    detail["hypotheses_hold"] = hold = all(checks[k].passed for k in hypotheses)
+    verdict = sampling.sampled_check(points, list(conclusions.values()), tol, detail)
+    return replace(verdict, passed=not hold or verdict.passed)

@@ -43,6 +43,15 @@ def _is_number(v) -> bool:
     return isinstance(v, float) or _is_int(v)
 
 
+def ascii_int(text: str) -> int:
+    """int(text) of ASCII digits after an optional minus; int() alone also
+    reads the digits of other scripts and underscores."""
+    digits = text.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
 @dataclass
 class Scenario:
     name: str
@@ -88,7 +97,7 @@ class Report:
                     "status": "pass" if r.passed else "fail",
                     "residual": r.residual,
                     "tolerance": r.tol,
-                    "worst_point": list(r.worst_point) if r.worst_point else None,
+                    "worst_point": list(r.worst_point),
                     "detail": r.detail,
                 }
                 for check, r in self.results
@@ -110,7 +119,7 @@ def _parse_key(key: str, length: int, n: int, what: str) -> tuple[int, ...]:
             f"{what}: index key {key!r} must have {length} comma-separated entries"
         )
     try:
-        idx = tuple(int(s) for s in parts)
+        idx = tuple(ascii_int(s) for s in parts)
     except ValueError:
         raise ScenarioError(f"{what}: non-integer index in key {key!r}") from None
     for i in idx:
@@ -300,7 +309,7 @@ def _check_lift_zeros(gamma: ConnectionField, q: int, points, rng, tol) -> sampl
 # replaced on its module (by a tracer, say) is the one that runs.
 _CHECKS = {
     "purity": (("phi", "xi"), lambda sc, pts, seed, tol: sampling.sampled_check(
-        None, bundle.purity_residual(sc.phi, sc.xi, pts), tol)),
+        pts, bundle.purity_residual(sc.phi, sc.xi, pts), tol)),
     "tachibana_zero": (("phi", "xi"), lambda sc, pts, seed, tol: bundle.is_almost_analytic(
         sc.phi, sc.xi, pts, tol)),
     "nijenhuis_zero": (("phi",), lambda sc, pts, seed, tol: sampling.sampled_check(
@@ -339,7 +348,7 @@ def run_scenario(
         env = os.environ.get("LIFTLAB_SEED")
         if env is not None:
             try:
-                seed = int(env)
+                seed = ascii_int(env)
             except ValueError:
                 raise ScenarioError(f"LIFTLAB_SEED must be an integer, got {env!r}") from None
     if seed is None:
@@ -354,14 +363,15 @@ def run_scenario(
     if not math.isfinite(tol) or tol < 0:
         raise ScenarioError(f"tolerance must be finite and non-negative, got {tol!r}")
 
-    points = _sample_scenario_points(sc, seed, count, box)
-    if sc.gamma is not None:
-        # where the screen found gamma regular, by the connection functions' rule
-        try:
-            connection_lift.require_symmetric(sc.gamma, points)
-        except connection_lift.TorsionError as exc:
-            raise ScenarioError(f"gamma: {exc}") from None
-    results = [(c, _CHECKS[c][1](sc, points, seed, tol)) for c in sc.checks]
+    with np.errstate(all="ignore"):  # a field or sampled_check catches each non-finite value
+        points = _sample_scenario_points(sc, seed, count, box)
+        if sc.gamma is not None:
+            # where the screen found gamma regular, by the connection functions' rule
+            try:
+                connection_lift.require_symmetric(sc.gamma, points)
+            except connection_lift.TorsionError as exc:
+                raise ScenarioError(f"gamma: {exc}") from None
+        results = [(c, _CHECKS[c][1](sc, points, seed, tol)) for c in sc.checks]
     return Report(sc.name, sc.n, sc.q, seed, count, box, results)
 
 
@@ -468,11 +478,8 @@ def _print_report(report: Report) -> None:
     )
     for check, r in report.results:
         status = "PASS" if r.passed else "FAIL"
-        line = f"{status} {check:<22} residual={r.residual:.3e}  tol={r.tol:.1e}"
-        if r.worst_point is not None:
-            coords = ", ".join(f"{c:.4f}" for c in r.worst_point)
-            line += f"  worst=({coords})"
-        print(line)
+        coords = ", ".join(f"{c:.4f}" for c in r.worst_point)
+        print(f"{status} {check:<22} residual={r.residual:.3e}  tol={r.tol:.1e}  worst=({coords})")
     done = sum(1 for _, r in report.results if r.passed)
     print(f"{done}/{len(report.results)} checks passed")
 
@@ -487,8 +494,8 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="run the checks of a scenario file")
     run_p.add_argument("scenario", help="path to a scenario JSON file")
     run_p.add_argument("--json", metavar="PATH", help="also write the JSON report here")
-    run_p.add_argument("--seed", type=int, help="sampling seed (overrides LIFTLAB_SEED)")
-    run_p.add_argument("--points", type=int, help="number of sample points")
+    run_p.add_argument("--seed", type=ascii_int, help="sampling seed (overrides LIFTLAB_SEED)")
+    run_p.add_argument("--points", type=ascii_int, help="number of sample points")
     run_p.add_argument("--tol", type=float, help="override every check tolerance")
 
     sub.add_parser("presets", help="list the built-in named inputs")

@@ -42,8 +42,13 @@ class TorsionError(ValueError):
 
 def require_symmetric(gamma: ConnectionField, points) -> None:
     """Raise TorsionError, naming the residual, where Gamma is not
-    symmetric in its lower pair at the points, up to STRUCTURAL_TOL."""
-    check = sampling.sampled_check(None, gamma.symmetry_residual(points), sampling.STRUCTURAL_TOL)
+    symmetric in its lower pair at the points (one point or a batch), up
+    to STRUCTURAL_TOL."""
+    n = gamma.n
+    g = gamma.jets(points, 0)[0].reshape(-1, n, n, n)  # at points as given: the cached jets
+    check = sampling.sampled_check(
+        np.reshape(points, (-1, n)), g - np.swapaxes(g, -1, -2), sampling.STRUCTURAL_TOL
+    )
     if not check.passed:
         raise TorsionError(f"connection must be symmetric in its lower indices (torsion-free): "
                            f"asymmetry {check.residual:.3e} exceeds {check.tol:.1e}")

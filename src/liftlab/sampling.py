@@ -72,28 +72,27 @@ def sampled_check(points, residuals, tol: float, detail: dict | None = None) -> 
     """The one place a residual becomes a verdict.
 
     residuals are signed values: one array, or a list of arrays, each
-    with the point axis first.  The largest |value| over the component
-    axes (an axis tuple, so a points-fastest array is not copied) is the
-    residual at a point, a list combines per point by max, and the check
-    passes when the largest is <= tol, so NaN fails.  The worst point
-    attains it, ties going to the earliest draw.  points None marks
-    residuals that name no point: floats, or arrays of any shape."""
-    lead = 0 if points is None else 1
-    parts = [np.abs(r).max(axis=tuple(range(lead, np.ndim(r))))
+    with the point axis of points first.  The largest |value| over the
+    component axes (an axis tuple, so a points-fastest array is not
+    copied) is the residual at a point, a list combines per point by max,
+    and the check passes when the largest is <= tol, so NaN fails.  The
+    worst point attains it, ties going to the earliest draw."""
+    parts = [np.abs(r).max(axis=tuple(range(1, np.ndim(r))))
              for r in (residuals if isinstance(residuals, list) else [residuals])]
     per_point = parts[0] if len(parts) == 1 else np.max(parts, axis=0)
-    residual = float(per_point.max())
-    worst = None if points is None else tuple(np.asarray(points)[int(np.argmax(per_point))])
-    return SampledCheck(residual <= tol, residual, tol, worst, detail or {})
+    worst = int(np.argmax(per_point))  # a NaN is its own argmax
+    residual = float(per_point[worst])
+    return SampledCheck(residual <= tol, residual, tol, tuple(np.asarray(points)[worst]),
+                        detail or {})
 
 
 @dataclass(frozen=True)
 class SampledCheck:
     """Outcome of one check: the verdict, the largest residual against
-    tol, the point attaining it, and the named residuals behind it."""
+    tol, the sample point attaining it, and the named residuals behind it."""
 
     passed: bool
     residual: float
     tol: float
-    worst_point: tuple | None = None
+    worst_point: tuple
     detail: dict = field(default_factory=dict)

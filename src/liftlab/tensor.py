@@ -329,10 +329,6 @@ class ConnectionField(Field):
     def __init__(self, n: int, components):
         super().__init__(n, (n, n, n), components)
 
-    def symmetry_residual(self, points) -> float:
-        g = self.evaluate(points)
-        return float(np.max(np.abs(g - np.swapaxes(g, -2, -1))))
-
 
 class CurvatureField(Field):
     """Curvature components R_{kji}^l of a connection, lower indices first."""

@@ -58,7 +58,7 @@ def test_criterion_1_theorem_instance():
     phi = standard_complex_r2()
     xi = CovariantField(2, 1, ["x1", "-x2"])
 
-    purity = purity_residual(phi, xi, POINTS64)
+    purity = float(np.max(np.abs(purity_residual(phi, xi, POINTS64))))
     tach = float(np.max(np.abs(tachibana(phi, xi, POINTS64).evaluate(POINTS64))))
     nij = float(
         np.max(np.abs(contract_one_two_cov(nijenhuis(phi), xi).evaluate(POINTS64)))

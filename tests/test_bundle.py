@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,7 @@ from liftlab.tensor import (
     VectorField,
     apply_endo_cov,
     apply_endo_vec,
+    contract_slot_endo,
     lie_derivative_cov,
     lie_derivative_endo,
 )
@@ -140,18 +143,57 @@ def test_natural_and_adapted_complete_lifts_agree(xi):
 # purity and the Tachibana operator
 
 
+def _purity(phi, xi, points=POINTS):
+    return sampling.sampled_check(points, purity_residual(phi, xi, points), 0.0)
+
+
 def test_purity_rank_one_is_trivial():
     phi = standard_complex_r2()
-    assert purity_residual(phi, NECESSITY_XI, POINTS) == 0.0
+    residual = purity_residual(phi, NECESSITY_XI, POINTS)
+    assert residual.shape == (len(POINTS), 1, 1, 2)
+    assert not residual.any()
+    assert _purity(phi, NECESSITY_XI) == sampling.SampledCheck(True, 0.0, 0.0, tuple(POINTS[0]))
 
 
 def test_purity_frozen_residuals():
     phi = standard_complex_r2()
     delta = CovariantField(2, 2, {(1, 1): 1.0, (2, 2): 1.0})
     split = CovariantField(2, 2, {(1, 1): 1.0, (2, 2): -1.0})
-    assert purity_residual(phi, delta, POINTS) == 2.0
-    assert purity_residual(phi, split, POINTS) == 0.0
-    assert purity_residual(phi, ANALYTIC_PAIR_Q2, POINTS) == 0.0
+    assert _purity(phi, delta).residual == 2.0
+    assert _purity(phi, split).residual == 0.0
+    assert _purity(phi, ANALYTIC_PAIR_Q2).residual == 0.0
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_purity_residual_is_every_pairwise_slot_difference(q):
+    rng = np.random.default_rng(700 + q)
+    phi = EndomorphismField(
+        2, [[random_polynomial_expr(rng, 2) for _ in range(2)] for _ in range(2)]
+    )
+    xi = random_covariant_field(rng, 2, q)
+    residual = purity_residual(phi, xi, POINTS)
+    assert residual.shape == (len(POINTS), q, q) + (2,) * q
+    slots = [contract_slot_endo(xi, phi, s).evaluate(POINTS) for s in range(1, q + 1)]
+    for a, b in itertools.product(range(q), repeat=2):
+        np.testing.assert_array_equal(residual[:, a, b], slots[a] - slots[b])
+    pairwise = max(np.max(np.abs(a - b)) for a, b in itertools.combinations(slots, 2))
+    assert _purity(phi, xi).residual == pairwise > 0.0
+
+
+def test_purity_worst_point_is_where_the_impurity_peaks():
+    # phi = J moves the first and last slot of x1 * delta apart by 2 x1
+    phi = standard_complex_r2()
+    xi = CovariantField(2, 2, {(1, 1): "x1", (2, 2): "x1"})
+    peak = tuple(POINTS[int(np.argmax(POINTS[:, 0]))])
+    check = _purity(phi, xi)
+    assert check.residual == pytest.approx(2.0 * POINTS[:, 0].max(), rel=1e-15)
+    assert check.worst_point == peak
+    verdict = is_almost_analytic(phi, xi, POINTS)
+    assert not verdict.passed and verdict.detail == {"reason": "tensor is not pure"}
+    assert (verdict.residual, verdict.worst_point) == (check.residual, peak)
+    with pytest.raises(NotPureError) as err:
+        tachibana(phi, xi, POINTS)
+    assert err.value.residual == check.residual
 
 
 def test_tachibana_zero_for_analytic_pair():
@@ -512,7 +554,33 @@ def test_theorem1_lift_square_matches_per_point_reference(n, q):
         [r.detail["lift_square_residual"] for r in got], want, rtol=CHECK_RTOL, atol=BATCH_ATOL
     )
     assert whole.detail["lift_square_residual"] == pytest.approx(max(want), rel=CHECK_RTOL)
-    assert whole.worst_point == tuple(points[int(np.argmax(want))])
+    # the worst point is that of the conclusions, the lift's square and the
+    # Nijenhuis contraction together, and a check at it alone attains the residual
+    nij = contract_one_two_cov(nijenhuis(phi), xi).evaluate(points)
+    conclusions = np.maximum(want, np.abs(nij).reshape(len(points), -1).max(axis=1))
+    worst = int(np.argmax(conclusions))
+    assert whole.worst_point == tuple(points[worst])
+    assert whole.residual == pytest.approx(conclusions[worst], rel=CHECK_RTOL)
+    assert got[worst].residual == pytest.approx(whole.residual, rel=CHECK_RTOL)
+
+
+def test_theorem1_worst_point_attains_the_conclusions_residual():
+    # a random pair whose Nijenhuis contraction peaks where the lift's
+    # square does not and outweighs it there
+    rng = np.random.default_rng(2)
+    phi = EndomorphismField(
+        2, [[random_polynomial_expr(rng, 2) for _ in range(2)] for _ in range(2)]
+    )
+    xi = random_covariant_field(rng, 2, 1)
+    points = sampling.sample_points(2, count=5, seed=2)
+    whole = verify_theorem1(phi, xi, points)
+    nij = np.abs(contract_one_two_cov(nijenhuis(phi), xi).evaluate(points)).max(axis=(1, 2))
+    worst = int(np.argmax(nij))
+    lift = [verify_theorem1(phi, xi, p[None]).detail["lift_square_residual"] for p in points]
+    assert int(np.argmax(lift)) != worst
+    assert whole.residual == whole.detail["nijenhuis_residual"] == nij[worst]
+    assert whole.worst_point == tuple(points[worst])
+    assert verify_theorem1(phi, xi, points[worst : worst + 1]).residual == whole.residual
 
 
 VECTOR_SHAPES = pytest.mark.parametrize("n,q", [(2, 1), (3, 2), (4, 3)])

@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,6 +155,31 @@ def test_negative_seed_is_a_usage_error(source, tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: seed must be non-negative")
     assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("env", ["٧", "1_0", "+7", "7.0", "", "--7"])
+def test_env_seed_takes_ascii_digits_only(env, tmp_path, monkeypatch, capsys):
+    # int() alone would read "٧" (Arabic-Indic seven) as 7 and "1_0" as 10
+    monkeypatch.setenv("LIFTLAB_SEED", env)
+    assert main(["run", write_scenario(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: LIFTLAB_SEED must be an integer, got {env!r}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--points"])
+@pytest.mark.parametrize("value", ["٧", "1_0"])
+def test_flags_take_ascii_digits_only(flag, value, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", write_scenario(tmp_path), flag, value])
+    assert exit_.value.code == 2
+    assert f"argument {flag}: invalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("env", [" 11 ", "011"])
+def test_env_seed_in_ascii_digits_is_read(env, tmp_path, monkeypatch):
+    monkeypatch.setenv("LIFTLAB_SEED", env)
+    assert run_scenario(write_scenario(tmp_path)).seed == 11
 
 
 def test_points_override(tmp_path):
@@ -328,15 +355,58 @@ def test_tachibana_zero_has_one_purity_gate(pure, tmp_path, monkeypatch):
     if not pure:
         xi["2,1"] = "0"
     path = write_scenario(tmp_path, q=2, xi=xi, checks=["tachibana_zero"])
-    (result,) = run_scenario(path).to_dict()["checks"]
+    report = run_scenario(path)
+    (result,) = report.to_dict()["checks"]
     assert len(calls) == 1
+    impurity = np.abs(calls[0]).reshape(len(calls[0]), -1).max(axis=1)
     if pure:
-        assert calls == [0.0] and result["status"] == "pass" and result["detail"] == {}
+        assert not impurity.any() and result["status"] == "pass" and result["detail"] == {}
     else:
-        assert calls[0] > 1e-3
-        assert result == {"id": "tachibana_zero", "status": "fail", "residual": calls[0],
-                          "tolerance": 1e-9, "worst_point": None,
+        points = _sample_scenario_points(load_scenario(path), report.seed, report.count,
+                                         report.box)
+        worst = int(np.argmax(impurity))
+        assert impurity[worst] > 1e-3
+        assert result == {"id": "tachibana_zero", "status": "fail", "residual": impurity[worst],
+                          "tolerance": 1e-9, "worst_point": list(points[worst]),
                           "detail": {"reason": "tensor is not pure"}}
+
+
+@pytest.mark.parametrize("key", ["١", "0_1", "1_", "+1", "1.0", "²", "2, ١"])
+def test_index_key_takes_ascii_digits_only(key, tmp_path, capsys):
+    # int() alone would read "١" (Arabic-Indic one) and "0_1" as index 1
+    path = write_scenario(tmp_path, phi={key if "," in key else "1,2": "-1", "2,1": "1"},
+                          xi={key if "," not in key else "1": "x1"})
+    assert main(["run", path]) == 2
+    what = "phi" if "," in key else "xi"
+    assert capsys.readouterr().err == f"error: {what}: non-integer index in key {key!r}\n"
+
+
+@pytest.mark.parametrize("key,index", [("-1", -1), ("0", 0), ("3", 3)])
+def test_index_key_outside_the_chart_is_named(key, index, tmp_path, capsys):
+    path = write_scenario(tmp_path, xi={key: "x1"})
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: xi: index {index} in key {key!r} outside 1..2\n"
+
+
+def test_overflow_reaches_stderr_as_one_error_line(tmp_path, capsys):
+    # the lift's fibre block and a sum of jets overflow before the field
+    # evaluation that stops the run; numpy must not warn about them
+    path = write_scenario(
+        tmp_path,
+        q=2,
+        gamma="sphere_chart",
+        xi={"1,1": "1e308*x1*x2", "2,2": "x1"},
+        checks=["lift_connection_zeros", "induced_equals_base", "gauss_consistency",
+                "curvature_tangency"],
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", path]) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: tensor field values evaluated non-finite")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
 
 @pytest.mark.parametrize("component", ["x١ + 1", "x1²", "x²"])
@@ -558,10 +628,12 @@ def test_every_check_at_the_top_of_the_envelope(tmp_path):
 def test_report_entry_of_every_check(check, tmp_path):
     # a generic (2,2) scenario with phi, xi and gamma; xi is impure
     path = write_scenario(tmp_path, checks=[check], **generic_scenario(11, 2, 2))
-    (entry,) = run_scenario(path).to_dict()["checks"]
+    report = run_scenario(path)
+    (entry,) = report.to_dict()["checks"]
     assert entry["id"] == check
     assert entry["tolerance"] == (1e-12 if check == "lift_connection_zeros" else 1e-9)
-    assert (entry["worst_point"] is None) == (check in ("purity", "tachibana_zero"))
+    points = _sample_scenario_points(load_scenario(path), report.seed, report.count, report.box)
+    assert entry["worst_point"] in points.tolist()
     keys = {
         "theorem1": {"square_residual", "purity_residual", "tachibana_residual",
                      "nijenhuis_residual", "lift_square_residual", "hypotheses_hold"},

@@ -1,5 +1,7 @@
 import contextlib
 import itertools
+import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from liftlab.connection_lift import (
     gauss_second_fundamental,
     induced_connection,
     is_totally_geodesic,
+    require_symmetric,
 )
 from liftlab.presets import (
     flat_connection,
@@ -146,9 +149,33 @@ def test_lift_rejects_torsion():
         assert f"asymmetry {np.max(pts[:, 0]):.3e}" in str(err.value)
 
 
+@pytest.mark.parametrize("shape", [(2,), (1, 2), (16, 2), (4, 4, 2)], ids=str)
+def test_require_symmetric_takes_one_point_or_any_batch(shape):
+    pts = POINTS[: math.prod(shape[:-1])].reshape(shape)
+    want = np.max(pts[..., 0])  # Gamma^1_{12} - Gamma^1_{21} = x1
+    with pytest.raises(TorsionError, match=re.escape(f"asymmetry {want:.3e} exceeds 1.0e-12")):
+        require_symmetric(ASYMMETRIC, pts)
+    require_symmetric(SPHERE, pts)
+
+
+def test_require_symmetric_reads_the_cached_jets(monkeypatch):
+    # at one point or a batch, the gate reads the jets its caller took and
+    # leaves them cached for the next reader
+    gamma = ConnectionField(2, {(1, 1, 2): "x1*x2", (1, 2, 1): "x2*x1"})
+    evaluated = []
+    tape_jets = type(gamma.tape).jets
+    monkeypatch.setattr(type(gamma.tape), "jets",
+                        lambda tape, p, k: evaluated.append(p.shape) or tape_jets(tape, p, k))
+    for pts in (POINTS, POINTS[3]):
+        gamma.jets(pts, 1)
+        require_symmetric(gamma, pts)
+        gamma.jets(pts, 1)
+    assert evaluated == [(16, 2), (2,)]
+
+
 def test_mirrored_entries_written_differently_are_symmetric():
     gamma = ConnectionField(2, {(1, 1, 2): "x1*x2", (1, 2, 1): "x2*x1"})
-    assert gamma.symmetry_residual(POINTS) == 0.0
+    require_symmetric(gamma, POINTS)
     complete_lift_connection(gamma, BundlePoint(2, 1, POINTS, np.zeros((16, 2))))
     assert gauss_consistency(gamma, XI_Q1, POINTS).passed
     curvature_tangency(gamma, XI_Q1, POINTS)

@@ -198,11 +198,21 @@ def test_sampled_check_combines_a_list_per_point_by_max():
     assert sampled_check(PTS, [first, second[:, :2]], 3.0).worst_point == (0.0, 1.0)
 
 
-def test_sampled_check_without_points_takes_floats_and_arrays():
-    assert sampled_check(None, 0.0, 0.0) == SampledCheck(True, 0.0, 0.0, None, {})
-    assert sampled_check(None, [0.5, -2.0], 1.0) == SampledCheck(False, 2.0, 1.0, None, {})
-    values = [np.full((2, 3), -1.5), np.array(0.25), 1.0, np.ones((1, 1, 2, 1))]
-    assert sampled_check(None, values, 1.5) == SampledCheck(True, 1.5, 1.5, None, {})
+def test_sampled_check_takes_bare_per_point_values():
+    # values with no component axes are the residuals at the points
+    assert sampled_check(PTS, np.zeros(3), 0.0) == SampledCheck(True, 0.0, 0.0, (0.0, 1.0), {})
+    check = sampled_check(PTS, [np.array([0.5, -2.0, 1.0]), np.ones((3, 1, 2, 1))], 1.0)
+    assert check == SampledCheck(False, 2.0, 1.0, (2.0, 3.0), {})
+    # one point, as a batch of one
+    assert sampled_check(PTS[2:], np.full((1, 2), -1.5), 1.5) == SampledCheck(
+        True, 1.5, 1.5, (4.0, 5.0), {})
+
+
+def test_sampled_check_always_names_a_point():
+    with pytest.raises(IndexError):
+        sampled_check(None, np.zeros((3, 2)), 1.0)
+    with pytest.raises(TypeError):
+        SampledCheck(True, 0.0, 1.0)  # a check without its worst point
 
 
 def test_sampled_check_passes_a_residual_equal_to_tol():
@@ -212,15 +222,16 @@ def test_sampled_check_passes_a_residual_equal_to_tol():
     assert not sampled_check(PTS, np.full((3, 2), np.nextafter(tol, 1.0)), tol).passed
 
 
-@pytest.mark.parametrize("where", ["first", "second", "no_points"])
+@pytest.mark.parametrize("where", ["first", "second", "bare"])
 def test_sampled_check_fails_on_nan_anywhere(where):
     first, second = np.zeros((3, 2)), np.zeros((3, 2, 2))
-    (first if where == "first" else second)[2, 1] = np.nan
-    points = None if where == "no_points" else PTS
-    check = sampled_check(points, [first, second], np.inf)
+    if where == "bare":
+        first = np.array([0.0, np.inf, np.nan])
+    else:
+        (first if where == "first" else second)[2, 1] = np.nan
+    check = sampled_check(PTS, [first, second], np.inf)
     assert not check.passed and np.isnan(check.residual)
-    if points is not None:
-        assert check.worst_point == (4.0, 5.0)
+    assert check.worst_point == (4.0, 5.0)
 
 
 def test_sampled_check_ties_name_the_earliest_point():
@@ -234,10 +245,15 @@ def test_sampled_check_ties_name_the_earliest_point():
     ids=["zero", "at_tol", "past_tol", "one", "inf", "nan"],
 )
 def test_tachibana_gate_raises_where_the_purity_verdict_fails(residual, monkeypatch):
-    monkeypatch.setattr(bundle, "purity_residual", lambda *args: float(residual))
+    # the purity residual, [point, slot, slot, *shape], peaks at the last point
+    values = np.zeros((3, 2, 2, 2, 2))
+    values[2, 0, 1, 1, 0] = residual
+    monkeypatch.setattr(bundle, "purity_residual", lambda *args: values)
     phi, xi = standard_complex_r2(), CovariantField(2, 2, {(1, 1): "x1"})
     verdict = bundle.is_almost_analytic(phi, xi, PTS, 1e-9)
     impure = verdict.detail == {"reason": "tensor is not pure"}
+    if impure:
+        assert verdict.worst_point == (4.0, 5.0)
     try:
         bundle.tachibana(phi, xi, PTS, 1e-9)
     except bundle.NotPureError as exc:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import _oracles
 from _fields import random_symmetric_connection, replace_slot
-from liftlab import expr, sampling
+from liftlab import connection_lift, expr, sampling
 from liftlab.presets import (
     flat_connection,
     random_covariant_field,
@@ -180,12 +180,14 @@ def test_connection_field_layout():
     g = gamma.evaluate([3.0, 0.0])
     assert g[0, 1, 1] == 3.0
     assert g.sum() == 3.0
-    assert gamma.symmetry_residual(POINTS) == 0.0
+    connection_lift.require_symmetric(gamma, POINTS)
 
 
 def test_connection_symmetry_residual_detects():
+    # the connection functions measure the symmetry they need
     gamma = ConnectionField(2, {(1, 1, 2): "1"})
-    assert gamma.symmetry_residual(POINTS) == 1.0
+    with pytest.raises(connection_lift.TorsionError, match=r"asymmetry 1\.000e\+00 exceeds"):
+        connection_lift.require_symmetric(gamma, POINTS)
 
 
 def test_one_two_tensor_layout():
