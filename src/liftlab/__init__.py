@@ -6,7 +6,6 @@ from .expr import (
     ParseError,
     ScalarExpr,
     SingularPointError,
-    evaluate,
     parse,
 )
 from .tensor import (

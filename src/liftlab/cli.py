@@ -52,6 +52,13 @@ def ascii_int(text: str) -> int:
     return int(text)
 
 
+def ascii_float(text: str) -> float:
+    """float(text) of ASCII text without underscores, as ascii_int."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return float(text)
+
+
 @dataclass
 class Scenario:
     name: str
@@ -496,7 +503,7 @@ def main(argv=None) -> int:
     run_p.add_argument("--json", metavar="PATH", help="also write the JSON report here")
     run_p.add_argument("--seed", type=ascii_int, help="sampling seed (overrides LIFTLAB_SEED)")
     run_p.add_argument("--points", type=ascii_int, help="number of sample points")
-    run_p.add_argument("--tol", type=float, help="override every check tolerance")
+    run_p.add_argument("--tol", type=ascii_float, help="override every check tolerance")
 
     sub.add_parser("presets", help="list the built-in named inputs")
 

@@ -53,14 +53,12 @@ class ParseError(ValueError):
 
 
 class SingularPointError(ArithmeticError):
-    """Raised when evaluation hits a pole or overflow.
+    """Raised on a pole or an overflow at a sample point.  subtree is the
+    innermost non-finite subexpression of an input field's component, or
+    None (an operator output, a residual)."""
 
-    The offending subtree is attached so callers can report which
-    operation produced the non-finite value.
-    """
-
-    def __init__(self, subtree: "ScalarExpr", point):
-        super().__init__(f"non-finite value from {subtree} at point {tuple(point)}")
+    def __init__(self, message: str, subtree: "ScalarExpr | None" = None):
+        super().__init__(message)
         self.subtree = subtree
 
 
@@ -612,6 +610,22 @@ class Tape:
                         jet[b] = None
         return jet
 
+    def non_finite_subtree(self, exprs, r: int, point, order: int) -> ScalarExpr:
+        """The subtree of exprs[r], output r of the tape compiled from exprs,
+        that makes its jet to order non-finite at one point (n,): the
+        innermost one whose own jet is non-finite while its arguments'
+        are finite.  Reruns the tape at that point; for error messages."""
+        jet = self._slots(np.asarray(point, dtype=np.float64), order, keep=True)
+        node, slot = exprs[r], self.outputs[r]
+        while True:
+            # the argument columns of a slot start with its children's slots
+            args = (self.args_a[slot], self.args_b[slot])[: len(node.children)]
+            bad = next((k for k, s in enumerate(args)
+                        if not all(d is None or np.isfinite(d).all() for d in jet[s])), None)
+            if bad is None:
+                return node
+            node, slot = node.children[bad], args[bad]
+
     def __call__(self, points) -> np.ndarray:
         return self.jets(points, 0)[0]
 
@@ -680,33 +694,3 @@ def _unary(op: int, a, k: int, order: int):
         return v, None, None
     return v, np.cos(a) if op == SIN else -np.sin(a), -v
 
-
-def evaluate(e: ScalarExpr, point) -> float:
-    """Evaluate e at a coordinate point (sequence of floats).
-
-    Deterministic: the same expression at the same point always yields
-    the identical float.  Raises SingularPointError naming the deepest
-    offending subtree if any intermediate value is non-finite.
-    """
-    p = np.asarray(point, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError("point must be a flat coordinate sequence")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("point coordinates must be finite")
-    tape = Tape([e])
-    if tape.dim > p.shape[0]:
-        raise ValueError(
-            f"expression uses x{tape.dim} but the point has {p.shape[0]} coordinates"
-        )
-    vals = [v for v, _, _ in tape._slots(p, keep=True)]
-    node, slot = e, tape.outputs[0]
-    if math.isfinite(vals[slot]):
-        return float(vals[slot])
-    # Walk down to the deepest node that itself evaluates non-finite; the
-    # argument columns of a slot start with its children's slots.
-    while True:
-        args = (tape.args_a[slot], tape.args_b[slot])[: len(node.children)]
-        bad = next((k for k, s in enumerate(args) if not math.isfinite(vals[s])), None)
-        if bad is None:
-            raise SingularPointError(node, p)
-        node, slot = node.children[bad], args[bad]

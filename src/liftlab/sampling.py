@@ -7,10 +7,13 @@ coordinate singularities of the built-in charts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+
+from .expr import SingularPointError
 
 DEFAULT_SEED = 42
 DEFAULT_COUNT = 64
@@ -75,15 +78,20 @@ def sampled_check(points, residuals, tol: float, detail: dict | None = None) -> 
     with the point axis of points first.  The largest |value| over the
     component axes (an axis tuple, so a points-fastest array is not
     copied) is the residual at a point, a list combines per point by max,
-    and the check passes when the largest is <= tol, so NaN fails.  The
-    worst point attains it, ties going to the earliest draw."""
+    and the check passes when the largest is <= tol; one that is not
+    finite raises SingularPointError.  The worst point attains it, ties
+    going to the earliest draw."""
     parts = [np.abs(r).max(axis=tuple(range(1, np.ndim(r))))
              for r in (residuals if isinstance(residuals, list) else [residuals])]
     per_point = parts[0] if len(parts) == 1 else np.max(parts, axis=0)
     worst = int(np.argmax(per_point))  # a NaN is its own argmax
     residual = float(per_point[worst])
-    return SampledCheck(residual <= tol, residual, tol, tuple(np.asarray(points)[worst]),
-                        detail or {})
+    point = tuple(np.asarray(points)[worst])
+    if not math.isfinite(residual):
+        at = tuple(map(float, point))
+        raise SingularPointError(f"residual evaluated {residual} at point {at}; "
+                                 "the inputs overflow or the point is singular")
+    return SampledCheck(residual <= tol, residual, tol, point, detail or {})
 
 
 @dataclass(frozen=True)

@@ -9,21 +9,22 @@ derivative axes right after the batch axes, and partials() is the field
 d_m (component) of shape (n,) + shape, derivative axis first.
 
 The named kinds differ only in how their constructors read components
-and in the index order of component(...), which is the storage order.
-Indices count from 1 and coordinates are x1..xn.
+and in the order of evaluate's component axes, which is also the
+row-major order of comps.  Indices count from 1, so index i sits at
+position i - 1 of its axis, and coordinates are x1..xn.
 
-- CovariantField, a (0,q) field: A_{j1..jq} at A.component((j1, .., jq)),
+- CovariantField, a (0,q) field: A_{j1..jq} on axes (j1, .., jq),
   ranked by rank_multi_index, which is also the fibre-coordinate order
   used by the bundle machinery;
-- VectorField: V^i at V.component(i);
-- EndomorphismField: phi^i_j at phi.component(i, j), rows indexing the
-  upper slot, so the evaluated matrix acts on column vectors;
-- OneTwoTensorField: T^l_{jk} at T.component(l, j, k);
-- ConnectionField: Gamma^h_{ji} at gamma.component(h, j, i), with the
-  derivative (first lower) subscript j; its symmetry in (j, i) is
-  measured at sample points, never declared;
-- CurvatureField: R_{kji}^l at R.component(k, j, i, l), lower indices
-  first, following
+- VectorField: V^i on axis (i);
+- EndomorphismField: phi^i_j on axes (i, j), rows indexing the upper
+  slot, so the evaluated matrix acts on column vectors;
+- OneTwoTensorField: T^l_{jk} on axes (l, j, k);
+- ConnectionField: Gamma^h_{ji} on axes (h, j, i), with the derivative
+  (first lower) subscript j; its symmetry in (j, i) is measured at
+  sample points, never declared;
+- CurvatureField: R_{kji}^l on axes (k, j, i, l), lower indices first,
+  following
   R_{kji}^l = d_k Gamma^l_{ji} - d_j Gamma^l_{ki}
               + Gamma^l_{km} Gamma^m_{ji} - Gamma^l_{jm} Gamma^m_{ki}.
 
@@ -51,7 +52,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import expr
-from .expr import ScalarExpr, Tape
+from .expr import ScalarExpr, SingularPointError, Tape
 
 MAX_DIM = 4
 
@@ -200,11 +201,6 @@ class Field:
         f.n, f.shape, f.comps, f.tape, f._rule, f._last = n, shape, (), None, rule, None
         return f
 
-    def component(self, *idx: int) -> ScalarExpr:
-        if len(idx) != len(self.shape):
-            raise IndexError(f"expected {len(self.shape)} indices, got {len(idx)}")
-        return self.comps[rank_multi_index(idx, self.n)]
-
     def evaluate(self, points) -> np.ndarray:
         """Component values, shape points.shape[:-1] + shape."""
         return self.jets(points, 0)[0].copy(order="K")
@@ -249,14 +245,16 @@ class Field:
     def _non_finite(self, p: np.ndarray, a: np.ndarray, k: int):
         at = np.unravel_index(np.argmin(np.isfinite(a)), a.shape)
         b = p.ndim - 1
-        comp = tuple(int(i) + 1 for i in at[b + k :])
+        comp, point = at[b + k :], p[at[:b]]
         what = ("values", "partials", "second partials")[k]
         along = "".join(f" x{int(i) + 1}" for i in at[b : b + k])
-        point = tuple(float(c) for c in p[at[:b]])
-        raise ArithmeticError(
-            f"{self.kind} {what} evaluated non-finite at component {comp}"
-            f"{' along' + along if k else ''}, point {point}; the point is singular"
-        )
+        subtree = None if self.tape is None else self.tape.non_finite_subtree(
+            self.comps, np.ravel_multi_index(comp, self.shape), point, k)
+        raise SingularPointError(
+            f"{self.kind} {what} evaluated non-finite at component "
+            f"{tuple(int(i) + 1 for i in comp)}{' along' + along if k else ''}, "
+            f"point {tuple(float(c) for c in point)}"
+            f"{'' if subtree is None else f', from {subtree}'}; the point is singular", subtree)
 
 
 class CovariantField(Field):
@@ -286,9 +284,6 @@ class CovariantField(Field):
     @property
     def q(self) -> int:
         return len(self.shape)
-
-    def component(self, mi: Sequence[int]) -> ScalarExpr:
-        return super().component(*mi)
 
 
 class VectorField(Field):

@@ -1,12 +1,13 @@
 import contextlib
 import io
 import json
+import math
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _fields import generic_scenario
@@ -174,6 +175,21 @@ def test_flags_take_ascii_digits_only(flag, value, tmp_path, capsys):
         main(["run", write_scenario(tmp_path), flag, value])
     assert exit_.value.code == 2
     assert f"argument {flag}: invalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["١", "1_0", "１e-9"])
+def test_tol_takes_ascii_text_only(value, capsys):
+    # float() alone reads these as 1.0, 10.0 and 1e-9; at tol 10 the
+    # negative control would pass
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", str(SCENARIOS / "theorem1_necessity.json"), "--tol", value])
+    assert exit_.value.code == 2
+    assert "argument --tol: invalid" in capsys.readouterr().err
+
+
+def test_tol_in_ascii_text_is_read(capsys):
+    assert main(["run", str(SCENARIOS / "theorem1_necessity.json"), "--tol", "1e-9"]) == 1
+    assert "tol=1.0e-09" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("env", [" 11 ", "011"])
@@ -390,8 +406,9 @@ def test_index_key_outside_the_chart_is_named(key, index, tmp_path, capsys):
 
 
 def test_overflow_reaches_stderr_as_one_error_line(tmp_path, capsys):
-    # the lift's fibre block and a sum of jets overflow before the field
-    # evaluation that stops the run; numpy must not warn about them
+    # the lift's fibre block and a sum of jets overflow, and the run stops
+    # at the first check whose residual is not finite; numpy must not warn
+    # about any of them
     path = write_scenario(
         tmp_path,
         q=2,
@@ -405,8 +422,35 @@ def test_overflow_reaches_stderr_as_one_error_line(tmp_path, capsys):
         assert main(["run", path]) == 3
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: tensor field values evaluated non-finite")
+    assert captured.err.startswith("error: residual evaluated nan at point (")
     assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+
+OVERFLOWING_XI = {"1,1": "1e308*x1*x2", "1,2": "1e308*x1", "2,1": "1e308", "2,2": "1e308*x2"}
+
+
+@pytest.mark.parametrize(
+    "fields,checks,residual",
+    [
+        ({"gamma": "sphere_chart", "xi": {"1,1": "1e308*x1*x2", "2,2": "x1"}},
+         ["induced_equals_base"], "nan"),
+        ({"gamma": "sphere_chart", "xi": {"1,1": "1e308*x1*x2", "2,2": "x1"}},
+         ["curvature_tangency"], "nan"),
+        ({"phi": "standard_complex_r2", "xi": OVERFLOWING_XI}, ["purity", "tachibana_zero"],
+         "inf"),
+    ],
+    ids=["induced_equals_base", "curvature_tangency", "purity"],
+)
+def test_overflowing_residual_is_an_error_not_a_fail(fields, checks, residual, tmp_path, capsys):
+    # every field value is finite at the sample points, but the residual
+    # overflows: no verdict and no report with a NaN or an Infinity in it
+    path = write_scenario(tmp_path, q=2, checks=checks, **fields)
+    report = tmp_path / "report.json"
+    assert main(["run", path, "--json", str(report)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: residual evaluated {residual} at point (")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("component", ["x١ + 1", "x1²", "x²"])
@@ -714,13 +758,18 @@ WILD_TEXT = st.one_of(
 )
 
 
-def _run_doc(doc, directory) -> tuple[int, str]:
+def _run_doc(doc, directory, *flags) -> tuple[int, str]:
     path = directory / "mutated.json"
     path.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["run", str(path)])
+        code = main(["run", str(path), *flags])
     return code, err.getvalue()
+
+
+def _strict_constant(name):
+    """json.loads hook for NaN and Infinity, which RFC 8259 JSON lacks."""
+    raise ValueError(f"report holds {name}, which is not JSON")
 
 
 @st.composite
@@ -787,7 +836,14 @@ def test_malformed_scenario_exits_2(doc, tmp_path_factory):
 
 @settings(max_examples=30, deadline=None)
 @given(doc=wild_scenarios())
+@example(doc={"n": 2, "q": 2, "phi": "standard_complex_r2", "xi": OVERFLOWING_XI,
+              "checks": ["purity"]})
 def test_wild_scenario_exits_with_a_documented_code(doc, tmp_path_factory):
-    code, err = _run_doc(doc, tmp_path_factory.mktemp("fuzz"))
+    directory = tmp_path_factory.mktemp("fuzz")
+    report = directory / "report.json"
+    code, err = _run_doc(doc, directory, "--json", str(report))
     assert code in (0, 1, 2, 3), code
     assert (code >= 2) == ("error: " in err), (code, err)
+    if code < 2:
+        checks = json.loads(report.read_text(), parse_constant=_strict_constant)["checks"]
+        assert all(math.isfinite(c["residual"]) for c in checks), checks

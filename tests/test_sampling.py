@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from liftlab import bundle, sampling
 from liftlab.cli import _sample_scenario_points, load_scenario, main
-from liftlab.expr import Tape
+from liftlab.expr import SingularPointError, Tape
 from liftlab.presets import standard_complex_r2
 from liftlab.sampling import SampledCheck, sampled_check
 from liftlab.tensor import CovariantField
@@ -224,14 +224,18 @@ def test_sampled_check_passes_a_residual_equal_to_tol():
 
 @pytest.mark.parametrize("where", ["first", "second", "bare"])
 def test_sampled_check_fails_on_nan_anywhere(where):
+    # a non-finite residual gives no verdict, not even under tol = inf:
+    # it raises at the point of the first NaN
     first, second = np.zeros((3, 2)), np.zeros((3, 2, 2))
     if where == "bare":
         first = np.array([0.0, np.inf, np.nan])
     else:
         (first if where == "first" else second)[2, 1] = np.nan
-    check = sampled_check(PTS, [first, second], np.inf)
-    assert not check.passed and np.isnan(check.residual)
-    assert check.worst_point == (4.0, 5.0)
+    with pytest.raises(SingularPointError) as err:
+        sampled_check(PTS, [first, second], np.inf)
+    assert str(err.value) == ("residual evaluated nan at point (4.0, 5.0); "
+                              "the inputs overflow or the point is singular")
+    assert err.value.subtree is None
 
 
 def test_sampled_check_ties_name_the_earliest_point():
@@ -250,6 +254,12 @@ def test_tachibana_gate_raises_where_the_purity_verdict_fails(residual, monkeypa
     values[2, 0, 1, 1, 0] = residual
     monkeypatch.setattr(bundle, "purity_residual", lambda *args: values)
     phi, xi = standard_complex_r2(), CovariantField(2, 2, {(1, 1): "x1"})
+    if not np.isfinite(residual):
+        # no verdict and no NotPureError: both stop at the worst point
+        for gate in (bundle.is_almost_analytic, bundle.tachibana):
+            with pytest.raises(SingularPointError, match=r"at point \(4\.0, 5\.0\)"):
+                gate(phi, xi, PTS, 1e-9)
+        return
     verdict = bundle.is_almost_analytic(phi, xi, PTS, 1e-9)
     impure = verdict.detail == {"reason": "tensor is not pure"}
     if impure:
@@ -258,7 +268,7 @@ def test_tachibana_gate_raises_where_the_purity_verdict_fails(residual, monkeypa
         bundle.tachibana(phi, xi, PTS, 1e-9)
     except bundle.NotPureError as exc:
         raised = True
-        assert exc.residual == verdict.residual or np.isnan(exc.residual)
+        assert exc.residual == verdict.residual
     else:
         raised = False
     assert raised == impure == (not residual <= 1e-9)

@@ -122,34 +122,59 @@ def test_partials_derivative_axis_first():
 
 def test_singular_point_raises():
     xi = CovariantField(2, 1, ["1/x1", "0"])
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(expr.SingularPointError):
         xi.evaluate([0.0, 1.0])
 
 
 def test_non_finite_names_kind_order_component_and_point():
     xi = CovariantField(2, 2, {(2, 1): "x1^3", (1, 2): "1/(x2 - 1)"})
     pts = np.array([[0.5, 0.5], [0.7, 1.0]])
-    with pytest.raises(ArithmeticError) as err:
+    with pytest.raises(expr.SingularPointError) as err:
         xi.evaluate(pts)
     assert str(err.value) == (
         "tensor field values evaluated non-finite at component (1, 2), "
-        "point (0.7, 1.0); the point is singular"
+        "point (0.7, 1.0), from 1/(x2 + -1); the point is singular"
     )
+    assert err.value.subtree is xi.comps[1]
     gamma = ConnectionField(2, {(2, 1, 1): "x1*x2", (1, 2, 2): "x2^-1"})
-    with pytest.raises(ArithmeticError) as err:
+    with pytest.raises(expr.SingularPointError) as err:
         gamma.jets(np.array([[0.3, 0.0]]), 2)
-    assert str(err.value).startswith(
-        "connection values evaluated non-finite at component (1, 2, 2), point (0.3, 0.0)"
+    assert str(err.value) == (
+        "connection values evaluated non-finite at component (1, 2, 2), point (0.3, 0.0), "
+        "from x2^-1; the point is singular"
+    )
+    # finite values, overflowing first partials: the derivative axis is named
+    steep = CovariantField(1, 1, ["exp(709*x1)*1e-300"])
+    with pytest.raises(expr.SingularPointError) as err:
+        steep.jets([1.0], 1)
+    assert str(err.value) == (
+        "tensor field partials evaluated non-finite at component (1,) along x1, "
+        "point (1.0,), from exp(709*x1); the point is singular"
     )
     # finite values and first partials, overflowing second partials: the
-    # derivative axes are named
+    # derivative axes are named, and the subtree is the innermost one
+    # whose second-order jet overflows
     overflow = CovariantField(1, 1, ["exp(700*x1)*1e-300"])
     assert np.isfinite(overflow.jets([1.0], 1)[1]).all()
-    with pytest.raises(ArithmeticError) as err:
+    with pytest.raises(expr.SingularPointError) as err:
         overflow.jets([1.0], 2)
     assert str(err.value) == (
         "tensor field second partials evaluated non-finite at component (1,) along x1 x1, "
-        "point (1.0,); the point is singular"
+        "point (1.0,), from exp(700*x1); the point is singular"
+    )
+    assert str(err.value.subtree) == "exp(700*x1)"
+
+
+def test_non_finite_operator_output_names_no_subtree():
+    # the operands are finite and their product overflows: an operator
+    # output has no expression to name
+    f = EndomorphismField(2, {(1, 1): "1e200*x1", (2, 2): "1"})
+    with pytest.raises(expr.SingularPointError) as err:
+        compose_endo(f, f).evaluate(np.array([[1.0, 1.0]]))
+    assert err.value.subtree is None
+    assert str(err.value) == (
+        "endomorphism field values evaluated non-finite at component (1, 1), "
+        "point (1.0, 1.0); the point is singular"
     )
 
 
@@ -438,8 +463,8 @@ def test_lie_derivative_linear_in_tensor(c):
         2,
         1,
         [
-            expr.add(expr.mul(a.component((i,)), expr.const(c)), b.component((i,)))
-            for i in (1, 2)
+            expr.add(expr.mul(a.comps[i], expr.const(c)), b.comps[i])
+            for i in (0, 1)
         ],
     )
     p = POINTS[3]
