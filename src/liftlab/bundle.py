@@ -30,6 +30,7 @@ from .tensor import (
     jet_einsum,
     lie_derivative_cov,
     lie_derivative_endo,
+    shared,
     slot_einsum,
     sum_over_slots,
 )
@@ -227,6 +228,7 @@ def purity_residual(phi: EndomorphismField, xi: CovariantField, points) -> np.nd
     return c[:, :, None] - c[:, None]
 
 
+@shared
 def _tachibana_field(phi: EndomorphismField, xi: CovariantField) -> CovariantField:
     """The (0,q+1) field
     Phi_{l k1..kq} = phi^m_l d_m xi_{k1..kq} - d_l (phi xi)_{k1..kq}
@@ -282,6 +284,7 @@ def is_almost_analytic(
     return sampling.sampled_check(points, _tachibana_field(phi, xi).evaluate(points), tol)
 
 
+@shared
 def nijenhuis(phi: EndomorphismField) -> OneTwoTensorField:
     """N^l_{jk} = phi^m_j d_m phi^l_k - phi^m_k d_m phi^l_j
                  - phi^l_m (d_j phi^m_k - d_k phi^m_j)."""
@@ -296,6 +299,7 @@ def nijenhuis(phi: EndomorphismField) -> OneTwoTensorField:
     return OneTwoTensorField._of(phi.n, (phi.n,) * 3, rule)
 
 
+@shared
 def contract_one_two_cov(t: OneTwoTensorField, xi: CovariantField) -> CovariantField:
     """(T xi)_{j i1..iq} = T^m_{j i1} xi_{m i2..iq}."""
     if t.n != xi.n:

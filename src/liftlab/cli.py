@@ -17,13 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bundle, connection_lift, presets, sampling
-from .expr import ParseError
+from .expr import ParseError, SingularPointError
 from .tensor import (
     ConnectionField,
     CovariantField,
     EndomorphismField,
     VectorField,
     curvature,
+    one_case,
 )
 
 DEFAULT_TOL = sampling.DEFAULT_TOL
@@ -370,7 +371,7 @@ def run_scenario(
     if not math.isfinite(tol) or tol < 0:
         raise ScenarioError(f"tolerance must be finite and non-negative, got {tol!r}")
 
-    with np.errstate(all="ignore"):  # a field or sampled_check catches each non-finite value
+    with np.errstate(all="ignore"), one_case():  # non-finite values are caught where made
         points = _sample_scenario_points(sc, seed, count, box)
         if sc.gamma is not None:
             # where the screen found gamma regular, by the connection functions' rule
@@ -378,7 +379,12 @@ def run_scenario(
                 connection_lift.require_symmetric(sc.gamma, points)
             except connection_lift.TorsionError as exc:
                 raise ScenarioError(f"gamma: {exc}") from None
-        results = [(c, _CHECKS[c][1](sc, points, seed, tol)) for c in sc.checks]
+        results = []
+        for c in sc.checks:
+            try:
+                results.append((c, _CHECKS[c][1](sc, points, seed, tol)))
+            except SingularPointError as exc:
+                raise SingularPointError(f"{c}: {exc}", exc.subtree) from None
     return Report(sc.name, sc.n, sc.q, seed, count, box, results)
 
 

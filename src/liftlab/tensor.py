@@ -34,8 +34,9 @@ Tape.jets, to order 2.  An operator is a float
 einsum over its operands' jets: its values contract the operands'
 values and partials, its first partials follow by the product rule, so
 it carries jets to order 1 and never asks an input for more than 2.
-Building one costs nothing, and each field keeps the jets of its last
-point set, so an operand shared by several outputs is evaluated once.
+Building one costs nothing.  Each field keeps the jets of its last point
+set, and in one_case(), opened by cli.run_scenario per case, each builder
+gives one output per operands: a case evaluates what its checks share once.
 
 Memory layout: every batched array keeps the point axis first in its
 shape but stores it fastest in memory (stride one item), so that numpy's
@@ -47,6 +48,9 @@ returns its outputs that way too.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import functools
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -69,6 +73,28 @@ def rank_multi_index(mi: Sequence[int], n: int) -> int:
             raise ValueError(f"multi-index entry {j} outside 1..{n}")
         r += (j - 1) * n ** (q - slot)
     return r
+
+
+_CASE = contextvars.ContextVar("liftlab_case")  # the open case's table
+
+
+@contextlib.contextmanager
+def one_case():
+    """A case table for the block; nothing in it refers back to it."""
+    token = _CASE.set({})
+    try:
+        yield
+    finally:
+        _CASE.reset(token)
+
+
+def shared(builder):
+    """builder giving one output per operands inside one_case(), else a new one."""
+    @functools.wraps(builder)
+    def build(*operands):
+        table, key = _CASE.get({}), (builder,) + operands
+        return table[key] if key in table else table.setdefault(key, builder(*operands))
+    return build
 
 
 class Jets(tuple):
@@ -341,6 +367,7 @@ class CurvatureField(Field):
 # formula differentiates.
 
 
+@shared
 def lie_derivative_cov(v: VectorField, a: CovariantField) -> CovariantField:
     """(L_V A)_{j1..jq} = V^m d_m A_{j1..jq} + sum_s A_{j1..m..jq} d_{js} V^m."""
     _same_chart(v, a, "vector field and tensor field")
@@ -354,6 +381,7 @@ def lie_derivative_cov(v: VectorField, a: CovariantField) -> CovariantField:
     return CovariantField._of(a.n, a.shape, rule)
 
 
+@shared
 def lie_derivative_endo(v: VectorField, phi: EndomorphismField) -> EndomorphismField:
     """(L_V phi)^i_j = V^m d_m phi^i_j - phi^m_j d_m V^i + phi^i_m d_j V^m."""
     _same_chart(v, phi, "vector field and endomorphism")
@@ -381,24 +409,28 @@ def contraction(cls, shape, spec: str, a: Field, b: Field, q: int = 0, slot: int
     return cls._of(a.n, shape, rule)
 
 
+@shared
 def apply_endo_cov(phi: EndomorphismField, a: CovariantField) -> CovariantField:
     """First-slot action (phi A)_{j1..jq} = phi^m_{j1} A_{m j2..jq}."""
     _same_chart(phi, a, "endomorphism and tensor field")
     return contraction(CovariantField, a.shape, "m{s},{R}->{S}", phi, a, a.q)
 
 
+@shared
 def apply_endo_vec(phi: EndomorphismField, v: VectorField) -> VectorField:
     """(phi V)^i = phi^i_m V^m."""
     _same_chart(phi, v, "endomorphism and vector field")
     return contraction(VectorField, v.shape, "im,m->i", phi, v)
 
 
+@shared
 def compose_endo(f: EndomorphismField, g: EndomorphismField) -> EndomorphismField:
     """(f g)^i_j = f^i_m g^m_j."""
     _same_chart(f, g, "endomorphisms")
     return contraction(EndomorphismField, f.shape, "im,mj->ij", f, g)
 
 
+@shared
 def contract_slot_endo(a: CovariantField, phi: EndomorphismField, slot: int) -> CovariantField:
     """Contraction of phi into one lower slot:
     out_{j1..jq} = phi^m_{j(slot)} A_{j1..m..jq}, slot counted from 1."""
@@ -408,6 +440,7 @@ def contract_slot_endo(a: CovariantField, phi: EndomorphismField, slot: int) -> 
     return contraction(CovariantField, a.shape, "m{s},{R}->{S}", phi, a, a.q, slot - 1)
 
 
+@shared
 def covariant_derivative_cov(gamma: ConnectionField, a: CovariantField) -> CovariantField:
     """(nabla A)_{i j1..jq} = d_i A_{j1..jq} - sum_s Gamma^m_{i js} A_{j1..m..jq}.
 
@@ -423,6 +456,7 @@ def covariant_derivative_cov(gamma: ConnectionField, a: CovariantField) -> Covar
     return CovariantField._of(a.n, (a.n,) + a.shape, rule)
 
 
+@shared
 def curvature(gamma: ConnectionField) -> CurvatureField:
     """Curvature of the connection."""
 

@@ -1,8 +1,11 @@
 import contextlib
+import gc
 import io
 import json
 import math
+import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _fields import generic_scenario
-from liftlab import bundle, expr, sampling
+from liftlab import bundle, cli, connection_lift, expr, sampling
 from liftlab.cli import (
     CHECK_IDS,
     ScenarioError,
@@ -387,6 +390,55 @@ def test_tachibana_zero_has_one_purity_gate(pure, tmp_path, monkeypatch):
                           "detail": {"reason": "tensor is not pure"}}
 
 
+def test_checks_of_a_case_share_one_symmetry_reduction(monkeypatch):
+    # run_scenario's gate looks at the points; the lift, H and the tangency
+    # check find them passed
+    reductions = []
+    check = sampling.sampled_check
+
+    def counting(*args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "require_symmetric":
+            reductions.append(args[1].shape)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(sampling, "sampled_check", counting)
+    report = run_scenario(str(SCENARIOS / "sphere_cross_section.json"))
+    assert report.passed and len(report.results) == 4
+    assert reductions == [(64, 2, 2, 2)]
+
+
+def test_checks_of_a_case_share_one_tachibana_field(monkeypatch):
+    built = []
+    tachibana_field = bundle._tachibana_field
+    monkeypatch.setattr(bundle, "_tachibana_field",
+                        lambda *ops: built.append(tachibana_field(*ops)) or built[-1])
+    report = run_scenario(str(SCENARIOS / "theorem1_analytic.json"))
+    assert report.passed and len(built) > 1
+    assert all(f is built[0] for f in built)
+
+
+def test_a_case_leaves_no_reference_cycle(monkeypatch):
+    # the derived fields of a run, and the jets they keep, go when it
+    # returns by reference counting alone, with the cyclic collector off
+    rules = []
+    for module, name in [(bundle, "nijenhuis"), (bundle, "_tachibana_field"),
+                         (connection_lift, "gauss_second_fundamental"),
+                         (connection_lift, "curvature"), (cli, "curvature")]:
+        def capturing(*ops, build=getattr(module, name)):
+            field = build(*ops)
+            rules.append(weakref.ref(field._rule))  # a field alone holds its rule
+            return field
+
+        monkeypatch.setattr(module, name, capturing)
+    gc.disable()
+    try:
+        for name in ("theorem1_analytic.json", "sphere_cross_section.json"):
+            assert run_scenario(str(SCENARIOS / name)).passed
+        assert rules and not [r for r in rules if r() is not None]
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("key", ["١", "0_1", "1_", "+1", "1.0", "²", "2, ١"])
 def test_index_key_takes_ascii_digits_only(key, tmp_path, capsys):
     # int() alone would read "١" (Arabic-Indic one) and "0_1" as index 1
@@ -422,11 +474,22 @@ def test_overflow_reaches_stderr_as_one_error_line(tmp_path, capsys):
         assert main(["run", path]) == 3
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: residual evaluated nan at point (")
+    # the line names the check that stopped the run
+    assert captured.err.startswith("error: induced_equals_base: residual evaluated nan at point (")
     assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
 
-OVERFLOWING_XI = {"1,1": "1e308*x1*x2", "1,2": "1e308*x1", "2,1": "1e308", "2,2": "1e308*x2"}
+def test_singular_point_in_a_check_is_named_and_keeps_its_subtree(tmp_path):
+    # the values pass the screen, the partials that tachibana_zero takes overflow
+    path = write_scenario(tmp_path, xi={"1": "1e308*x1^2", "2": "x2"},
+                          checks=["purity", "tachibana_zero"])
+    with pytest.raises(expr.SingularPointError,
+                       match=r"^tachibana_zero: tensor field partials evaluated non-finite") as err:
+        run_scenario(path)
+    assert str(err.value.subtree) == "1e+308*x1^2"
+
+
+OVERFLOWING_XI = {"1,1":"1e308*x1*x2", "1,2": "1e308*x1", "2,1": "1e308", "2,2": "1e308*x2"}
 
 
 @pytest.mark.parametrize(
@@ -448,7 +511,7 @@ def test_overflowing_residual_is_an_error_not_a_fail(fields, checks, residual, t
     report = tmp_path / "report.json"
     assert main(["run", path, "--json", str(report)]) == 3
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: residual evaluated {residual} at point (")
+    assert captured.err.startswith(f"error: {checks[0]}: residual evaluated {residual} at point (")
     assert len(captured.err.splitlines()) == 1 and captured.out == ""
     assert not report.exists()
 

@@ -36,6 +36,7 @@ from liftlab.tensor import (
     CovariantField,
     covariant_derivative_cov,
     curvature,
+    one_case,
     rank_multi_index,
 )
 
@@ -171,6 +172,27 @@ def test_require_symmetric_reads_the_cached_jets(monkeypatch):
         require_symmetric(gamma, pts)
         gamma.jets(pts, 1)
     assert evaluated == [(16, 2), (2,)]
+
+
+def test_require_symmetric_in_a_case_passes_again_only_where_it_passed(monkeypatch):
+    # Gamma^1_{12} - Gamma^1_{21} = x1 - x2 vanishes on the diagonal only
+    gamma = ConnectionField(2, {(1, 1, 2): "x1", (1, 2, 1): "x2"})
+    diagonal = np.repeat(POINTS[:4, :1], 2, axis=1)
+    reductions = []
+    check = sampling.sampled_check
+    monkeypatch.setattr(sampling, "sampled_check",
+                        lambda *args: reductions.append(args[1].shape) or check(*args))
+    with one_case():
+        require_symmetric(gamma, diagonal)
+        require_symmetric(gamma, diagonal.copy())
+        assert len(reductions) == 1
+        with pytest.raises(TorsionError):
+            require_symmetric(gamma, POINTS[:4])
+        with pytest.raises(TorsionError):
+            require_symmetric(gamma, POINTS[:4])
+        assert len(reductions) == 3
+    require_symmetric(gamma, diagonal)  # the case is over: a fresh look
+    assert len(reductions) == 4
 
 
 def test_mirrored_entries_written_differently_are_symmetric():

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 import _oracles
 from _fields import random_symmetric_connection, replace_slot
-from liftlab import connection_lift, expr, sampling
+from liftlab import bundle, connection_lift, expr, sampling
 from liftlab.presets import (
     flat_connection,
     random_covariant_field,
+    random_vector_field,
     sphere_chart_connection,
     sphere_chart_metric,
     standard_complex_r2,
@@ -30,6 +31,7 @@ from liftlab.tensor import (
     curvature,
     lie_derivative_cov,
     lie_derivative_endo,
+    one_case,
     rank_multi_index,
 )
 
@@ -471,3 +473,56 @@ def test_lie_derivative_linear_in_tensor(c):
     lhs = lie_derivative_cov(v, combo).evaluate(p)
     rhs = c * lie_derivative_cov(v, a).evaluate(p) + lie_derivative_cov(v, b).evaluate(p)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# sharing within a case
+
+
+def _builders():
+    """Every shared builder, named, with operands to build from."""
+    rng = np.random.default_rng(31)
+    gamma = random_symmetric_connection(rng, 2)
+    xi = random_covariant_field(rng, 2, 2)
+    v = random_vector_field(rng, 2)
+    phi = EndomorphismField(2, {(1, 2): "-1", (2, 1): "x1"})
+    t = OneTwoTensorField(2, {(1, 1, 2): "x2"})
+    return {
+        "curvature": lambda: curvature(gamma),
+        "covariant_derivative_cov": lambda: covariant_derivative_cov(gamma, xi),
+        "lie_derivative_cov": lambda: lie_derivative_cov(v, xi),
+        "lie_derivative_endo": lambda: lie_derivative_endo(v, phi),
+        "apply_endo_cov": lambda: apply_endo_cov(phi, xi),
+        "apply_endo_vec": lambda: apply_endo_vec(phi, v),
+        "compose_endo": lambda: compose_endo(phi, phi),
+        "contract_slot_endo": lambda: contract_slot_endo(xi, phi, 2),
+        "nijenhuis": lambda: bundle.nijenhuis(phi),
+        "tachibana_field": lambda: bundle._tachibana_field(phi, xi),
+        "contract_one_two_cov": lambda: bundle.contract_one_two_cov(t, xi),
+        "gauss_second_fundamental": lambda: connection_lift.gauss_second_fundamental(gamma, xi),
+    }
+
+
+@pytest.mark.parametrize("name", list(_builders()))
+def test_builder_shares_its_output_only_inside_a_case(name):
+    build = _builders()[name]
+    assert build() is not build()
+    with one_case():
+        first = build()
+        assert build() is first
+        with one_case():  # a case opened inside another has a table of its own
+            assert build() is not first
+        assert build() is first
+    assert build() is not build()
+
+
+def test_case_keys_outputs_by_every_operand():
+    rng = np.random.default_rng(32)
+    gamma, other = (random_symmetric_connection(rng, 2) for _ in range(2))
+    xi = random_covariant_field(rng, 2, 2)
+    phi = EndomorphismField(2, {(1, 2): "-1", (2, 1): "1"})
+    with one_case():
+        assert curvature(gamma) is not curvature(other)
+        assert contract_slot_endo(xi, phi, 1) is not contract_slot_endo(xi, phi, 2)
+        once = covariant_derivative_cov(gamma, xi)
+        assert covariant_derivative_cov(gamma, once) is not once
