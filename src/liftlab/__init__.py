@@ -27,13 +27,10 @@ from .tensor import (
 )
 from .bundle import (
     AdaptedFrame,
-    BundleEndomorphism,
     BundlePoint,
-    BundleVector,
     NotPureError,
     adapted_frame,
     complete_lift_endo_on_section,
-    complete_lift_vector_natural,
     complete_lift_vector_on_section,
     contract_one_two_cov,
     cross_section_point,

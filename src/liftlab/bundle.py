@@ -15,10 +15,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import sampling
+from .expr import named
 from .tensor import (
     CovariantField,
     EndomorphismField,
-    Jets,
     OneTwoTensorField,
     VectorField,
     apply_endo_cov,
@@ -81,46 +81,11 @@ class BundlePoint:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "fibre", fibre)
 
-    def fibre_tensor(self) -> np.ndarray:
-        """Fibre coordinates reshaped to (..., n, .., n), q slots."""
-        return self.fibre.reshape(self.base.shape[:-1] + (self.n,) * self.q)
-
 
 def cross_section_point(xi: CovariantField, x) -> BundlePoint:
     """The point (x, xi(x)) on the cross-section determined by xi."""
     check_rank(xi.q)
     return BundlePoint(xi.n, xi.q, x, xi.evaluate(x).reshape(np.shape(x)[:-1] + (-1,)))
-
-
-@dataclass(frozen=True)
-class BundleVector:
-    """Tangent vector to the bundle, tagged with the frame of its components,
-    or a batch of them: horizontal (..., n), fibre (..., n^q)."""
-
-    n: int
-    q: int
-    frame: str
-    horizontal: np.ndarray
-    fibre: np.ndarray
-
-    def __post_init__(self):
-        if self.frame not in ("natural", "adapted"):
-            raise ValueError(f"unknown frame {self.frame!r}")
-        hor = np.asarray(self.horizontal, dtype=np.float64)
-        fib = np.asarray(self.fibre, dtype=np.float64)
-        if hor.shape[-1:] != (self.n,) or fib.shape != hor.shape[:-1] + (self.n**self.q,):
-            raise ValueError("component shapes do not match (..., n), (..., n^q)")
-        object.__setattr__(self, "horizontal", hor)
-        object.__setattr__(self, "fibre", fib)
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.horizontal, self.fibre], axis=-1)
-
-
-def _mapped(matrix: np.ndarray, vec: BundleVector, frame: str) -> BundleVector:
-    """The components of vec multiplied by matrix (..., dim, dim), in frame."""
-    out = np.matmul(matrix, vec.as_array()[..., None])[..., 0]
-    return BundleVector(vec.n, vec.q, frame, out[..., : vec.n], out[..., vec.n :])
 
 
 @dataclass(frozen=True)
@@ -147,16 +112,6 @@ class AdaptedFrame:
         """Rows [b_inv ; c_inv], the inverse of frame_matrix()."""
         return np.concatenate([self.b_inv, self.c_inv], axis=-2)
 
-    def to_adapted(self, vec: BundleVector) -> BundleVector:
-        if vec.frame == "adapted":
-            return vec
-        return _mapped(self.coframe_matrix(), vec, "adapted")
-
-    def to_natural(self, vec: BundleVector) -> BundleVector:
-        if vec.frame == "natural":
-            return vec
-        return _mapped(self.frame_matrix(), vec, "natural")
-
 
 def adapted_frame(xi: CovariantField, x) -> AdaptedFrame:
     """Adapted frame at (x, xi(x)), or at each point of a batch.
@@ -176,39 +131,25 @@ def adapted_frame(xi: CovariantField, x) -> AdaptedFrame:
     return AdaptedFrame(n, q, b, eye[..., n:], eye[..., :n, :], c_inv)
 
 
-def vertical_lift(a: CovariantField, x) -> BundleVector:
+def vertical_lift(a: CovariantField, x) -> np.ndarray:
     """Vertical lift of a (0,q) tensor field at x, or at each point of a
-    batch: no horizontal part, the tensor's components as fibre part.
-    Components agree in the natural and adapted frames."""
+    batch, shape (..., n + n^q): the horizontal part is exactly 0.0, the
+    fibre part the tensor's components.  Components agree in the natural
+    and adapted frames."""
     check_rank(a.q)
     batch = np.shape(x)[:-1]
-    return BundleVector(
-        a.n, a.q, "adapted", np.zeros(batch + (a.n,)), a.evaluate(x).reshape(batch + (-1,))
-    )
+    fibre = a.evaluate(x).reshape(batch + (-1,))
+    return np.concatenate([np.zeros(batch + (a.n,)), fibre], -1)
 
 
-def complete_lift_vector_natural(v: VectorField, at: BundlePoint) -> BundleVector:
-    """Complete lift of a vector field at any bundle point, or a batch,
-    natural frame: horizontal part V^j, fibre part
-    -sum_s t_{j1..m..jq} d_{js} V^m."""
-    if v.n != at.n:
-        raise ValueError("vector field and bundle point have different dimensions")
-    # the slot term of the Lie derivative, on the Jets d_a V^m and t
-    dv, t = v.jets(at.base, 1).d, Jets([at.fibre_tensor()])
-    fib = -sum_over_slots("{s}m,{R}->{S}", at.q, dv, t)[0]
-    return BundleVector(at.n, at.q, "natural", v.evaluate(at.base), fib.reshape(at.fibre.shape))
-
-
-def complete_lift_vector_on_section(v: VectorField, xi: CovariantField, x) -> BundleVector:
+def complete_lift_vector_on_section(v: VectorField, xi: CovariantField, x) -> np.ndarray:
     """Complete lift on the cross-section at x, or at each point of a
-    batch, adapted frame: (V^j, -(L_V xi)_{j1..jq})."""
+    batch, adapted frame, shape (..., n + n^q): (V^j, -(L_V xi)_{j1..jq})."""
     if v.n != xi.n:
         raise ValueError("vector field and tensor field live on different charts")
     check_rank(xi.q)
     lie = lie_derivative_cov(v, xi).evaluate(x)
-    return BundleVector(
-        xi.n, xi.q, "adapted", v.evaluate(x), -lie.reshape(np.shape(x)[:-1] + (-1,))
-    )
+    return np.concatenate([v.evaluate(x), -lie.reshape(np.shape(x)[:-1] + (-1,))], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -311,39 +252,16 @@ def contract_one_two_cov(t: OneTwoTensorField, xi: CovariantField) -> CovariantF
 # Complete lift of an endomorphism along the cross-section
 
 
-@dataclass(frozen=True)
-class BundleEndomorphism:
-    """Endomorphism of the tangent space at a cross-section point, in the
-    adapted frame, or a batch of them with the point axes in front.  The
-    horizontal-from-fibre block is structurally zero."""
-
-    n: int
-    q: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        dim = bundle_dim(self.n, self.q)
-        mat = np.asarray(self.matrix, dtype=np.float64)
-        if mat.shape[-2:] != (dim, dim):
-            raise ValueError(f"matrix must be {dim} x {dim}")
-        if np.any(mat[..., : self.n, self.n :] != 0.0):
-            raise ValueError("upper-right block must be exactly zero")
-        object.__setattr__(self, "matrix", mat)
-
-    def apply(self, vec: BundleVector) -> BundleVector:
-        if vec.frame != "adapted":
-            raise ValueError("bundle endomorphisms act on adapted components")
-        return _mapped(self.matrix, vec, "adapted")
-
-
 def complete_lift_endo_on_section(
     phi: EndomorphismField, xi: CovariantField, x
-) -> BundleEndomorphism:
-    """Complete lift of phi at (x, xi(x)), adapted frame.
+) -> np.ndarray:
+    """Complete lift of phi at (x, xi(x)), adapted frame, shape
+    (..., n + n^q, n + n^q) with the point axes in front.
 
     Blocks: phi itself on horizontal legs, minus the Tachibana image as
     the fibre-from-horizontal coupling, and the first-slot action of phi
-    on fibre legs.  The Tachibana formula is applied as written; purity
+    on fibre legs.  The horizontal-from-fibre block [..., :n, n:] is
+    exactly 0.0.  The Tachibana formula is applied as written; purity
     of xi is the caller's hypothesis, checked by the verification entry
     points rather than here.
     """
@@ -364,7 +282,7 @@ def complete_lift_endo_on_section(
     rest = n ** (q - 1)
     fibre = mat[..., n:, n:].reshape(batch + (n, rest, n, rest))
     einsum("...ij,ab->...jaib", phi_mat, np.eye(rest), out=fibre)
-    return BundleEndomorphism(n, q, mat)
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +308,13 @@ def verify_characterization(
     if a.n != xi.n or a.q != xi.q:
         raise ValueError("probe tensor must match xi in dimension and rank")
     lift = complete_lift_endo_on_section(phi, xi, points)
-    complete = lift.apply(complete_lift_vector_on_section(v, xi, points)).as_array() - (
-        complete_lift_vector_on_section(apply_endo_vec(phi, v), xi, points).as_array()
-        + vertical_lift(apply_endo_cov(lie_derivative_endo(v, phi), xi), points).as_array()
+    complete = np.matmul(lift, complete_lift_vector_on_section(v, xi, points)[..., None])[..., 0]
+    complete -= (
+        complete_lift_vector_on_section(apply_endo_vec(phi, v), xi, points)
+        + vertical_lift(apply_endo_cov(lie_derivative_endo(v, phi), xi), points)
     )
-    vertical = lift.apply(vertical_lift(a, points)).as_array()
-    vertical -= vertical_lift(apply_endo_cov(phi, a), points).as_array()
+    vertical = np.matmul(lift, vertical_lift(a, points)[..., None])[..., 0]
+    vertical -= vertical_lift(apply_endo_cov(phi, a), points)
     parts = {"complete_residual": complete, "vertical_residual": vertical}
     detail = {k: sampling.sampled_check(points, r, tol).residual for k, r in parts.items()}
     return sampling.sampled_check(points, list(parts.values()), tol, detail)
@@ -419,18 +338,20 @@ def verify_theorem1(
     detail carries every residual."""
     n, q = xi.n, check_rank(xi.q)
     hypotheses = {
-        "square_residual": compose_endo(phi, phi).evaluate(points) + np.eye(n),
-        "purity_residual": purity_residual(phi, xi, points),
-        "tachibana_residual": _tachibana_field(phi, xi).evaluate(points),
+        "square_residual": lambda: compose_endo(phi, phi).evaluate(points) + np.eye(n),
+        "purity_residual": lambda: purity_residual(phi, xi, points),
+        "tachibana_residual": lambda: _tachibana_field(phi, xi).evaluate(points),
     }
-    mat = complete_lift_endo_on_section(phi, xi, points).matrix
     conclusions = {
-        "nijenhuis_residual": contract_one_two_cov(nijenhuis(phi), xi).evaluate(points),
-        "lift_square_residual": np.matmul(mat, mat) + np.eye(bundle_dim(n, q)),
+        "nijenhuis_residual": lambda: contract_one_two_cov(nijenhuis(phi), xi).evaluate(points),
+        "lift_square_residual": lambda: np.linalg.matrix_power(
+            complete_lift_endo_on_section(phi, xi, points), 2) + np.eye(bundle_dim(n, q)),
     }
-    checks = {k: sampling.sampled_check(points, r, tol)
-              for k, r in (hypotheses | conclusions).items()}
+    # every array first, then every reduction, each named by its residual
+    arrays = {k: named(k, term) for k, term in (hypotheses | conclusions).items()}
+    checks = {k: named(k, lambda: sampling.sampled_check(points, r, tol))
+              for k, r in arrays.items()}
     detail = {k: c.residual for k, c in checks.items()}
     detail["hypotheses_hold"] = hold = all(checks[k].passed for k in hypotheses)
-    verdict = sampling.sampled_check(points, list(conclusions.values()), tol, detail)
+    verdict = sampling.sampled_check(points, [arrays[k] for k in conclusions], tol, detail)
     return replace(verdict, passed=not hold or verdict.passed)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bundle, connection_lift, presets, sampling
-from .expr import ParseError, SingularPointError
+from .expr import ParseError, named
 from .tensor import (
     ConnectionField,
     CovariantField,
@@ -379,12 +379,8 @@ def run_scenario(
                 connection_lift.require_symmetric(sc.gamma, points)
             except connection_lift.TorsionError as exc:
                 raise ScenarioError(f"gamma: {exc}") from None
-        results = []
-        for c in sc.checks:
-            try:
-                results.append((c, _CHECKS[c][1](sc, points, seed, tol)))
-            except SingularPointError as exc:
-                raise SingularPointError(f"{c}: {exc}", exc.subtree) from None
+        results = [(c, named(c, lambda: _CHECKS[c][1](sc, points, seed, tol)))
+                   for c in sc.checks]
     return Report(sc.name, sc.n, sc.q, seed, count, box, results)
 
 

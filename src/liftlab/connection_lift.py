@@ -74,7 +74,7 @@ class LiftedConnectionCoeffs:
     fibre lower index, follow from base alone: minus the replacement of
     one fibre slot through Gamma, summed over the slots.  They are each
     other's transpose in the lower pair.  Every other block is
-    structurally zero; full_array() writes out all of them.
+    structurally zero.
     """
 
     n: int
@@ -91,18 +91,6 @@ class LiftedConnectionCoeffs:
         cols = np.swapaxes(s, -1, -2)
         out = -sum(_slot_apply(replace, c, self.q, cols) for c in range(self.q))
         return np.swapaxes(out, -1, -3)  # from [.., k, m, i_]
-
-    def full_array(self) -> np.ndarray:
-        """Dense coefficients L[..., upper, first_lower, second_lower]."""
-        n, nf = self.n, self.n**self.q
-        batch = self.base.shape[:-3]
-        mixed = self._mixed_times(np.broadcast_to(np.eye(nf), batch + (nf, nf)))
-        full = np.zeros(batch + (n + nf,) * 3)
-        full[..., :n, :n, :n] = self.base
-        full[..., n:, :n, n:] = mixed
-        full[..., n:, n:, :n] = np.swapaxes(mixed, -1, -2)
-        full[..., n:, :n, :n] = self.fibre_bb
-        return full
 
     def along_section(self, slopes: np.ndarray) -> np.ndarray:
         """L^A_{CB} B^C_j B^B_i as [.., A, j, i], for the horizontal frame legs

@@ -62,6 +62,15 @@ class SingularPointError(ArithmeticError):
         self.subtree = subtree
 
 
+def named(key: str, term):
+    """term(), with key (a check, a residual) in front of the
+    SingularPointError it raises; same type and subtree."""
+    try:
+        return term()
+    except SingularPointError as exc:
+        raise SingularPointError(f"{key}: {exc}", exc.subtree) from None
+
+
 class ScalarExpr:
     """Base class for expression nodes, immutable once built.  Only the
     smart constructors below build them."""

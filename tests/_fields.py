@@ -1,12 +1,22 @@
-"""Seeded random fields, and a spoiled lift, that only the tests use."""
+"""Seeded random fields, a spoiled lift, and the (n, q) grid that only
+the tests use."""
 
 import contextlib
 
 import numpy as np
+import pytest
 
 from liftlab import connection_lift
 from liftlab.presets import random_polynomial_expr
 from liftlab.tensor import ConnectionField
+
+# (n, q) cases up to the top of the supported envelope; the ids of the
+# n=2 cases are their q alone
+DIM_RANK = pytest.mark.parametrize(
+    "n,q",
+    [(2, 1), (2, 2), (3, 1), (3, 2), (4, 3)],
+    ids=["1", "2", "n3-1", "n3-2", "n4-3"],
+)
 
 
 def replace_slot(mi: tuple[int, ...], slot: int, value: int) -> tuple[int, ...]:

@@ -6,7 +6,14 @@ derivative or lift code paths it is used to check.  Tolerances for
 comparisons against these oracles are therefore FD-limited (around 1e-6
 relative), unlike the library-vs-library checks which sit at rounding
 level.
+
+The natural-frame constructions at the end are the exception: they take
+the values and first partials of input fields from the library, and
+write every lift formula out by hand, slot by slot or entry by entry, so
+they agree with the adapted-frame lifts at rounding level.
 """
+
+import itertools
 
 import numpy as np
 
@@ -155,3 +162,82 @@ def levi_civita_at(metric, point):
                     s += ginv[h, m] * (dg[j, m, i] + dg[i, m, j] - dg[m, j, i])
                 out[h, j, i] = 0.5 * s
     return out
+
+
+# ---------------------------------------------------------------------------
+# natural-frame lifts at any bundle point (x, t), t[.., j1, .., jq] the
+# fibre coordinates as a tensor; fibre rows and columns in rank order
+
+
+def complete_lift_vector_natural(v, x, t):
+    """Complete lift of a vector field at (x, t), natural frame, as
+    [.., n + n^q]: horizontal part V^j, fibre part
+    -sum_s t_{j1..m..jq} d_{js} V^m, one slot at a time."""
+    x, t = np.asarray(x, dtype=np.float64), np.asarray(t, dtype=np.float64)
+    batch = x.shape[:-1]
+    dv = v.partials_at(x)  # dv[.., a, m] = d_a V^m
+    fib = np.zeros(t.shape)
+    for p in np.ndindex(batch):
+        for s in range(t.ndim - len(batch)):
+            # slot s of t contracted with m, and j_s put back in its place
+            fib[p] -= np.moveaxis(np.tensordot(t[p], dv[p], axes=([s], [1])), -1, s)
+    return np.concatenate([v.evaluate(x), fib.reshape(batch + (-1,))], -1)
+
+
+def complete_lift_endo_natural(phi, x, t):
+    """Complete lift of an endomorphism field at (x, t), natural frame, as
+    [.., n + n^q, n + n^q], entry by entry:
+
+      horizontal block phi^j_i; horizontal-from-fibre block 0;
+      fibre-from-horizontal [(j1..jq), i] = sum_m t_{m j2..jq} d_i phi^m_{j1}
+          - sum_a sum_m t_{j1..m..jq} d_{ja} phi^m_i  (m in slot a);
+      fibre block phi^{i1}_{j1} delta^{i2}_{j2} .. delta^{iq}_{jq}."""
+    x, t = np.asarray(x, dtype=np.float64), np.asarray(t, dtype=np.float64)
+    batch, n = x.shape[:-1], x.shape[-1]
+    q = t.ndim - len(batch)
+    f, df = phi.evaluate(x), phi.partials_at(x)  # f[.., j, i] = phi^j_i, df[.., a, j, i]
+    multi = list(itertools.product(range(n), repeat=q))  # rank order
+    out = np.zeros(batch + (n + n**q,) * 2)
+    for p in np.ndindex(batch):
+        lift, tp, fp, dfp = out[p], t[p], f[p], df[p]
+        lift[:n, :n] = fp
+        for row, js in enumerate(multi, start=n):
+            for i in range(n):
+                for m in range(n):
+                    lift[row, i] += tp[(m,) + js[1:]] * dfp[i, m, js[0]]
+                    for a in range(q):
+                        lift[row, i] -= tp[js[:a] + (m,) + js[a + 1 :]] * dfp[js[a], m, i]
+            for col, ks in enumerate(multi, start=n):
+                if ks[1:] == js[1:]:
+                    lift[row, col] = fp[ks[0], js[0]]
+    return out
+
+
+def mixed_block_by_entry(g, q):
+    """The (base, fibre) mixed block of the lifted connection, [.., i_, m, s_],
+    from Gamma g[.., h, j, i], one multi-index and one replaced slot at a
+    time: minus Gamma^a_{m x} where slot c of the row holds x and the
+    column is the row with a at slot c."""
+    n = g.shape[-1]
+    mixed = np.zeros(g.shape[:-3] + (n**q, n, n**q))
+    for mi in itertools.product(range(n), repeat=q):
+        row = np.ravel_multi_index(mi, (n,) * q)
+        for c in range(q):
+            for a in range(n):
+                col = np.ravel_multi_index(mi[:c] + (a,) + mi[c + 1 :], (n,) * q)
+                mixed[..., row, :, col] -= g[..., a, :, mi[c]]
+    return mixed
+
+
+def lifted_connection_dense(coeffs):
+    """Dense lifted coefficients L[.., upper, first_lower, second_lower] of
+    connection_lift.LiftedConnectionCoeffs: its two stored blocks, the
+    mixed blocks by mixed_block_by_entry, every other block zero."""
+    n, nf = coeffs.n, coeffs.n**coeffs.q
+    mixed = mixed_block_by_entry(coeffs.base, coeffs.q)
+    full = np.zeros(coeffs.base.shape[:-3] + (n + nf,) * 3)
+    full[..., :n, :n, :n] = coeffs.base
+    full[..., n:, :n, n:] = mixed
+    full[..., n:, n:, :n] = np.swapaxes(mixed, -1, -2)
+    full[..., n:, :n, :n] = coeffs.fibre_bb
+    return full

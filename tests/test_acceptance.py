@@ -65,7 +65,7 @@ def test_criterion_1_theorem_instance():
     )
     lift_sq = 0.0
     for p in POINTS64:
-        m = complete_lift_endo_on_section(phi, xi, p).matrix
+        m = complete_lift_endo_on_section(phi, xi, p)
         lift_sq = max(lift_sq, float(np.max(np.abs(m @ m + np.eye(4)))))
     elapsed = time.perf_counter() - t0
 
@@ -104,7 +104,7 @@ def test_criterion_2_necessity_control():
     for p in POINTS64:
         phimat = phi.evaluate(p)
         tach = tach_field.evaluate(p)
-        m = complete_lift_endo_on_section(phi, xi, p).matrix
+        m = complete_lift_endo_on_section(phi, xi, p)
         brute = (m @ m + np.eye(4))[2:, :2]
         term1 = np.einsum("mk,ml->kl", tach, phimat)  # Phi then phi
         term2 = np.einsum("rk,lr->kl", phimat, tach)  # phi then Phi

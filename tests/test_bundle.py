@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 
 import _oracles
+from _fields import DIM_RANK, polynomial_text
 from liftlab import sampling
 from liftlab.bundle import (
     AdaptedFrame,
-    BundleEndomorphism,
     BundlePoint,
-    BundleVector,
     NotPureError,
     _tachibana_field,
     adapted_frame,
     bundle_dim,
     check_rank,
     complete_lift_endo_on_section,
-    complete_lift_vector_natural,
     complete_lift_vector_on_section,
     contract_one_two_cov,
     cross_section_point,
@@ -72,7 +70,7 @@ def test_bundle_point_validation():
 def test_cross_section_point():
     at = cross_section_point(ANALYTIC_XI, [0.3, 0.7])
     assert at.fibre.tolist() == [0.3, -0.7]
-    assert at.fibre_tensor().shape == (2,)
+    assert at.fibre.shape == (2,)
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +98,9 @@ def test_frame_slope_placement():
 def test_frame_round_trip():
     fr = adapted_frame(ANALYTIC_PAIR_Q2, POINTS[0])
     rng = np.random.default_rng(3)
-    vec = BundleVector(2, 2, "natural", rng.normal(size=2), rng.normal(size=4))
-    back = fr.to_natural(fr.to_adapted(vec))
-    assert np.max(np.abs(back.as_array() - vec.as_array())) < 1e-14
-    assert back.frame == "natural"
+    vec = rng.normal(size=6)
+    back = fr.frame_matrix() @ (fr.coframe_matrix() @ vec)
+    assert np.max(np.abs(back - vec)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -112,16 +109,16 @@ def test_frame_round_trip():
 
 def test_vertical_lift_components():
     lifted = vertical_lift(ANALYTIC_XI, [0.4, 0.9])
-    assert lifted.horizontal.tolist() == [0.0, 0.0]
-    assert lifted.fibre.tolist() == [0.4, -0.9]
+    assert lifted[:2].tolist() == [0.0, 0.0]
+    assert lifted[2:].tolist() == [0.4, -0.9]
 
 
 def test_complete_lift_rotation_on_radial_section():
     v = VectorField(2, ["x2", "-x1"])
     xi = CovariantField(2, 1, ["x1", "x2"])
     lifted = complete_lift_vector_on_section(v, xi, [0.8, 0.3])
-    assert lifted.fibre.tolist() == [0.0, 0.0]
-    assert lifted.horizontal.tolist() == [0.3, -0.8]
+    assert lifted[2:].tolist() == [0.0, 0.0]
+    assert lifted[:2].tolist() == [0.3, -0.8]
 
 
 @pytest.mark.parametrize("xi", [ANALYTIC_XI, ANALYTIC_PAIR_Q2])
@@ -131,12 +128,10 @@ def test_natural_and_adapted_complete_lifts_agree(xi):
     rng = np.random.default_rng(17)
     v = random_vector_field(rng, 2)
     for p in POINTS[:6]:
-        at = cross_section_point(xi, p)
-        via_frame = adapted_frame(xi, p).to_adapted(
-            complete_lift_vector_natural(v, at)
-        )
+        natural = _oracles.complete_lift_vector_natural(v, p, xi.evaluate(p))
+        via_frame = adapted_frame(xi, p).coframe_matrix() @ natural
         direct = complete_lift_vector_on_section(v, xi, p)
-        assert np.max(np.abs(via_frame.as_array() - direct.as_array())) < 1e-12
+        assert np.max(np.abs(via_frame - direct)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +302,37 @@ def test_contract_one_two_frozen():
 # the lifted endomorphism
 
 
-def test_bundle_endomorphism_rejects_upper_right():
-    mat = np.zeros((4, 4))
-    mat[0, 2] = 1.0
-    with pytest.raises(ValueError):
-        BundleEndomorphism(2, 1, mat)
+def _generic_phi_xi(rng, n, q):
+    """A degree-2 polynomial phi and a generic (impure) degree-2 xi."""
+    phi = EndomorphismField(n, [[polynomial_text(rng, n, 2, 0.5) for _ in range(n)]
+                                for _ in range(n)])
+    xi = CovariantField(n, q, {tuple(i + 1 for i in k): polynomial_text(rng, n, 2, 0.5)
+                               for k in np.ndindex((n,) * q)})
+    return phi, xi
+
+
+@DIM_RANK
+def test_lift_has_an_exactly_zero_horizontal_from_fibre_block(n, q):
+    phi, xi = _generic_phi_xi(np.random.default_rng(900 + 10 * n + q), n, q)
+    points = sampling.sample_points(n, count=5, seed=n + q)
+    for x in (points, points[2]):
+        lift = complete_lift_endo_on_section(phi, xi, x)
+        assert lift.shape == x.shape[:-1] + (bundle_dim(n, q),) * 2
+        assert np.all(lift[..., :n, n:] == 0.0)
+        assert np.any(lift[..., n:, :n] != 0.0)  # the coupling below is not
+
+
+@pytest.mark.parametrize("n,q", [(2, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
+def test_natural_endo_lift_through_the_frame_is_the_lift_on_section(n, q):
+    # the natural-frame lift at t = xi(x), written entry by entry, seen in
+    # the adapted frame; purity is not needed for this agreement
+    phi, xi = _generic_phi_xi(np.random.default_rng(950 + 10 * n + q), n, q)
+    points = sampling.sample_points(n, count=4, seed=10 + n + q)
+    frame = adapted_frame(xi, points)
+    natural = _oracles.complete_lift_endo_natural(phi, points, xi.evaluate(points))
+    got = frame.coframe_matrix() @ natural @ frame.frame_matrix()
+    want = complete_lift_endo_on_section(phi, xi, points)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_lift_matrix_frozen_analytic():
@@ -325,8 +346,8 @@ def test_lift_matrix_frozen_analytic():
             [0.0, 0.0, -1.0, 0.0],
         ]
     )
-    assert np.array_equal(lift.matrix, expected)
-    assert np.max(np.abs(lift.matrix @ lift.matrix + np.eye(4))) == 0.0
+    assert np.array_equal(lift, expected)
+    assert np.max(np.abs(lift @ lift + np.eye(4))) == 0.0
 
 
 def test_lift_matrix_frozen_necessity():
@@ -342,16 +363,16 @@ def test_lift_matrix_frozen_necessity():
             [-2.0, 0.0, -1.0, 0.0],
         ]
     )
-    assert np.array_equal(lift.matrix, expected)
-    assert np.max(np.abs(lift.matrix @ lift.matrix + np.eye(4))) == 0.0
+    assert np.array_equal(lift, expected)
+    assert np.max(np.abs(lift @ lift + np.eye(4))) == 0.0
 
 
 def test_lift_q2_square_closes():
     phi = standard_complex_r2()
     for p in POINTS[:6]:
         lift = complete_lift_endo_on_section(phi, ANALYTIC_PAIR_Q2, p)
-        assert lift.matrix.shape == (6, 6)
-        assert np.max(np.abs(lift.matrix @ lift.matrix + np.eye(6))) < 1e-12
+        assert lift.shape == (6, 6)
+        assert np.max(np.abs(lift @ lift + np.eye(6))) < 1e-12
 
 
 def test_lift_applies_to_vectors():
@@ -359,10 +380,8 @@ def test_lift_applies_to_vectors():
     p = POINTS[0]
     lift = complete_lift_endo_on_section(phi, ANALYTIC_XI, p)
     vec = complete_lift_vector_on_section(VectorField(2, ["x2", "x1"]), ANALYTIC_XI, p)
-    out = lift.apply(vec)
-    assert out.frame == "adapted"
-    twice = lift.apply(out)
-    assert np.max(np.abs(twice.as_array() + vec.as_array())) < 1e-14
+    twice = lift @ (lift @ vec)
+    assert np.max(np.abs(twice + vec)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +480,7 @@ def _batch_inputs(n, q):
 
 def test_bundle_point_batch_validation():
     at = BundlePoint(2, 2, np.full((3, 2), 0.5), np.zeros((3, 4)))
-    assert at.fibre_tensor().shape == (3, 2, 2)
+    assert at.fibre.shape == (3, 4)
     with pytest.raises(ValueError):
         BundlePoint(2, 2, np.full((3, 2), 0.5), np.zeros((2, 4)))
     with pytest.raises(ValueError):
@@ -473,12 +492,12 @@ def test_bundle_batch_stacks_single_points(n, q):
     # evaluation, placement and products with 0 and 1 only: bit for bit
     phi, xi, _, _, points = _batch_inputs(n, q)
     fibre = np.random.default_rng(1).uniform(-1.0, 1.0, size=(len(points), n**q))
-    tensors = BundlePoint(n, q, points, fibre).fibre_tensor()
+    at = BundlePoint(n, q, points, fibre)
     section = cross_section_point(xi, points)
     frame = adapted_frame(xi, points)
     lift = complete_lift_endo_on_section(phi, xi, points)
     for i, p in enumerate(points):
-        assert np.array_equal(tensors[i], BundlePoint(n, q, p, fibre[i]).fibre_tensor())
+        assert np.array_equal(at.fibre[i], BundlePoint(n, q, p, fibre[i]).fibre)
         one = cross_section_point(xi, p)
         assert np.array_equal(section.base[i], one.base)
         assert np.array_equal(section.fibre[i], one.fibre)
@@ -487,7 +506,7 @@ def test_bundle_batch_stacks_single_points(n, q):
             got, want = getattr(frame, name), getattr(single, name)
             got, want = (got(), want()) if callable(got) else (got, want)
             assert np.array_equal(got[i], want), name
-        assert np.array_equal(lift.matrix[i], complete_lift_endo_on_section(phi, xi, p).matrix)
+        assert np.array_equal(lift[i], complete_lift_endo_on_section(phi, xi, p))
 
 
 def _lift_matrix_by_blocks(phi, xi, p):
@@ -586,58 +605,52 @@ def test_theorem1_worst_point_attains_the_conclusions_residual():
 VECTOR_SHAPES = pytest.mark.parametrize("n,q", [(2, 1), (3, 2), (4, 3)])
 
 
-def test_bundle_vector_batch_validation():
-    vec = BundleVector(2, 2, "natural", np.zeros((3, 2)), np.zeros((3, 4)))
-    assert vec.as_array().shape == (3, 6)
-    with pytest.raises(ValueError):
-        BundleVector(2, 2, "natural", np.zeros((3, 2)), np.zeros((2, 4)))
-    with pytest.raises(ValueError):
-        BundleVector(2, 1, "natural", 0.5, np.zeros(2))
+def _apply(mat, vec):
+    """Each matrix of a batch applied to its vector."""
+    return np.matmul(mat, vec[..., None])[..., 0]
 
 
 @VECTOR_SHAPES
 def test_vector_lifts_batch_stacks_single_points(n, q):
     phi, xi, v, a, points = _batch_inputs(n, q)
     fibre = np.random.default_rng(2).uniform(-1.0, 1.0, size=(len(points), n**q))
+    tensors = fibre.reshape((len(points),) + (n,) * q)
     frame = adapted_frame(xi, points)
-    natural = complete_lift_vector_natural(v, BundlePoint(n, q, points, fibre))
+    natural = _oracles.complete_lift_vector_natural(v, points, tensors)
     on_section = complete_lift_vector_on_section(v, xi, points)
     batched = {
         "vertical": vertical_lift(a, points),
         "on_section": on_section,
         "natural": natural,
-        "to_adapted": frame.to_adapted(natural),
-        "round_trip": frame.to_natural(frame.to_adapted(natural)),
-        "apply": complete_lift_endo_on_section(phi, xi, points).apply(on_section),
+        "to_adapted": _apply(frame.coframe_matrix(), natural),
+        "round_trip": _apply(frame.frame_matrix(), _apply(frame.coframe_matrix(), natural)),
+        "apply": _apply(complete_lift_endo_on_section(phi, xi, points), on_section),
     }
     for i, p in enumerate(points):
         one_frame = adapted_frame(xi, p)
-        one_natural = complete_lift_vector_natural(v, BundlePoint(n, q, p, fibre[i]))
+        one_natural = _oracles.complete_lift_vector_natural(v, p, tensors[i])
         one_on_section = complete_lift_vector_on_section(v, xi, p)
         singles = {
             "vertical": vertical_lift(a, p),
             "on_section": one_on_section,
             "natural": one_natural,
-            "to_adapted": one_frame.to_adapted(one_natural),
-            "round_trip": one_frame.to_natural(one_frame.to_adapted(one_natural)),
-            "apply": complete_lift_endo_on_section(phi, xi, p).apply(one_on_section),
+            "to_adapted": one_frame.coframe_matrix() @ one_natural,
+            "round_trip": one_frame.frame_matrix() @ (one_frame.coframe_matrix() @ one_natural),
+            "apply": complete_lift_endo_on_section(phi, xi, p) @ one_on_section,
         }
         for name, one in singles.items():
             got = batched[name]
-            assert got.frame == one.frame, name
-            assert got.horizontal.shape == (len(points), n), name
-            assert got.fibre.shape == (len(points), n**q), name
-            assert np.max(np.abs(got.as_array()[i] - one.as_array())) <= BATCH_ATOL, name
-    back = batched["round_trip"].as_array()
-    assert np.max(np.abs(back - natural.as_array())) <= BATCH_ATOL
+            assert got.shape == (len(points), n + n**q), name
+            assert np.max(np.abs(got[i] - one)) <= BATCH_ATOL, name
+    back = batched["round_trip"]
+    assert np.max(np.abs(back - natural)) <= BATCH_ATOL
 
 
 @VECTOR_SHAPES
 def test_natural_complete_lift_on_a_batch_of_section_points(n, q):
     # the natural-frame formula through the coframe, against (V, -L_V xi)
     _, xi, v, _, points = _batch_inputs(n, q)
-    natural = complete_lift_vector_natural(v, cross_section_point(xi, points))
-    via_frame = adapted_frame(xi, points).to_adapted(natural)
+    natural = _oracles.complete_lift_vector_natural(v, points, xi.evaluate(points))
+    via_frame = _apply(adapted_frame(xi, points).coframe_matrix(), natural)
     direct = complete_lift_vector_on_section(v, xi, points)
-    assert via_frame.frame == direct.frame == "adapted"
-    assert np.max(np.abs(via_frame.as_array() - direct.as_array())) <= BATCH_ATOL
+    assert np.max(np.abs(via_frame - direct)) <= BATCH_ATOL

@@ -516,6 +516,27 @@ def test_overflowing_residual_is_an_error_not_a_fail(fields, checks, residual, t
     assert not report.exists()
 
 
+def test_theorem1_names_the_residual_that_went_non_finite(tmp_path, capsys):
+    # the Tachibana image among theorem1's hypotheses overflows: the line
+    # names the check, then the residual
+    path = write_scenario(tmp_path, q=2, phi="standard_complex_r2", xi=OVERFLOWING_XI,
+                          checks=["theorem1"])
+    assert main(["run", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: theorem1: tachibana_residual: tensor field values "
+                                   "evaluated non-finite at component (1, 2, 2), point (")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+
+def test_theorem1_residual_name_keeps_the_error_and_its_subtree(tmp_path):
+    # the values pass the screen, the partials the Tachibana image takes overflow
+    path = write_scenario(tmp_path, xi={"1": "1e308*x1^2", "2": "x2"}, checks=["theorem1"])
+    with pytest.raises(expr.SingularPointError, match=r"^theorem1: tachibana_residual: tensor "
+                       r"field partials evaluated non-finite") as err:
+        run_scenario(path)
+    assert str(err.value.subtree) == "1e+308*x1^2"
+
+
 @pytest.mark.parametrize("component", ["x١ + 1", "x1²", "x²"])
 def test_variable_with_non_ascii_digits_is_malformed(component, tmp_path, capsys):
     path = write_scenario(tmp_path, xi={"1": component, "2": "0"})

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import _oracles
-from _fields import flipped_curvature, random_symmetric_connection, replace_slot
+from _fields import DIM_RANK, flipped_curvature, random_symmetric_connection, replace_slot
 from liftlab import connection_lift, sampling
 from liftlab.bundle import BundlePoint, adapted_frame, cross_section_point
 from liftlab.cli import _check_lift_zeros
@@ -42,13 +42,6 @@ from liftlab.tensor import (
 
 POINTS = sampling.sample_points(2, count=16)
 POINTS_BY_DIM = {n: sampling.sample_points(n, count=16) for n in (3, 4)} | {2: POINTS}
-# (n, q) cases up to the top of the supported envelope; the ids of the
-# n=2 cases are their q alone
-DIM_RANK = pytest.mark.parametrize(
-    "n,q",
-    [(2, 1), (2, 2), (3, 1), (3, 2), (4, 3)],
-    ids=["1", "2", "n3-1", "n3-2", "n4-3"],
-)
 
 FLAT = flat_connection(2)
 SPHERE = sphere_chart_connection()
@@ -59,6 +52,9 @@ AFFINE_XI = CovariantField(2, 1, ["2*x1 + 3*x2 + 1", "x1 - x2"])
 
 def _random_fibre(rng, n, q):
     return rng.uniform(-1.0, 1.0, size=n**q)
+
+
+_dense = _oracles.lifted_connection_dense
 
 
 def _mixed_blocks(full, n):
@@ -75,14 +71,14 @@ def test_flat_lift_vanishes():
     for q in (1, 2):
         at = BundlePoint(2, q, POINTS[0], _random_fibre(rng, 2, q))
         coeffs = complete_lift_connection(flat_connection(2), at)
-        assert np.max(np.abs(coeffs.full_array())) == 0.0
+        assert np.max(np.abs(_dense(coeffs))) == 0.0
 
 
 def test_fibre_block_vanishes_at_zero_fibre():
     at = BundlePoint(2, 1, POINTS[1], np.zeros(2))
     coeffs = complete_lift_connection(SPHERE, at)
     assert np.max(np.abs(coeffs.fibre_bb)) == 0.0
-    mixed_bf, _ = _mixed_blocks(coeffs.full_array(), 2)
+    mixed_bf, _ = _mixed_blocks(_dense(coeffs), 2)
     assert np.max(np.abs(mixed_bf)) > 0.1  # base coupling survives
 
 
@@ -94,7 +90,7 @@ def test_lift_linear_in_fibre_coordinate():
         one = complete_lift_connection(SPHERE, BundlePoint(2, q, p, t))
         two = complete_lift_connection(SPHERE, BundlePoint(2, q, p, 2.0 * t))
         assert np.max(np.abs(two.fibre_bb - 2.0 * one.fibre_bb)) < 1e-12
-        for a, b in zip(_mixed_blocks(two.full_array(), 2), _mixed_blocks(one.full_array(), 2)):
+        for a, b in zip(_mixed_blocks(_dense(two), 2), _mixed_blocks(_dense(one), 2)):
             assert np.array_equal(a, b)
         assert np.array_equal(two.base, one.base)
 
@@ -103,7 +99,7 @@ def test_lift_block_placement():
     rng = np.random.default_rng(9)
     at = BundlePoint(2, 1, POINTS[3], _random_fibre(rng, 2, 1))
     coeffs = complete_lift_connection(SPHERE, at)
-    full = coeffs.full_array()
+    full = _dense(coeffs)
     n = 2
     assert np.array_equal(full[:n, :n, :n], coeffs.base)
     mixed_bf, mixed_fb = _mixed_blocks(full, n)
@@ -122,7 +118,7 @@ def test_lift_symmetric_in_lower_pair():
         # the check draws its fibre from the generator it is given
         check = _check_lift_zeros(SPHERE, q, POINTS[4:5], np.random.default_rng(12 + q), 1e-12)
         fib = np.random.default_rng(12 + q).uniform(-1.0, 1.0, size=(1, 2**q))
-        dense = complete_lift_connection(SPHERE, BundlePoint(2, q, POINTS[4:5], fib)).full_array()
+        dense = _dense(complete_lift_connection(SPHERE, BundlePoint(2, q, POINTS[4:5], fib)))
         asym = np.max(np.abs(dense - np.swapaxes(dense, -1, -2)))
         assert check.passed and asym <= check.residual < 1e-12
 
@@ -208,11 +204,11 @@ def _lift_blocks_by_entry(gamma, at):
     entry, one multi-index and one replaced slot at a time."""
     n, q = at.n, at.q
     nf = n**q
-    t = at.fibre_tensor()
+    t = at.fibre.reshape((n,) * q)
     g = gamma.evaluate(at.base)
     dg = gamma.partials_at(at.base)
     r4 = curvature(gamma).evaluate(at.base)
-    mixed_bf = np.zeros((nf, n, nf))
+    mixed_bf = _oracles.mixed_block_by_entry(g, q)
     fibre_bb = np.zeros((nf, n, n))
     for mi in itertools.product(range(1, n + 1), repeat=q):
         row = rank_multi_index(mi, n)
@@ -220,7 +216,6 @@ def _lift_blocks_by_entry(gamma, at):
             x = mi[c] - 1
             for a in range(n):
                 rep = replace_slot(mi, c, a + 1)
-                mixed_bf[row, :, rank_multi_index(rep, n)] -= g[a, :, x]
                 val = t[tuple(k - 1 for k in rep)]
                 for m in range(n):
                     for s in range(n):
@@ -247,7 +242,9 @@ def test_lift_blocks_match_entrywise_reference(n, q):
     at = BundlePoint(n, q, POINTS_BY_DIM[n][5], _random_fibre(rng, n, q))
     got = complete_lift_connection(gamma, at)
     want = _lift_blocks_by_entry(gamma, at)
-    blocks = (got.base, *_mixed_blocks(got.full_array(), n), got.fibre_bb)
+    # the library's own mixed block, against the entrywise one
+    mixed = got._mixed_times(np.eye(n**q))
+    blocks = (got.base, mixed, np.swapaxes(mixed, -1, -2), got.fibre_bb)
     for block, ref in zip(blocks, want):
         assert np.max(np.abs(block - ref)) < 1e-12
 
@@ -540,7 +537,7 @@ def test_t_linear_block_matches_dense_slot_operators(n, q):
 def test_lift_batch_stacks_single_points(n, q, monkeypatch):
     gamma, xi, points, fibre = _batch_inputs(n, q)
     lifted = complete_lift_connection(gamma, BundlePoint(n, q, points, fibre))
-    full = lifted.full_array()
+    full = _dense(lifted)
     asym = []
     induced = induced_connection(gamma, xi, points)
     dr = _curvature_cov_derivative(gamma, points)
@@ -551,8 +548,8 @@ def test_lift_batch_stacks_single_points(n, q, monkeypatch):
             assert np.max(np.abs(getattr(lifted, block)[i] - getattr(one, block))) <= BATCH_ATOL
         # placement and swaps alone, given the same blocks: bit for bit
         sliced = LiftedConnectionCoeffs(n, q, *(getattr(lifted, b)[i] for b in BLOCKS))
-        assert np.array_equal(full[i], sliced.full_array())
-        dense = sliced.full_array()
+        dense = _dense(sliced)
+        assert np.array_equal(full[i], dense)
         asym.append(np.max(np.abs(dense - dense.transpose(0, 2, 1))))
         one = LiftedConnectionCoeffs(n, q, *(getattr(lifted, b)[i : i + 1] for b in BLOCKS))
         assert _lift_zeros_on_blocks(monkeypatch, one, points[i : i + 1]).residual == asym[i]
@@ -572,7 +569,7 @@ def test_symmetry_residual_matches_dense_array(n, q, monkeypatch):
     rng = np.random.default_rng(770 + 10 * n + q)
     shapes = ((5, n, n, n), (5, n**q, n, n))
     coeffs = LiftedConnectionCoeffs(n, q, *(rng.normal(size=s) for s in shapes))
-    dense = coeffs.full_array()
+    dense = _dense(coeffs)
     want = np.abs(dense - dense.transpose(0, 1, 3, 2)).max(axis=(1, 2, 3))
     points = POINTS_BY_DIM[n][:5]
     check = _lift_zeros_on_blocks(monkeypatch, coeffs, points)
@@ -591,7 +588,7 @@ def _frame_terms_by_point(gamma, xi, p):
     db = np.zeros((n + nf, n, n))
     db[n:] = dd.transpose(2, 0, 1)
     at = cross_section_point(xi, p)
-    lifted = complete_lift_connection(gamma, at).full_array()
+    lifted = _dense(complete_lift_connection(gamma, at))
     return db + np.einsum("ACB,Cj,Bi->Aji", lifted, bmat, bmat), bmat
 
 
@@ -657,7 +654,7 @@ def _lift_zeros_by_point(gamma, q, points, rng):
         fib = rng.uniform(-1.0, 1.0, size=n**q)
         lift = complete_lift_connection(gamma, BundlePoint(n, q, p, fib))
         doubled = complete_lift_connection(gamma, BundlePoint(n, q, p, 2.0 * fib))
-        full, doubled_full = lift.full_array(), doubled.full_array()
+        full, doubled_full = _dense(lift), _dense(doubled)
         zeros = full.copy()
         zeros[:n, :n, :n] = zeros[n:, :n, n:] = zeros[n:, n:, :n] = zeros[n:, :n, :n] = 0.0
         out.append(
