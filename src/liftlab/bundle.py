@@ -307,16 +307,24 @@ def verify_characterization(
     """
     if a.n != xi.n or a.q != xi.q:
         raise ValueError("probe tensor must match xi in dimension and rank")
-    lift = complete_lift_endo_on_section(phi, xi, points)
-    complete = np.matmul(lift, complete_lift_vector_on_section(v, xi, points)[..., None])[..., 0]
-    complete -= (
-        complete_lift_vector_on_section(apply_endo_vec(phi, v), xi, points)
-        + vertical_lift(apply_endo_cov(lie_derivative_endo(v, phi), xi), points)
-    )
-    vertical = np.matmul(lift, vertical_lift(a, points)[..., None])[..., 0]
-    vertical -= vertical_lift(apply_endo_cov(phi, a), points)
-    parts = {"complete_residual": complete, "vertical_residual": vertical}
-    detail = {k: sampling.sampled_check(points, r, tol).residual for k, r in parts.items()}
+    lift = named("lift", lambda: complete_lift_endo_on_section(phi, xi, points))
+
+    def complete():
+        lhs = np.matmul(lift, complete_lift_vector_on_section(v, xi, points)[..., None])[..., 0]
+        return lhs - (
+            complete_lift_vector_on_section(apply_endo_vec(phi, v), xi, points)
+            + vertical_lift(apply_endo_cov(lie_derivative_endo(v, phi), xi), points)
+        )
+
+    def vertical():
+        lhs = np.matmul(lift, vertical_lift(a, points)[..., None])[..., 0]
+        return lhs - vertical_lift(apply_endo_cov(phi, a), points)
+
+    # each array, then each reduction, named by what it is
+    parts = {k: named(k, term) for k, term in
+             (("complete_residual", complete), ("vertical_residual", vertical))}
+    detail = {k: named(k, lambda: sampling.sampled_check(points, r, tol)).residual
+              for k, r in parts.items()}
     return sampling.sampled_check(points, list(parts.values()), tol, detail)
 
 

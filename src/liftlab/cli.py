@@ -262,19 +262,18 @@ def load_scenario(path: str) -> Scenario:
 
 
 def _sample_scenario_points(sc: Scenario, seed: int, count: int, box) -> np.ndarray:
-    # the fields' own tapes, read directly: the field jets would raise at
-    # the first non-finite value instead of masking it
-    tapes = [f.tape for f in (sc.phi, sc.xi, sc.v, sc.a) if f is not None]
+    # rows whose values are finite, and for gamma its first partials too:
+    # curvature enters most connection checks, and its poles are those of
+    # gamma's partials.  finite_rows fills each field's jets cache, which
+    # the checks read when the screen rejects no point.
+    screened = [(f, 0) for f in (sc.phi, sc.xi, sc.v, sc.a) if f is not None]
+    if sc.gamma is not None:
+        screened.append((sc.gamma, 1))
 
     def screen(block: np.ndarray) -> np.ndarray:
         bad = np.zeros(len(block), dtype=bool)
-        for tape in tapes:
-            bad |= ~np.isfinite(tape(block)).all(axis=-1)
-        if sc.gamma is not None:
-            # curvature enters most connection checks; screen its poles,
-            # which are those of gamma's partials, too
-            g, dg = sc.gamma.tape.jets(block, 1)
-            bad |= ~(np.isfinite(g).all(axis=-1) & np.isfinite(dg).all(axis=(-2, -1)))
+        for f, order in screened:
+            bad |= ~f.finite_rows(block, order)
         return bad
 
     try:

@@ -34,9 +34,21 @@ Tape.jets, to order 2.  An operator is a float
 einsum over its operands' jets: its values contract the operands'
 values and partials, its first partials follow by the product rule, so
 it carries jets to order 1 and never asks an input for more than 2.
-Building one costs nothing.  Each field keeps the jets of its last point
-set, and in one_case(), opened by cli.run_scenario per case, each builder
-gives one output per operands: a case evaluates what its checks share once.
+Building one costs nothing.
+
+Each field keeps the raw jets of its last point set, non-finite entries
+and all, with the lowest order at which they are not finite, found by
+one finiteness scan when they are computed.  jets(points, order) serves
+any order up to the cached one and raises SingularPointError only when
+order reaches that non-finite order.  finite_rows(points, order), the
+sampling screen's read, is a per-point mask that never raises; it takes
+the jets to the field's top order, since a block the screen keeps whole
+is the case's point set, and then every check reads that one tape run.
+Any other miss computes only the order asked: lower-order Taylor
+coefficients do not depend on the truncation order, so an order-2 run
+holds the lower-order runs bit for bit.  In one_case(), opened by
+cli.run_scenario per case, each builder gives one output per operands:
+a case evaluates what its checks share once.
 
 Memory layout: every batched array keeps the point axis first in its
 shape but stores it fastest in memory (stride one item), so that numpy's
@@ -245,28 +257,58 @@ class Field:
     def jets(self, points, order: int) -> Jets:
         """Values and partials to the given order at points (..., n): an
         input field goes to order 2, an operator output to order 1.  The
-        arrays are read-only; the last call's are kept for the next."""
-        top = 2 if self._rule is None else 1
-        if not 0 <= order <= top:
-            raise ValueError(f"{self.kind} jets go up to order {top}, not {order}")
-        p = np.asarray(points, dtype=np.float64)
+        arrays are read-only; the last point set's are kept for the next
+        call.  Raises SingularPointError when one of them is not finite."""
+        p = self._points(points, order)
+        raw, bad = self._raw(p, order)
+        if bad <= order:
+            self._non_finite(p, raw[bad], bad)
+        return Jets(raw[: order + 1])
+
+    def finite_rows(self, points, order: int) -> np.ndarray:
+        """Mask of shape points.shape[:-1], True where the values and
+        partials to order are all finite; raises nothing of its own (an
+        operator output's rule still reads its operands' jets).  Takes
+        the jets to the field's top order, so that a later jets call on
+        the same points, at any order, reads them from the cache."""
+        p = self._points(points, order)
+        raw, bad = self._raw(p, self._top)
+        rows = np.ones(p.shape[:-1], dtype=bool)
+        for a in raw[bad : order + 1]:
+            rows &= np.isfinite(a).all(axis=tuple(range(p.ndim - 1, a.ndim)))
+        return rows
+
+    @property
+    def _top(self) -> int:
+        """The highest jet order: 2 for an input field, 1 for an operator output."""
+        return 2 if self._rule is None else 1
+
+    def _points(self, points, order: int) -> np.ndarray:
+        if not 0 <= order <= self._top:
+            raise ValueError(f"{self.kind} jets go up to order {self._top}, not {order}")
+        return np.asarray(points, dtype=np.float64)
+
+    def _raw(self, p: np.ndarray, order: int) -> tuple[Jets, int]:
+        """The jets at p to order or beyond, non-finite entries and all,
+        and the lowest order at which one is not finite (len(jets) when
+        none is): from the cache when it holds p that far, else computed
+        to order and cached in its place."""
         last = self._last
         if last and len(last[1]) > order and last[0].shape == p.shape and (last[0] == p).all():
-            return Jets(last[1][: order + 1])
+            return last[1], last[2]
         if self._rule is None:
             batch = p.shape[:-1]
-            out = Jets(
+            raw = Jets(
                 a.reshape(batch + (self.n,) * k + self.shape)
                 for k, a in enumerate(self.tape.jets(p, order))
             )
         else:
-            out = Jets(self._rule(p, order)[: order + 1])
-        for k, a in enumerate(out):
-            if not np.isfinite(a).all():
-                self._non_finite(p, a, k)
+            raw = Jets(self._rule(p, order)[: order + 1])
+        for a in raw:
             a.flags.writeable = False
-        self._last = (p.copy(), out)
-        return out
+        bad = next((k for k, a in enumerate(raw) if not np.isfinite(a).all()), len(raw))
+        self._last = (p.copy(), raw, bad)
+        return raw, bad
 
     def _non_finite(self, p: np.ndarray, a: np.ndarray, k: int):
         at = np.unravel_index(np.argmin(np.isfinite(a)), a.shape)

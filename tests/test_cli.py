@@ -1,5 +1,7 @@
+import collections
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import math
@@ -528,6 +530,33 @@ def test_theorem1_names_the_residual_that_went_non_finite(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
 
+def test_characterization_names_the_array_that_went_non_finite(tmp_path, capsys):
+    # the Tachibana image inside the lift of phi overflows: the line names
+    # the check, then the lift
+    path = write_scenario(tmp_path, q=2, phi="standard_complex_r2", xi=OVERFLOWING_XI,
+                          checks=["characterization"])
+    assert main(["run", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: characterization: lift: tensor field values "
+                                   "evaluated non-finite at component (1, 2, 2), point (")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("probe,residual", [("v", "complete_residual"),
+                                            ("a", "vertical_residual")])
+def test_characterization_names_the_residual_that_went_non_finite(probe, residual,
+                                                                  tmp_path, capsys):
+    # a probe with two large components enters one residual only, and
+    # the fields derived from it there overflow
+    path = write_scenario(tmp_path, phi={"1,1": "1", "1,2": "1", "2,1": "1", "2,2": "1"},
+                          checks=["characterization"],
+                          **{probe: {"1": "1e308*x1", "2": "1e308*x1"}})
+    assert main(["run", path]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"error: characterization: {residual}: tensor field values evaluated non-finite at "
+        "component (1,), point (")
+
+
 def test_theorem1_residual_name_keeps_the_error_and_its_subtree(tmp_path):
     # the values pass the screen, the partials the Tachibana image takes overflow
     path = write_scenario(tmp_path, xi={"1": "1e308*x1^2", "2": "x2"}, checks=["theorem1"])
@@ -570,6 +599,65 @@ def test_sample_screen_compiles_no_tape(monkeypatch):
     compiles = _count_tapes(monkeypatch)
     _sample_scenario_points(sc, 42, 64, sampling.DEFAULT_BOX)
     assert compiles == []
+
+
+def _count_tape_runs(monkeypatch) -> collections.Counter:
+    """Count every Tape.jets run from here on, per tape."""
+    runs = collections.Counter()
+    jets = expr.Tape.jets
+
+    def counting(self, points, order):
+        runs[self] += 1
+        return jets(self, points, order)
+
+    monkeypatch.setattr(expr.Tape, "jets", counting)
+    return runs
+
+
+def _connection_scenario(seed: int, n: int, q: int) -> dict:
+    """A generic degree-1 symmetric gamma and degree-2 xi at 8 points under
+    the three connection checks, as the benchmark's connection grid draws."""
+    doc = generic_scenario(seed, n, q)
+    del doc["phi"]
+    return doc | {"points": 8, "checks": ["totally_geodesic", "gauss_consistency",
+                                          "curvature_tangency"]}
+
+
+@pytest.mark.parametrize("fields", [None, _connection_scenario(61, 3, 2)],
+                         ids=["sphere_cross_section", "generic-3x2"])
+def test_a_case_runs_each_input_tape_once(fields, tmp_path, monkeypatch):
+    # the screen takes every field's jets to order 2 on its first block,
+    # which is the case's point set when it rejects nothing; every check
+    # reads them from the fields' caches
+    path = SCENARIOS / "sphere_cross_section.json"
+    if fields is not None:
+        path = tmp_path / "generic.json"
+        path.write_text(json.dumps(fields))
+    compiles = _count_tapes(monkeypatch)
+    runs = _count_tape_runs(monkeypatch)
+    run_scenario(str(path))
+    assert len(compiles) == 2  # gamma and xi
+    assert runs == dict.fromkeys(compiles, 1)
+
+
+def test_a_rejecting_screen_keeps_its_points_and_report(tmp_path, monkeypatch):
+    # xi overflows where x1 > 1.014, so the screen rejects draws and the
+    # case's points are not its first block: each tape runs once per block
+    # and once more on the points
+    path = write_scenario(tmp_path, checks=["purity"],
+                          xi={"1": "exp(700*x1)*1e-300", "2": "x2"})
+    sc = load_scenario(path)
+    points = _sample_scenario_points(sc, 42, 64, sampling.DEFAULT_BOX)
+    runs = _count_tape_runs(monkeypatch)
+    report = run_scenario(path)
+    # phi and xi: five screened blocks of 64, 23, 6, 3 and 2 rows, then the points
+    assert sorted(runs.values()) == [6, 6]
+    # frozen: the screen masks the same rows as one reading each tape directly
+    assert hashlib.sha256(points.tobytes()).hexdigest()[:16] == "60c15a4f94987065"
+    assert report.to_dict()["checks"] == [{
+        "detail": {}, "id": "purity", "residual": 0.0, "status": "pass", "tolerance": 1e-09,
+        "worst_point": [0.3224305522539444, 1.4683090571277826],
+    }]
 
 
 def test_lift_zeros_names_its_worst_point(tmp_path):

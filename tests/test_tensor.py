@@ -11,6 +11,7 @@ from liftlab import bundle, connection_lift, expr, sampling
 from liftlab.presets import (
     flat_connection,
     random_covariant_field,
+    random_polynomial_expr,
     random_vector_field,
     sphere_chart_connection,
     sphere_chart_metric,
@@ -526,3 +527,104 @@ def test_case_keys_outputs_by_every_operand():
         assert contract_slot_endo(xi, phi, 1) is not contract_slot_endo(xi, phi, 2)
         once = covariant_derivative_cov(gamma, xi)
         assert covariant_derivative_cov(gamma, once) is not once
+
+
+# ---------------------------------------------------------------------------
+# the jets cache: one tape run per point set
+
+
+def _lower_orders_match(tape, pts):
+    """The order-0 and order-1 outputs of an order-2 run are those of the
+    lower-order runs, byte for byte (so NaN payloads and signed zeros
+    count): the premise of serving any lower order from a cached run."""
+    top = [a.tobytes() for a in tape.jets(pts, 2)]
+    for order in (0, 1):
+        assert [a.tobytes() for a in tape.jets(pts, order)] == top[: order + 1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_order_two_run_holds_the_lower_order_runs_of_random_polynomials(n):
+    rng = np.random.default_rng(40 + n)
+    tape = expr.Tape([random_polynomial_expr(rng, n, degree) for degree in (0, 1, 2, 2)])
+    _lower_orders_match(tape, sampling.sample_points(n, count=16))
+
+
+TRANSCENDENTAL = ["sin(x1)*exp(x2)/(x1 - x2)", "x1^-3 + x2^-2*cos(x1)",
+                  "exp(-x1^2)/x2", "(x1 + x2)^-1*sin(x2/x1)", "1/x1 - x2^-1"]
+
+
+def test_order_two_run_holds_the_lower_order_runs_of_transcendental_text():
+    tape = expr.Tape([expr.parse(t, 2) for t in TRANSCENDENTAL])
+    _lower_orders_match(tape, POINTS)
+
+
+def test_order_two_run_holds_the_lower_order_runs_where_jets_are_not_finite():
+    # poles in values and partials (1/x1 at x1 = 0, 0/0 in sin(x2/x1)),
+    # signed zeros, coordinates that are themselves inf or NaN, and
+    # overflow in the first or only the second partials
+    pts = np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, 0.0], [1.0, -0.0], [0.0, 0.0],
+                    [np.inf, 1.0], [1.0, -np.inf], [np.nan, 2.0], [1.0, 1.0]])
+    texts = TRANSCENDENTAL + ["exp(709*x1)*1e-300", "exp(700*x2)*1e-300", "x1^-2*0", "1e308*x1*x2"]
+    tape = expr.Tape([expr.parse(t, 2) for t in texts])
+    jets = tape.jets(pts, 2)
+    assert not all(np.isfinite(a).all() for a in jets)  # the case is not vacuous
+    _lower_orders_match(tape, pts)
+
+
+# A pole in the values where x1 = 2, overflow in the first partials only
+# where x2 = 1, and in the second partials only where x3 = 1.
+STEEP = ["1/(x1 - 2)", "exp(709*x2)*1e-300", "exp(700*x3)*1e-300"]
+STEEP_POINTS = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def test_finite_rows_masks_by_order_and_never_raises():
+    v = VectorField(3, STEEP)
+    want = {0: [True, False, True, True], 1: [True, False, False, True],
+            2: [True, False, False, False]}
+    for order, rows in want.items():
+        assert v.finite_rows(STEEP_POINTS, order).tolist() == rows
+    assert v.finite_rows(STEEP_POINTS[0], 2).tolist() is True  # one point (n,)
+    with pytest.raises(ValueError, match="up to order 2, not 3"):
+        v.finite_rows(STEEP_POINTS, 3)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("rows", [[0, 1, 2, 3], [0, 2, 3], [0, 3]], ids=["value", "first", "second"])
+def test_jets_after_finite_rows_raise_as_a_fresh_field(rows, order):
+    # the cache holds the screen's non-finite jets: each order raises, or
+    # not, as the first jets call of a field that was never screened
+    pts = STEEP_POINTS[rows]
+    screened = VectorField(3, STEEP)
+    screened.finite_rows(pts, 0)
+    fresh = VectorField(3, STEEP)
+    try:
+        want = fresh.jets(pts, order)
+    except expr.SingularPointError as exc:
+        with pytest.raises(expr.SingularPointError) as err:
+            screened.jets(pts, order)
+        assert str(err.value) == str(exc)
+        assert str(err.value.subtree) == str(exc.subtree)
+    else:
+        assert [a.tobytes() for a in screened.jets(pts, order)] == [a.tobytes() for a in want]
+
+
+def test_finite_rows_fills_the_cache_to_the_top_order(monkeypatch):
+    runs = []
+    tape_jets = expr.Tape.jets
+    monkeypatch.setattr(expr.Tape, "jets",
+                        lambda tape, p, k: runs.append((len(p), k)) or tape_jets(tape, p, k))
+    xi = CovariantField(2, 2, {(1, 2): "x1*x2^2", (2, 1): "sin(x1)"})
+    xi.finite_rows(POINTS, 0)
+    for order in (2, 0, 1):
+        xi.jets(POINTS, order)
+    assert runs == [(16, 2)]
+    # any other miss computes only the order asked, and an upgrade too
+    xi.jets(POINTS[:4], 0)
+    xi.jets(POINTS[:4], 1)
+    assert runs == [(16, 2), (4, 0), (4, 1)]
+    # an operator output fills to its own top order, 1
+    nabla = covariant_derivative_cov(flat_connection(2), xi)
+    assert nabla.finite_rows(POINTS, 0).all()
+    runs.clear()
+    nabla.jets(POINTS, 1)
+    assert runs == []
