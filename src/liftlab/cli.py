@@ -252,7 +252,7 @@ def load_scenario(path: str) -> Scenario:
 
     for c in checks:
         for req in _CHECKS[c][0]:
-            if getattr(sc, req) is None:
+            if req not in ("v", "a") and getattr(sc, req) is None:
                 raise ScenarioError(f"check {c!r} requires scenario field {req!r}")
     return sc
 
@@ -264,25 +264,35 @@ def load_scenario(path: str) -> Scenario:
 def _sample_scenario_points(sc: Scenario, seed: int, count: int, box) -> np.ndarray:
     # rows whose values are finite, and for gamma its first partials too:
     # curvature enters most connection checks, and its poles are those of
-    # gamma's partials.  finite_rows fills each field's jets cache, which
-    # the checks read when the screen rejects no point.
-    screened = [(f, 0) for f in (sc.phi, sc.xi, sc.v, sc.a) if f is not None]
-    if sc.gamma is not None:
-        screened.append((sc.gamma, 1))
+    # gamma's partials.  The first block, count rows, is the case's point
+    # set when the screen keeps it whole, so there each field's jets go as
+    # far as the checks read them, and the checks read them from the
+    # field's cache; a later block is never the point set, and when one
+    # was drawn each field read is computed once more, on the points.
+    reads = {"gamma": 0}  # the symmetry gate reads gamma's values
+    for c in sc.checks:
+        for kind, order in _CHECKS[c][0].items():
+            reads[kind] = max(reads.get(kind, 0), order)
+    screened = [(getattr(sc, kind), int(kind == "gamma"), reads.get(kind))
+                for kind in ("phi", "xi", "v", "a", "gamma") if getattr(sc, kind) is not None]
 
     def screen(block: np.ndarray) -> np.ndarray:
         bad = np.zeros(len(block), dtype=bool)
-        for f, order in screened:
-            bad |= ~f.finite_rows(block, order)
+        for f, order, fill in screened:
+            bad |= ~f.finite_rows(block, order, fill if len(block) == count else None)
         return bad
 
     try:
-        return sampling.sample_points(sc.n, seed=seed, count=count, box=box, screen=screen)
+        points = sampling.sample_points(sc.n, seed=seed, count=count, box=box, screen=screen)
     except RuntimeError as exc:
         raise ScenarioError(str(exc)) from None
     except (MemoryError, ValueError) as exc:
         # numpy refuses a point array it cannot hold with one or the other
         raise ScenarioError(f"points: cannot hold that many sample points ({exc})") from None
+    for f, order, fill in screened:
+        if fill is not None:
+            f.finite_rows(points, order, fill)  # a cache hit when the first block was kept
+    return points
 
 
 def _characterization(sc: Scenario, points, seed: int, tol: float) -> sampling.SampledCheck:
@@ -310,30 +320,32 @@ def _check_lift_zeros(gamma: ConnectionField, q: int, points, rng, tol) -> sampl
     return sampling.sampled_check(points, asym + [doubled - 2.0 * lift.fibre_bb], tol)
 
 
-# Every check, in report order: the fields it needs beyond n and q, and
-# run(scenario, points, seed, tol) -> SampledCheck.  Each run looks its
+# Every check, in report order: the scenario fields it reads, each with
+# the highest jet order it reads of it, and run(scenario, points, seed,
+# tol) -> SampledCheck.  It needs every field it reads but the probes v
+# and a, which it draws when the scenario gives none.  Each run looks its
 # functions up in their modules when it is called, so that a function
 # replaced on its module (by a tracer, say) is the one that runs.
 _CHECKS = {
-    "purity": (("phi", "xi"), lambda sc, pts, seed, tol: sampling.sampled_check(
+    "purity": ({"phi": 0, "xi": 0}, lambda sc, pts, seed, tol: sampling.sampled_check(
         pts, bundle.purity_residual(sc.phi, sc.xi, pts), tol)),
-    "tachibana_zero": (("phi", "xi"), lambda sc, pts, seed, tol: bundle.is_almost_analytic(
+    "tachibana_zero": ({"phi": 1, "xi": 1}, lambda sc, pts, seed, tol: bundle.is_almost_analytic(
         sc.phi, sc.xi, pts, tol)),
-    "nijenhuis_zero": (("phi",), lambda sc, pts, seed, tol: sampling.sampled_check(
+    "nijenhuis_zero": ({"phi": 1}, lambda sc, pts, seed, tol: sampling.sampled_check(
         pts, bundle.nijenhuis(sc.phi).evaluate(pts), tol)),
-    "theorem1": (("phi", "xi"), lambda sc, pts, seed, tol: bundle.verify_theorem1(
+    "theorem1": ({"phi": 1, "xi": 1}, lambda sc, pts, seed, tol: bundle.verify_theorem1(
         sc.phi, sc.xi, pts, tol)),
-    "characterization": (("phi", "xi"), _characterization),
-    "lift_connection_zeros": (("gamma",), lambda sc, pts, seed, tol: _check_lift_zeros(
+    "characterization": ({"phi": 1, "xi": 1, "v": 1, "a": 0}, _characterization),
+    "lift_connection_zeros": ({"gamma": 1}, lambda sc, pts, seed, tol: _check_lift_zeros(
         sc.gamma, sc.q, pts, np.random.default_rng([seed, 2003]), min(tol, STRUCTURAL_TOL))),
-    "induced_equals_base": (("gamma", "xi"), lambda sc, pts, seed, tol: sampling.sampled_check(
+    "induced_equals_base": ({"gamma": 1, "xi": 2}, lambda sc, pts, seed, tol: sampling.sampled_check(
         pts, connection_lift.induced_connection(sc.gamma, sc.xi, pts) - sc.gamma.evaluate(pts),
         tol)),
-    "gauss_consistency": (("gamma", "xi"), lambda sc, pts, seed, tol: (
+    "gauss_consistency": ({"gamma": 1, "xi": 2}, lambda sc, pts, seed, tol: (
         connection_lift.gauss_consistency(sc.gamma, sc.xi, pts, tol))),
-    "totally_geodesic": (("gamma", "xi"), lambda sc, pts, seed, tol: (
+    "totally_geodesic": ({"gamma": 1, "xi": 2}, lambda sc, pts, seed, tol: (
         connection_lift.is_totally_geodesic(sc.gamma, sc.xi, pts, tol))),
-    "curvature_tangency": (("gamma", "xi"), lambda sc, pts, seed, tol: (
+    "curvature_tangency": ({"gamma": 2, "xi": 1}, lambda sc, pts, seed, tol: (
         connection_lift.curvature_tangency(sc.gamma, sc.xi, pts, tol))),
 }
 CHECK_IDS = tuple(_CHECKS)

@@ -40,15 +40,16 @@ Each field keeps the raw jets of its last point set, non-finite entries
 and all, with the lowest order at which they are not finite, found by
 one finiteness scan when they are computed.  jets(points, order) serves
 any order up to the cached one and raises SingularPointError only when
-order reaches that non-finite order.  finite_rows(points, order), the
-sampling screen's read, is a per-point mask that never raises; it takes
-the jets to the field's top order, since a block the screen keeps whole
-is the case's point set, and then every check reads that one tape run.
-Any other miss computes only the order asked: lower-order Taylor
-coefficients do not depend on the truncation order, so an order-2 run
-holds the lower-order runs bit for bit.  In one_case(), opened by
-cli.run_scenario per case, each builder gives one output per operands:
-a case evaluates what its checks share once.
+order reaches that non-finite order.  finite_rows(points, order, fill),
+the sampling screen's read of an input field, is a per-point mask that
+never raises; on a miss it computes the jets to fill, the highest order
+the case's checks read, when the block may become the case's point set,
+and then every check reads that one tape run.  Any other miss computes
+only the order asked: lower-order Taylor coefficients do not depend on
+the truncation order, so an order-2 run holds the lower-order runs bit
+for bit.  In one_case(), opened by cli.run_scenario per case, each
+builder gives one output per operands: a case evaluates what its checks
+share once.
 
 Memory layout: every batched array keeps the point axis first in its
 shape but stores it fastest in memory (stride one item), so that numpy's
@@ -265,14 +266,15 @@ class Field:
             self._non_finite(p, raw[bad], bad)
         return Jets(raw[: order + 1])
 
-    def finite_rows(self, points, order: int) -> np.ndarray:
-        """Mask of shape points.shape[:-1], True where the values and
-        partials to order are all finite; raises nothing of its own (an
-        operator output's rule still reads its operands' jets).  Takes
-        the jets to the field's top order, so that a later jets call on
-        the same points, at any order, reads them from the cache."""
+    def finite_rows(self, points, order: int, fill: int | None = None) -> np.ndarray:
+        """Mask of shape points.shape[:-1], True where an input field's
+        values and partials to order are all finite; never raises.  On a
+        miss the jets are computed to fill (order when not given, at
+        least order), so that a later jets call on the same points up to
+        fill reads them from the cache."""
         p = self._points(points, order)
-        raw, bad = self._raw(p, self._top)
+        fill = order if fill is None else max(order, fill)
+        raw, bad = self._raw(self._points(p, fill), fill)
         rows = np.ones(p.shape[:-1], dtype=bool)
         for a in raw[bad : order + 1]:
             rows &= np.isfinite(a).all(axis=tuple(range(p.ndim - 1, a.ndim)))
@@ -296,6 +298,7 @@ class Field:
         last = self._last
         if last and len(last[1]) > order and last[0].shape == p.shape and (last[0] == p).all():
             return last[1], last[2]
+        self._last = None  # let the old jets go before the new ones are made
         if self._rule is None:
             batch = p.shape[:-1]
             raw = Jets(

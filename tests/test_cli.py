@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _fields import generic_scenario
-from liftlab import bundle, cli, connection_lift, expr, sampling
+from liftlab import bundle, cli, connection_lift, expr, sampling, tensor
 from liftlab.cli import (
     CHECK_IDS,
     ScenarioError,
@@ -601,13 +601,14 @@ def test_sample_screen_compiles_no_tape(monkeypatch):
     assert compiles == []
 
 
-def _count_tape_runs(monkeypatch) -> collections.Counter:
-    """Count every Tape.jets run from here on, per tape."""
-    runs = collections.Counter()
+def _count_tape_runs(monkeypatch) -> collections.defaultdict:
+    """Record every Tape.jets run from here on, per tape: its row count
+    and order."""
+    runs = collections.defaultdict(list)
     jets = expr.Tape.jets
 
     def counting(self, points, order):
-        runs[self] += 1
+        runs[self].append((len(points), order))
         return jets(self, points, order)
 
     monkeypatch.setattr(expr.Tape, "jets", counting)
@@ -626,9 +627,9 @@ def _connection_scenario(seed: int, n: int, q: int) -> dict:
 @pytest.mark.parametrize("fields", [None, _connection_scenario(61, 3, 2)],
                          ids=["sphere_cross_section", "generic-3x2"])
 def test_a_case_runs_each_input_tape_once(fields, tmp_path, monkeypatch):
-    # the screen takes every field's jets to order 2 on its first block,
-    # which is the case's point set when it rejects nothing; every check
-    # reads them from the fields' caches
+    # the screen takes every field's jets as far as the checks read them
+    # on its first block, which is the case's point set when it rejects
+    # nothing; every check reads them from the fields' caches
     path = SCENARIOS / "sphere_cross_section.json"
     if fields is not None:
         path = tmp_path / "generic.json"
@@ -637,13 +638,75 @@ def test_a_case_runs_each_input_tape_once(fields, tmp_path, monkeypatch):
     runs = _count_tape_runs(monkeypatch)
     run_scenario(str(path))
     assert len(compiles) == 2  # gamma and xi
-    assert runs == dict.fromkeys(compiles, 1)
+    assert {tape: len(r) for tape, r in runs.items()} == dict.fromkeys(compiles, 1)
+
+
+@pytest.mark.parametrize("checks, orders", [
+    (["purity"], [0, 0]),
+    (["nijenhuis_zero"], [1, 0]),
+    (["purity", "tachibana_zero"], [1, 1]),
+    (["theorem1", "nijenhuis_zero"], [1, 1]),
+])
+def test_the_screen_fills_to_the_order_the_checks_read(checks, orders, tmp_path, monkeypatch):
+    # phi and xi run once each on the 64 points, no higher than a check reads them
+    path = write_scenario(tmp_path, checks=checks)
+    runs = _count_tape_runs(monkeypatch)
+    run_scenario(path)
+    assert list(runs.values()) == [[(64, k)] for k in orders]
+
+
+def _jet_reads(monkeypatch) -> dict:
+    """The highest jet order read of each scenario field from here on,
+    outside the sampling screen, by field name."""
+    fields, reads = {}, {}
+    load, jets = cli.load_scenario, tensor.Field.jets
+
+    def loading(path):
+        sc = load(path)
+        # keyed by the fields themselves, which stay alive: an id could be reused
+        fields.update({getattr(sc, kind): kind for kind in ("phi", "xi", "gamma", "v", "a")})
+        return sc
+
+    def reading(self, points, order):
+        if self in fields:
+            kind = fields[self]
+            reads[kind] = max(reads.get(kind, 0), order)
+        return jets(self, points, order)
+
+    monkeypatch.setattr(cli, "load_scenario", loading)
+    monkeypatch.setattr(tensor.Field, "jets", reading)
+    return reads
+
+
+@pytest.mark.parametrize("check", CHECK_IDS)
+def test_each_check_reads_its_fields_to_the_declared_order(check, tmp_path, monkeypatch):
+    # the screen fills each field's cache to the declared order: a check
+    # that reads further runs a tape again, one that reads less wastes it.
+    # A check may stop early on some fields (an impure xi fails the
+    # Tachibana check unread), so the order is the most any case reads.
+    generic = generic_scenario(5, 2, 2) | {
+        "v": {"1": "x1*x2", "2": "x2^2"}, "a": {"1,1": "x1^2", "2,1": "x2"}}
+    docs = [json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))] + [generic]
+    reads = _jet_reads(monkeypatch)
+    declared, most = cli._CHECKS[check][0], {}
+    for doc in docs:
+        if all(kind in doc for kind in declared if kind not in ("v", "a")):
+            path = tmp_path / "case.json"
+            path.write_text(json.dumps(doc | {"checks": [check]}))
+            reads.clear()
+            run_scenario(str(path), count=8)
+            if "gamma" not in declared:
+                reads.pop("gamma", None)  # the symmetry gate reads its values
+            assert reads.keys() <= declared.keys()
+            for kind, k in reads.items():
+                most[kind] = max(most.get(kind, 0), k)
+    assert most == declared
 
 
 def test_a_rejecting_screen_keeps_its_points_and_report(tmp_path, monkeypatch):
     # xi overflows where x1 > 1.014, so the screen rejects draws and the
-    # case's points are not its first block: each tape runs once per block
-    # and once more on the points
+    # case's points are not its first block: each tape runs once per block,
+    # at the order screened, and once more on the points
     path = write_scenario(tmp_path, checks=["purity"],
                           xi={"1": "exp(700*x1)*1e-300", "2": "x2"})
     sc = load_scenario(path)
@@ -651,13 +714,25 @@ def test_a_rejecting_screen_keeps_its_points_and_report(tmp_path, monkeypatch):
     runs = _count_tape_runs(monkeypatch)
     report = run_scenario(path)
     # phi and xi: five screened blocks of 64, 23, 6, 3 and 2 rows, then the points
-    assert sorted(runs.values()) == [6, 6]
+    blocks = [(64, 0), (23, 0), (6, 0), (3, 0), (2, 0), (64, 0)]
+    assert list(runs.values()) == [blocks, blocks]
     # frozen: the screen masks the same rows as one reading each tape directly
     assert hashlib.sha256(points.tobytes()).hexdigest()[:16] == "60c15a4f94987065"
     assert report.to_dict()["checks"] == [{
         "detail": {}, "id": "purity", "residual": 0.0, "status": "pass", "tolerance": 1e-09,
         "worst_point": [0.3224305522539444, 1.4683090571277826],
     }]
+
+
+def test_a_rejecting_screen_runs_each_tape_once_more_on_the_points(tmp_path, monkeypatch):
+    # xi overflows where x1 > 1.18: the first block, filled to the orders
+    # the checks read, is dropped, a later block is screened only, and
+    # the points run once, at those orders
+    path = write_scenario(tmp_path, box=[0.2, 1.25], xi={"1": "exp(600*x1)*1e-300", "2": "x2"},
+                          checks=["purity", "tachibana_zero", "theorem1"])
+    runs = _count_tape_runs(monkeypatch)
+    run_scenario(path)
+    assert list(runs.values()) == [[(64, 1), (1, 0), (64, 1)]] * 2
 
 
 def test_lift_zeros_names_its_worst_point(tmp_path):

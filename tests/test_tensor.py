@@ -595,7 +595,7 @@ def test_jets_after_finite_rows_raise_as_a_fresh_field(rows, order):
     # not, as the first jets call of a field that was never screened
     pts = STEEP_POINTS[rows]
     screened = VectorField(3, STEEP)
-    screened.finite_rows(pts, 0)
+    screened.finite_rows(pts, 0, 2)
     fresh = VectorField(3, STEEP)
     try:
         want = fresh.jets(pts, order)
@@ -608,23 +608,23 @@ def test_jets_after_finite_rows_raise_as_a_fresh_field(rows, order):
         assert [a.tobytes() for a in screened.jets(pts, order)] == [a.tobytes() for a in want]
 
 
-def test_finite_rows_fills_the_cache_to_the_top_order(monkeypatch):
+def test_finite_rows_fills_the_cache_to_the_order_asked(monkeypatch):
     runs = []
     tape_jets = expr.Tape.jets
     monkeypatch.setattr(expr.Tape, "jets",
                         lambda tape, p, k: runs.append((len(p), k)) or tape_jets(tape, p, k))
     xi = CovariantField(2, 2, {(1, 2): "x1*x2^2", (2, 1): "sin(x1)"})
-    xi.finite_rows(POINTS, 0)
+    xi.finite_rows(POINTS, 0)  # no fill: only the order screened
+    assert runs == [(16, 0)]
+    xi.finite_rows(POINTS, 0, 2)
     for order in (2, 0, 1):
         xi.jets(POINTS, order)
-    assert runs == [(16, 2)]
-    # any other miss computes only the order asked, and an upgrade too
+    assert runs == [(16, 0), (16, 2)]
+    # a fill below order is order; any other miss computes only the order
+    # asked, and an upgrade too
+    xi.finite_rows(POINTS[:8], 1, 0)
     xi.jets(POINTS[:4], 0)
     xi.jets(POINTS[:4], 1)
-    assert runs == [(16, 2), (4, 0), (4, 1)]
-    # an operator output fills to its own top order, 1
-    nabla = covariant_derivative_cov(flat_connection(2), xi)
-    assert nabla.finite_rows(POINTS, 0).all()
-    runs.clear()
-    nabla.jets(POINTS, 1)
-    assert runs == []
+    assert runs == [(16, 0), (16, 2), (8, 1), (4, 0), (4, 1)]
+    with pytest.raises(ValueError, match="up to order 2, not 3"):
+        xi.finite_rows(POINTS, 0, 3)
