@@ -1,30 +1,33 @@
-"""Scalar expression trees over chart coordinates x1..xn.
+"""Scalar expressions over chart coordinates x1..xn, parsed straight
+into tapes.
 
 Grammar: decimal literals, variables x1..xn, binary + - * /, unary -,
 integer powers via ^, the functions sin, cos, exp, and parentheses.
-Subtraction is lowered to addition of a negation at parse time.
+Subtraction is lowered to addition of a negation as it is read.
 
-Nodes are built only by the smart constructors (add, mul, ipow, ...),
-which fold constants and drop additive zeros / multiplicative ones;
-there is no Python arithmetic on nodes.  Folding is best effort and
-never load-bearing: expression equality is always decided by sampled
-evaluation, not by tree shape.
+A Tape holds expressions as slots listed arguments first, in array
+columns: an opcode, two integer arguments, a constants list, and the
+output slots.  The parser builds them: it reads a text once, left to
+right, and hands each operand and operator to a slot builder, which
+hash-conses (a structure already present is not added again, so a
+subexpression written twice, in one text or in two components of one
+field, has one slot) and folds constants by the rules of the smart
+constructors in liftlab.tree.  No expression tree is built on the way.
+Slots a fold leaves unread are dropped when the tape is finished.
+Parentheses and calls nest on a list, not on the interpreter's stack,
+up to MAX_NESTING deep; past that the text is a ParseError.
 
-Evaluation goes through a Tape, compiled once from a list of
-expressions.  Compiling merges structurally equal subtrees into one
-slot and lists the slots children first, in array columns: an opcode,
-two integer arguments, a constants list, and the output slots.  Running
-the tape applies one NumPy operation per slot over the whole (..., n)
-batch of points, so a subtree shared by many expressions, or repeated
-inside one, is computed once.  The tables that find equal subtrees live
-only while the tape is compiled, and the compile walks expressions with
-an explicit stack, so nesting depth is not bounded by the interpreter's
-recursion limit.
+Trees (liftlab.tree) are a view: Tape.tree renders an output as one,
+parse returns the tree of a text's tape, and a tree given to a Tape is
+added to it node for node, unfolded.
 
-Derivatives are never built as expressions.  Tape.jets carries the
-value, the gradient and the Hessian of every slot through the same
-slot order (truncated Taylor propagation, one rule per opcode), so the
-partials it returns are exact up to rounding.
+Running a tape applies one NumPy operation per slot over the whole
+(..., n) batch of points, so a subexpression shared by many outputs, or
+repeated inside one, is computed once.  Derivatives are never built as
+expressions: Tape.jets carries the value, the gradient and the Hessian
+of every slot through the same slot order (truncated Taylor
+propagation, one rule per opcode), so the partials it returns are exact
+up to rounding.
 """
 
 from __future__ import annotations
@@ -36,8 +39,12 @@ from array import array
 
 import numpy as np
 
-# Tape opcodes, in the order the evaluation loop tests them.
-MUL, ADD, NEG, POW, DIV, CONST, VAR, SIN, COS, EXP = range(10)
+from .tree import (  # noqa: F401  (the tree names are re-exported)
+    ADD, CONST, COS, DIV, EXP, FIRST, MUL, NEG, NODES, POW, SECOND, SIN, VAR,
+    Add, Const, Cos, Div, Exp, IntPow, Mul, Neg, ScalarExpr, Sin, Var,
+    add, const, cos, div, exp, folded, ipow, mul, neg, sin, sub, var,
+)
+
 # Flags on an opcode: after this slot, drop the value of argument a / b,
 # which no later slot and no output reads.
 _DROP_A, _DROP_B = 16, 32
@@ -57,7 +64,7 @@ class SingularPointError(ArithmeticError):
     innermost non-finite subexpression of an input field's component, or
     None (an operator output, a residual)."""
 
-    def __init__(self, message: str, subtree: "ScalarExpr | None" = None):
+    def __init__(self, message: str, subtree: ScalarExpr | None = None):
         super().__init__(message)
         self.subtree = subtree
 
@@ -71,247 +78,112 @@ def named(key: str, term):
         raise SingularPointError(f"{key}: {exc}", exc.subtree) from None
 
 
-class ScalarExpr:
-    """Base class for expression nodes, immutable once built.  Only the
-    smart constructors below build them."""
-
-    __slots__ = ()
-    children: tuple = ()
-    op: int  # tape opcode
-
-    def __repr__(self):
-        return str(self)
+# ---------------------------------------------------------------------------
+# The slot builder
 
 
-# Printing precedence, loosest to tightest.
-_P_ADD, _P_MUL, _P_NEG, _P_POW, _P_ATOM = 1, 2, 3, 4, 5
+_BITS = struct.Struct("d").pack
 
 
-class Const(ScalarExpr):
-    __slots__ = ("c",)
-    prec = _P_ATOM
-    op = CONST
+class _Builder:
+    """Tape slots under construction, hash-consed: a slot is added only
+    when no slot of the same structure exists.  ops, args_a and args_b
+    are the tape's columns and consts its constants, as Python numbers;
+    table maps each structure to its slot: an int packing opcode and
+    argument slots, a tuple for POW, and a constant's bit pattern, so
+    that 0.0 and -0.0 stay apart, and so do nan and inf of either sign."""
 
-    def __init__(self, c: float):
-        self.c = float(c)
+    __slots__ = ("ops", "args_a", "args_b", "consts", "table")
 
-    def __str__(self):
-        # repr round-trips float precision; trim the ".0" of whole numbers
-        # so folded integers print the way people write them.
-        mag = -self.c if self.c < 0 else self.c
-        text = repr(mag)
-        if text.endswith(".0"):
-            text = text[:-2]
-        return f"-{text}" if self.c < 0 else text
+    def __init__(self):
+        self.ops, self.args_a, self.args_b = array("B"), array("i"), array("i")
+        self.consts: list = []
+        self.table: dict = {}
 
+    def _slot(self, key, op: int, a: int, b: int, value=None) -> int:
+        """The slot of key, added as (op, a, b) when new; a new CONST or
+        POW slot appends value, its constant or exponent, to consts."""
+        slot = self.table.get(key)
+        if slot is None:
+            slot = self.table[key] = len(self.ops)
+            self.ops.append(op)
+            self.args_a.append(a)
+            self.args_b.append(b)
+            if value is not None:
+                self.consts.append(value)
+        return slot
 
-class Var(ScalarExpr):
-    """Coordinate variable x<axis>, axis counted from 1."""
+    def const(self, c: float) -> int:
+        return self._slot(_BITS(c), CONST, len(self.consts), 0, c)
 
-    __slots__ = ("axis",)
-    prec = _P_ATOM
-    op = VAR
+    def var(self, axis: int) -> int:
+        return self._slot(axis - 1 << 4 | VAR, VAR, axis - 1, 0)
 
-    def __init__(self, axis: int):
-        if axis < 1:
-            raise ValueError(f"variable axis must be >= 1, got {axis}")
-        self.axis = axis
+    def node(self, op: int, a: int, b: int) -> int:
+        """op over slots a and b as it stands; a unary op carries its
+        argument in both."""
+        return self._slot((a << 32 | b) << 4 | op, op, a, b)
 
-    def __str__(self):
-        return f"x{self.axis}"
+    def power(self, a: int, k: int) -> int:
+        return self._slot((POW, a, k), POW, a, len(self.consts), k)
 
+    def fold(self, op: int, a: int, b: int, k: int = 0) -> int:
+        """op over slots a and b (b = a for a unary op; k is POW's
+        exponent), folded by the smart constructors' rules, with
+        neg(neg(a)) = a.  A fold that leaves float range raises
+        OverflowError."""
+        ops, args_a, consts = self.ops, self.args_a, self.consts
+        if op == NEG and ops[a] == NEG:
+            return args_a[a]
+        ca = consts[args_a[a]] if ops[a] == CONST else None
+        cb = consts[args_a[b]] if ops[b] == CONST else None
+        r = None if ca is None and cb is None and op != POW else folded(op, ca, cb, k)
+        if r is None:
+            return self.power(a, k) if op == POW else self.node(op, a, b)
+        if r is FIRST or r is SECOND:
+            return a if r is FIRST else b
+        if not math.isfinite(r):
+            raise OverflowError("constant out of float range")
+        return self.const(r)
 
-class _Binary(ScalarExpr):
-    __slots__ = ("a", "b")
-    prec = _P_MUL
-    symbol = ""
-
-    def __init__(self, a: ScalarExpr, b: ScalarExpr):
-        self.a, self.b = a, b
-
-    @property
-    def children(self):
-        return (self.a, self.b)
-
-    def __str__(self):
-        return f"{_wrap(self.a, _P_MUL)}{self.symbol}{_wrap(self.b, _P_MUL + 1)}"
-
-
-class Add(_Binary):
-    __slots__ = ()
-    prec = _P_ADD
-    op = ADD
-
-    def __str__(self):
-        left = _wrap(self.a, _P_ADD)
-        if isinstance(self.b, Neg):
-            return f"{left} - {_wrap(self.b.a, _P_ADD + 1)}"
-        return f"{left} + {_wrap(self.b, _P_ADD)}"
-
-
-class Mul(_Binary):
-    __slots__ = ()
-    op = MUL
-    symbol = "*"
-
-
-class Div(_Binary):
-    __slots__ = ()
-    op = DIV
-    symbol = "/"
-
-
-class _Unary(ScalarExpr):
-    __slots__ = ("a",)
-
-    def __init__(self, a: ScalarExpr):
-        self.a = a
-
-    @property
-    def children(self):
-        return (self.a,)
-
-
-class Neg(_Unary):
-    __slots__ = ()
-    prec = _P_NEG
-    op = NEG
-
-    def __str__(self):
-        return f"-{_wrap(self.a, _P_ATOM)}"
-
-
-class IntPow(_Unary):
-    """Integer power of a subexpression; the exponent is a literal."""
-
-    __slots__ = ("k",)
-    prec = _P_POW
-    op = POW
-
-    def __init__(self, a: ScalarExpr, k: int):
-        self.a, self.k = a, int(k)
-
-    def __str__(self):
-        return f"{_wrap(self.a, _P_ATOM)}^{self.k}"
-
-
-class _Func(_Unary):
-    __slots__ = ()
-    prec = _P_ATOM
-    name = ""
-
-    def __str__(self):
-        return f"{self.name}({self.a})"
-
-
-class Sin(_Func):
-    __slots__ = ()
-    op = SIN
-    name = "sin"
-
-
-class Cos(_Func):
-    __slots__ = ()
-    op = COS
-    name = "cos"
-
-
-class Exp(_Func):
-    __slots__ = ()
-    op = EXP
-    name = "exp"
-
-
-def _wrap(e: ScalarExpr, minimum: int) -> str:
-    s = str(e)
-    return f"({s})" if e.prec < minimum else s
+    def replay(self, root: ScalarExpr, seen: dict) -> int:
+        """The slot of the tree root, added node for node, with no
+        folding; seen maps the nodes already added (by identity) to their
+        slots.  Keeps its own stack, so depth is not bounded by the
+        recursion limit."""
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if node in seen:
+                stack.pop()
+                continue
+            kids = [c for c in node.children if c not in seen]
+            if kids:
+                stack += kids
+                continue
+            stack.pop()
+            op = node.op
+            if op == CONST:
+                seen[node] = self.const(node.c)
+            elif op == VAR:
+                seen[node] = self.var(node.axis)
+            elif op == POW:
+                seen[node] = self.power(seen[node.a], node.k)
+            else:
+                a = seen[node.children[0]]
+                seen[node] = self.node(op, a, seen[node.b] if op in (ADD, MUL, DIV) else a)
+        return seen[root]
 
 
 # ---------------------------------------------------------------------------
-# Smart constructors
+# Parsing: text to slots
 
 
-def const(c: float) -> ScalarExpr:
-    return Const(c)
+_FUNCTIONS = {"sin": SIN, "cos": COS, "exp": EXP}
 
-
-def var(axis: int) -> ScalarExpr:
-    return Var(axis)
-
-
-def add(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
-    ca, cb = isinstance(a, Const), isinstance(b, Const)
-    if ca and cb:
-        return Const(a.c + b.c)
-    if ca and a.c == 0.0:
-        return b
-    if cb and b.c == 0.0:
-        return a
-    return Add(a, b)
-
-
-def sub(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
-    return add(a, neg(b))
-
-
-def neg(a: ScalarExpr) -> ScalarExpr:
-    if isinstance(a, Const):
-        return Const(-a.c)
-    if isinstance(a, Neg):
-        return a.a
-    return Neg(a)
-
-
-def mul(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
-    ca, cb = isinstance(a, Const), isinstance(b, Const)
-    if ca and cb:
-        return Const(a.c * b.c)
-    if (ca and a.c == 0.0) or (cb and b.c == 0.0):
-        return Const(0.0)
-    if ca and a.c == 1.0:
-        return b
-    if cb and b.c == 1.0:
-        return a
-    return Mul(a, b)
-
-
-def div(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
-    ca, cb = isinstance(a, Const), isinstance(b, Const)
-    if cb and b.c == 1.0:
-        return a
-    if ca and cb and b.c != 0.0:
-        return Const(a.c / b.c)
-    return Div(a, b)
-
-
-def ipow(a: ScalarExpr, k: int) -> ScalarExpr:
-    k = int(k)
-    if k == 0:
-        return Const(1.0)
-    if k == 1:
-        return a
-    if isinstance(a, Const) and not (a.c == 0.0 and k < 0):
-        return Const(a.c**k)
-    return IntPow(a, k)
-
-
-def sin(a: ScalarExpr) -> ScalarExpr:
-    return Const(math.sin(a.c)) if isinstance(a, Const) else Sin(a)
-
-
-def cos(a: ScalarExpr) -> ScalarExpr:
-    return Const(math.cos(a.c)) if isinstance(a, Const) else Cos(a)
-
-
-def exp(a: ScalarExpr) -> ScalarExpr:
-    return Const(math.exp(a.c)) if isinstance(a, Const) else Exp(a)
-
-
-# ---------------------------------------------------------------------------
-# Parsing
-
-
-_FUNCTIONS = {"sin": sin, "cos": cos, "exp": exp}
+# Parentheses and function calls open at most this many levels, one
+# inside another; the token that opens one more is a ParseError.
+MAX_NESTING = 256
 
 
 # One token after optional whitespace: a number (ASCII digits and dots,
@@ -324,243 +196,265 @@ _TOKEN = re.compile(
 )
 
 
-class _Tokenizer:
-    """The tokens of one text, scanned once.  A bad character or a
-    malformed number is kept as an error token and raised only when the
-    parser reaches it, so the first error in reading order is reported."""
-
-    def __init__(self, text: str):
-        self.toks = []
-        self.i = 0
-        for m in _TOKEN.finditer(text):
-            kind = m.lastgroup
-            if kind is None:
-                self.toks.append(("end", "", m.end()))
-                break
-            lexeme, start = m.group(kind), m.start(kind)
-            if kind == "bad":
-                kind, lexeme = "error", f"unexpected character {lexeme!r}"
-            elif kind == "num":
-                try:
-                    if not math.isfinite(float(lexeme)):
-                        kind, lexeme = "error", f"number {lexeme!r} out of float range"
-                except ValueError:
-                    kind, lexeme = "error", f"malformed number {lexeme!r}"
-            self.toks.append((kind, lexeme, start))
-
-    def peek(self):
-        kind, lexeme, pos = tok = self.toks[self.i]
-        if kind == "error":
-            raise ParseError(lexeme, pos)
-        return tok
-
-    def take(self):
-        tok = self.peek()
-        self.i += tok[0] != "end"
-        return tok
+def _tokens(text: str) -> list:
+    """The (kind, lexeme, position) tokens of text, the last of kind
+    "end".  A bad character or a malformed number is kept as an "error"
+    token whose lexeme is the message, raised only when the parser
+    reaches it, so the first error in reading order is reported."""
+    toks = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            toks.append(("end", "", m.end()))
+            break
+        lexeme, start = m.group(kind), m.start(kind)
+        if kind == "bad":
+            kind, lexeme = "error", f"unexpected character {lexeme!r}"
+        elif kind == "num":
+            try:
+                if not math.isfinite(float(lexeme)):
+                    kind, lexeme = "error", f"number {lexeme!r} out of float range"
+            except ValueError:
+                kind, lexeme = "error", f"malformed number {lexeme!r}"
+        toks.append((kind, lexeme, start))
+    return toks
 
 
-def _fold(combine, pos: int, *args) -> ScalarExpr:
-    """combine(*args), which folds constants; a fold that leaves float
-    range is a ParseError at pos, the operator's position."""
+def _fail(tok, message: str):
+    """Raise message at tok, or tok's own message if it is an error token."""
+    kind, lexeme, pos = tok
+    raise ParseError(lexeme if kind == "error" else message, pos)
+
+
+def _fold(b: _Builder, pos: int, op: int, x: int, y: int, k: int = 0) -> int:
+    """b.fold(op, x, y, k); a fold that leaves float range is a
+    ParseError at pos, the operator's position."""
     try:
-        e = combine(*args)
-        if not isinstance(e, Const) or math.isfinite(e.c):
-            return e
+        return b.fold(op, x, y, k)
     except OverflowError:
         pass
     raise ParseError("constant out of float range", pos)
 
 
-class _Parser:
-    def __init__(self, text: str, dim: int):
-        self.toks = _Tokenizer(text)
-        self.dim = dim
+def _exponent(toks: list, i: int) -> tuple[int, int]:
+    """The integer literal, with an optional minus, at token i, and the
+    index of the token after it."""
+    sign = 1
+    if toks[i][1] == "-":
+        sign, i = -1, i + 1
+    kind, lexeme, _ = toks[i]
+    if kind != "num" or any(c in lexeme for c in ".eE"):
+        _fail(toks[i], "exponent must be an integer literal")
+    return sign * int(lexeme), i + 1
 
-    def parse(self) -> ScalarExpr:
-        e = self.expression()
-        kind, lexeme, pos = self.toks.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected {lexeme!r}", pos)
-        return e
 
-    def _chain(self, ops: str, operand, combine, right=None) -> ScalarExpr:
-        """operand (op right)*, folded from the left; right defaults to
-        operand."""
-        e = operand()
-        while True:
-            kind, lexeme, pos = self.toks.peek()
-            if kind != "op" or lexeme not in ops:
-                return e
-            self.toks.take()
-            e = _fold(combine[lexeme], pos, e, (right or operand)())
+def _parse(b: _Builder, text: str, dim: int) -> int:
+    """The slot of text's expression over x1..x<dim>, built into b.
 
-    def expression(self) -> ScalarExpr:
-        return self._chain("+-", self.term, {"+": add, "-": sub})
-
-    def term(self) -> ScalarExpr:
-        return self._chain("*/", self.unary, {"*": mul, "/": div})
-
-    def unary(self) -> ScalarExpr:
-        kind, lexeme, _ = self.toks.peek()
-        if kind == "op" and lexeme == "-":
-            self.toks.take()
-            return neg(self.unary())
-        return self._chain("^", self.atom, {"^": ipow}, self.exponent)
-
-    def exponent(self) -> int:
-        sign = 1
-        kind, lexeme, pos = self.toks.peek()
-        if kind == "op" and lexeme == "-":
-            self.toks.take()
-            sign = -1
-            kind, lexeme, pos = self.toks.peek()
-        if kind != "num" or any(c in lexeme for c in ".eE"):
-            raise ParseError("exponent must be an integer literal", pos)
-        self.toks.take()
-        return sign * int(lexeme)
-
-    def atom(self) -> ScalarExpr:
-        kind, lexeme, pos = self.toks.take()
+    One left-to-right pass over the tokens, by the grammar
+        expression = term (("+" | "-") term)*
+        term       = unary (("*" | "/") unary)*
+        unary      = "-" unary | atom ("^" ["-"] integer)*
+        atom       = number | variable | "(" expression ")"
+                     | ("sin" | "cos" | "exp") "(" expression ")"
+    with each operator folded, from the left, as soon as its right
+    operand ends.  The expression being read lives in local variables:
+    its sum so far, the pending product, and the count of unary minuses
+    before the current operand.  An opening parenthesis or call pushes
+    them onto a list and starts afresh, and its closing parenthesis pops
+    them, so nesting takes no Python frames."""
+    toks = _tokens(text)
+    stack: list = []  # the enclosing expressions, innermost last
+    total = term = None  # the sum and the product read so far
+    sum_op = term_op = ""  # the operators waiting for their right operand
+    sum_pos = term_pos = i = 0
+    while True:
+        # An operand: unary minuses, then an atom.
+        negs = 0
+        while toks[i][1] == "-":
+            negs, i = negs + 1, i + 1
+        kind, lexeme, pos = toks[i]
+        i += 1
         if kind == "num":
-            return const(float(lexeme))
-        if kind == "op" and lexeme == "(":
-            e = self.expression()
-            kind, lexeme, pos = self.toks.take()
+            s = b.const(float(lexeme))
+        elif lexeme == "(" or lexeme in _FUNCTIONS:
+            if len(stack) == MAX_NESTING:
+                raise ParseError("expression nested too deeply", pos)
+            if lexeme != "(":
+                if toks[i][1] != "(":
+                    _fail(toks[i], f"expected '(' after {lexeme}")
+                i += 1
+            stack.append((total, sum_op, sum_pos, term, term_op, term_pos, negs, lexeme, pos))
+            total = term = None
+            sum_op = term_op = ""
+            continue
+        elif kind == "ident":
+            if not (lexeme[0] == "x" and lexeme[1:].isdigit() and lexeme.isascii()):
+                raise ParseError(f"unknown identifier {lexeme!r}", pos)
+            if not 1 <= int(lexeme[1:]) <= dim:
+                raise ParseError(f"variable {lexeme} out of range for dimension {dim}", pos)
+            s = b.var(int(lexeme[1:]))
+        else:
+            _fail(toks[i - 1], f"unexpected {lexeme!r}" if lexeme else "unexpected end of input")
+        # The operand s ends at the first token that is not a power: its
+        # minuses apply, then it closes the product, the sum, and maybe
+        # the expression of a parenthesis or call, which is itself an
+        # operand of the enclosing expression.
+        while True:
+            kind, lexeme, pos = toks[i]
+            if kind == "error":
+                raise ParseError(lexeme, pos)
+            if lexeme == "^":
+                k, i = _exponent(toks, i + 1)
+                s = _fold(b, pos, POW, s, s, k)
+                continue
+            for _ in range(negs):
+                s = b.fold(NEG, s, s)
+            if term_op:
+                s = _fold(b, term_pos, MUL if term_op == "*" else DIV, term, s)
+            if lexeme == "*" or lexeme == "/":
+                term, term_op, term_pos = s, lexeme, pos
+                i += 1
+                break
+            term_op = ""
+            if sum_op:
+                if sum_op == "-":
+                    s = b.fold(NEG, s, s)
+                s = _fold(b, sum_pos, ADD, total, s)
+            if lexeme == "+" or lexeme == "-":
+                total, sum_op, sum_pos = s, lexeme, pos
+                i += 1
+                break
+            sum_op = ""
+            if not stack:
+                if kind != "end":
+                    raise ParseError(f"unexpected {lexeme!r}", pos)
+                return s
             if lexeme != ")":
                 raise ParseError("expected ')'", pos)
-            return e
-        if kind == "ident":
-            return self.name(lexeme, pos)
-        raise ParseError(f"unexpected {lexeme!r}" if lexeme else "unexpected end of input", pos)
-
-    def name(self, lexeme: str, pos: int) -> ScalarExpr:
-        if lexeme in _FUNCTIONS:
-            kind, lex, p = self.toks.take()
-            if lex != "(":
-                raise ParseError(f"expected '(' after {lexeme}", p)
-            arg = self.expression()
-            kind, lex, p = self.toks.take()
-            if lex != ")":
-                raise ParseError("expected ')'", p)
-            return _fold(_FUNCTIONS[lexeme], pos, arg)
-        if lexeme[0] == "x" and lexeme[1:].isdigit() and lexeme.isascii():
-            axis = int(lexeme[1:])
-            if axis < 1 or axis > self.dim:
-                raise ParseError(
-                    f"variable {lexeme} out of range for dimension {self.dim}", pos
-                )
-            return var(axis)
-        raise ParseError(f"unknown identifier {lexeme!r}", pos)
+            i += 1
+            total, sum_op, sum_pos, term, term_op, term_pos, negs, opener, at = stack.pop()
+            if opener != "(":
+                s = _fold(b, at, _FUNCTIONS[opener], s, s)
 
 
 def parse(text: str, dim: int) -> ScalarExpr:
-    """Parse text into an expression over x1..x<dim>.
+    """Parse text into an expression over x1..x<dim>: the tree of its
+    one-output tape.
 
     A variable is x followed by ASCII digits.  Raises ParseError (with
-    character position) on malformed input, on any other name, or on a
-    variable whose axis exceeds dim.
+    character position) on malformed input, on any other name, on a
+    variable whose axis exceeds dim, and on parentheses and calls nested
+    more than MAX_NESTING deep.
     """
     if not 1 <= dim:
         raise ValueError(f"dimension must be positive, got {dim}")
-    return _Parser(text, dim).parse()
+    return Tape([(text, dim)]).tree(0)
 
 
 # ---------------------------------------------------------------------------
 # Evaluation and differentiation
 
 
-def _postorder(root: ScalarExpr, done: dict):
-    """The nodes under root that are not keys of done, each once, children
-    first.  Iterative, so depth is not bounded by the recursion limit; the
-    caller enters each node into done before asking for the next."""
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if node in done:
-            stack.pop()
-            continue
-        ready = True
-        for c in node.children:
-            if c not in done:
-                stack.append(c)
-                ready = False
-        if ready:
-            stack.pop()
-            yield node
-
-
 class Tape:
     """A list of expressions compiled for batch evaluation.
 
-    Slot i holds one structurally distinct subtree; its children sit in
-    earlier slots.  ops[i] is the opcode (with drop flags), and args_a[i],
-    args_b[i] its arguments: child slots (a unary op's in both), or for
-    CONST an index into consts, for VAR the 0-based axis, for POW the
-    child slot and the index of the exponent in consts.  Calling the tape on points of shape
-    (..., n) returns shape (..., len(outputs)), column r the value of
-    expression r.
+    Slot i holds one structurally distinct subexpression; its arguments
+    sit in earlier slots.  ops[i] is the opcode (with drop flags), and
+    args_a[i], args_b[i] its arguments: argument slots (a unary op's in
+    both), or for CONST an index into consts, for VAR the 0-based axis,
+    for POW the argument slot and the index of the exponent in consts.
+    Calling the tape on points of shape (..., n) returns shape
+    (..., len(outputs)), column r the value of expression r.
     """
 
     __slots__ = ("ops", "args_a", "args_b", "consts", "outputs", "dim")
 
     def __init__(self, exprs):
-        ops, args_a, args_b = array("B"), array("i"), array("i")
-        consts: list = []
-        # Compile scratch, freed on return.  slot_of is keyed by the nodes
-        # themselves (identity hash); table by structure: an int packing
-        # opcode and argument slots, or a tuple for CONST and POW.
-        slot_of: dict[ScalarExpr, int] = {}
-        table: dict = {}
-        last_read = array("i")  # per slot, the last slot that reads it
-        dim = 0
-        for root in exprs:
-            for node in _postorder(root, slot_of):
-                kids = node.children
-                op, b = node.op, 0
-                if op == CONST:
-                    # by bit pattern: 0.0 and -0.0 stay apart, and so do
-                    # nan and inf of either sign
-                    a, key = 0, (CONST, struct.pack("d", node.c))
-                elif op == VAR:
-                    a = node.axis - 1
-                    key = a << 4 | VAR
-                    dim = max(dim, node.axis)
-                elif op == POW:
-                    a = slot_of[kids[0]]
-                    key = (POW, a, node.k)
-                else:  # a unary op carries its argument in both columns
-                    a = b = slot_of[kids[0]]
-                    if len(kids) == 2:
-                        b = slot_of[kids[1]]
-                    key = (a << 32 | b) << 4 | op
-                slot = table.get(key)
-                if slot is None:
-                    slot = table[key] = len(ops)
-                    if op == CONST:
-                        a = len(consts)
-                        consts.append(np.float64(node.c))
-                    elif op == POW:
-                        last_read[a] = slot
-                        b = len(consts)
-                        consts.append(node.k)
-                    elif op != VAR:
-                        last_read[a] = last_read[b] = slot
-                    ops.append(op)
-                    args_a.append(a)
-                    args_b.append(b)
-                    last_read.append(-1)
-                slot_of[node] = slot
-        self.outputs = array("i", [slot_of[e] for e in exprs])
-        # Drop flags: a slot's value goes after its last read, unless it
-        # is an output.
-        for s in self.outputs:
-            last_read[s] = -1
-        for s, i in enumerate(last_read):
-            if i >= 0:
-                ops[i] |= _DROP_A if args_a[i] == s else _DROP_B
-        self.ops, self.args_a, self.args_b = ops, args_a, args_b
-        self.consts, self.dim = consts, dim
+        """exprs: each a (text, n) pair, text over x1..xn, parsed into
+        slots once however often it repeats; a number; or an expression
+        tree, added node for node."""
+        b = _Builder()
+        texts: dict = {}
+        seen: dict = {}
+        outputs = []
+        for e in exprs:
+            if type(e) is tuple:
+                if e not in texts:
+                    texts[e] = _parse(b, *e)
+                outputs.append(texts[e])
+            elif isinstance(e, ScalarExpr):
+                outputs.append(b.replay(e, seen))
+            elif isinstance(e, (int, float)):
+                outputs.append(b.const(float(e)))
+            else:
+                raise TypeError(f"cannot use {type(e).__name__} as an expression")
+        ops, args_a, args_b, consts = b.ops, b.args_a, b.args_b, b.consts
+        # From the last slot back: a slot is kept when an output or a kept
+        # slot reads it, and its value is dropped after the kept slot that
+        # reads it last, unless it is an output.
+        live = bytearray(len(ops))
+        for s in outputs:
+            live[s] = 1
+        for i in range(len(ops) - 1, -1, -1):
+            op = ops[i]
+            if not live[i] or op == CONST or op == VAR:
+                continue
+            if not live[args_a[i]]:
+                live[args_a[i]] = 1
+                ops[i] |= _DROP_A
+            if op != POW and not live[args_b[i]]:
+                live[args_b[i]] = 1
+                ops[i] |= _DROP_B
+        # The kept slots in order, renumbered: what folds left unread goes.
+        new = array("i", [0]) * len(ops)  # old slot -> new slot
+        self.ops, self.args_a, self.args_b = array("B"), array("i"), array("i")
+        self.consts, self.dim = [], 0
+        for i, code in enumerate(ops):
+            if not live[i]:
+                continue
+            op, a, c = code & _OP_MASK, args_a[i], args_b[i]
+            if op == CONST:
+                a = len(self.consts)
+                self.consts.append(np.float64(consts[args_a[i]]))
+            elif op == VAR:
+                self.dim = max(self.dim, a + 1)
+            elif op == POW:
+                a, c = new[a], len(self.consts)
+                self.consts.append(consts[args_b[i]])
+            else:
+                a, c = new[a], new[c]
+            new[i] = len(self.ops)
+            self.ops.append(code)
+            self.args_a.append(a)
+            self.args_b.append(c)
+        self.outputs = array("i", [new[s] for s in outputs])
+
+    def tree(self, r: int) -> ScalarExpr:
+        """Output r as an expression tree, a fresh node on every path: a
+        slot read twice gives two equal nodes.  Keeps its own stack, so
+        depth is not bounded by the recursion limit."""
+        done: list = []  # finished nodes, the last on top
+        todo = [self.outputs[r]]  # slots to render; ~s: build slot s from done
+        while todo:
+            s = todo.pop()
+            slot = ~s if s < 0 else s
+            op, a, c = self.ops[slot] & _OP_MASK, self.args_a[slot], self.args_b[slot]
+            if op == CONST:
+                done.append(Const(self.consts[a]))
+            elif op == VAR:
+                done.append(Var(a + 1))
+            elif s >= 0:
+                todo.append(~s)
+                todo += (c, a) if op in (ADD, MUL, DIV) else (a,)
+            elif op == POW:
+                done.append(IntPow(done.pop(), self.consts[c]))
+            elif op in (ADD, MUL, DIV):
+                right = done.pop()
+                done.append(NODES[op](done.pop(), right))
+            else:
+                done.append(NODES[op](done.pop()))
+        return done[0]
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -619,13 +513,13 @@ class Tape:
                         jet[b] = None
         return jet
 
-    def non_finite_subtree(self, exprs, r: int, point, order: int) -> ScalarExpr:
-        """The subtree of exprs[r], output r of the tape compiled from exprs,
-        that makes its jet to order non-finite at one point (n,): the
-        innermost one whose own jet is non-finite while its arguments'
-        are finite.  Reruns the tape at that point; for error messages."""
+    def non_finite_subtree(self, r: int, tree: ScalarExpr, point, order: int) -> ScalarExpr:
+        """The node of tree, output r as self.tree(r) renders it, whose
+        jet to order is non-finite at one point (n,): the innermost one
+        whose own jet is non-finite while its arguments' are finite.
+        Reruns the tape at that point; for error messages."""
         jet = self._slots(np.asarray(point, dtype=np.float64), order, keep=True)
-        node, slot = exprs[r], self.outputs[r]
+        node, slot = tree, self.outputs[r]
         while True:
             # the argument columns of a slot start with its children's slots
             args = (self.args_a[slot], self.args_b[slot])[: len(node.children)]

@@ -1,8 +1,8 @@
 """Tensor fields on an n-dimensional chart.
 
 Every field is a Field: a chart dimension n and an index shape.  An
-input field holds comps, its component expressions in row-major order;
-an operator output holds a rule over its operands' values.  Every kind
+input field holds a tape of its components in row-major order; an
+operator output holds a rule over its operands' values.  Every kind
 shares one layout: evaluate(points) has shape points.shape[:-1] + shape
 (a batch puts the point axis first), jets(points, order) adds the
 derivative axes right after the batch axes, and partials() is the field
@@ -30,7 +30,11 @@ position i - 1 of its axis, and coordinates are x1..xn.
 
 An input field compiles its components into one expr.Tape when it is
 built, keeps it as its tape attribute, and takes its jets from
-Tape.jets, to order 2.  An operator is a float
+Tape.jets, to order 2.  Component text is parsed straight into the
+tape's slots, each distinct text once, and no expression tree is built:
+comps, the components as trees, is rendered from the tape on first read
+(for an error message, a test, the benchmark's expression counts) and
+then kept.  An operator is a float
 einsum over its operands' jets: its values contract the operands'
 values and partials, its first partials follow by the product rule, so
 it carries jets to order 1 and never asks an input for more than 2.
@@ -68,8 +72,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import expr
-from .expr import ScalarExpr, SingularPointError, Tape
+from .expr import SingularPointError, Tape
 
 MAX_DIM = 4
 
@@ -180,16 +183,6 @@ def sum_over_slots(spec: str, q: int, *operands):
     return out
 
 
-def _as_expr(v, n: int) -> ScalarExpr:
-    if isinstance(v, str):
-        return expr.parse(v, n)
-    if isinstance(v, (int, float)):
-        return expr.Const(float(v))
-    if isinstance(v, ScalarExpr):
-        return v
-    raise TypeError(f"cannot use {type(v).__name__} as a field component")
-
-
 def _check_dim(n: int) -> int:
     if not 1 <= n <= MAX_DIM:
         raise ValueError(f"chart dimension must be in 1..{MAX_DIM}, got {n}")
@@ -204,10 +197,10 @@ def _same_chart(a: "Field", b: "Field", what: str) -> None:
 class Field:
     """Components of one index shape on an n-dimensional chart: symbolic
     for an input field, a rule over its operands for an operator output.
-    An input field's tape is compiled from its comps at construction; an
-    operator output has no comps and its tape is None."""
+    An input field's tape is compiled from its components at
+    construction; an operator output has no comps and its tape is None."""
 
-    __slots__ = ("n", "shape", "comps", "tape", "_rule", "_last")
+    __slots__ = ("n", "shape", "tape", "_comps", "_rule", "_last")
     kind = "field"  # names the field in a singular-point error
 
     def __init__(self, n: int, shape: tuple[int, ...], components):
@@ -226,19 +219,27 @@ class Field:
         if grid.shape != shape:
             raise ValueError(f"expected a {' x '.join(map(str, shape))} component grid")
         self.shape = shape
-        self.comps = tuple(_as_expr(v, n) for v in grid.flat)
-        self.tape = Tape(self.comps)
+        self.tape = Tape([(v, n) if isinstance(v, str) else v for v in grid.flat])
         if self.tape.dim > n:
             raise ValueError(f"component uses x{self.tape.dim} but the chart has dimension {n}")
-        self._rule, self._last = None, None
+        self._comps, self._rule, self._last = None, None, None
 
     @classmethod
     def _of(cls, n: int, shape: tuple[int, ...], rule) -> "Field":
         """Operator output: rule(points, order) gives its Jets to order
         <= 1 from the Jets of validated operands; it has no comps."""
         f = object.__new__(cls)
-        f.n, f.shape, f.comps, f.tape, f._rule, f._last = n, shape, (), None, rule, None
+        f.n, f.shape, f._comps, f.tape, f._rule, f._last = n, shape, (), None, rule, None
         return f
+
+    @property
+    def comps(self) -> tuple:
+        """The component expressions in row-major order, rendered from the
+        tape on first read and kept: each a tree of its own, with a fresh
+        node on every path.  Empty for an operator output."""
+        if self._comps is None:
+            self._comps = tuple(map(self.tape.tree, range(len(self.tape.outputs))))
+        return self._comps
 
     def evaluate(self, points) -> np.ndarray:
         """Component values, shape points.shape[:-1] + shape."""
@@ -319,8 +320,9 @@ class Field:
         comp, point = at[b + k :], p[at[:b]]
         what = ("values", "partials", "second partials")[k]
         along = "".join(f" x{int(i) + 1}" for i in at[b : b + k])
+        r = np.ravel_multi_index(comp, self.shape)
         subtree = None if self.tape is None else self.tape.non_finite_subtree(
-            self.comps, np.ravel_multi_index(comp, self.shape), point, k)
+            r, self.comps[r], point, k)
         raise SingularPointError(
             f"{self.kind} {what} evaluated non-finite at component "
             f"{tuple(int(i) + 1 for i in comp)}{' along' + along if k else ''}, "

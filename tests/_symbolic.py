@@ -4,7 +4,8 @@ as the exact reference for the Taylor rules of Tape.jets.
 diff builds the partial of an expression as a new expression, one rule
 per node type, through the smart constructors of liftlab.expr.  A memo
 keyed by node identity differentiates a shared subtree once, and the
-walk is iterative, so deep expressions do not hit the recursion limit.
+walk keeps its own stack, so deep expressions do not hit the recursion
+limit.
 """
 
 from liftlab import expr as E
@@ -43,6 +44,13 @@ def diff(e, axis):
     if axis < 1:
         raise ValueError(f"axis must be >= 1, got {axis}")
     memo = {}  # node -> its partial; nodes hash by identity
-    for node in E._postorder(e, memo):
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        todo = [c for c in node.children if c not in memo]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
         memo[node] = _rule(node, axis, [memo[c] for c in node.children])
     return memo[e]

@@ -587,6 +587,56 @@ def _count_tapes(monkeypatch) -> list:
     return compiles
 
 
+def _count_nodes(monkeypatch) -> list:
+    """Record every expression node built from here on."""
+    made = []
+    todo = [expr.ScalarExpr]
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if "__init__" in vars(cls):
+            def counting(self, *args, init=cls.__init__):
+                made.append(self)
+                init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+    return made
+
+
+def test_loading_builds_no_tree(tmp_path, monkeypatch):
+    # text goes straight to the tapes; comps renders trees on first read
+    doc = _connection_scenario(19, 4, 1)
+    path = tmp_path / "generic.json"
+    path.write_text(json.dumps(doc))
+    made = _count_nodes(monkeypatch)
+    sc = load_scenario(str(path))
+    assert made == []
+    for field, kind in ((sc.gamma, "gamma"), (sc.xi, "xi")):
+        comps = field.comps
+        assert made and len(comps) == len(field.tape.outputs)
+        made.clear()
+        assert field.comps is comps and made == []
+        texts = [doc[kind][",".join(str(i + 1) for i in idx)] for idx in np.ndindex(field.shape)]
+        assert [str(c) for c in comps] == [str(expr.parse(t, 4)) for t in texts]
+
+
+@pytest.mark.parametrize("depth", [150, 1000, 10_000])
+@pytest.mark.parametrize("form", ["parentheses", "calls", "minuses"])
+def test_deep_nesting_exits_0_or_2(form, depth, tmp_path):
+    # a deep component parses, or is a malformed scenario past the
+    # nesting limit; never a RecursionError's traceback and exit 1
+    text = {"parentheses": "(" * depth + "x1" + ")" * depth,
+            "calls": "sin(" * depth + "x1" + ")" * depth,
+            "minuses": "-" * depth + "x1"}[form]
+    doc = {"n": 1, "q": 1, "phi": {"1,1": "1"}, "xi": {"1": text}, "checks": ["purity"]}
+    code, err = _run_doc(doc, tmp_path)
+    if form == "minuses" or depth <= expr.MAX_NESTING:
+        assert (code, err) == (0, "")
+    else:
+        assert code == 2 and err.startswith("error: xi: bad component expression: "
+                                            "expression nested too deeply"), err
+
+
 def test_each_input_field_compiles_one_tape(monkeypatch):
     compiles = _count_tapes(monkeypatch)
     report = run_scenario(str(SCENARIOS / "sphere_cross_section.json"))

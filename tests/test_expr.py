@@ -232,6 +232,62 @@ def test_deep_expressions_differentiate_and_evaluate():
     assert _at(e, [0.5, 0.7]) == pytest.approx(1501 * 0.35)
 
 
+_NESTED = {
+    "parentheses": (lambda d: "(" * d + "x1" + ")" * d, 1),
+    "calls": (lambda d: "sin(" * d + "x1" + ")" * d, 4),
+}
+
+
+@pytest.mark.parametrize("depth", [150, E.MAX_NESTING, E.MAX_NESTING + 1, 1000, 10_000])
+@pytest.mark.parametrize("form", sorted(_NESTED))
+def test_nesting_past_the_limit_is_a_parse_error(form, depth):
+    assert E.MAX_NESTING >= 100
+    write, width = _NESTED[form]
+    if depth <= E.MAX_NESTING:
+        e = parse(write(depth), 1)
+        want = 0.7
+        for _ in range(depth if form == "calls" else 0):
+            want = math.sin(want)
+        assert _at(e, [0.7]) == want
+        assert str(parse(str(e), 1)) == str(e)
+        return
+    # at the token that opens one level more than the limit
+    with pytest.raises(ParseError) as err:
+        parse(write(depth), 1)
+    assert str(err.value) == (
+        f"expression nested too deeply (at position {width * E.MAX_NESTING})")
+
+
+@pytest.mark.parametrize("depth", [150, 1000, 10_000])
+def test_unary_minus_runs_of_any_length_parse(depth):
+    e = parse("-" * depth + "x1", 1)  # neg(neg(a)) folds to a
+    assert str(e) == ("-x1" if depth % 2 else "x1")
+    assert str(parse("x2*" + "-" * depth + "(x1 + 1)", 2)) == str(
+        parse(f"x2*{'-' if depth % 2 else ''}(x1 + 1)", 2))
+
+
+_CHAINS = {
+    "sums": "x1" + " + x1" * 10_000,
+    "powers": "x1" + "^2" * 10_000,
+    "differences": "-(" * 200 + "x1" + " - x2)" * 200,
+    "calls of a sum": "sin(" * 256 + "x1*x2" + " + x1" * 5000 + ")" * 256,
+}
+
+
+@pytest.mark.parametrize("form", sorted(_CHAINS))
+def test_deep_trees_render_and_print_without_recursion(form):
+    # chains nest as deep as the text is long: rendering, printing,
+    # replaying and releasing the tree keep their own stacks
+    e = parse(_CHAINS[form], 2)
+    printed = str(e)
+    if form == "powers":  # printing parenthesises every inner power
+        assert printed == "(" * 9_999 + "x1" + "^2)" * 9_999 + "^2"
+    else:
+        assert str(parse(printed, 2)) == printed
+    assert len(Tape([e])) == len(Tape([(_CHAINS[form], 2)]))
+    del e
+
+
 def test_numeric_partial_matches_symbolic():
     e = parse("exp(x1)*sin(x2) + x1^3", 2)
     p = [0.4, 1.1]

@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import numpy as np
@@ -112,6 +113,47 @@ def test_input_fields_compile_their_tape_once():
     assert xi.partials().tape is None  # an operator output has no comps
     with pytest.raises(ValueError, match="uses x3 but the chart has dimension 2"):
         CovariantField(2, 1, [expr.var(3), 0])
+
+
+def test_comps_render_the_tape_once_per_field(monkeypatch):
+    # a repeated text is parsed once; each component renders its own tree
+    parsed = []
+    parse = expr._parse
+    monkeypatch.setattr(expr, "_parse", lambda b, text, n: parsed.append(text) or parse(b, text, n))
+    xi = CovariantField(2, 2, ["(x1 + 1)*(x1 + 1)", "x2", "x2", "(x1 + 1)*(x1 + 1)"])
+    assert parsed == ["(x1 + 1)*(x1 + 1)", "x2"]
+    assert len(xi.tape) == 5 and xi.tape.outputs.tolist() == [3, 4, 4, 3]
+    comps = xi.comps
+    assert xi.comps is comps and comps[0] is not comps[3]
+    assert [str(c) for c in comps] == ["(x1 + 1)*(x1 + 1)", "x2", "x2", "(x1 + 1)*(x1 + 1)"]
+    assert xi.partials().comps == ()
+
+
+def _build(texts) -> None:
+    """Build a covariant field on the plane from texts and read its comps;
+    a ParseError is swallowed without binding it."""
+    try:
+        CovariantField(2, 1, texts).comps
+    except expr.ParseError:
+        pass
+
+
+def test_building_fields_leaves_no_cyclic_garbage():
+    # a field, its tape and a parse that fails go by reference counting
+    # alone: a cycle per parse would hold its tokens until a collection
+    gamma = random_symmetric_connection(np.random.default_rng(3), 3, 1)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            _build(["sin(x1)*x2 + x1*x2", "x1 - -x2^2/(1 + x1)"])
+            _build(["x1 + + x2", "1"])
+            _build(["10^400*x1", "1"])
+            _build(["(" * 1000 + "x1" + ")" * 1000, "1"])
+            ConnectionField(3, np.reshape([str(c) for c in gamma.comps], (3, 3, 3)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_partials_derivative_axis_first():
