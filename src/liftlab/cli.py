@@ -297,10 +297,10 @@ def _sample_scenario_points(sc: Scenario, seed: int, count: int, box) -> np.ndar
 
 def _characterization(sc: Scenario, points, seed: int, tol: float) -> sampling.SampledCheck:
     """The probe vector and tensor come from the scenario when given,
-    else they are seeded random polynomials."""
+    else they are seeded random quadratics, evaluated in closed form."""
     rng = np.random.default_rng([seed, 1005])
-    v = sc.v or presets.random_vector_field(rng, sc.n)
-    a = sc.a or presets.random_covariant_field(rng, sc.n, sc.q)
+    v = sc.v or presets.random_probe(rng, sc.n)
+    a = sc.a or presets.random_probe(rng, sc.n, sc.q)
     return bundle.verify_characterization(sc.phi, sc.xi, v, a, points, tol)
 
 
@@ -441,7 +441,7 @@ The lifted endomorphism is pinned down by its action on lifts:
     lift(phi)(vertical lift of A) = vertical lift of (phi A)
 
 with first-slot contractions throughout.  V and A come from the
-scenario when given, else from seeded random polynomial probes.""",
+scenario when given, else from seeded random quadratic probes.""",
     "lift_connection_zeros": """\
 At a bundle point (x, t) the lifted connection has exactly four kinds of
 nonzero coefficients: the base coefficients on horizontal indices, two

@@ -291,9 +291,10 @@ def _parse(b: _Builder, text: str, dim: int) -> int:
         elif kind == "ident":
             if not (lexeme[0] == "x" and lexeme[1:].isdigit() and lexeme.isascii()):
                 raise ParseError(f"unknown identifier {lexeme!r}", pos)
-            if not 1 <= int(lexeme[1:]) <= dim:
+            axis = lexeme[1:].lstrip("0")  # int() refuses more than 4,300 digits
+            if not axis or len(axis) > len(str(dim)) or int(axis) > dim:
                 raise ParseError(f"variable {lexeme} out of range for dimension {dim}", pos)
-            s = b.var(int(lexeme[1:]))
+            s = b.var(int(axis))
         else:
             _fail(toks[i - 1], f"unexpected {lexeme!r}" if lexeme else "unexpected end of input")
         # The operand s ends at the first token that is not a power: its

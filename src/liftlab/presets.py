@@ -1,16 +1,14 @@
-"""Named example inputs, plus seeded random fields used as probes."""
+"""Named example inputs, and the seeded probes the characterization
+check draws when a scenario gives no v or a: random quadratic fields,
+operator outputs of no operands whose jets to order 1 are evaluated in
+closed form from the coefficients, bit for bit as a tape of the same
+polynomial would evaluate them.  No tree and no tape is built."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import expr
-from .tensor import (
-    ConnectionField,
-    CovariantField,
-    EndomorphismField,
-    VectorField,
-)
+from .tensor import ConnectionField, CovariantField, EndomorphismField, Jets, VectorField
 
 
 def standard_complex_r2() -> EndomorphismField:
@@ -68,29 +66,40 @@ def describe_presets() -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Seeded random polynomial fields (probes and fuzz inputs)
+# Seeded probes, evaluated in closed form
 
 
-def random_polynomial_expr(rng: np.random.Generator, n: int, degree: int = 2,
-                           scale: float = 0.5) -> expr.ScalarExpr:
-    """Random polynomial in x1..xn with uniform(-scale, scale) coefficients."""
-    axes = range(1, n + 1)
-    monomials = [expr.var(i) for i in axes] if degree >= 1 else []
-    if degree >= 2:
-        monomials += [expr.mul(expr.var(i), expr.var(j)) for i in axes for j in range(i, n + 1)]
-    e = expr.const(rng.uniform(-scale, scale))
-    for m in monomials:
-        e = expr.add(e, expr.mul(expr.const(rng.uniform(-scale, scale)), m))
-    return e
+class ProbeVectorField(VectorField):
+    __slots__ = ()
+    kind = "probe vector field"
 
 
-def random_covariant_field(rng: np.random.Generator, n: int, q: int,
-                           degree: int = 2, scale: float = 0.5) -> CovariantField:
-    return CovariantField(
-        n, q, [random_polynomial_expr(rng, n, degree, scale) for _ in range(n**q)]
-    )
+class ProbeTensorField(CovariantField):
+    __slots__ = ()
+    kind = "probe tensor field"
 
 
-def random_vector_field(rng: np.random.Generator, n: int,
-                        degree: int = 2, scale: float = 0.5) -> VectorField:
-    return VectorField(n, [random_polynomial_expr(rng, n, degree, scale) for _ in range(n)])
+def random_probe(rng: np.random.Generator, n: int, q: int = 0) -> VectorField | CovariantField:
+    """The probe vector field (q = 0) or (0,q) tensor field of rng's next
+    draws: each component c + sum_i c_i x_i + sum_{i<=j} c_ij x_i x_j, its
+    coefficients drawn from uniform(-0.5, 0.5) in that order."""
+    cls, shape = (ProbeTensorField, (n,) * q) if q else (ProbeVectorField, (n,))
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    coefs = rng.uniform(-0.5, 0.5, (n ** max(q, 1), 1 + n + len(pairs))).T
+
+    def rule(p, k):
+        # (components,) + the batch axes reversed, so that the transposes
+        # at the end store the points fastest; each term is added as a
+        # tape adds it
+        x, c = np.ascontiguousarray(p.T), coefs.reshape(coefs.shape + (1,) * (p.ndim - 1))
+        v, g = c[0], list(c[1 : n + 1])
+        for i in range(n):
+            v = np.add(v, np.multiply(c[1 + i], x[i]))
+        for m, (i, j) in enumerate(pairs, 1 + n):
+            v = np.add(v, np.multiply(c[m], np.multiply(x[i], x[j])))
+            for a, b in {(i, j), (j, i)} if k else ():  # d_a (x_a x_b) = x_b, or x_a + x_a
+                g[a] = np.add(g[a], np.multiply(np.add(x[b], x[b]) if i == j else x[b], c[m]))
+        jets = [v, np.stack(g, axis=1)] if k else [v]
+        return Jets(a.T.reshape(p.shape[:-1] + (n,) * d + shape) for d, a in enumerate(jets))
+
+    return cls._of(n, shape, rule)

@@ -2,7 +2,8 @@
 
 Every field is a Field: a chart dimension n and an index shape.  An
 input field holds a tape of its components in row-major order; an
-operator output holds a rule over its operands' values.  Every kind
+operator output holds a rule over its operands' values, or over none
+(liftlab.presets.random_probe).  Every kind
 shares one layout: evaluate(points) has shape points.shape[:-1] + shape
 (a batch puts the point axis first), jets(points, order) adds the
 derivative axes right after the batch axes, and partials() is the field
@@ -227,7 +228,8 @@ class Field:
     @classmethod
     def _of(cls, n: int, shape: tuple[int, ...], rule) -> "Field":
         """Operator output: rule(points, order) gives its Jets to order
-        <= 1 from the Jets of validated operands; it has no comps."""
+        <= 1, from the Jets of validated operands or, with none, from
+        the points alone; it has no comps."""
         f = object.__new__(cls)
         f.n, f.shape, f._comps, f.tape, f._rule, f._last = n, shape, (), None, rule, None
         return f

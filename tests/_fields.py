@@ -1,14 +1,15 @@
 """Seeded random fields, a spoiled lift, and the (n, q) grid that only
-the tests use."""
+the tests use.  The random polynomial fields are built as trees through
+the smart constructors; the characterization probes of
+liftlab.presets.random_probe are the same polynomials in closed form."""
 
 import contextlib
 
 import numpy as np
 import pytest
 
-from liftlab import connection_lift
-from liftlab.presets import random_polynomial_expr
-from liftlab.tensor import ConnectionField
+from liftlab import connection_lift, expr
+from liftlab.tensor import ConnectionField, CovariantField, VectorField
 
 # (n, q) cases up to the top of the supported envelope; the ids of the
 # n=2 cases are their q alone
@@ -22,6 +23,31 @@ DIM_RANK = pytest.mark.parametrize(
 def replace_slot(mi: tuple[int, ...], slot: int, value: int) -> tuple[int, ...]:
     """Copy of mi with 0-based slot replaced, for the reference loops."""
     return mi[:slot] + (value,) + mi[slot + 1 :]
+
+
+def random_polynomial_expr(rng: np.random.Generator, n: int, degree: int = 2,
+                           scale: float = 0.5) -> expr.ScalarExpr:
+    """Random polynomial in x1..xn with uniform(-scale, scale) coefficients."""
+    axes = range(1, n + 1)
+    monomials = [expr.var(i) for i in axes] if degree >= 1 else []
+    if degree >= 2:
+        monomials += [expr.mul(expr.var(i), expr.var(j)) for i in axes for j in range(i, n + 1)]
+    e = expr.const(rng.uniform(-scale, scale))
+    for m in monomials:
+        e = expr.add(e, expr.mul(expr.const(rng.uniform(-scale, scale)), m))
+    return e
+
+
+def random_covariant_field(rng: np.random.Generator, n: int, q: int,
+                           degree: int = 2, scale: float = 0.5) -> CovariantField:
+    return CovariantField(
+        n, q, [random_polynomial_expr(rng, n, degree, scale) for _ in range(n**q)]
+    )
+
+
+def random_vector_field(rng: np.random.Generator, n: int,
+                        degree: int = 2, scale: float = 0.5) -> VectorField:
+    return VectorField(n, [random_polynomial_expr(rng, n, degree, scale) for _ in range(n)])
 
 
 def random_symmetric_connection(rng: np.random.Generator, n: int,

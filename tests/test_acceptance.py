@@ -12,7 +12,12 @@ import numpy as np
 
 import _acceptance_log
 import _oracles
-from _fields import flipped_curvature, random_symmetric_connection
+from _fields import (
+    flipped_curvature,
+    random_covariant_field,
+    random_symmetric_connection,
+    random_vector_field,
+)
 from liftlab import sampling
 from liftlab.bundle import (
     adapted_frame,
@@ -34,8 +39,6 @@ from liftlab.connection_lift import (
 from liftlab.expr import Tape, parse
 from liftlab.presets import (
     flat_connection,
-    random_covariant_field,
-    random_vector_field,
     sphere_chart_connection,
     sphere_chart_metric,
     standard_complex_r2,

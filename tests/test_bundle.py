@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import _oracles
-from _fields import DIM_RANK, polynomial_text
+from _fields import (
+    DIM_RANK,
+    polynomial_text,
+    random_covariant_field,
+    random_polynomial_expr,
+    random_vector_field,
+)
 from liftlab import sampling
 from liftlab.bundle import (
     AdaptedFrame,
@@ -26,12 +32,7 @@ from liftlab.bundle import (
     verify_theorem1,
     vertical_lift,
 )
-from liftlab.presets import (
-    random_covariant_field,
-    random_polynomial_expr,
-    random_vector_field,
-    standard_complex_r2,
-)
+from liftlab.presets import standard_complex_r2
 from liftlab.tensor import (
     CovariantField,
     EndomorphismField,

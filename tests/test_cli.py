@@ -557,6 +557,24 @@ def test_characterization_names_the_residual_that_went_non_finite(probe, residua
         "component (1,), point (")
 
 
+@pytest.mark.parametrize("given,line", [
+    ({}, "complete_residual: probe vector field"),
+    ({"v": {"1": "1", "2": "1"}}, "vertical_residual: probe tensor field"),
+])
+def test_characterization_names_the_drawn_probe_that_went_non_finite(given, line,
+                                                                     tmp_path, capsys):
+    # x1*x1 overflows in every drawn probe component on this box; the
+    # line says the field is the probe, with no subtree, as one line
+    path = write_scenario(tmp_path, phi="standard_complex_r2", xi={"1": "1", "2": "1"},
+                          checks=["characterization"], box=[1e160, 2e160], points=4, **given)
+    assert main(["run", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: characterization: {line} values evaluated non-finite at component (1,), "
+        "point (1.7739560485559633e+160, 1.4388784397520524e+160); the point is singular\n")
+    assert captured.out == ""
+
+
 def test_theorem1_residual_name_keeps_the_error_and_its_subtree(tmp_path):
     # the values pass the screen, the partials the Tachibana image takes overflow
     path = write_scenario(tmp_path, xi={"1": "1e308*x1^2", "2": "x2"}, checks=["theorem1"])
@@ -572,6 +590,14 @@ def test_variable_with_non_ascii_digits_is_malformed(component, tmp_path, capsys
     assert main(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: xi: ") and "unknown identifier" in err
+
+
+def test_variable_name_of_5000_digits_is_malformed(tmp_path, capsys):
+    path = write_scenario(tmp_path, xi={"1": "x" + "1" * 5000, "2": "0"})
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: xi: bad component expression: variable x111")
+    assert err.endswith("1 out of range for dimension 2 (at position 0)\n")
 
 
 def _count_tapes(monkeypatch) -> list:
@@ -642,6 +668,26 @@ def test_each_input_field_compiles_one_tape(monkeypatch):
     report = run_scenario(str(SCENARIOS / "sphere_cross_section.json"))
     assert report.passed
     assert len(compiles) == 2  # gamma and xi; every check reads those two
+
+
+@pytest.mark.parametrize("name", ["theorem1_analytic.json", "analytic_pair_q2.json"])
+def test_drawn_probes_build_no_tree_and_compile_no_tape(name, monkeypatch):
+    # the scenario gives no v or a: the probes are evaluated in closed form
+    made, compiles = _count_nodes(monkeypatch), _count_tapes(monkeypatch)
+    report = run_scenario(str(SCENARIOS / name))
+    assert report.passed and "characterization" in dict(report.results)
+    assert made == []
+    assert len(compiles) == 2  # phi and xi
+
+
+def test_a_given_probe_compiles_its_tape_and_is_screened(tmp_path, capsys, monkeypatch):
+    # a pole at every point of v leaves the screen nothing to keep
+    compiles = _count_tapes(monkeypatch)
+    path = write_scenario(tmp_path, checks=["characterization"], v={"1": "1/(x1-x1)", "2": "1"})
+    assert main(["run", path]) == 2
+    assert len(compiles) == 3  # phi, xi and v
+    err = capsys.readouterr().err
+    assert err.startswith("error: could not sample") and len(err.splitlines()) == 1
 
 
 def test_sample_screen_compiles_no_tape(monkeypatch):

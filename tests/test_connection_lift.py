@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import _oracles
-from _fields import DIM_RANK, flipped_curvature, random_symmetric_connection, replace_slot
+from _fields import (
+    DIM_RANK,
+    flipped_curvature,
+    random_covariant_field,
+    random_symmetric_connection,
+    replace_slot,
+)
 from liftlab import connection_lift, sampling
 from liftlab.bundle import BundlePoint, adapted_frame, cross_section_point
 from liftlab.cli import _check_lift_zeros
@@ -27,7 +33,6 @@ from liftlab.connection_lift import (
 )
 from liftlab.presets import (
     flat_connection,
-    random_covariant_field,
     sphere_chart_connection,
     sphere_chart_metric,
 )

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import _oracles
+from _fields import random_polynomial_expr
 from _symbolic import diff
 from liftlab import expr as E
 from liftlab.expr import (
@@ -26,7 +27,6 @@ from liftlab.expr import (
     sub,
     var,
 )
-from liftlab.presets import random_polynomial_expr
 from liftlab.tensor import CovariantField
 
 
@@ -72,8 +72,10 @@ def test_nodes_have_no_python_arithmetic(build):
 
 
 def test_random_polynomial_probe_tree_is_pinned():
-    # the probe fields are built by the smart constructors in this order;
-    # their printed form pins every tape and report built from them
+    # the tree probe is built by the smart constructors in this order; its
+    # printed form pins the reference the closed-form probes of
+    # liftlab.presets.random_probe are compared against, and through them
+    # every report of a drawn probe
     e = random_polynomial_expr(np.random.default_rng(0), 3)
     assert str(e) == (
         "0.1369616873214543 + -0.2302132862361297*x1 + -0.4590264760638053*x2"
@@ -120,6 +122,24 @@ def test_variable_names_take_ascii_digits_only(text, pos):
         parse(text, 2)
     assert err.value.position == pos
     assert "unknown identifier" in str(err.value)
+
+
+@pytest.mark.parametrize("text,pos", [("x" + "1" * 5000, 0), ("2*x" + "1" * 5000 + " + x1", 2),
+                                      ("x" + "0" * 5000, 0), ("x00", 0), ("x03", 0)],
+                         ids=["x1*5000", "2*x1*5000+x1", "x0*5000", "x00", "x03"])
+def test_long_variable_names_out_of_range_carry_position(text, pos):
+    # the axis is read as a digit string, never by int() of more than
+    # 4,300 digits, which would raise a bare ValueError
+    with pytest.raises(ParseError) as err:
+        parse(text, 2)
+    assert err.value.position == pos
+    assert "out of range for dimension 2" in str(err.value)
+
+
+@pytest.mark.parametrize("text", ["x01", "x" + "0" * 5000 + "1", "x" + "0" * 5000 + "2*x01"],
+                         ids=["x01", "x0*5000+1", "x0*5000+2*x01"])
+def test_leading_zeros_in_a_variable_name_are_ignored(text):
+    assert str(parse(text, 2)) == str(parse(text.replace("0", ""), 2))
 
 
 @pytest.mark.parametrize("text,pos", [("١ + 1", 0), ("x1^١", 3), ("١٢.5", 0)])

@@ -14,10 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _fields import generic_scenario, random_symmetric_connection
-from liftlab import bundle, connection_lift, sampling, tensor
+from _fields import generic_scenario, random_covariant_field, random_symmetric_connection
+from liftlab import bundle, connection_lift, presets, sampling, tensor
 from liftlab.cli import CHECK_IDS, run_scenario
-from liftlab.presets import random_covariant_field
 from liftlab.tensor import EndomorphismField, curvature
 
 SRC = Path(tensor.__file__).resolve().parent
@@ -92,16 +91,19 @@ def test_input_field_arrays_store_the_points_fastest():
 
 
 @pytest.mark.parametrize("output,order", [("curvature", 1), ("H", 0), ("tachibana", 0),
-                                          ("nijenhuis", 1)])
+                                          ("nijenhuis", 1), ("probe v", 1), ("probe a", 1)])
 def test_operator_outputs_store_the_points_fastest(output, order):
     # H and the Tachibana field differentiate operator outputs, so they
-    # carry values only
+    # carry values only; the drawn probes of the characterization check
+    # are outputs of no operands
     phi, xi, gamma = _layout_fields()
     field = {
         "curvature": lambda: curvature(gamma),
         "H": lambda: connection_lift.gauss_second_fundamental(gamma, xi),
         "tachibana": lambda: bundle._tachibana_field(phi, xi),
         "nijenhuis": lambda: bundle.nijenhuis(phi),
+        "probe v": lambda: presets.random_probe(np.random.default_rng(9), 3),
+        "probe a": lambda: presets.random_probe(np.random.default_rng(9), 3, 2),
     }[output]()
     assert all(_points_fastest(a) for a in field.jets(POINTS, order))
     assert _points_fastest(field.evaluate(POINTS))

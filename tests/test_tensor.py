@@ -7,13 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from _fields import random_symmetric_connection, replace_slot
-from liftlab import bundle, connection_lift, expr, sampling
-from liftlab.presets import (
-    flat_connection,
+from _fields import (
+    DIM_RANK,
     random_covariant_field,
     random_polynomial_expr,
+    random_symmetric_connection,
     random_vector_field,
+    replace_slot,
+)
+from liftlab import bundle, connection_lift, expr, presets, sampling
+from liftlab.presets import (
+    flat_connection,
     sphere_chart_connection,
     sphere_chart_metric,
     standard_complex_r2,
@@ -670,3 +674,28 @@ def test_finite_rows_fills_the_cache_to_the_order_asked(monkeypatch):
     assert runs == [(16, 0), (16, 2), (8, 1), (4, 0), (4, 1)]
     with pytest.raises(ValueError, match="up to order 2, not 3"):
         xi.finite_rows(POINTS, 0, 3)
+
+
+# ---------------------------------------------------------------------------
+# the characterization probes in closed form
+
+
+@DIM_RANK
+@pytest.mark.parametrize("seed", [0, 1, 2, 42, 1005])
+def test_closed_form_probe_is_the_tree_probe_byte_for_byte(n, q, seed):
+    # the same draws from the same stream, and the same jets as the tape
+    # of the polynomial built as a tree, at 64 points, in a grid of
+    # points and at one point
+    tree_rng, rng = np.random.default_rng([seed, 1005]), np.random.default_rng([seed, 1005])
+    pts = sampling.sample_points(n, seed=seed, count=64)
+    pairs = [(random_vector_field(tree_rng, n), presets.random_probe(rng, n)),
+             (random_covariant_field(tree_rng, n, q), presets.random_probe(rng, n, q))]
+    assert tree_rng.bit_generator.state == rng.bit_generator.state
+    for tree, probe in pairs:
+        assert type(probe).__mro__[1] is type(tree) and probe.tape is None
+        for p in (pts, pts.reshape(8, 8, n), pts[5]):
+            for order in (0, 1):
+                want, got = tree.jets(p, order), probe.jets(p, order)
+                assert len(got) == order + 1
+                for a, b in zip(want, got):
+                    assert (a.shape, a.strides, a.tobytes()) == (b.shape, b.strides, b.tobytes())
