@@ -11,15 +11,17 @@ output slots.  The parser builds them: it reads a text once, left to
 right, and hands each operand and operator to a slot builder, which
 hash-conses (a structure already present is not added again, so a
 subexpression written twice, in one text or in two components of one
-field, has one slot) and folds constants by the rules of the smart
-constructors in liftlab.tree.  No expression tree is built on the way.
-Slots a fold leaves unread are dropped when the tape is finished.
-Parentheses and calls nest on a list, not on the interpreter's stack,
-up to MAX_NESTING deep; past that the text is a ParseError.
+field, has one slot) and folds constants by the rules of folded below.
+No expression tree is built on the way.  Slots a fold leaves unread are
+dropped when the tape is finished.  Parentheses and calls nest on a
+list, not on the interpreter's stack, up to MAX_NESTING deep; past that
+the text is a ParseError.  Text and numbers are the only way into a
+tape; this module alone knows the opcodes.
 
-Trees (liftlab.tree) are a view: Tape.tree renders an output as one,
-parse returns the tree of a text's tape, and a tree given to a Tape is
-added to it node for node, unfolded.
+Trees (liftlab.tree) are output only: Tape.tree renders an output as
+one, and parse returns the tree of a text's tape.  A tree prints as
+text that parses back to the same slots, so a tree is compiled through
+its text, Tape([(str(tree), n)]).
 
 Running a tape applies one NumPy operation per slot over the whole
 (..., n) batch of points, so a subexpression shared by many outputs, or
@@ -39,11 +41,13 @@ from array import array
 
 import numpy as np
 
-from .tree import (  # noqa: F401  (the tree names are re-exported)
-    ADD, CONST, COS, DIV, EXP, FIRST, MUL, NEG, NODES, POW, SECOND, SIN, VAR,
-    Add, Const, Cos, Div, Exp, IntPow, Mul, Neg, ScalarExpr, Sin, Var,
-    add, const, cos, div, exp, folded, ipow, mul, neg, sin, sub, var,
-)
+from .tree import Add, Const, Cos, Div, Exp, IntPow, Mul, Neg, ScalarExpr, Sin, Var
+
+# Opcodes, in the order the evaluation loop tests them.
+MUL, ADD, NEG, POW, DIV, CONST, VAR, SIN, COS, EXP = range(10)
+
+# The node class of each opcode but CONST, VAR and POW, for Tape.tree.
+_NODES = {ADD: Add, MUL: Mul, DIV: Div, NEG: Neg, SIN: Sin, COS: Cos, EXP: Exp}
 
 # Flags on an opcode: after this slot, drop the value of argument a / b,
 # which no later slot and no output reads.
@@ -80,6 +84,49 @@ def named(key: str, term):
 
 # ---------------------------------------------------------------------------
 # The slot builder
+
+
+FIRST, SECOND = "first", "second"  # fold results: that operand
+_MATH = {NEG: float.__neg__, SIN: math.sin, COS: math.cos, EXP: math.exp}
+
+
+def folded(op: int, ca, cb, k: int = 0):
+    """The folding rules of op over two operands (one for a unary op),
+    whose constant values are ca and cb, None for an operand that is not
+    a constant; k is POW's exponent.  Returns the float the result folds
+    to, FIRST or SECOND when it is that operand, or None when nothing
+    folds."""
+    if op == ADD:
+        if ca is not None and cb is not None:
+            return ca + cb
+        if ca == 0.0:
+            return SECOND
+        if cb == 0.0:
+            return FIRST
+    elif op == MUL:
+        if ca is not None and cb is not None:
+            return ca * cb
+        if ca == 0.0 or cb == 0.0:
+            return 0.0
+        if ca == 1.0:
+            return SECOND
+        if cb == 1.0:
+            return FIRST
+    elif op == DIV:
+        if cb == 1.0:
+            return FIRST
+        if ca is not None and cb is not None and cb != 0.0:
+            return ca / cb
+    elif op == POW:
+        if k == 0:
+            return 1.0
+        if k == 1:
+            return FIRST
+        if ca is not None and not (ca == 0.0 and k < 0):
+            return ca**k
+    elif ca is not None:  # NEG, SIN, COS, EXP
+        return _MATH[op](ca)
+    return None
 
 
 _BITS = struct.Struct("d").pack
@@ -129,7 +176,7 @@ class _Builder:
 
     def fold(self, op: int, a: int, b: int, k: int = 0) -> int:
         """op over slots a and b (b = a for a unary op; k is POW's
-        exponent), folded by the smart constructors' rules, with
+        exponent), folded by the rules of folded, with
         neg(neg(a)) = a.  A fold that leaves float range raises
         OverflowError."""
         ops, args_a, consts = self.ops, self.args_a, self.consts
@@ -145,34 +192,6 @@ class _Builder:
         if not math.isfinite(r):
             raise OverflowError("constant out of float range")
         return self.const(r)
-
-    def replay(self, root: ScalarExpr, seen: dict) -> int:
-        """The slot of the tree root, added node for node, with no
-        folding; seen maps the nodes already added (by identity) to their
-        slots.  Keeps its own stack, so depth is not bounded by the
-        recursion limit."""
-        stack = [root]
-        while stack:
-            node = stack[-1]
-            if node in seen:
-                stack.pop()
-                continue
-            kids = [c for c in node.children if c not in seen]
-            if kids:
-                stack += kids
-                continue
-            stack.pop()
-            op = node.op
-            if op == CONST:
-                seen[node] = self.const(node.c)
-            elif op == VAR:
-                seen[node] = self.var(node.axis)
-            elif op == POW:
-                seen[node] = self.power(seen[node.a], node.k)
-            else:
-                a = seen[node.children[0]]
-                seen[node] = self.node(op, a, seen[node.b] if op in (ADD, MUL, DIV) else a)
-        return seen[root]
 
 
 # ---------------------------------------------------------------------------
@@ -369,27 +388,24 @@ class Tape:
     (..., len(outputs)), column r the value of expression r.
     """
 
-    __slots__ = ("ops", "args_a", "args_b", "consts", "outputs", "dim")
+    __slots__ = ("ops", "args_a", "args_b", "consts", "outputs")
 
     def __init__(self, exprs):
         """exprs: each a (text, n) pair, text over x1..xn, parsed into
-        slots once however often it repeats; a number; or an expression
-        tree, added node for node."""
+        slots once however often it repeats, or a number.  A tree goes
+        in as its text, (str(tree), n)."""
         b = _Builder()
         texts: dict = {}
-        seen: dict = {}
         outputs = []
         for e in exprs:
             if type(e) is tuple:
                 if e not in texts:
                     texts[e] = _parse(b, *e)
                 outputs.append(texts[e])
-            elif isinstance(e, ScalarExpr):
-                outputs.append(b.replay(e, seen))
             elif isinstance(e, (int, float)):
                 outputs.append(b.const(float(e)))
             else:
-                raise TypeError(f"cannot use {type(e).__name__} as an expression")
+                raise TypeError(f"cannot use {type(e).__name__} as an expression; give its text")
         ops, args_a, args_b, consts = b.ops, b.args_a, b.args_b, b.consts
         # From the last slot back: a slot is kept when an output or a kept
         # slot reads it, and its value is dropped after the kept slot that
@@ -410,7 +426,7 @@ class Tape:
         # The kept slots in order, renumbered: what folds left unread goes.
         new = array("i", [0]) * len(ops)  # old slot -> new slot
         self.ops, self.args_a, self.args_b = array("B"), array("i"), array("i")
-        self.consts, self.dim = [], 0
+        self.consts = []
         for i, code in enumerate(ops):
             if not live[i]:
                 continue
@@ -418,12 +434,10 @@ class Tape:
             if op == CONST:
                 a = len(self.consts)
                 self.consts.append(np.float64(consts[args_a[i]]))
-            elif op == VAR:
-                self.dim = max(self.dim, a + 1)
             elif op == POW:
                 a, c = new[a], len(self.consts)
                 self.consts.append(consts[args_b[i]])
-            else:
+            elif op != VAR:  # a VAR keeps its axis
                 a, c = new[a], new[c]
             new[i] = len(self.ops)
             self.ops.append(code)
@@ -452,9 +466,9 @@ class Tape:
                 done.append(IntPow(done.pop(), self.consts[c]))
             elif op in (ADD, MUL, DIV):
                 right = done.pop()
-                done.append(NODES[op](done.pop(), right))
+                done.append(_NODES[op](done.pop(), right))
             else:
-                done.append(NODES[op](done.pop()))
+                done.append(_NODES[op](done.pop()))
         return done[0]
 
     def __len__(self) -> int:

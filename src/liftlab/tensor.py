@@ -29,17 +29,20 @@ position i - 1 of its axis, and coordinates are x1..xn.
   R_{kji}^l = d_k Gamma^l_{ji} - d_j Gamma^l_{ki}
               + Gamma^l_{km} Gamma^m_{ji} - Gamma^l_{jm} Gamma^m_{ki}.
 
-An input field compiles its components into one expr.Tape when it is
-built, keeps it as its tape attribute, and takes its jets from
-Tape.jets, to order 2.  Component text is parsed straight into the
-tape's slots, each distinct text once, and no expression tree is built:
-comps, the components as trees, is rendered from the tape on first read
-(for an error message, a test, the benchmark's expression counts) and
-then kept.  An operator is a float
-einsum over its operands' jets: its values contract the operands'
-values and partials, its first partials follow by the product rule, so
-it carries jets to order 1 and never asks an input for more than 2.
-Building one costs nothing.
+An input field's components are strings over x1..xn or numbers, and
+nothing else: a tree is given as its text.  The field compiles them into
+one expr.Tape when it is built, keeps it as its tape attribute, and
+takes its jets from Tape.jets, to order 2.  Component text is parsed
+straight into the tape's slots, each distinct text once, and no
+expression tree is built: comps, the components as trees, is rendered
+from the tape on first read (for an error message, a test, the
+benchmark's expression counts) and then kept.  Points are (..., n) on
+the field's own chart; any other last axis is a ValueError.
+
+An operator is a float einsum over its operands' jets: its values
+contract the operands' values and partials, its first partials follow
+by the product rule, so it carries jets to order 1 and never asks an
+input for more than 2.  Building one costs nothing.
 
 Each field keeps the raw jets of its last point set, non-finite entries
 and all, with the lowest order at which they are not finite, found by
@@ -207,7 +210,7 @@ class Field:
     def __init__(self, n: int, shape: tuple[int, ...], components):
         """components: nested sequences (or an array) of the given shape,
         or a Mapping of 1-based index tuples with every other component
-        zero; each component a string, number or expression."""
+        zero; each component a string over x1..xn or a number."""
         self.n = _check_dim(n)
         if isinstance(components, Mapping):
             grid = np.zeros(shape, dtype=object)
@@ -221,8 +224,6 @@ class Field:
             raise ValueError(f"expected a {' x '.join(map(str, shape))} component grid")
         self.shape = shape
         self.tape = Tape([(v, n) if isinstance(v, str) else v for v in grid.flat])
-        if self.tape.dim > n:
-            raise ValueError(f"component uses x{self.tape.dim} but the chart has dimension {n}")
         self._comps, self._rule, self._last = None, None, None
 
     @classmethod
@@ -291,7 +292,11 @@ class Field:
     def _points(self, points, order: int) -> np.ndarray:
         if not 0 <= order <= self._top:
             raise ValueError(f"{self.kind} jets go up to order {self._top}, not {order}")
-        return np.asarray(points, dtype=np.float64)
+        p = np.asarray(points, dtype=np.float64)
+        if p.ndim == 0 or p.shape[-1] != self.n:
+            raise ValueError(f"points on a chart of dimension {self.n} have shape "
+                             f"(..., {self.n}), not {p.shape}")
+        return p
 
     def _raw(self, p: np.ndarray, order: int) -> tuple[Jets, int]:
         """The jets at p to order or beyond, non-finite entries and all,

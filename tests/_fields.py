@@ -1,14 +1,17 @@
 """Seeded random fields, a spoiled lift, and the (n, q) grid that only
-the tests use.  The random polynomial fields are built as trees through
-the smart constructors; the characterization probes of
-liftlab.presets.random_probe are the same polynomials in closed form."""
+the tests use.  The random polynomials are built as trees through the
+smart constructors of _symbolic, and a field takes each as its text;
+the characterization probes of liftlab.presets.random_probe are the
+same polynomials in closed form."""
 
 import contextlib
 
 import numpy as np
 import pytest
 
-from liftlab import connection_lift, expr
+import _symbolic as S
+from liftlab import connection_lift
+from liftlab.tree import ScalarExpr
 from liftlab.tensor import ConnectionField, CovariantField, VectorField
 
 # (n, q) cases up to the top of the supported envelope; the ids of the
@@ -26,28 +29,28 @@ def replace_slot(mi: tuple[int, ...], slot: int, value: int) -> tuple[int, ...]:
 
 
 def random_polynomial_expr(rng: np.random.Generator, n: int, degree: int = 2,
-                           scale: float = 0.5) -> expr.ScalarExpr:
+                           scale: float = 0.5) -> ScalarExpr:
     """Random polynomial in x1..xn with uniform(-scale, scale) coefficients."""
     axes = range(1, n + 1)
-    monomials = [expr.var(i) for i in axes] if degree >= 1 else []
+    monomials = [S.var(i) for i in axes] if degree >= 1 else []
     if degree >= 2:
-        monomials += [expr.mul(expr.var(i), expr.var(j)) for i in axes for j in range(i, n + 1)]
-    e = expr.const(rng.uniform(-scale, scale))
+        monomials += [S.mul(S.var(i), S.var(j)) for i in axes for j in range(i, n + 1)]
+    e = S.const(rng.uniform(-scale, scale))
     for m in monomials:
-        e = expr.add(e, expr.mul(expr.const(rng.uniform(-scale, scale)), m))
+        e = S.add(e, S.mul(S.const(rng.uniform(-scale, scale)), m))
     return e
 
 
 def random_covariant_field(rng: np.random.Generator, n: int, q: int,
                            degree: int = 2, scale: float = 0.5) -> CovariantField:
     return CovariantField(
-        n, q, [random_polynomial_expr(rng, n, degree, scale) for _ in range(n**q)]
+        n, q, [str(random_polynomial_expr(rng, n, degree, scale)) for _ in range(n**q)]
     )
 
 
 def random_vector_field(rng: np.random.Generator, n: int,
                         degree: int = 2, scale: float = 0.5) -> VectorField:
-    return VectorField(n, [random_polynomial_expr(rng, n, degree, scale) for _ in range(n)])
+    return VectorField(n, [str(random_polynomial_expr(rng, n, degree, scale)) for _ in range(n)])
 
 
 def random_symmetric_connection(rng: np.random.Generator, n: int,
@@ -57,7 +60,7 @@ def random_symmetric_connection(rng: np.random.Generator, n: int,
     for h in range(n):
         for j in range(n):
             for i in range(j, n):
-                e = random_polynomial_expr(rng, n, degree, scale)
+                e = str(random_polynomial_expr(rng, n, degree, scale))
                 grid[h][j][i] = e
                 grid[h][i][j] = e
     return ConnectionField(n, grid)

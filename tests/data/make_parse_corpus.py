@@ -3,8 +3,9 @@
     PYTHONPATH=src python tests/data/make_parse_corpus.py
 
 For each seeded text the record holds either the printed tree and the
-slot count of its tape, with a sha256 of the tape's jets to order 2 at
-fixed points, or the ParseError's message and position.  The jet
+slot count of the tape parsed from that print, with a sha256 of the
+tape's jets to order 2 at fixed points, or the ParseError's message and
+position.  The jet
 digests hold only where numpy evaluates sin, cos, exp and powers with
 the same kernels, so the file also records the numpy version and the
 CPU features they were taken with.
@@ -158,7 +159,7 @@ def record(text: str, n: int) -> dict:
     except ParseError as exc:
         entry["error"] = [str(exc), exc.position]
         return entry
-    tape = Tape([e])
+    tape = Tape([(str(e), n)])
     entry.update(tree=str(e), slots=len(tape))
     try:
         with np.errstate(all="ignore"):

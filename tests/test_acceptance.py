@@ -288,7 +288,7 @@ def test_criterion_7_cross_module_oracles():
     ]
     fd_worst = 0.0
     for text in family:
-        tape = Tape([parse(text, 2)])
+        tape = Tape([(text, 2)])
         for ax in (1, 2):
             for p in POINTS64[:16]:
                 sym = float(tape.jets(p, 1)[1][ax - 1, 0])

@@ -164,7 +164,7 @@ def test_purity_frozen_residuals():
 def test_purity_residual_is_every_pairwise_slot_difference(q):
     rng = np.random.default_rng(700 + q)
     phi = EndomorphismField(
-        2, [[random_polynomial_expr(rng, 2) for _ in range(2)] for _ in range(2)]
+        2, [[str(random_polynomial_expr(rng, 2)) for _ in range(2)] for _ in range(2)]
     )
     xi = random_covariant_field(rng, 2, q)
     residual = purity_residual(phi, xi, POINTS)
@@ -471,7 +471,7 @@ CHECK_RTOL = 1e-12
 def _batch_inputs(n, q):
     rng = np.random.default_rng(600 + 10 * n + q)
     phi = EndomorphismField(
-        n, [[random_polynomial_expr(rng, n) for _ in range(n)] for _ in range(n)]
+        n, [[str(random_polynomial_expr(rng, n)) for _ in range(n)] for _ in range(n)]
     )
     xi = random_covariant_field(rng, n, q)
     v = random_vector_field(rng, n)
@@ -589,7 +589,7 @@ def test_theorem1_worst_point_attains_the_conclusions_residual():
     # square does not and outweighs it there
     rng = np.random.default_rng(2)
     phi = EndomorphismField(
-        2, [[random_polynomial_expr(rng, 2) for _ in range(2)] for _ in range(2)]
+        2, [[str(random_polynomial_expr(rng, 2)) for _ in range(2)] for _ in range(2)]
     )
     xi = random_covariant_field(rng, 2, 1)
     points = sampling.sample_points(2, count=5, seed=2)

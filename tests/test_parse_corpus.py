@@ -1,8 +1,9 @@
 """The parser against its golden record, tests/data/parse_corpus.json
 (written by tests/data/make_parse_corpus.py from the previous parser):
 for every text the same printed tree, slot count and jets, or the same
-ParseError message and position.  The jets of the tape parsed from the
-text equal, bit for bit, those of the tape of its tree everywhere; the
+ParseError message and position.  Printing round-trips: the tape parsed
+from the printed tree has the recorded slot count, and its jets equal,
+bit for bit, those of the tape parsed from the text everywhere; the
 recorded jet digests are compared where numpy runs the kernels they
 were taken with."""
 
@@ -44,8 +45,8 @@ def test_the_parser_reproduces_the_record(entry):
         return
     e = parse(text, n)
     assert str(e) == entry["tree"]
-    # the tape of the tree and the tape parsed straight from the text
-    tapes = (Tape([e]), Tape([(text, n)]))
+    # the tape of the printed tree and the tape parsed straight from the text
+    tapes = (Tape([(str(e), n)]), Tape([(text, n)]))
     for tape in tapes:
         assert len(tape) == entry["slots"]
     with np.errstate(all="ignore"):

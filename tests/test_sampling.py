@@ -160,7 +160,7 @@ def test_cli_screen_matches_per_candidate_loop(tmp_path):
     sc = load_scenario(str(path))
     points = _sample_scenario_points(sc, 42, 64, sampling.DEFAULT_BOX)
 
-    tape = Tape([c for f in (sc.phi, sc.xi) for c in f.comps])
+    tape = Tape([(str(c), 2) for f in (sc.phi, sc.xi) for c in f.comps])
     want = reference_sample(
         2, 42, 64, sampling.DEFAULT_BOX, lambda p: not np.isfinite(tape(p)).all(), 10
     )

@@ -18,9 +18,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import _symbolic as S
 from liftlab import expr as E
 from liftlab.bundle import nijenhuis
-from liftlab.expr import Tape
 from liftlab.tensor import ConnectionField, EndomorphismField, curvature
 
 sympy = pytest.importorskip("sympy")
@@ -76,21 +76,21 @@ def term_scale(e, point, n):
 def _extend(children):
     pairs = st.tuples(children, children)
     return st.one_of(
-        children.map(E.neg),
+        children.map(S.neg),
         children.map(E.Sin),
         children.map(E.Cos),
         children.map(E.Exp),
         st.tuples(children, st.integers(min_value=-3, max_value=3)).map(lambda t: E.IntPow(*t)),
-        pairs.map(lambda ab: E.add(*ab)),
-        pairs.map(lambda ab: E.mul(*ab)),
-        pairs.map(lambda ab: E.div(*ab)),
+        pairs.map(lambda ab: S.add(*ab)),
+        pairs.map(lambda ab: S.mul(*ab)),
+        pairs.map(lambda ab: S.div(*ab)),
     )
 
 
 # dyadic constants and points are exact rationals in binary floating point
 _dyadic = st.integers(min_value=-24, max_value=24).map(lambda k: k / 16)
 _exprs = st.recursive(
-    _dyadic.map(E.const) | st.integers(min_value=1, max_value=2).map(E.var), _extend, max_leaves=5
+    _dyadic.map(S.const) | st.integers(min_value=1, max_value=2).map(S.var), _extend, max_leaves=5
 )
 _points = st.tuples(*[st.integers(min_value=6, max_value=18).map(lambda k: k / 16)] * 2)
 
@@ -98,8 +98,12 @@ _points = st.tuples(*[st.integers(min_value=6, max_value=18).map(lambda k: k / 1
 @given(e=_exprs, point=_points)
 @settings(max_examples=40, deadline=None)
 def test_jets_match_sympy_exactly(e, point):
+    try:
+        tape = S.tape([e], 2)
+    except E.ParseError:  # an unfolded exp(...) whose constant leaves float range
+        assume(False)
     with np.errstate(all="ignore"):
-        got = [a[..., 0] for a in Tape([e]).jets(np.array(point), 2)]
+        got = [a[..., 0] for a in tape.jets(np.array(point), 2)]
     assume(all(np.all(np.isfinite(a)) for a in got))
     scale = term_scale(e, point, 2)  # inf where a subexpression has a pole
     assume(scale < 1e4)

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
+import _symbolic as S
 from _fields import (
     DIM_RANK,
     random_covariant_field,
@@ -103,20 +105,38 @@ def test_covariant_field_validation():
         CovariantField(5, 1, ["0"] * 5)
     with pytest.raises(ValueError):
         CovariantField(2, 1, ["x1"])  # wrong length
-    with pytest.raises(Exception):
+    with pytest.raises(expr.ParseError, match="variable x3 out of range for dimension 2"):
         CovariantField(2, 1, ["x3", "0"])  # axis out of range
 
 
 def test_input_fields_compile_their_tape_once():
     xi = CovariantField(2, 1, ["x1", "x2^2"])
-    assert (len(xi.tape.outputs), xi.tape.dim) == (2, 2)
+    assert len(xi.tape.outputs) == 2
     tape = xi.tape
     xi.evaluate([[1.0, 2.0]])
     xi.jets([[3.0, 4.0]], 2)
     assert xi.tape is tape
     assert xi.partials().tape is None  # an operator output has no comps
-    with pytest.raises(ValueError, match="uses x3 but the chart has dimension 2"):
-        CovariantField(2, 1, [expr.var(3), 0])
+
+
+def test_a_component_is_text_or_a_number_never_a_tree():
+    with pytest.raises(TypeError, match="cannot use Var as an expression; give its text"):
+        CovariantField(1, 1, [expr.parse("x1", 1)])
+    assert CovariantField(1, 1, [str(expr.parse("x1", 1))]).evaluate([0.5]).tolist() == [0.5]
+
+
+@pytest.mark.parametrize("points", [[0.5], [[0.5], [0.7]], [0.5, 0.6, 0.7, 0.8], 0.5],
+                         ids=["one point", "batch", "four coordinates", "0-d"])
+def test_points_must_live_on_the_fields_chart(points):
+    # a point of too few coordinates, or too many, is an error naming the
+    # chart and the shape, never a bare IndexError or a silent truncation
+    for field in (CovariantField(3, 1, ["x1", "1", "2"]), CovariantField(2, 1, ["x2", "1"])):
+        n = field.n
+        want = f"points on a chart of dimension {n} have shape (..., {n}), not {np.shape(points)}"
+        for read in (field.evaluate, field.partials_at, lambda p: field.finite_rows(p, 0),
+                     field.partials().evaluate):
+            with pytest.raises(ValueError, match=re.escape(want)):
+                read(points)
 
 
 def test_comps_render_the_tape_once_per_field(monkeypatch):
@@ -512,7 +532,7 @@ def test_lie_derivative_linear_in_tensor(c):
         2,
         1,
         [
-            expr.add(expr.mul(a.comps[i], expr.const(c)), b.comps[i])
+            str(S.add(S.mul(a.comps[i], S.const(c)), b.comps[i]))
             for i in (0, 1)
         ],
     )
@@ -591,7 +611,7 @@ def _lower_orders_match(tape, pts):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_order_two_run_holds_the_lower_order_runs_of_random_polynomials(n):
     rng = np.random.default_rng(40 + n)
-    tape = expr.Tape([random_polynomial_expr(rng, n, degree) for degree in (0, 1, 2, 2)])
+    tape = S.tape([random_polynomial_expr(rng, n, degree) for degree in (0, 1, 2, 2)], n)
     _lower_orders_match(tape, sampling.sample_points(n, count=16))
 
 
@@ -600,7 +620,7 @@ TRANSCENDENTAL = ["sin(x1)*exp(x2)/(x1 - x2)", "x1^-3 + x2^-2*cos(x1)",
 
 
 def test_order_two_run_holds_the_lower_order_runs_of_transcendental_text():
-    tape = expr.Tape([expr.parse(t, 2) for t in TRANSCENDENTAL])
+    tape = expr.Tape([(t, 2) for t in TRANSCENDENTAL])
     _lower_orders_match(tape, POINTS)
 
 
@@ -611,7 +631,7 @@ def test_order_two_run_holds_the_lower_order_runs_where_jets_are_not_finite():
     pts = np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, 0.0], [1.0, -0.0], [0.0, 0.0],
                     [np.inf, 1.0], [1.0, -np.inf], [np.nan, 2.0], [1.0, 1.0]])
     texts = TRANSCENDENTAL + ["exp(709*x1)*1e-300", "exp(700*x2)*1e-300", "x1^-2*0", "1e308*x1*x2"]
-    tape = expr.Tape([expr.parse(t, 2) for t in texts])
+    tape = expr.Tape([(t, 2) for t in texts])
     jets = tape.jets(pts, 2)
     assert not all(np.isfinite(a).all() for a in jets)  # the case is not vacuous
     _lower_orders_match(tape, pts)
