@@ -23,13 +23,13 @@ one, and parse returns the tree of a text's tape.  A tree prints as
 text that parses back to the same slots, so a tree is compiled through
 its text, Tape([(str(tree), n)]).
 
-Running a tape applies one NumPy operation per slot over the whole
-(..., n) batch of points, so a subexpression shared by many outputs, or
-repeated inside one, is computed once.  Derivatives are never built as
-expressions: Tape.jets carries the value, the gradient and the Hessian
-of every slot through the same slot order (truncated Taylor
-propagation, one rule per opcode), so the partials it returns are exact
-up to rounding.
+Running a tape applies one NumPy operation per group of like slots and
+Taylor term over the whole (..., n) batch of points, and a subexpression
+shared by many outputs, or repeated inside one, is computed once.
+Derivatives are never built as expressions: Tape.jets carries the value,
+the gradient and the Hessian of every slot level by level (truncated
+Taylor propagation, one rule per opcode), so the partials it returns are
+exact up to rounding.
 """
 
 from __future__ import annotations
@@ -38,21 +38,47 @@ import math
 import re
 import struct
 from array import array
+from bisect import bisect_right
+from itertools import compress
 
 import numpy as np
 
 from .tree import Add, Const, Cos, Div, Exp, IntPow, Mul, Neg, ScalarExpr, Sin, Var
 
-# Opcodes, in the order the evaluation loop tests them.
-MUL, ADD, NEG, POW, DIV, CONST, VAR, SIN, COS, EXP = range(10)
+# Opcodes: the binary ones first, then the unary ones, then the leaves.
+MUL, ADD, DIV, NEG, POW, SIN, COS, EXP, CONST, VAR = range(10)
 
 # The node class of each opcode but CONST, VAR and POW, for Tape.tree.
 _NODES = {ADD: Add, MUL: Mul, DIV: Div, NEG: Neg, SIN: Sin, COS: Cos, EXP: Exp}
 
-# Flags on an opcode: after this slot, drop the value of argument a / b,
-# which no later slot and no output reads.
-_DROP_A, _DROP_B = 16, 32
-_OP_MASK = 15
+# The kinds of a slot's value, gradient and Hessian (its parts): one for
+# each point, one for all points (a constant's value, a linear term's
+# gradient), or none (a derivative that vanishes identically), held in
+# bits 0, 1-2 and 3-4 of its flags.  A part of kind _EACH makes the lower
+# parts _EACH too, so slots sorted by _RANK put those with more first.
+_EACH, _ALL, _NONE = 0, 1, 2
+_CONST_FLAGS, _VAR_FLAGS = _ALL | _NONE << 1 | _NONE << 3, _EACH | _ALL << 1 | _NONE << 3
+_KINDS = [(f & 1, f >> 1 & 3, f >> 3 & 3) for f in range(32)]
+_RANK = bytes(3 - kinds.count(_EACH) for kinds in _KINDS)
+
+
+class _Flags(dict):
+    """Flags of op's result by op << 10 | fa << 5 | fb (fb = fa if unary): op's Taylor rule
+    run once on stand-ins with one point for a part of kind _ALL, two for _EACH."""
+
+    def __missing__(self, key):
+        a, b = ([None if kind == _NONE else np.ones((1, 2 - kind) + shape)
+                 for kind, shape in zip(_KINDS[f], ((1, 1), (2, 1), (2, 2)))]
+                for f in (key >> 5 & 31, key & 31))
+        got = [_NONE if x is None else 2 - len(x[0]) for x in _taylor(key >> 10, 2, a, b, 2, None)]
+        assert got == sorted(got), got
+        return self.setdefault(key, _KINDS.index(tuple(got)))
+
+
+_FLAGS = _Flags()
+
+# The bytes of slot parts for each point a tape run holds: it runs by blocks of points.
+BLOCK_BYTES = 1 << 20
 
 
 class ParseError(ValueError):
@@ -379,16 +405,22 @@ def parse(text: str, dim: int) -> ScalarExpr:
 class Tape:
     """A list of expressions compiled for batch evaluation.
 
-    Slot i holds one structurally distinct subexpression; its arguments
-    sit in earlier slots.  ops[i] is the opcode (with drop flags), and
-    args_a[i], args_b[i] its arguments: argument slots (a unary op's in
-    both), or for CONST an index into consts, for VAR the 0-based axis,
-    for POW the argument slot and the index of the exponent in consts.
-    Calling the tape on points of shape (..., n) returns shape
-    (..., len(outputs)), column r the value of expression r.
+    Slot i holds one structurally distinct subexpression.  ops[i] is the
+    opcode, and args_a[i], args_b[i] its arguments: argument slots (a
+    unary op's in both), or for CONST an index into consts, for VAR the
+    0-based axis, for POW the argument slot and the index of the
+    exponent in consts.  Calling the tape on points of shape (..., n)
+    returns shape (..., len(outputs)), column r the value of expression r.
+
+    Slots alike in level (one more than their arguments' highest, 0 for
+    CONST and VAR), opcode, POW exponent and argument flags form a group
+    and read none of each other, so one gather of their arguments and
+    one ufunc call per Taylor term run them all.  Slots are numbered by
+    group, groups by rank and then level, so a group's rows are one
+    block and, for each order, the slots with a part for each point lead.
     """
 
-    __slots__ = ("ops", "args_a", "args_b", "consts", "outputs")
+    __slots__ = ("ops", "args_a", "args_b", "consts", "outputs", "_plan")
 
     def __init__(self, exprs):
         """exprs: each a (text, n) pair, text over x1..xn, parsed into
@@ -408,42 +440,70 @@ class Tape:
                 raise TypeError(f"cannot use {type(e).__name__} as an expression; give its text")
         ops, args_a, args_b, consts = b.ops, b.args_a, b.args_b, b.consts
         # From the last slot back: a slot is kept when an output or a kept
-        # slot reads it, and its value is dropped after the kept slot that
-        # reads it last, unless it is an output.
+        # slot reads it; what folds left unread goes.
         live = bytearray(len(ops))
         for s in outputs:
             live[s] = 1
         for i in range(len(ops) - 1, -1, -1):
-            op = ops[i]
-            if not live[i] or op == CONST or op == VAR:
-                continue
-            if not live[args_a[i]]:
+            if live[i] and ops[i] < CONST:
                 live[args_a[i]] = 1
-                ops[i] |= _DROP_A
-            if op != POW and not live[args_b[i]]:
-                live[args_b[i]] = 1
-                ops[i] |= _DROP_B
-        # The kept slots in order, renumbered: what folds left unread goes.
-        new = array("i", [0]) * len(ops)  # old slot -> new slot
-        self.ops, self.args_a, self.args_b = array("B"), array("i"), array("i")
-        self.consts = []
-        for i, code in enumerate(ops):
-            if not live[i]:
-                continue
-            op, a, c = code & _OP_MASK, args_a[i], args_b[i]
-            if op == CONST:
-                a = len(self.consts)
-                self.consts.append(np.float64(consts[args_a[i]]))
-            elif op == POW:
-                a, c = new[a], len(self.consts)
-                self.consts.append(consts[args_b[i]])
-            elif op != VAR:  # a VAR keeps its axis
-                a, c = new[a], new[c]
-            new[i] = len(self.ops)
-            self.ops.append(code)
-            self.args_a.append(a)
-            self.args_b.append(c)
+                if ops[i] != POW:
+                    live[args_b[i]] = 1
+        # Each kept slot's level, flags and group key (rank, level, opcode,
+        # argument flags, and for POW the exponent's place in powers), by
+        # which the slots are then renumbered.
+        kept = list(compress(range(len(ops)), live))
+        level, flags, keys, powers = [0] * len(ops), bytearray(len(ops)), [0] * len(ops), {}
+        for i in kept:
+            op, a, c = ops[i], args_a[i], args_b[i]
+            if op >= CONST:
+                f, flags[i] = op << 10, _CONST_FLAGS if op == CONST else _VAR_FLAGS
+            else:
+                arg = a if op == POW else c
+                f = op << 10 | flags[a] << 5 | flags[arg]
+                level[i] = (level[a] if level[a] > level[arg] else level[arg]) + 1
+                flags[i] = _FLAGS[f]
+            keys[i] = ((_RANK[flags[i]] << 32 | level[i]) << 14 | f) << 32 | (
+                powers.setdefault(consts[c], len(powers)) if op == POW else 0)
+        kept.sort(key=keys.__getitem__)
+        new = dict(zip(kept, range(len(kept))))  # old slot -> new slot
+        self.ops, self.consts = array("B", bytes(map(ops.__getitem__, kept))), consts
+        self.args_a = array("i", [new[args_a[i]] if ops[i] < CONST else args_a[i] for i in kept])
+        self.args_b = array("i", [new[args_b[i]] if ops[i] < CONST and ops[i] != POW else args_b[i]
+                                  for i in kept])
         self.outputs = array("i", [new[s] for s in outputs])
+        # The groups by level: (level, opcode, exponent or a CONST group's
+        # values or a VAR group's axes, rows, argument rows a and b (None
+        # for a unary op), argument flags a and b, flags); and by order,
+        # how many slots lead with a part for each point.
+        keys = list(map(keys.__getitem__, kept))
+        plan, start, each = [], 0, [0, 0, 0]
+        while start < len(keys):
+            op, f, g = self.ops[start], keys[start] >> 32 & 0x3FFF, flags[kept[start]]
+            stop = bisect_right(keys, keys[start], start)
+            ra, rb = self.args_a[start:stop], self.args_b[start:stop]
+            if op >= CONST:  # the leaves
+                k = np.array([consts[c] for c in ra]) if op == CONST else np.array(ra, np.intp)
+                ra, rb = np.arange(start, stop), None
+            else:
+                k = consts[rb[0]] if op == POW else 0
+                ra, rb = _rows(ra), _rows(rb) if op <= DIV else None
+            plan.append((level[kept[start]], op, k, start, stop, ra, rb, f >> 5 & 31, f & 31, g))
+            each[: 3 - _RANK[g]] = [stop] * (3 - _RANK[g])
+            start = stop
+        plan.sort(key=lambda group: group[:2])
+        # Each order's output rows in the array for each point: a part of
+        # kind _ALL is copied past the slots from the row in spread, and
+        # one of kind _NONE reads the last row, of zeros.
+        reads = []
+        for d in range(3):
+            kinds = [_KINDS[flags[s]][d] for s in outputs]
+            spread = np.array([new[s] for s, kind in zip(outputs, kinds) if kind == _ALL], np.intp)
+            past = iter(range(each[d], each[d] + len(spread)))
+            rows = [new[s] if kind == _EACH else next(past) if kind == _ALL else -1
+                    for s, kind in zip(outputs, kinds)]
+            reads.append((np.array(rows, dtype=np.intp), spread, each[d] + len(spread) + 1))
+        self._plan = (plan, each, reads)
 
     def tree(self, r: int) -> ScalarExpr:
         """Output r as an expression tree, a fresh node on every path: a
@@ -454,7 +514,7 @@ class Tape:
         while todo:
             s = todo.pop()
             slot = ~s if s < 0 else s
-            op, a, c = self.ops[slot] & _OP_MASK, self.args_a[slot], self.args_b[slot]
+            op, a, c = self.ops[slot], self.args_a[slot], self.args_b[slot]
             if op == CONST:
                 done.append(Const(self.consts[a]))
             elif op == VAR:
@@ -474,72 +534,52 @@ class Tape:
     def __len__(self) -> int:
         return len(self.ops)
 
-    def _slots(self, p: np.ndarray, order: int = 0, keep: bool = False) -> list:
-        """(value, gradient, Hessian) of every slot at points p (..., n), to
-        order <= 2, raw (inf/nan pass through).  Each opcode has one Taylor
-        rule; None stands for a derivative that vanishes identically or is
-        not asked for.  Values go through the ufuncs even for one point,
-        whose NumPy scalar operators order NaN operands differently.
-        Unless keep, a slot is dropped after its last read."""
-        unit = np.eye(p.shape[-1]) if order else None
-        consts, hess = self.consts, order == 2
-        jet: list = [None] * len(self.ops)
+    def _run(self, x: np.ndarray, order: int) -> list:
+        """The parts of every slot to order <= 2 at the points x (n, w),
+        raw: by order, (rows, w, 1, 1) values, (rows, w, n, 1) gradients or
+        (rows, w, n, n) Hessians for each point, of the leading slots, and
+        (slots, 1, ...) for all points.  A part reads 0 where its kind does
+        not put it; the rules take one of kind _NONE as absent, so that it
+        times an infinite value stays 0, not NaN."""
+        n, w = x.shape
+        shapes = ((1, 1), (n, 1), (n, n))[: order + 1]
+        store = [(np.zeros((size, w) + shape), np.zeros((len(self.ops), 1) + shape))
+                 for (_, _, size), shape in zip(self._plan[2], shapes)]
+        V, G, H = store + [None] * (2 - order)
         with np.errstate(all="ignore"):
-            for i, (code, a, b) in enumerate(zip(self.ops, self.args_a, self.args_b)):
-                op = code & _OP_MASK
-                g = h = None
-                if op == MUL:
-                    (va, ga, ha), (vb, gb, hb) = jet[a], jet[b]
-                    v = np.multiply(va, vb)
-                    if order:
-                        g = _plus(_scale(ga, vb, 1), _scale(gb, va, 1))
-                        if hess:
-                            h = _plus(_plus(_scale(ha, vb, 2), _scale(hb, va, 2)), _sym(ga, gb))
-                elif op == ADD:
-                    (va, ga, ha), (vb, gb, hb) = jet[a], jet[b]
-                    v = np.add(va, vb)
-                    if order:
-                        g, h = _plus(ga, gb), _plus(ha, hb)
-                elif op == CONST:
-                    v = consts[a]
+            for _, op, k, s, e, ra, rb, fa, fb, f in self._plan[0]:
+                if op == CONST:
+                    V[_ALL][s:e, 0, 0, 0] = k
                 elif op == VAR:
-                    v, g = p[..., a], None if unit is None else unit[a]
-                elif op == DIV:  # from a = v b: g = (ga - v gb) / b, and h likewise
-                    (va, ga, ha), (vb, gb, hb) = jet[a], jet[b]
-                    v = np.divide(va, vb)
+                    V[_EACH][s:e, :, 0, 0] = x[k]
                     if order:
-                        inv = 1.0 / vb
-                        g = _scale(_plus(ga, _scale(gb, -v, 1)), inv, 1)
-                        if hess:
-                            h = _plus(_plus(ha, _scale(hb, -v, 2)), _scale(_sym(g, gb), -1, 2))
-                            h = _scale(h, inv, 2)
-                else:  # f(a): g = f' ga and h = f' ha + f'' ga ga
-                    va, ga, ha = jet[a]
-                    v, d1, d2 = _unary(op, va, consts[b] if op == POW else 0, order)
-                    if order:
-                        g = _scale(ga, d1, 1)
-                        if hess:
-                            h = _plus(_scale(ha, d1, 2), _scale(_outer(ga, ga), d2, 2))
-                jet[i] = (v, g, h)
-                if code > _OP_MASK and not keep:
-                    if code & _DROP_A:
-                        jet[a] = None
-                    if code & _DROP_B:
-                        jet[b] = None
-        return jet
+                        G[_ALL][ra, 0, k, 0] = 1.0
+                else:  # the arguments' parts, None for kind _NONE or an order not run
+                    a, b = (None if rows is None else [None if kind == _NONE or d > order else
+                            store[d][kind][rows] for d, kind in enumerate(_KINDS[fx])]
+                            for fx, rows in ((fa, ra), (fb, rb)))
+                    _, g, h = _taylor(op, k, a, b, order, V[f & 1][s:e])
+                    if g is not None:
+                        G[f >> 1 & 3][s:e] = g
+                    if h is not None:
+                        H[f >> 3 & 3][s:e] = h
+        return store
 
     def non_finite_subtree(self, r: int, tree: ScalarExpr, point, order: int) -> ScalarExpr:
         """The node of tree, output r as self.tree(r) renders it, whose
         jet to order is non-finite at one point (n,): the innermost one
         whose own jet is non-finite while its arguments' are finite.
         Reruns the tape at that point; for error messages."""
-        jet = self._slots(np.asarray(point, dtype=np.float64), order, keep=True)
+        store = self._run(np.asarray(point, dtype=np.float64).reshape(-1, 1), order)
+        finite = np.ones(len(self.ops), dtype=bool)
+        for e, (per_point, for_all) in zip(self._plan[1], store):
+            finite[:e] &= np.isfinite(per_point[:e]).all(axis=(1, 2, 3))
+            finite &= np.isfinite(for_all).all(axis=(1, 2, 3))
         node, slot = tree, self.outputs[r]
         while True:
             # the argument columns of a slot start with its children's slots
             args = (self.args_a[slot], self.args_b[slot])[: len(node.children)]
-            bad = next((k for k, s in enumerate(args)
-                        if not all(d is None or np.isfinite(d).all() for d in jet[s])), None)
+            bad = next((k for k, s in enumerate(args) if not finite[s]), None)
             if bad is None:
                 return node
             node, slot = node.children[bad], args[bad]
@@ -551,64 +591,92 @@ class Tape:
         """Values and partials of the outputs at points (..., n), to
         order <= 2: [(..., K)], then (..., n, K) and (..., n, n, K), the
         derivative axes right after the batch axes, each stored with the
-        first axis fastest (order "F")."""
+        first axis fastest (order "F").  The points run in blocks whose
+        parts for each point take at most BLOCK_BYTES."""
         if not 0 <= order <= 2:
             raise ValueError(f"tape jets go up to order 2, not {order}")
         p = np.asarray(points, dtype=np.float64)
-        jet = self._slots(p, order)
         batch, n, k = p.shape[:-1], p.shape[-1], len(self.outputs)
-        out = [np.empty(batch + (k,), order="F")]
-        out += [np.zeros(batch + (n,) * d + (k,), order="F") for d in range(1, order + 1)]
-        for d, arr in enumerate(out):
-            for r, s in enumerate(self.outputs):
-                part = jet[s][d]
-                if part is not None:
-                    arr[..., r] = part
+        w, (_, each, reads) = math.prod(batch), self._plan
+        x = p.T.reshape(n, w)  # the points in order "F", as columns
+        size = 8 * (1 + k + each[0] + n * each[1] * (order > 0) + n * n * each[2] * (order > 1))
+        step = max(1, BLOCK_BYTES // size)  # points per block
+        out = [np.empty(batch + (n,) * d + (k,), order="F") for d in range(order + 1)]
+        flat = [a.reshape((w,) + a.shape[len(batch) :], order="F") for a in out]  # views
+        for c in range(0, w, step):
+            parts = zip(flat, each, reads, self._run(x[:, c : c + step], order))
+            for d, (a, e, (rows, spread, _), (per_point, for_all)) in enumerate(parts):
+                if len(spread):
+                    per_point[e : e + len(spread)] = for_all[spread]
+                part = per_point[rows].reshape((k, -1) + (n,) * d)
+                a[c : c + step] = part.transpose(*range(1, d + 2), 0)
         return out
+
+
+def _rows(slots: array):
+    """The rows of slots: a slice when they run on, else an index array."""
+    first, m = slots[0], len(slots)
+    if slots[-1] - first == m - 1 and (m < 3 or slots == array("i", range(first, first + m))):
+        return slice(first, first + m)
+    return np.array(slots, dtype=np.intp)
+
+
+def _taylor(op: int, k: int, a, b, order: int, out) -> tuple:
+    """Op's Taylor rule over a group of slots: the value, written to out,
+    and to order <= 2 the gradient and Hessian, from the parts a and b of
+    the arguments (b None for a unary op; k is POW's exponent, never 0 or
+    1).  None stands for a derivative that vanishes or is not asked for."""
+    (va, ga, ha), (vb, gb, hb) = a, b or (None, None, None)
+    g = h = None
+    if op == MUL:
+        v = np.multiply(va, vb, out=out)
+        if order:
+            g = _plus(_scale(ga, vb), _scale(gb, va))
+            if order == 2:
+                h = _plus(_plus(_scale(ha, vb), _scale(hb, va)), _sym(ga, gb))
+    elif op == ADD:
+        v = np.add(va, vb, out=out)
+        g, h = _plus(ga, gb), _plus(ha, hb)
+    elif op == DIV:  # from a = v b: g = (ga - v gb) / b, and h likewise
+        v = np.divide(va, vb, out=out)
+        if order:
+            inv, minus = 1.0 / vb, -v
+            g = _scale(_plus(ga, _scale(gb, minus)), inv)
+            if order == 2:
+                h = _scale(_plus(_plus(ha, _scale(hb, minus)), _scale(_sym(g, gb), -1)), inv)
+    else:  # f(a): g = f' ga and h = f' ha + f'' ga ga
+        if op == NEG:
+            v, d1, d2 = np.negative(va, out=out), -1.0, None
+        elif op == EXP:
+            v = d1 = d2 = np.exp(va, out=out)
+        elif op == POW:
+            v = np.power(va, k, out=out)
+            if order:
+                d1, d2 = k * np.power(va, k - 1), k * (k - 1) * np.power(va, k - 2)
+        else:
+            v = (np.sin if op == SIN else np.cos)(va, out=out)
+            if order:
+                d1, d2 = np.cos(va) if op == SIN else -np.sin(va), -v
+        if order:
+            g = _scale(ga, d1)
+            if order == 2:
+                h = _plus(_scale(ha, d1), _scale(_outer(ga, ga), d2))
+    return v, g, h
 
 
 def _plus(x, y):
     """Sum of two derivatives, where None stands for an identically zero one."""
-    if x is None:
-        return y
-    return x if y is None else x + y
+    return y if x is None else x if y is None else x + y
 
 
-def _scale(d, s, k: int):
-    """A gradient (k = 1) or Hessian (k = 2) times s, a number or one
-    value per point; None for None."""
-    if d is None or s is None:
-        return None
-    return d * (s.reshape(s.shape + (1,) * k) if np.ndim(s) else s)
+def _scale(d, s):
+    return None if d is None or s is None else d * s
 
 
 def _outer(x, y):
-    if x is None or y is None:
-        return None
-    return x[..., :, None] * y[..., None, :]
+    return None if x is None or y is None else x * y.swapaxes(-1, -2)
 
 
 def _sym(x, y):
     """x y^T + y x^T, the mixed term of a product's Hessian."""
     return _plus(_outer(x, y), _outer(y, x))
-
-
-def _unary(op: int, a, k: int, order: int):
-    """f(a) of a unary opcode, with f'(a) and f''(a) (None for 0) when
-    order; k is POW's exponent."""
-    if op == NEG:
-        return np.negative(a), -1.0, None
-    if op == EXP:
-        v = np.exp(a)
-        return v, v, v
-    if op == POW:
-        v = np.power(a, k)
-        if not order:
-            return v, None, None
-        d1 = k * np.power(a, k - 1) if k else None
-        return v, d1, k * (k - 1) * np.power(a, k - 2) if k not in (0, 1) else None
-    v = np.sin(a) if op == SIN else np.cos(a)
-    if not order:
-        return v, None, None
-    return v, np.cos(a) if op == SIN else -np.sin(a), -v
-

@@ -11,9 +11,10 @@ This module holds the node classes and their printing only; the opcodes
 and the folding rules live in liftlab.expr.  There is no Python
 arithmetic on nodes.  Printing keeps its own stack, so a deep tree
 prints without reaching the interpreter's recursion limit, and it
-writes what the parser reads back: a sum on the right of a sum and a
-negative constant as a base are parenthesised, and a power of a power
-is written as the chain x1^2^3, since ^ reads from the left.
+writes what the parser reads back, nested no deeper than the text it
+was parsed from: a sum on the right of a sum and a negative constant as
+a base are parenthesised, a negated power is not, and a power of a
+power is written as the chain x1^2^3, since ^ reads from the left.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ class Neg(_Unary):
     prec = _P_NEG
 
     def _parts(self):
-        return ("-", (self.a, _P_ATOM))
+        return ("-", (self.a, _P_POW))  # -x1^2 reads as -(x1^2)
 
 
 class IntPow(_Unary):

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import _oracles
 import _symbolic as S
-from _fields import random_polynomial_expr
+from _fields import generic_scenario, random_polynomial_expr
 from _symbolic import add, const, cos, diff, div, exp, ipow, mul, neg, sin, sub, var
 from liftlab import expr as E
 from liftlab.expr import ParseError, SingularPointError, Tape, parse
@@ -41,7 +42,7 @@ def test_constant_folding():
 
 def test_print_forms():
     assert str(parse("x1^-2", 2)) == "x1^-2"
-    assert str(parse("-x1^2 + 3", 2)) == "-(x1^2) + 3"
+    assert str(parse("-x1^2 + 3", 2)) == "-x1^2 + 3"
     assert str(parse("sin(x1)*cos(x2)/x1", 2)) == "sin(x1)*cos(x2)/x1"
 
 
@@ -184,6 +185,16 @@ def test_a_right_nested_sum_prints_its_parentheses():
     p = [0.1, 0.2, 0.3]
     assert Tape([(str(e), 3)])(p).tobytes() == Tape([(text, 3)])(p).tobytes()
     assert Tape([("x1 + x2 + x3", 3)])(p).tobytes() != Tape([(text, 3)])(p).tobytes()
+
+
+def test_printing_keeps_the_nesting_of_the_source():
+    # -x1^2 reads as -(x1^2), so a negated power prints without
+    # parentheses and the print nests no deeper than the text
+    text = "-(" * 150 + "x1" + ")^2" * 150
+    printed = str(parse(text, 1))
+    assert printed.count("(") < 150
+    assert str(parse(printed, 1)) == printed
+    assert len(Tape([(printed, 1)])) == len(Tape([(text, 1)]))
 
 
 @pytest.mark.parametrize("text", ["x1" + "^2" * 10_000, "x1^-1^2^-3", "(-0)^-2 + x1"],
@@ -599,3 +610,103 @@ def test_jets_order_is_at_most_two():
         tape.jets([0.5], 3)
     with pytest.raises(ValueError):
         tape.jets([0.5], -1)
+
+
+# ---------------------------------------------------------------------------
+# running a tape: the rules the grouped evaluation must keep
+
+
+_NAN = -math.nan  # the NaN that x86 writes for an invalid operation
+INF = math.inf
+_POLE_POINTS = [[0.5, 0.25], [0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [-1.5, 2.0]]
+
+# Constant subexpressions that do not fold (a pole, 1/0 or 0^-1) have no
+# gradient and no Hessian: a zero derivative times their infinite value
+# stays absent, not NaN.  Values, gradients and Hessians at _POLE_POINTS,
+# then CovariantField([text, "x1"]).finite_rows at orders 0, 1 and 2.
+_POLES = {
+    "(1/0)*x1": (
+        [INF, _NAN, INF, _NAN, -INF],
+        [[INF, _NAN], [INF, _NAN], [INF, _NAN], [INF, _NAN], [INF, _NAN]],
+        [[0.0] * 4] * 5,
+        [[False] * 5] * 3,
+    ),
+    "x1 + 0^-1": (
+        [INF] * 5,
+        [[1.0, 0.0]] * 5,
+        [[0.0] * 4] * 5,
+        [[False] * 5] * 3,
+    ),
+    "exp(0^-1)*x2": (
+        [INF, INF, _NAN, _NAN, INF],
+        [[_NAN, INF]] * 5,
+        [[0.0] * 4] * 5,
+        [[False] * 5] * 3,
+    ),
+    "sin(1/0) + x1*x2": (
+        [_NAN] * 5,
+        [[0.25, 0.5], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [2.0, -1.5]],
+        [[0.0, 1.0, 1.0, 0.0]] * 5,
+        [[False] * 5] * 3,
+    ),
+    "exp(-(1/0))*x1 + x2/x1": (
+        [0.5, INF, 0.0, _NAN, -1.3333333333333333],
+        [[-1.0, 2.0], [-INF, _NAN], [0.0, 1.0], [math.nan, math.nan],
+         [-0.8888888888888888, -0.6666666666666666]],
+        [[4.0, -4.0, -4.0, -0.0], [INF, _NAN, _NAN, _NAN], [-0.0, -1.0, -1.0, -0.0],
+         [math.nan] * 4, [-1.1851851851851851, -0.4444444444444444, -0.4444444444444444, -0.0]],
+        [[True, False, True, False, True]] * 3,
+    ),
+}
+
+
+@pytest.mark.parametrize("text", sorted(_POLES))
+def test_constant_poles_have_no_derivatives(text):
+    value, grad, hess, rows = _POLES[text]
+    want = [np.array(value)[:, None], np.array(grad)[..., None],
+            np.array(hess).reshape(5, 2, 2, 1)]
+    tape = Tape([(text, 2)])
+    for order in range(3):
+        got = tape.jets(_POLE_POINTS, order)
+        assert len(got) == order + 1
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    field = CovariantField(2, 1, [text, "x1"])
+    assert [field.finite_rows(_POLE_POINTS, k).tolist() for k in range(3)] == rows
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+def test_jets_of_a_batch_are_the_jets_of_each_point(shape):
+    tape = Tape([("sin(x1)*exp(x2)/(x1 + x2) - x1^-2", 2), ("x1*x2^3 + cos(x1*x2)", 2),
+                 ("(x1 - x2)^2/x2", 2), 2.5, ("x2", 2)])
+    points = np.random.default_rng(11).uniform(0.2, 1.5, size=shape + (2,))
+    batch = tape.jets(points, 2)
+    for at in np.ndindex(shape):
+        one = tape.jets(points[at], 2)
+        for a, b in zip(batch, one):
+            assert a[at].tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("text", ["x1" + "^2" * 10_000, "(x1*" * 256 + "x2" + ")" * 256],
+                         ids=["chain of 10000 powers", "256 parentheses deep"])
+def test_deep_tapes_run_to_order_two(text):
+    tape = Tape([(text, 2)])
+    with np.errstate(all="ignore"):
+        value, grad, hess = tape.jets([[0.5, 1.0], [1.0, 1.0]], 2)
+    assert value.shape == (2, 1) and grad.shape == (2, 2, 1) and hess.shape == (2, 2, 2, 1)
+    assert value[1, 0] == 1.0
+
+
+def test_jets_of_a_large_tape_keep_a_bounded_store():
+    # xi at (n, q) = (4, 3): 64 components and some 3,400 slots, whose
+    # order-2 jets at 64 points would take 36 MB if every slot's were kept
+    xi = generic_scenario(5, 4, 3)["xi"]
+    tape = Tape([(text, 4) for text in xi.values()])
+    points = np.random.default_rng(3).uniform(-1.0, 1.0, size=(64, 4))
+    tracemalloc.start()
+    try:
+        tape.jets(points, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20

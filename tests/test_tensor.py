@@ -146,7 +146,9 @@ def test_comps_render_the_tape_once_per_field(monkeypatch):
     monkeypatch.setattr(expr, "_parse", lambda b, text, n: parsed.append(text) or parse(b, text, n))
     xi = CovariantField(2, 2, ["(x1 + 1)*(x1 + 1)", "x2", "x2", "(x1 + 1)*(x1 + 1)"])
     assert parsed == ["(x1 + 1)*(x1 + 1)", "x2"]
-    assert len(xi.tape) == 5 and xi.tape.outputs.tolist() == [3, 4, 4, 3]
+    # slots by group, those with more parts varying by point first: the
+    # product, then x1 and x2, x1 + 1, and the constant 1
+    assert len(xi.tape) == 5 and xi.tape.outputs.tolist() == [0, 2, 2, 0]
     comps = xi.comps
     assert xi.comps is comps and comps[0] is not comps[3]
     assert [str(c) for c in comps] == ["(x1 + 1)*(x1 + 1)", "x2", "x2", "(x1 + 1)*(x1 + 1)"]
