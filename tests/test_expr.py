@@ -620,6 +620,85 @@ _NAN = -math.nan  # the NaN that x86 writes for an invalid operation
 INF = math.inf
 _POLE_POINTS = [[0.5, 0.25], [0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [-1.5, 2.0]]
 
+def _slot_rules(e, p, order):
+    """(value, gradient, Hessian) of tree e at points p (..., n) by the
+    slot-by-slot evaluator the grouped tape replaced, node by node: None
+    for a derivative that vanishes identically, a constant's value a
+    scalar and a variable's gradient one unit row for all points."""
+    def plus(x, y):
+        return y if x is None else x if y is None else x + y
+
+    def scale(d, v, k):
+        return None if d is None or v is None else d * (
+            v.reshape(v.shape + (1,) * k) if np.ndim(v) else v)
+
+    def outer(x, y):
+        return None if x is None or y is None else x[..., :, None] * y[..., None, :]
+
+    def sym(x, y):
+        return plus(outer(x, y), outer(y, x))
+
+    done, todo = [], [e]
+    while todo:
+        node = todo.pop()
+        if node is None:  # the next node on top of done's children
+            node = todo.pop()
+            args = [done.pop() for _ in node.children][::-1]
+            (va, ga, ha), (vb, gb, hb) = args[0], args[-1]
+            kind, g, h = type(node), None, None
+            if kind is E.Mul:
+                v, g = np.multiply(va, vb), plus(scale(ga, vb, 1), scale(gb, va, 1))
+                h = plus(plus(scale(ha, vb, 2), scale(hb, va, 2)), sym(ga, gb))
+            elif kind is E.Add:
+                v, g, h = np.add(va, vb), plus(ga, gb), plus(ha, hb)
+            elif kind is E.Div:
+                v = np.divide(va, vb)
+                inv = 1.0 / vb
+                g = scale(plus(ga, scale(gb, -v, 1)), inv, 1)
+                h = scale(plus(plus(ha, scale(hb, -v, 2)), scale(sym(g, gb), -1, 2)), inv, 2)
+            else:
+                k = getattr(node, "k", 0)
+                v, d1, d2 = {
+                    E.Neg: lambda: (np.negative(va), -1.0, None),
+                    E.Exp: lambda: (np.exp(va),) * 3,
+                    E.IntPow: lambda: (np.power(va, k), k * np.power(va, k - 1),
+                                       k * (k - 1) * np.power(va, k - 2)),
+                    E.Sin: lambda: (np.sin(va), np.cos(va), -np.sin(va)),
+                    E.Cos: lambda: (np.cos(va), -np.sin(va), -np.cos(va)),
+                }[kind]()
+                g, h = scale(ga, d1, 1), plus(scale(ha, d1, 2), scale(outer(ga, ga), d2, 2))
+            done.append((v, g if order else None, h if order == 2 else None))
+        elif type(node) is E.Const:
+            done.append((np.float64(node.c), None, None))
+        elif type(node) is E.Var:
+            done.append((p[..., node.axis - 1], np.eye(p.shape[-1])[node.axis - 1] if order else None,
+                         None))
+        else:
+            todo += [node, None] + list(node.children)[::-1]
+    return done[0]
+
+
+@given(
+    exprs=st.lists(_tape_exprs, min_size=1, max_size=4),
+    shape=_batch_shapes,
+    seed=st.integers(min_value=0, max_value=2**16),
+    order=st.integers(min_value=0, max_value=2),
+)
+@settings(max_examples=150, deadline=None)
+def test_grouped_jets_are_the_slot_rules_bit_for_bit(exprs, shape, seed, order):
+    # NaN payloads aside, which NumPy's loops pick by position
+    assume(None not in exprs)
+    points = np.random.default_rng(seed).uniform(-1.5, 1.5, size=shape + (DIM,))
+    got = tape_of(exprs).jets(points, order)
+    with np.errstate(all="ignore"):
+        for r, e in enumerate(exprs):
+            for d, part in enumerate(_slot_rules(e, points, order)[: order + 1]):
+                want = np.broadcast_to(0.0 if part is None else part, shape + (DIM,) * d)
+                have = got[d][..., r]
+                assert np.array_equal(have, want, equal_nan=True)
+                assert (np.signbit(have) == np.signbit(want))[~np.isnan(want)].all()
+
+
 # Constant subexpressions that do not fold (a pole, 1/0 or 0^-1) have no
 # gradient and no Hessian: a zero derivative times their infinite value
 # stays absent, not NaN.  Values, gradients and Hessians at _POLE_POINTS,
