@@ -7,16 +7,17 @@ Subtraction is lowered to addition of a negation as it is read.
 
 A Tape holds expressions as slots listed arguments first, in array
 columns: an opcode, two integer arguments, a constants list, and the
-output slots.  The parser builds them: it reads a text once, left to
-right, and hands each operand and operator to a slot builder, which
-hash-conses (a structure already present is not added again, so a
-subexpression written twice, in one text or in two components of one
-field, has one slot) and folds constants by the rules of folded below.
-No expression tree is built on the way.  Slots a fold leaves unread are
-dropped when the tape is finished.  Parentheses and calls nest on a
-list, not on the interpreter's stack, up to MAX_NESTING deep; past that
-the text is a ParseError.  Text and numbers are the only way into a
-tape; this module alone knows the opcodes.
+output slots.  The parser builds them: one regex call lexes a text, the
+parser reads the lexemes once, left to right (lexing again only to find
+an error's position), and hands each operand and operator to a slot
+builder, which hash-conses (a structure already present is not added
+again, so a subexpression written twice, in one text or in two
+components of one field, has one slot) and folds constants by the rules
+of folded below.  No expression tree is built on the way.  Slots a fold
+leaves unread are dropped when the tape is finished.  Parentheses and
+calls nest on a list, not on the interpreter's stack, up to MAX_NESTING
+deep; past that the text is a ParseError.  Text and numbers are the only
+way into a tape; this module alone knows the opcodes.
 
 Trees (liftlab.tree) are output only: Tape.tree renders an output as
 one, and parse returns the tree of a text's tape.  A tree prints as
@@ -39,7 +40,7 @@ import re
 import struct
 from array import array
 from bisect import bisect_right
-from itertools import compress
+from itertools import compress, islice
 
 import numpy as np
 
@@ -161,15 +162,15 @@ _BITS = struct.Struct("d").pack
 class _Builder:
     """Tape slots under construction, hash-consed: a slot is added only
     when no slot of the same structure exists.  ops, args_a and args_b
-    are the tape's columns and consts its constants, as Python numbers;
-    table maps each structure to its slot: an int packing opcode and
+    are the tape's columns and consts its constants, as lists of Python
+    numbers; table maps each structure to its slot: an int packing opcode and
     argument slots, a tuple for POW, and a constant's bit pattern, so
     that 0.0 and -0.0 stay apart, and so do nan and inf of either sign."""
 
     __slots__ = ("ops", "args_a", "args_b", "consts", "table")
 
     def __init__(self):
-        self.ops, self.args_a, self.args_b = array("B"), array("i"), array("i")
+        self.ops, self.args_a, self.args_b = [], [], []
         self.consts: list = []
         self.table: dict = {}
 
@@ -192,11 +193,6 @@ class _Builder:
     def var(self, axis: int) -> int:
         return self._slot(axis - 1 << 4 | VAR, VAR, axis - 1, 0)
 
-    def node(self, op: int, a: int, b: int) -> int:
-        """op over slots a and b as it stands; a unary op carries its
-        argument in both."""
-        return self._slot((a << 32 | b) << 4 | op, op, a, b)
-
     def power(self, a: int, k: int) -> int:
         return self._slot((POW, a, k), POW, a, len(self.consts), k)
 
@@ -205,19 +201,30 @@ class _Builder:
         exponent), folded by the rules of folded, with
         neg(neg(a)) = a.  A fold that leaves float range raises
         OverflowError."""
-        ops, args_a, consts = self.ops, self.args_a, self.consts
-        if op == NEG and ops[a] == NEG:
+        ops, args_a = self.ops, self.args_a
+        oa, ob = ops[a], ops[b]
+        if op == NEG and oa == NEG:
             return args_a[a]
-        ca = consts[args_a[a]] if ops[a] == CONST else None
-        cb = consts[args_a[b]] if ops[b] == CONST else None
-        r = None if ca is None and cb is None and op != POW else folded(op, ca, cb, k)
-        if r is None:
-            return self.power(a, k) if op == POW else self.node(op, a, b)
-        if r is FIRST or r is SECOND:
-            return a if r is FIRST else b
-        if not math.isfinite(r):
-            raise OverflowError("constant out of float range")
-        return self.const(r)
+        if oa == CONST or ob == CONST or op == POW:  # else nothing folds: op as it stands
+            consts = self.consts
+            r = folded(op, consts[args_a[a]] if oa == CONST else None,
+                       consts[args_a[b]] if ob == CONST else None, k)
+            if r is FIRST or r is SECOND:
+                return a if r is FIRST else b
+            if r is not None:
+                if not math.isfinite(r):
+                    raise OverflowError("constant out of float range")
+                return self.const(r)
+            if op == POW:
+                return self.power(a, k)
+        key = (a << 32 | b) << 4 | op  # the common case: found or added here, not by _slot
+        slot = self.table.get(key)
+        if slot is None:
+            slot = self.table[key] = len(ops)
+            ops.append(op)
+            args_a.append(a)
+            self.args_b.append(b)
+        return slot
 
 
 # ---------------------------------------------------------------------------
@@ -231,72 +238,45 @@ _FUNCTIONS = {"sin": SIN, "cos": COS, "exp": EXP}
 MAX_NESTING = 256
 
 
-# One token after optional whitespace: a number (ASCII digits and dots,
-# then an exponent only when digits follow it), a name, an operator, or
-# any other character, which is an error; nothing at the end of the text.
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>[0-9.]+(?:[eE][+-]?[0-9]+)?)|(?P<ident>[^\W\d]\w*)"
-    r"|(?P<op>[-+*/^()])|(?P<bad>.))?",
-    re.S,
-)
+# One token after optional whitespace, in the one group: a number (ASCII digits
+# and dots, then an exponent only when digits follow), a name, an operator or any
+# other character (an error); optional, so the end is one match, which gives "".
+_TOKEN = re.compile(r"\s*([0-9.]+(?:[eE][+-]?[0-9]+)?|[^\W\d]\w*|[-+*/^()]|.)?", re.S)
+_NUMBER_START = frozenset("0123456789.")
+_OPERATORS = frozenset("+-*/^()")
 
 
-def _tokens(text: str) -> list:
-    """The (kind, lexeme, position) tokens of text, the last of kind
-    "end".  A bad character or a malformed number is kept as an "error"
-    token whose lexeme is the message, raised only when the parser
-    reaches it, so the first error in reading order is reported."""
-    toks = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            toks.append(("end", "", m.end()))
-            break
-        lexeme, start = m.group(kind), m.start(kind)
-        if kind == "bad":
-            kind, lexeme = "error", f"unexpected character {lexeme!r}"
-        elif kind == "num":
-            try:
-                if not math.isfinite(float(lexeme)):
-                    kind, lexeme = "error", f"number {lexeme!r} out of float range"
-            except ValueError:
-                kind, lexeme = "error", f"malformed number {lexeme!r}"
-        toks.append((kind, lexeme, start))
-    return toks
+def _position(text: str, i: int) -> int:
+    """The character position of token i of text, by lexing it again."""
+    m = next(islice(_TOKEN.finditer(text), i, None))
+    return m.start(1) if m.lastindex else m.end()
 
 
-def _fail(tok, message: str):
-    """Raise message at tok, or tok's own message if it is an error token."""
-    kind, lexeme, pos = tok
-    raise ParseError(lexeme if kind == "error" else message, pos)
+def _own_error(lexeme: str) -> str | None:
+    """The message of a token that is an error wherever it stands, a
+    number float() refuses or reads as infinite or a character that
+    starts no token (a name starts as [^\\W\\d] matches); else None."""
+    c = lexeme[:1]
+    if c in _NUMBER_START:
+        try:
+            return None if math.isfinite(float(lexeme)) else f"number {lexeme!r} out of float range"
+        except ValueError:
+            return f"malformed number {lexeme!r}"
+    if c and c not in _OPERATORS and not (c == "_" or c.isalnum() and not c.isdecimal()):
+        return f"unexpected character {lexeme!r}"
+    return None
 
 
-def _fold(b: _Builder, pos: int, op: int, x: int, y: int, k: int = 0) -> int:
-    """b.fold(op, x, y, k); a fold that leaves float range is a
-    ParseError at pos, the operator's position."""
-    try:
-        return b.fold(op, x, y, k)
-    except OverflowError:
-        pass
-    raise ParseError("constant out of float range", pos)
-
-
-def _exponent(toks: list, i: int) -> tuple[int, int]:
-    """The integer literal, with an optional minus, at token i, and the
-    index of the token after it."""
-    sign = 1
-    if toks[i][1] == "-":
-        sign, i = -1, i + 1
-    kind, lexeme, _ = toks[i]
-    if kind != "num" or any(c in lexeme for c in ".eE"):
-        _fail(toks[i], "exponent must be an integer literal")
-    return sign * int(lexeme), i + 1
+def _fail(text: str, toks: list, i: int, message: str):
+    """Raise message at token i, or the token's own error if it has one,
+    so that the first error in reading order is reported."""
+    raise ParseError(_own_error(toks[i]) or message, _position(text, i))
 
 
 def _parse(b: _Builder, text: str, dim: int) -> int:
     """The slot of text's expression over x1..x<dim>, built into b.
 
-    One left-to-right pass over the tokens, by the grammar
+    One left-to-right pass over the lexemes, by the grammar
         expression = term (("+" | "-") term)*
         term       = unary (("*" | "/") unary)*
         unary      = "-" unary | atom ("^" ["-"] integer)*
@@ -307,81 +287,94 @@ def _parse(b: _Builder, text: str, dim: int) -> int:
     its sum so far, the pending product, and the count of unary minuses
     before the current operand.  An opening parenthesis or call pushes
     them onto a list and starts afresh, and its closing parenthesis pops
-    them, so nesting takes no Python frames."""
-    toks = _tokens(text)
+    them, so nesting takes no Python frames.  Tokens are kept by index."""
+    toks = _TOKEN.findall(text)  # ends with "", the end of the text
     stack: list = []  # the enclosing expressions, innermost last
     total = term = None  # the sum and the product read so far
     sum_op = term_op = ""  # the operators waiting for their right operand
-    sum_pos = term_pos = i = 0
-    while True:
-        # An operand: unary minuses, then an atom.
-        negs = 0
-        while toks[i][1] == "-":
-            negs, i = negs + 1, i + 1
-        kind, lexeme, pos = toks[i]
-        i += 1
-        if kind == "num":
-            s = b.const(float(lexeme))
-        elif lexeme == "(" or lexeme in _FUNCTIONS:
-            if len(stack) == MAX_NESTING:
-                raise ParseError("expression nested too deeply", pos)
-            if lexeme != "(":
-                if toks[i][1] != "(":
-                    _fail(toks[i], f"expected '(' after {lexeme}")
-                i += 1
-            stack.append((total, sum_op, sum_pos, term, term_op, term_pos, negs, lexeme, pos))
-            total = term = None
-            sum_op = term_op = ""
-            continue
-        elif kind == "ident":
-            if not (lexeme[0] == "x" and lexeme[1:].isdigit() and lexeme.isascii()):
-                raise ParseError(f"unknown identifier {lexeme!r}", pos)
-            axis = lexeme[1:].lstrip("0")  # int() refuses more than 4,300 digits
-            if not axis or len(axis) > len(str(dim)) or int(axis) > dim:
-                raise ParseError(f"variable {lexeme} out of range for dimension {dim}", pos)
-            s = b.var(int(axis))
-        else:
-            _fail(toks[i - 1], f"unexpected {lexeme!r}" if lexeme else "unexpected end of input")
-        # The operand s ends at the first token that is not a power: its
-        # minuses apply, then it closes the product, the sum, and maybe
-        # the expression of a parenthesis or call, which is itself an
-        # operand of the enclosing expression.
+    sum_at = term_at = at = i = 0  # at: the operator being folded
+    try:
         while True:
-            kind, lexeme, pos = toks[i]
-            if kind == "error":
-                raise ParseError(lexeme, pos)
-            if lexeme == "^":
-                k, i = _exponent(toks, i + 1)
-                s = _fold(b, pos, POW, s, s, k)
+            # An operand: unary minuses, then an atom.
+            negs = 0
+            while toks[i] == "-":
+                negs, i = negs + 1, i + 1
+            lexeme, i = toks[i], i + 1
+            if lexeme[:1] in _NUMBER_START:
+                try:
+                    c = float(lexeme)
+                except ValueError:
+                    c = math.nan
+                if not math.isfinite(c):
+                    _fail(text, toks, i - 1, "")
+                s = b.const(c)
+            elif lexeme == "(" or lexeme in _FUNCTIONS:
+                if len(stack) == MAX_NESTING:
+                    _fail(text, toks, i - 1, "expression nested too deeply")
+                stack.append((total, sum_op, sum_at, term, term_op, term_at, negs, lexeme, i - 1))
+                if lexeme != "(":
+                    if toks[i] != "(":
+                        _fail(text, toks, i, f"expected '(' after {lexeme}")
+                    i += 1
+                total, term, sum_op, term_op = None, None, "", ""
                 continue
-            for _ in range(negs):
-                s = b.fold(NEG, s, s)
-            if term_op:
-                s = _fold(b, term_pos, MUL if term_op == "*" else DIV, term, s)
-            if lexeme == "*" or lexeme == "/":
-                term, term_op, term_pos = s, lexeme, pos
-                i += 1
-                break
-            term_op = ""
-            if sum_op:
-                if sum_op == "-":
+            elif lexeme[:1] == "x" and lexeme[1:].isdigit() and lexeme.isascii():
+                axis = lexeme[1:].lstrip("0")  # int() refuses more than 4,300 digits
+                if not axis or len(axis) > len(str(dim)) or int(axis) > dim:
+                    _fail(text, toks, i - 1, f"variable {lexeme} out of range for dimension {dim}")
+                s = b.var(int(axis))
+            else:  # what starts no operand: a name, an operator, the end
+                _fail(text, toks, i - 1, f"unexpected {lexeme!r}" if lexeme in _OPERATORS else
+                      f"unknown identifier {lexeme!r}" if lexeme else "unexpected end of input")
+            # The operand s ends at the first token that is not a power: its
+            # minuses apply, then it closes the product, the sum, and maybe
+            # the expression of a parenthesis or call, which is itself an
+            # operand of the enclosing expression.
+            while True:
+                lexeme = toks[i]
+                if lexeme == "^":  # then an integer literal, with an optional minus
+                    at, sign, i = i, 1, i + 1
+                    if toks[i] == "-":
+                        sign, i = -1, i + 1
+                    k = toks[i]  # a number's lexeme is ASCII: isdigit means 0-9 only
+                    if not (k[:1] in _NUMBER_START and k.isdigit() and math.isfinite(float(k))):
+                        _fail(text, toks, i, "exponent must be an integer literal")
+                    # int() refuses over 4,300 digits; a finite one has at most 309 past its zeros
+                    s, i = b.fold(POW, s, s, sign * int(k.lstrip("0") or "0")), i + 1
+                    continue
+                if lexeme not in _OPERATORS and _own_error(lexeme):
+                    _fail(text, toks, i, "")  # before the folds, as the first error
+                for _ in range(negs):
                     s = b.fold(NEG, s, s)
-                s = _fold(b, sum_pos, ADD, total, s)
-            if lexeme == "+" or lexeme == "-":
-                total, sum_op, sum_pos = s, lexeme, pos
+                if term_op:
+                    at = term_at
+                    s = b.fold(MUL if term_op == "*" else DIV, term, s)
+                if lexeme == "*" or lexeme == "/":
+                    term, term_op, term_at, i = s, lexeme, i, i + 1
+                    break
+                term_op = ""
+                if sum_op:
+                    if sum_op == "-":
+                        s = b.fold(NEG, s, s)
+                    at = sum_at
+                    s = b.fold(ADD, total, s)
+                if lexeme == "+" or lexeme == "-":
+                    total, sum_op, sum_at, i = s, lexeme, i, i + 1
+                    break
+                sum_op = ""
+                if not stack:
+                    if lexeme:
+                        _fail(text, toks, i, f"unexpected {lexeme!r}")
+                    return s
+                if lexeme != ")":
+                    _fail(text, toks, i, "expected ')'")
                 i += 1
-                break
-            sum_op = ""
-            if not stack:
-                if kind != "end":
-                    raise ParseError(f"unexpected {lexeme!r}", pos)
-                return s
-            if lexeme != ")":
-                raise ParseError("expected ')'", pos)
-            i += 1
-            total, sum_op, sum_pos, term, term_op, term_pos, negs, opener, at = stack.pop()
-            if opener != "(":
-                s = _fold(b, at, _FUNCTIONS[opener], s, s)
+                total, sum_op, sum_at, term, term_op, term_at, negs, opener, at = stack.pop()
+                if opener != "(":
+                    s = b.fold(_FUNCTIONS[opener], s, s)
+    except OverflowError:
+        pass  # a fold left float range
+    raise ParseError("constant out of float range", _position(text, at))
 
 
 def parse(text: str, dim: int) -> ScalarExpr:

@@ -109,11 +109,15 @@ def one_case():
 
 
 def shared(builder):
-    """builder giving one output per operands inside one_case(), else a new one."""
+    """builder giving one output per operands inside one_case(), else a new one, named for it."""
     @functools.wraps(builder)
     def build(*operands):
         table, key = _CASE.get({}), (builder,) + operands
-        return table[key] if key in table else table.setdefault(key, builder(*operands))
+        if key not in table:
+            out = table[key] = builder(*operands)
+            if isinstance(out, Field):
+                out.name = builder.__name__.strip("_")
+        return table[key]
     return build
 
 
@@ -202,9 +206,10 @@ class Field:
     """Components of one index shape on an n-dimensional chart: symbolic
     for an input field, a rule over its operands for an operator output.
     An input field's tape is compiled from its components at
-    construction; an operator output has no comps and its tape is None."""
+    construction; an operator output has no comps and its tape is None.
+    name: the shared builder of an operator output, else None."""
 
-    __slots__ = ("n", "shape", "tape", "_comps", "_rule", "_last")
+    __slots__ = ("n", "shape", "tape", "name", "_comps", "_rule", "_last")
     kind = "field"  # names the field in a singular-point error
 
     def __init__(self, n: int, shape: tuple[int, ...], components):
@@ -224,7 +229,7 @@ class Field:
             raise ValueError(f"expected a {' x '.join(map(str, shape))} component grid")
         self.shape = shape
         self.tape = Tape([(v, n) if isinstance(v, str) else v for v in grid.flat])
-        self._comps, self._rule, self._last = None, None, None
+        self.name, self._comps, self._rule, self._last = None, None, None, None
 
     @classmethod
     def _of(cls, n: int, shape: tuple[int, ...], rule) -> "Field":
@@ -233,6 +238,7 @@ class Field:
         the points alone; it has no comps."""
         f = object.__new__(cls)
         f.n, f.shape, f._comps, f.tape, f._rule, f._last = n, shape, (), None, rule, None
+        f.name = None
         return f
 
     @property
@@ -334,6 +340,7 @@ class Field:
             f"{self.kind} {what} evaluated non-finite at component "
             f"{tuple(int(i) + 1 for i in comp)}{' along' + along if k else ''}, "
             f"point {tuple(float(c) for c in point)}"
+            f"{'' if self.name is None else f', in {self.name}'}"
             f"{'' if subtree is None else f', from {subtree}'}; the point is singular", subtree)
 
 

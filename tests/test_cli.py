@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 import warnings
 import weakref
@@ -540,6 +541,19 @@ def test_characterization_names_the_array_that_went_non_finite(tmp_path, capsys)
     assert captured.err.startswith("error: characterization: lift: tensor field values "
                                    "evaluated non-finite at component (1, 2, 2), point (")
     assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("check,line", [("theorem1", "theorem1: tachibana_residual"),
+                                        ("characterization", "characterization: lift")])
+def test_the_line_names_the_derived_field_that_went_non_finite(check, line, tmp_path, capsys):
+    # the Tachibana image overflows: the line names it after the point
+    path = write_scenario(tmp_path, q=2, phi="standard_complex_r2", xi=OVERFLOWING_XI,
+                          checks=[check])
+    assert main(["run", path]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: {line}: tensor field values evaluated non-finite at component "
+                        r"\(1, 2, 2\), point \([^)]*\), in tachibana_field; the point is singular\n",
+                        err)
 
 
 @pytest.mark.parametrize("probe,residual", [("v", "complete_residual"),

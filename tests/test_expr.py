@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import _oracles
+import _reference_parser as ref
 import _symbolic as S
 from _fields import generic_scenario, random_polynomial_expr
 from _symbolic import add, const, cos, diff, div, exp, ipow, mul, neg, sin, sub, var
@@ -162,6 +163,83 @@ def test_first_of_two_errors_is_reported(text, pos, message):
         parse(text, 2)
     assert err.value.position == pos
     assert str(err.value) == f"{message} (at position {pos})"
+
+
+@pytest.mark.parametrize(
+    "text,pos,message",
+    [
+        ("x1^1..2", 3, "malformed number '1..2'"),
+        ("x1^-1..2", 4, "malformed number '1..2'"),
+        ("x1^1e999", 3, "number '1e999' out of float range"),
+        ("sin 1..2", 4, "malformed number '1..2'"),
+        ("sin 1e999", 4, "number '1e999' out of float range"),
+        ("x1^$", 3, "unexpected character '$'"),
+        ("sin $", 4, "unexpected character '$'"),
+        ("x1 ^ 2 1e999", 7, "number '1e999' out of float range"),
+        ("  ", 2, "unexpected end of input"),
+        ("x1 +\n", 5, "unexpected end of input"),
+    ],
+)
+def test_a_bad_number_or_character_reports_itself_where_the_parser_stops(text, pos, message):
+    # where the parser expects an exponent, a '(' or an operator, a token
+    # that is no valid number or character names itself, not what was expected
+    with pytest.raises(ParseError) as err:
+        parse(text, 2)
+    assert err.value.position == pos
+    assert str(err.value) == f"{message} (at position {pos})"
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_exponents_of_any_length_are_read(sign):
+    # int() refuses more than 4,300 digits; leading zeros are not digits of the exponent
+    assert str(parse(f"x1^{sign}" + "0" * 5000 + "2", 2)) == f"x1^{sign}2"
+    with pytest.raises(ParseError) as err:
+        parse(f"x1^{sign}" + "9" * 5000, 2)
+    assert str(err.value) == f"number '{'9' * 5000}' out of float range (at position {3 + len(sign)})"
+
+
+_NUMBERS = ["0", "1", "2", "3", "0.5", ".5", "2.", "3e2", "1e-3", "1E+2", "1e308", "1..2", "1e999",
+            "007", "0002", "."]
+_NAMES = ["x0", "x1", "x2", "x3", "x4", "x5", "x03", "x", "x١", "é", "foo", "sin", "cos", "exp"]
+_GAPS = st.sampled_from(["", "", " ", "\t", "\n"])
+# any run of lexemes, with or without whitespace between them: mostly errors
+_token_texts = st.tuples(
+    st.lists(st.tuples(_GAPS, st.sampled_from(_NUMBERS + _NAMES + list("+-*/^()$,"))).map("".join),
+             max_size=12).map("".join),
+    _GAPS,
+).map("".join)
+# expressions by the grammar, over mostly valid leaves
+_VALID_LEAVES = st.sampled_from(["0", "1", "2", "0.5", ".5", "2.", "3e2", "1e-3", "1E+2", "1e308",
+                                 "007", "x1", "x2", "x3", "x03"])
+_operand_texts = st.recursive(
+    _VALID_LEAVES | _VALID_LEAVES | st.sampled_from(_NUMBERS + _NAMES),
+    lambda c: st.one_of(
+        st.tuples(c, st.sampled_from(["+", "-", "*", "/"]), c).map(" ".join),
+        c.map("-{}".format), c.map("({})".format),
+        st.tuples(st.sampled_from(["sin", "cos", "exp"]), c).map("{0[0]}({0[1]})".format),
+        st.tuples(c, st.sampled_from(["2", "-1", "0", "1", "3", "-2", "002", "2.5", "1..2"]))
+        .map("({0[0]})^{0[1]}".format),
+    ),
+    max_leaves=10,
+)
+
+
+@given(text=st.one_of(_token_texts, _operand_texts), n=st.integers(min_value=1, max_value=4))
+@settings(max_examples=300, deadline=None)
+def test_the_parser_builds_the_slots_of_the_reference_parser(text, n):
+    # the same slots and constant bits as the token-list parser it
+    # replaced, or the same ParseError message and position
+    got, want = E._Builder(), ref.ReferenceBuilder()
+    try:
+        expected = ref.parse(want, text, n)
+    except ParseError as err:
+        with pytest.raises(ParseError) as raised:
+            E._parse(got, text, n)
+        assert (str(raised.value), raised.value.position) == (str(err), err.position)
+        return
+    assert E._parse(got, text, n) == expected
+    assert (got.ops, got.args_a, got.args_b) == (want.ops, want.args_a, want.args_b)
+    assert [struct.pack("d", c) for c in got.consts] == [struct.pack("d", c) for c in want.consts]
 
 
 def test_scientific_notation_numbers():

@@ -238,14 +238,14 @@ def test_non_finite_names_kind_order_component_and_point():
 
 def test_non_finite_operator_output_names_no_subtree():
     # the operands are finite and their product overflows: an operator
-    # output has no expression to name
+    # output has no expression to name, only the builder that made it
     f = EndomorphismField(2, {(1, 1): "1e200*x1", (2, 2): "1"})
     with pytest.raises(expr.SingularPointError) as err:
         compose_endo(f, f).evaluate(np.array([[1.0, 1.0]]))
     assert err.value.subtree is None
     assert str(err.value) == (
         "endomorphism field values evaluated non-finite at component (1, 1), "
-        "point (1.0, 1.0); the point is singular"
+        "point (1.0, 1.0), in compose_endo; the point is singular"
     )
 
 
