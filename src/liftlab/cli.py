@@ -217,11 +217,11 @@ def load_scenario(path: str) -> Scenario:
     checks = data.get("checks")
     if not isinstance(checks, list) or not checks:
         raise ScenarioError("scenario needs a non-empty list of checks")
-    for c in checks:
+    for i, c in enumerate(checks):
         if c not in CHECK_IDS:
-            raise ScenarioError(
-                f"unknown check {c!r}; valid checks: {', '.join(CHECK_IDS)}"
-            )
+            raise ScenarioError(f"unknown check {c!r}; valid checks: {', '.join(CHECK_IDS)}")
+        if c in checks[:i]:
+            raise ScenarioError(f"duplicate check {c!r}")
 
     name = data.get("name")
     if name is None:

@@ -10,7 +10,9 @@ curvature.  All remaining blocks vanish identically.
 The same module carries the cross-section geometry the lift induces:
 the induced base connection, the second-fundamental-form analogue, the
 totally-geodesic test, and the curvature tangency identity along the
-cross-section.
+cross-section.  In one case, the checks read one section_lift (the frame
+differentiated with the lifted connection) and one
+gauss_second_fundamental.
 
 Each of them needs a symmetric (torsion-free) connection and measures
 that hypothesis at the points it evaluates, by require_symmetric.
@@ -176,6 +178,26 @@ def _frame_and_slope_arrays(xi: CovariantField, x):
     return frame, frame.b[..., n:, :], db
 
 
+@shared
+def section_lift(gamma: ConnectionField, xi: CovariantField):
+    """d_j B^A_i + L^A_{CB} B^C_j B^B_i, the horizontal frame legs B
+    differentiated along the cross-section with the lifted connection: a
+    function of points x giving the adapted frame at x and that sum, a
+    read-only [.., A, j, i], formed once for the points it last took."""
+    last = []  # the points, the frame and the sum
+
+    def at(x):
+        if not (last and np.array_equal(last[0], x)):
+            frame, slopes, db = _frame_and_slope_arrays(xi, x)
+            lifted = complete_lift_connection(gamma, cross_section_point(xi, x))
+            moved = db + lifted.along_section(slopes)
+            moved.flags.writeable = False
+            last[:] = np.array(x, dtype=np.float64), frame, moved
+        return last[1], last[2]
+
+    return at
+
+
 def induced_connection(gamma: ConnectionField, xi: CovariantField, x) -> np.ndarray:
     """Connection induced on the cross-section by the lifted connection.
 
@@ -185,9 +207,8 @@ def induced_connection(gamma: ConnectionField, xi: CovariantField, x) -> np.ndar
     on top of this.
     """
     check_rank(xi.q)
-    frame, slopes, db = _frame_and_slope_arrays(xi, x)
-    lifted = complete_lift_connection(gamma, cross_section_point(xi, x))
-    return einsum("...hA,...Aji->...hji", frame.b_inv, db + lifted.along_section(slopes))
+    frame, moved = section_lift(gamma, xi)(x)
+    return einsum("...hA,...Aji->...hji", frame.b_inv, moved)
 
 
 @shared
@@ -217,23 +238,15 @@ def gauss_second_fundamental(gamma: ConnectionField, xi: CovariantField) -> Cova
     return CovariantField._of(xi.n, (xi.n,) * (q + 2), rule)
 
 
-def is_totally_geodesic(
-    gamma: ConnectionField,
-    xi: CovariantField,
-    points,
-    tol: float = sampling.DEFAULT_TOL,
-) -> sampling.SampledCheck:
+def is_totally_geodesic(gamma: ConnectionField, xi: CovariantField, points,
+                        tol: float = sampling.DEFAULT_TOL) -> sampling.SampledCheck:
     """Sampled test for H = 0; passes exactly for a totally geodesic
     cross-section (up to tol)."""
     return sampling.sampled_check(points, gauss_second_fundamental(gamma, xi).evaluate(points), tol)
 
 
-def gauss_consistency(
-    gamma: ConnectionField,
-    xi: CovariantField,
-    points,
-    tol: float = sampling.DEFAULT_TOL,
-) -> sampling.SampledCheck:
+def gauss_consistency(gamma: ConnectionField, xi: CovariantField, points,
+                      tol: float = sampling.DEFAULT_TOL) -> sampling.SampledCheck:
     """Check, on sampled points, that differentiating the adapted frame
     with the lifted connection reproduces the base connection plus H in
     the fibre directions:
@@ -247,10 +260,8 @@ def gauss_consistency(
     """
     n, m = xi.n, len(points)
     gauss = gauss_second_fundamental(gamma, xi).evaluate(points).reshape(m, n, n, -1)
-    frame, slopes, db = _frame_and_slope_arrays(xi, points)
-    lifted = complete_lift_connection(gamma, cross_section_point(xi, points))
-    lhs = db + lifted.along_section(slopes)
-    lhs -= einsum("...hji,...Ah->...Aji", gamma.evaluate(points), frame.b)
+    frame, moved = section_lift(gamma, xi)(points)
+    lhs = moved - einsum("...hji,...Ah->...Aji", gamma.evaluate(points), frame.b)
     lhs[:, n:] -= np.moveaxis(gauss, -1, -3)  # the right-hand side, H C
     return sampling.sampled_check(points, lhs, tol)
 
@@ -272,12 +283,8 @@ def _curvature_cov_derivative(gamma: ConnectionField, point) -> np.ndarray:
     )
 
 
-def curvature_tangency(
-    gamma: ConnectionField,
-    xi: CovariantField,
-    points,
-    tol: float = sampling.DEFAULT_TOL,
-) -> sampling.SampledCheck:
+def curvature_tangency(gamma: ConnectionField, xi: CovariantField, points,
+                       tol: float = sampling.DEFAULT_TOL) -> sampling.SampledCheck:
     """Sampled residual of the identity that makes curvature variation
     along the cross-section tangent to it:
 

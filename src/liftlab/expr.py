@@ -7,17 +7,17 @@ Subtraction is lowered to addition of a negation as it is read.
 
 A Tape holds expressions as slots listed arguments first, in array
 columns: an opcode, two integer arguments, a constants list, and the
-output slots.  The parser builds them: one regex call lexes a text, the
-parser reads the lexemes once, left to right (lexing again only to find
-an error's position), and hands each operand and operator to a slot
-builder, which hash-conses (a structure already present is not added
-again, so a subexpression written twice, in one text or in two
-components of one field, has one slot) and folds constants by the rules
-of folded below.  No expression tree is built on the way.  Slots a fold
-leaves unread are dropped when the tape is finished.  Parentheses and
-calls nest on a list, not on the interpreter's stack, up to MAX_NESTING
-deep; past that the text is a ParseError.  Text and numbers are the only
-way into a tape; this module alone knows the opcodes.
+output slots.  The parser reads the lexemes of one regex call once, left
+to right (lexing again only to find an error's position), and hands each
+operand and operator to a slot builder, which hash-conses (a
+subexpression written twice, in one text or in two components, has one
+slot) and folds constants by the rules of folded below; no expression
+tree is built, and slots a fold leaves unread are dropped.  Parentheses
+and calls nest on a list, not on the interpreter's stack, up to
+MAX_NESTING deep; past that the text is a ParseError.  Text and numbers
+are the only way into a tape; this module alone knows the opcodes.  A
+tape depends on its components alone and never changes once built, so
+compiled keeps the last MAX_TAPES for later lists of the same components.
 
 Trees (liftlab.tree) are output only: Tape.tree renders an output as
 one, and parse returns the tree of a text's tape.  A tree prints as
@@ -604,6 +604,30 @@ class Tape:
                 part = per_point[rows].reshape((k, -1) + (n,) * d)
                 a[c : c + step] = part.transpose(*range(1, d + 2), 0)
         return out
+
+
+MAX_TAPES = 16  # compiled tapes kept for reuse, the least recently used first out
+_TAPES: dict = {}  # key -> Tape, least recently used first
+
+
+def compiled(exprs: list) -> Tape:
+    """Tape(exprs), kept for a later list of the same components: a (text,
+    n) pair keyed as itself, a number by its float bit pattern (so 1, 1.0
+    and True share a tape, 0.0 and -0.0 do not).  A list with another
+    type, an unhashable pair or a number out of float range is compiled
+    uncached, so it raises what Tape raises."""
+    numbers = [e for e in exprs if type(e) is not tuple]
+    try:
+        if not {int, float, bool}.issuperset(map(type, numbers)):
+            raise TypeError
+        key = tuple(e if type(e) is tuple else None for e in exprs), array("d", numbers).tobytes()
+        tape = _TAPES.pop(key, None)
+    except (TypeError, OverflowError):
+        return Tape(exprs)
+    _TAPES[key] = tape = Tape(exprs) if tape is None else tape  # now the most recently used
+    if len(_TAPES) > MAX_TAPES:
+        del _TAPES[next(iter(_TAPES))]
+    return tape
 
 
 def _rows(slots: array):

@@ -30,14 +30,13 @@ position i - 1 of its axis, and coordinates are x1..xn.
               + Gamma^l_{km} Gamma^m_{ji} - Gamma^l_{jm} Gamma^m_{ki}.
 
 An input field's components are strings over x1..xn or numbers, and
-nothing else: a tree is given as its text.  The field compiles them into
-one expr.Tape when it is built, keeps it as its tape attribute, and
-takes its jets from Tape.jets, to order 2.  Component text is parsed
-straight into the tape's slots, each distinct text once, and no
-expression tree is built: comps, the components as trees, is rendered
-from the tape on first read (for an error message, a test, the
-benchmark's expression counts) and then kept.  Points are (..., n) on
-the field's own chart; any other last axis is a ValueError.
+nothing else: a tree is given as its text.  The field takes its
+expr.Tape from expr.compiled when it is built, the same tape as an
+earlier field with the same components, and its jets from Tape.jets, to
+order 2.  comps, the components as trees, is rendered from the tape on
+first read (for an error message, a test, the benchmark's expression
+counts) and then kept.  Points are (..., n) on the field's own chart;
+any other last axis is a ValueError.
 
 An operator is a float einsum over its operands' jets: its values
 contract the operands' values and partials, its first partials follow
@@ -57,7 +56,7 @@ only the order asked: lower-order Taylor coefficients do not depend on
 the truncation order, so an order-2 run holds the lower-order runs bit
 for bit.  In one_case(), opened by cli.run_scenario per case, each
 builder gives one output per operands: a case evaluates what its checks
-share once.
+share once, and nothing that depends on the points outlives it.
 
 Memory layout: every batched array keeps the point axis first in its
 shape but stores it fastest in memory (stride one item), so that numpy's
@@ -76,7 +75,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import SingularPointError, Tape
+from .expr import SingularPointError, compiled
 
 MAX_DIM = 4
 
@@ -228,7 +227,7 @@ class Field:
         if grid.shape != shape:
             raise ValueError(f"expected a {' x '.join(map(str, shape))} component grid")
         self.shape = shape
-        self.tape = Tape([(v, n) if isinstance(v, str) else v for v in grid.flat])
+        self.tape = compiled([(v, n) if isinstance(v, str) else v for v in grid.flat])
         self.name, self._comps, self._rule, self._last = None, None, None, None
 
     @classmethod

@@ -164,6 +164,19 @@ def test_negative_seed_is_a_usage_error(source, tmp_path, monkeypatch, capsys):
     assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
 
+@pytest.mark.parametrize("checks", [["gauss_consistency", "gauss_consistency"],
+                                    ["lift_connection_zeros", "gauss_consistency",
+                                     "lift_connection_zeros"]])
+def test_a_check_listed_twice_is_a_usage_error(checks, tmp_path, capsys):
+    # reported twice, it would give two entries of one id in the JSON report
+    doc = {"n": 2, "q": 2, "gamma": "flat", "xi": {"1,2": "x1*x2"}, "checks": checks}
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: duplicate check {checks[0]!r}\n" and captured.out == ""
+
+
 @pytest.mark.parametrize("env", ["٧", "1_0", "+7", "7.0", "", "--7"])
 def test_env_seed_takes_ascii_digits_only(env, tmp_path, monkeypatch, capsys):
     # int() alone would read "٧" (Arabic-Indic seven) as 7 and "1_0" as 10
@@ -749,6 +762,45 @@ def test_a_case_runs_each_input_tape_once(fields, tmp_path, monkeypatch):
     run_scenario(str(path))
     assert len(compiles) == 2  # gamma and xi
     assert {tape: len(r) for tape, r in runs.items()} == dict.fromkeys(compiles, 1)
+
+
+SHIPPED = sorted(p.name for p in SCENARIOS.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_a_warm_run_compiles_nothing_and_reports_as_a_cold_one(name, monkeypatch):
+    # a second case of the same fields takes every tape from those kept;
+    # what depends on the points is computed afresh, each input tape once
+    path = str(SCENARIOS / name)
+    cold = run_scenario(path).to_json()
+    compiles = _count_tapes(monkeypatch)
+    runs = _count_tape_runs(monkeypatch)
+    sc = load_scenario(path)
+    tapes = [f.tape for f in (sc.phi, sc.xi, sc.gamma, sc.v, sc.a) if f is not None]
+    assert run_scenario(path).to_json() == cold
+    assert compiles == []
+    assert {tape: len(r) for tape, r in runs.items()} == dict.fromkeys(tapes, 1)
+
+
+@pytest.mark.parametrize("name", ["sphere_cross_section.json", "flat_quadratic.json"])
+def test_the_checks_of_a_case_share_one_lift_along_the_section(name, monkeypatch):
+    # induced_equals_base and gauss_consistency both read d_j B + L B B at
+    # the section; lift_connection_zeros lifts at fibre points of its own
+    lifts, formed = [], []
+    lift, section_lift = connection_lift.complete_lift_connection, connection_lift.section_lift
+    monkeypatch.setattr(connection_lift, "complete_lift_connection",
+                        lambda gamma, at: lifts.append(at) or lift(gamma, at))
+    monkeypatch.setattr(connection_lift, "section_lift",
+                        lambda *ops: formed.append(weakref.ref(section_lift(*ops))) or formed[-1]())
+    report = run_scenario(str(SCENARIOS / name))
+    checks = dict(report.results)
+    assert "induced_equals_base" in checks and "gauss_consistency" in checks
+    xi = load_scenario(str(SCENARIOS / name)).xi
+    on_section = [at for at in lifts
+                  if np.array_equal(at.fibre, xi.evaluate(at.base).reshape(at.fibre.shape))]
+    assert len(on_section) == 1 and len(lifts) == 2
+    # the shared builder's outputs, and the arrays they keep, go with the case
+    assert len(formed) == 2 and all(ref() is None for ref in formed)
 
 
 @pytest.mark.parametrize("checks, orders", [

@@ -867,3 +867,98 @@ def test_jets_of_a_large_tape_keep_a_bounded_store():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# compiled tapes kept for reuse
+
+
+@pytest.mark.parametrize("c", [0.0, math.nan, math.inf], ids=["zero", "nan", "inf"])
+def test_kept_tapes_keep_a_numbers_sign_apart(c):
+    plus, minus = E.compiled([c, ("x1", 1)]), E.compiled([-c, ("x1", 1)])
+    assert plus is not minus
+    assert E.compiled([-c, ("x1", 1)]) is minus and E.compiled([c, ("x1", 1)]) is plus
+    for tape, sign in ((plus, False), (minus, True)):
+        assert np.signbit(tape.jets([[0.5], [0.7]], 2)[0][:, 0]).tolist() == [sign, sign]
+
+
+def test_equal_numbers_share_a_kept_tape():
+    tapes = [CovariantField(1, 1, [one]).tape for one in (1, 1.0, True)]
+    assert tapes[0] is tapes[1] is tapes[2]
+    assert len(E._TAPES) == 1
+
+
+def test_a_text_at_two_dimensions_is_two_tapes():
+    assert E.compiled([("x1*x2", 2)]) is not E.compiled([("x1*x2", 3)])
+    assert E.compiled([("x1*x2", 2)]) is E.compiled([("x1*x2", 2)])
+    assert len(E._TAPES) == 2
+
+
+def test_a_text_and_a_number_keep_their_places():
+    assert E.compiled([("x1", 1), 2.0]) is not E.compiled([2.0, ("x1", 1)])
+
+
+@pytest.mark.parametrize("components, error, message", [
+    (["x3", 10**400], ParseError, "variable x3 out of range for dimension 2 (at position 0)"),
+    ([10**400, "x3"], OverflowError, "int too large to convert to float"),
+    ([parse("x1", 2), "1"], TypeError, "cannot use Var as an expression; give its text"),
+    (["x1", np.float32(0.5)], TypeError, "cannot use float32 as an expression; give its text"),
+    (["x3", 1.0], ParseError, "variable x3 out of range for dimension 2 (at position 0)"),
+])
+def test_a_failing_list_raises_as_an_uncached_compile_and_is_not_kept(components, error, message,
+                                                                      monkeypatch):
+    compiles = []
+    init = Tape.__init__
+    monkeypatch.setattr(Tape, "__init__", lambda self, exprs: compiles.append(1) or init(self, exprs))
+    for k in (1, 2):
+        with pytest.raises(error) as raised:
+            CovariantField(2, 1, components)
+        assert str(raised.value) == message
+        assert E._TAPES == {} and len(compiles) == k
+
+
+def test_a_number_that_only_looks_like_one_is_never_served_a_kept_tape():
+    E.compiled([("x1", 1), 0.5])
+    with pytest.raises(TypeError, match="cannot use float32 as an expression"):
+        E.compiled([("x1", 1), np.float32(0.5)])
+    with pytest.raises(TypeError, match="cannot use list as an expression"):
+        E.compiled([("x1", 1), [0.5]])
+
+
+def test_at_most_max_tapes_are_kept_the_most_recently_used():
+    lists = [[(f"x1 + {k}", 1)] for k in range(E.MAX_TAPES + 8)]
+    tapes = []
+    for k, exprs in enumerate(lists):
+        tapes.append(E.compiled(exprs))
+        assert len(E._TAPES) == min(k + 1, E.MAX_TAPES)
+        assert E.compiled(lists[0]) is tapes[0]  # used last but one: kept
+    kept = [any(t is tape for t in E._TAPES.values()) for tape in tapes]
+    # the first was used all along; of the rest, the last MAX_TAPES - 1 survive
+    assert kept == [True] + [False] * 8 + [True] * (E.MAX_TAPES - 1)
+    assert E.compiled(lists[-1]) is tapes[-1] and E.compiled(lists[1]) is not tapes[1]
+
+
+def _tape_state(tape):
+    """Every column, constant and plan entry of a tape, as comparable data."""
+    def plain(x):
+        if isinstance(x, np.ndarray):
+            return ("array", x.dtype.str, x.shape, x.tobytes())
+        if isinstance(x, (list, tuple)):
+            return tuple(map(plain, x))
+        if isinstance(x, float):
+            return ("float", struct.pack("d", x))
+        return x if isinstance(x, (int, slice)) or x is None else ("bytes", bytes(x))
+    return plain([tape.ops, tape.args_a, tape.args_b, tape.outputs, tape.consts, tape._plan])
+
+
+def test_running_a_tape_leaves_it_as_compiled():
+    # a kept tape is shared by every field with its components
+    texts = ["sin(x1)*x2^2 - 3", "cos(x1)/sin(x1)", "exp(x2) + x1*x2 + 0.5", "x1^-2"]
+    tape = E.compiled([(t, 2) for t in texts] + [1.0, -0.0, math.inf])
+    before = _tape_state(tape)
+    points = np.random.default_rng(12).uniform(-1.0, 1.0, size=(5, 2))
+    with np.errstate(all="ignore"):
+        for order in (0, 1, 2):
+            tape.jets(points, order)
+            tape.jets(points[0], order)
+    assert _tape_state(tape) == before
