@@ -5,7 +5,10 @@ fibre coordinates of a covariant tensor, ordered by multi-index rank.
 A (0,q) field xi determines the cross-section x -> (x, xi(x)); the
 machinery here builds the adapted frame along it, lifts vectors,
 tensors, and endomorphisms, and verifies the structure-preservation
-statements about those lifts on sampled points.
+statements about those lifts on sampled points.  In one case, the lifted
+endomorphism (read by the characterization and Theorem 1) and the purity
+defect (read by the purity check, the Tachibana gate and Theorem 1) are
+each formed once (tensor.kept), as read-only arrays.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .tensor import (
     contraction,
     einsum,
     jet_einsum,
+    kept,
     lie_derivative_cov,
     lie_derivative_endo,
     shared,
@@ -159,10 +163,14 @@ def complete_lift_vector_on_section(v: VectorField, xi: CovariantField, x) -> np
 def purity_residual(phi: EndomorphismField, xi: CovariantField, points) -> np.ndarray:
     """Signed disagreements of the q slot contractions of phi into xi at
     a batch of points, every slot against every slot: [point, slot, slot,
-    *shape].  A rank-1 tensor has one contraction, so it is pure by
-    definition (residual 0)."""
+    *shape], read-only and formed once per case (tensor.kept).  A rank-1
+    tensor has one contraction, so it is pure by definition (residual 0)."""
     if phi.n != xi.n:
         raise ValueError("endomorphism and tensor field live on different charts")
+    return kept(_purity_defect, phi, xi, points)
+
+
+def _purity_defect(phi: EndomorphismField, xi: CovariantField, points) -> np.ndarray:
     slots = [contract_slot_endo(xi, phi, s).evaluate(points) for s in range(1, xi.q + 1)]
     # stacked points-fastest, as each slot is stored, so the differences are too
     c = np.stack(slots, 1, out=np.empty((len(points), xi.q) + xi.shape, order="F"))
@@ -256,7 +264,8 @@ def complete_lift_endo_on_section(
     phi: EndomorphismField, xi: CovariantField, x
 ) -> np.ndarray:
     """Complete lift of phi at (x, xi(x)), adapted frame, shape
-    (..., n + n^q, n + n^q) with the point axes in front.
+    (..., n + n^q, n + n^q) with the point axes in front, read-only and
+    formed once per case (tensor.kept).
 
     Blocks: phi itself on horizontal legs, minus the Tachibana image as
     the fibre-from-horizontal coupling, and the first-slot action of phi
@@ -267,7 +276,12 @@ def complete_lift_endo_on_section(
     """
     if phi.n != xi.n:
         raise ValueError("endomorphism and tensor field live on different charts")
-    n, q = xi.n, check_rank(xi.q)
+    check_rank(xi.q)
+    return kept(_lifted_endo, phi, xi, x)
+
+
+def _lifted_endo(phi: EndomorphismField, xi: CovariantField, x) -> np.ndarray:
+    n, q = xi.n, xi.q
     nf = n**q
     x = np.asarray(x, dtype=np.float64)
     batch = x.shape[:-1]

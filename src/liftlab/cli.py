@@ -314,7 +314,7 @@ def _check_lift_zeros(gamma: ConnectionField, q: int, points, rng, tol) -> sampl
     # fibre_bb can carry an asymmetry.
     g, dg = gamma.jets(points, 1)
     doubled = connection_lift.t_linear_block(
-        g, dg, curvature(gamma).evaluate(points), 2.0 * fib, q
+        g, dg, curvature(gamma).jets(points, 0)[0], 2.0 * fib, q
     )
     asym = [a - np.swapaxes(a, -1, -2) for a in (lift.base, lift.fibre_bb)]
     return sampling.sampled_check(points, asym + [doubled - 2.0 * lift.fibre_bb], tol)
@@ -384,6 +384,7 @@ def run_scenario(
 
     with np.errstate(all="ignore"), one_case():  # non-finite values are caught where made
         points = _sample_scenario_points(sc, seed, count, box)
+        points.flags.writeable = False  # so that what the checks share is kept for them
         if sc.gamma is not None:
             # where the screen found gamma regular, by the connection functions' rule
             try:

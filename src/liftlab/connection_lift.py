@@ -12,7 +12,9 @@ the induced base connection, the second-fundamental-form analogue, the
 totally-geodesic test, and the curvature tangency identity along the
 cross-section.  In one case, the checks read one section_lift (the frame
 differentiated with the lifted connection) and one
-gauss_second_fundamental.
+gauss_second_fundamental, and the t-independent terms of the fibre block,
+from Gamma, its partials and R, are formed once (tensor.kept) for both
+lifts of lift_connection_zeros and the section lift.
 
 Each of them needs a symmetric (torsion-free) connection and measures
 that hypothesis at the points it evaluates, by require_symmetric.
@@ -20,6 +22,7 @@ that hypothesis at the points it evaluates, by require_symmetric.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -33,6 +36,7 @@ from .tensor import (
     covariant_derivative_cov,
     curvature,
     einsum,
+    kept,
     shared,
     slot_einsum,
     sum_over_slots,
@@ -125,21 +129,20 @@ def complete_lift_connection(gamma: ConnectionField, at: BundlePoint) -> LiftedC
         raise ValueError("connection and bundle point have different dimensions")
     g, dg = gamma.jets(at.base, 1)  # g[.., h, j, i], dg[.., m, h, j, i] = d_m Gamma^h_{ji}
     require_symmetric(gamma, at.base)  # reads the jets just taken
-    r4 = curvature(gamma).evaluate(at.base)  # r4[.., k, j, i, l] = R_{kji}^l
+    r4 = curvature(gamma).jets(at.base, 0)[0]  # r4[.., k, j, i, l] = R_{kji}^l
     fibre_bb = t_linear_block(g, dg, r4, at.fibre, at.q)
     return LiftedConnectionCoeffs(at.n, at.q, g, fibre_bb)
 
 
-def t_linear_block(g, dg, r4, t, q: int):
-    """The fibre_bb block [.., i_, m, s] at fibre coordinates t[.., n^q]
-    (rank order), from Gamma g[.., h, j, i], its partials dg[.., m, h, j, i]
-    and the curvature r4[.., k, j, i, l]; linear in t."""
+def _slot_terms(g, dg, r4):
+    """The t-independent terms of t_linear_block, as [.., m, x, a] and
+    [.., m, s, x, a]."""
     # Each term replaces one fibre slot value x by a, or two slots at once.
     # Replacing one slot through Gamma^a_{m x}, with m the lower base index:
     # minus this makes the mixed blocks (see LiftedConnectionCoeffs), and
-    # two of them at distinct slots make the quadratic part of this block.
+    # two of them at distinct slots make the quadratic part of the block.
     replace = einsum("...amx->...mxa", g)
-    # The single-replacement part, as [.., m, s, x, a]:
+    # The single-replacement part:
     #   -d_m Gamma^a_{s x} + Gamma^r_{m x} Gamma^a_{s r} + Gamma^r_{m s} Gamma^a_{r x}
     #   + R_{x s m}^a
     single = (
@@ -148,6 +151,15 @@ def t_linear_block(g, dg, r4, t, q: int):
         + einsum("...rms,...arx->...msxa", g, g)
         + einsum("...xsma->...msxa", r4)
     )
+    return replace, single
+
+
+def t_linear_block(g, dg, r4, t, q: int):
+    """The fibre_bb block [.., i_, m, s] at fibre coordinates t[.., n^q]
+    (rank order), from Gamma g[.., h, j, i], its partials dg[.., m, h, j, i]
+    and the curvature r4[.., k, j, i, l]; linear in t.  Its t-independent
+    terms are formed once per case for the same read-only arrays (kept)."""
+    replace, single = kept(_slot_terms, g, dg, r4)
     fibre_bb = sum(np.moveaxis(_slot_apply(single, c, q, t), -1, -3) for c in range(q))
     # The quadratic part: slot c replaced through Gamma^a_{s x}, then slot
     # b through Gamma^a_{m x}, on the fibre axes split around slot b; the
@@ -183,19 +195,14 @@ def section_lift(gamma: ConnectionField, xi: CovariantField):
     """d_j B^A_i + L^A_{CB} B^C_j B^B_i, the horizontal frame legs B
     differentiated along the cross-section with the lifted connection: a
     function of points x giving the adapted frame at x and that sum, a
-    read-only [.., A, j, i], formed once for the points it last took."""
-    last = []  # the points, the frame and the sum
+    read-only [.., A, j, i], formed once per case for the same points (kept)."""
+    return functools.partial(kept, _lift_along_section, gamma, xi)
 
-    def at(x):
-        if not (last and np.array_equal(last[0], x)):
-            frame, slopes, db = _frame_and_slope_arrays(xi, x)
-            lifted = complete_lift_connection(gamma, cross_section_point(xi, x))
-            moved = db + lifted.along_section(slopes)
-            moved.flags.writeable = False
-            last[:] = np.array(x, dtype=np.float64), frame, moved
-        return last[1], last[2]
 
-    return at
+def _lift_along_section(gamma: ConnectionField, xi: CovariantField, x):
+    frame, slopes, db = _frame_and_slope_arrays(xi, x)
+    lifted = complete_lift_connection(gamma, cross_section_point(xi, x))
+    return frame, db + lifted.along_section(slopes)
 
 
 def induced_connection(gamma: ConnectionField, xi: CovariantField, x) -> np.ndarray:

@@ -30,7 +30,10 @@ shared by many outputs, or repeated inside one, is computed once.
 Derivatives are never built as expressions: Tape.jets carries the value,
 the gradient and the Hessian of every slot level by level (truncated
 Taylor propagation, one rule per opcode), so the partials it returns are
-exact up to rounding.
+exact up to rounding.  A part the same at every point is computed once:
+a constant, a linear slot's gradient, and the Hessian of a slot of
+degree <= 2, a square's among them, whose second-derivative factor is
+the constant 2.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .tree import Add, Const, Cos, Div, Exp, IntPow, Mul, Neg, ScalarExpr, Sin, 
 
 # Opcodes: the binary ones first, then the unary ones, then the leaves.
 MUL, ADD, DIV, NEG, POW, SIN, COS, EXP, CONST, VAR = range(10)
+SQUARE = 10  # not an opcode: POW with exponent 2 in a flags key, its Hessian factor constant
 
 # The node class of each opcode but CONST, VAR and POW, for Tape.tree.
 _NODES = {ADD: Add, MUL: Mul, DIV: Div, NEG: Neg, SIN: Sin, COS: Cos, EXP: Exp}
@@ -64,14 +68,16 @@ _RANK = bytes(3 - kinds.count(_EACH) for kinds in _KINDS)
 
 
 class _Flags(dict):
-    """Flags of op's result by op << 10 | fa << 5 | fb (fb = fa if unary): op's Taylor rule
-    run once on stand-ins with one point for a part of kind _ALL, two for _EACH."""
+    """Flags of op's result by op << 10 | fa << 5 | fb (fb = fa if unary, op SQUARE for
+    POW with exponent 2): op's Taylor rule run once on stand-ins with one point for a
+    part of kind _ALL, two for _EACH; 3 stands in for any other exponent."""
 
     def __missing__(self, key):
         a, b = ([None if kind == _NONE else np.ones((1, 2 - kind) + shape)
                  for kind, shape in zip(_KINDS[f], ((1, 1), (2, 1), (2, 2)))]
                 for f in (key >> 5 & 31, key & 31))
-        got = [_NONE if x is None else 2 - len(x[0]) for x in _taylor(key >> 10, 2, a, b, 2, None)]
+        op, k = (POW, 2) if key >> 10 == SQUARE else (key >> 10, 3)
+        got = [_NONE if x is None else 2 - len(x[0]) for x in _taylor(op, k, a, b, 2, None)]
         assert got == sorted(got), got
         return self.setdefault(key, _KINDS.index(tuple(got)))
 
@@ -442,8 +448,8 @@ class Tape:
                 live[args_a[i]] = 1
                 if ops[i] != POW:
                     live[args_b[i]] = 1
-        # Each kept slot's level, flags and group key (rank, level, opcode,
-        # argument flags, and for POW the exponent's place in powers), by
+        # Each kept slot's level, flags and group key (rank, level, opcode or
+        # SQUARE, argument flags, and for POW the exponent's place in powers), by
         # which the slots are then renumbered.
         kept = list(compress(range(len(ops)), live))
         level, flags, keys, powers = [0] * len(ops), bytearray(len(ops)), [0] * len(ops), {}
@@ -452,8 +458,8 @@ class Tape:
             if op >= CONST:
                 f, flags[i] = op << 10, _CONST_FLAGS if op == CONST else _VAR_FLAGS
             else:
-                arg = a if op == POW else c
-                f = op << 10 | flags[a] << 5 | flags[arg]
+                arg, rule = (a, SQUARE if consts[c] == 2 else op) if op == POW else (c, op)
+                f = rule << 10 | flags[a] << 5 | flags[arg]
                 level[i] = (level[a] if level[a] > level[arg] else level[arg]) + 1
                 flags[i] = _FLAGS[f]
             keys[i] = ((_RANK[flags[i]] << 32 | level[i]) << 14 | f) << 32 | (
@@ -669,7 +675,8 @@ def _taylor(op: int, k: int, a, b, order: int, out) -> tuple:
         elif op == POW:
             v = np.power(va, k, out=out)
             if order:
-                d1, d2 = k * np.power(va, k - 1), k * (k - 1) * np.power(va, k - 2)
+                d1 = k * np.power(va, k - 1)
+                d2 = 2.0 if k == 2 else k * (k - 1) * np.power(va, k - 2)  # 2 x^0 at every x
         else:
             v = (np.sin if op == SIN else np.cos)(va, out=out)
             if order:

@@ -55,8 +55,10 @@ and then every check reads that one tape run.  Any other miss computes
 only the order asked: lower-order Taylor coefficients do not depend on
 the truncation order, so an order-2 run holds the lower-order runs bit
 for bit.  In one_case(), opened by cli.run_scenario per case, each
-builder gives one output per operands: a case evaluates what its checks
-share once, and nothing that depends on the points outlives it.
+builder gives one output per operands, and kept forms an array once for
+the same fields and read-only arrays (the case's points, the jets): a
+case evaluates what its checks share once, and nothing that depends on
+the points outlives it.
 
 Memory layout: every batched array keeps the point axis first in its
 shape but stores it fastest in memory (stride one item), so that numpy's
@@ -118,6 +120,29 @@ def shared(builder):
                 out.name = builder.__name__.strip("_")
         return table[key]
     return build
+
+
+def kept(form, *operands):
+    """form(*operands), formed once per one_case() for the same operands:
+    fields and read-only arrays, each by identity, which holds their
+    contents fixed.  With another operand, or outside a case, it is formed
+    on every call.  The arrays it returns, alone or in a tuple, are made
+    read-only."""
+    table = _CASE.get(None)
+    if table is None or not all(isinstance(a, Field) or isinstance(a, np.ndarray)
+                                and not a.flags.writeable for a in operands):
+        return _read_only(form(*operands))
+    key = (form,) + tuple(map(id, operands))
+    if key not in table:  # the operands go in too, so that no other object takes their ids
+        table[key] = _read_only(form(*operands)), operands
+    return table[key][0]
+
+
+def _read_only(out):
+    for a in out if isinstance(out, tuple) else (out,):
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return out
 
 
 class Jets(tuple):
@@ -227,6 +252,8 @@ class Field:
         if grid.shape != shape:
             raise ValueError(f"expected a {' x '.join(map(str, shape))} component grid")
         self.shape = shape
+        if tuple in map(type, grid.flat):  # else the tape reads it as a (text, n) pair
+            raise TypeError("cannot use tuple as an expression; give its text")
         self.tape = compiled([(v, n) if isinstance(v, str) else v for v in grid.flat])
         self.name, self._comps, self._rule, self._last = None, None, None, None
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _fields import generic_scenario
+from _fields import flipped_curvature, generic_scenario
 from liftlab import bundle, cli, connection_lift, expr, sampling, tensor
 from liftlab.cli import (
     CHECK_IDS,
@@ -801,6 +801,37 @@ def test_the_checks_of_a_case_share_one_lift_along_the_section(name, monkeypatch
     assert len(on_section) == 1 and len(lifts) == 2
     # the shared builder's outputs, and the arrays they keep, go with the case
     assert len(formed) == 2 and all(ref() is None for ref in formed)
+
+
+def test_a_case_forms_what_its_checks_share_once(tmp_path, monkeypatch):
+    # the lift terms (lift_connection_zeros twice, the section lift once),
+    # the lifted phi (characterization, theorem1) and the purity defect
+    # (purity, the tachibana_zero gate, theorem1); all three go with the case
+    formed = collections.defaultdict(list)
+    for module, name in ((connection_lift, "_slot_terms"), (bundle, "_lifted_endo"),
+                         (bundle, "_purity_defect")):
+        def counting(*args, form=getattr(module, name), name=name):
+            out = form(*args)
+            arrays = out if isinstance(out, tuple) else (out,)
+            formed[name].append([weakref.ref(a) for a in arrays])
+            return out
+        monkeypatch.setattr(module, name, counting)
+    checks = ["purity", "tachibana_zero", "nijenhuis_zero", "theorem1", "characterization",
+              "lift_connection_zeros", "induced_equals_base"]
+    run_scenario(write_scenario(tmp_path, checks=checks, **generic_scenario(27, 3, 2)))
+    assert {name: len(once) for name, once in formed.items()} == {
+        "_slot_terms": 1, "_lifted_endo": 1, "_purity_defect": 1}
+    assert all(ref() is None for once in formed.values() for refs in once for ref in refs)
+
+
+def test_the_sign_flipped_lift_is_not_served_the_kept_terms():
+    # every lift of the case negates R, so no check reads the terms of +R
+    path = str(SCENARIOS / "sphere_cross_section.json")
+    with flipped_curvature():
+        flipped = dict(run_scenario(path).results)
+    assert flipped["gauss_consistency"].residual > 1.0
+    assert flipped["lift_connection_zeros"].residual > 1.0
+    assert flipped["induced_equals_base"].passed and flipped["curvature_tangency"].passed
 
 
 @pytest.mark.parametrize("checks, orders", [

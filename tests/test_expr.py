@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import _oracles
@@ -756,12 +756,27 @@ def _slot_rules(e, p, order):
     return done[0]
 
 
+# Squares, whose Hessian factor is the constant 2, and powers that keep one for each point
+_POWERS = ["0.5 - 0.25*x1^2 + 0.75*x1*x2 - x2^2", "(x1 + x2)^2",
+           "x1^3", "x1^-2", "sin(x1)^2", "(x1*x2)^2"]
+
+
+def test_a_square_has_a_constant_hessian():
+    # a polynomial of degree <= 2 has no Hessian row for each point
+    assert Tape([(_POWERS[0], 2)])._plan[1] == [12, 9, 0]
+    assert Tape([(_POWERS[1], 2)])._plan[1] == [4, 1, 0]
+    for text in _POWERS[2:]:
+        assert Tape([(text, 2)])._plan[1][2] > 0, text
+
+
 @given(
     exprs=st.lists(_tape_exprs, min_size=1, max_size=4),
     shape=_batch_shapes,
     seed=st.integers(min_value=0, max_value=2**16),
     order=st.integers(min_value=0, max_value=2),
 )
+@example(exprs=[parse(t, DIM) for t in _POWERS], shape=(2, 3), seed=0, order=2)
+@example(exprs=[parse(t, DIM) for t in _POWERS], shape=(), seed=1, order=1)
 @settings(max_examples=150, deadline=None)
 def test_grouped_jets_are_the_slot_rules_bit_for_bit(exprs, shape, seed, order):
     # NaN payloads aside, which NumPy's loops pick by position

@@ -37,6 +37,7 @@ from liftlab.tensor import (
     contract_slot_endo,
     covariant_derivative_cov,
     curvature,
+    kept,
     lie_derivative_cov,
     lie_derivative_endo,
     one_case,
@@ -123,6 +124,17 @@ def test_a_component_is_text_or_a_number_never_a_tree():
     with pytest.raises(TypeError, match="cannot use Var as an expression; give its text"):
         CovariantField(1, 1, [expr.parse("x1", 1)])
     assert CovariantField(1, 1, [str(expr.parse("x1", 1))]).evaluate([0.5]).tolist() == [0.5]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CovariantField(2, 1, ["x1", ("x3", 3)]),  # was an IndexError on evaluate
+    lambda: CovariantField(2, 1, {(2,): ("x2", 2)}),  # was read as x2
+    lambda: VectorField(2, [("x1", 2), "x2"]),
+    lambda: EndomorphismField(2, [["x1", 0], [("x2", 2), 1]]),
+], ids=["list", "mapping", "vector", "endomorphism"])
+def test_a_tuple_component_is_no_text_and_dimension_pair(build):
+    with pytest.raises(TypeError, match=r"^cannot use tuple as an expression; give its text$"):
+        build()
 
 
 @pytest.mark.parametrize("points", [[0.5], [[0.5], [0.7]], [0.5, 0.6, 0.7, 0.8], 0.5],
@@ -583,6 +595,33 @@ def test_builder_shares_its_output_only_inside_a_case(name):
             assert build() is not first
         assert build() is first
     assert build() is not build()
+
+
+def test_kept_forms_once_per_case_for_fields_and_read_only_arrays():
+    xi = CovariantField(2, 1, ["x1", "x2"])
+    fixed, other = POINTS.copy(), POINTS.copy()
+    fixed.flags.writeable = other.flags.writeable = False
+    formed = []
+
+    def form(field, points):
+        formed.append(points)
+        return field.evaluate(points), points[:, 0] * 2.0
+
+    def failing(field, points):
+        formed.append(points)
+        raise ValueError("raised while forming")
+
+    with one_case():
+        for k in (1, 2):  # what raised is not kept
+            with pytest.raises(ValueError):
+                kept(failing, xi, fixed)
+            assert len(formed) == k
+        first = kept(form, xi, fixed)
+        assert kept(form, xi, fixed) is first and len(formed) == 3
+        assert not any(a.flags.writeable for a in first)
+        assert kept(form, xi, other) is not first  # arrays go by identity
+        assert kept(form, xi, POINTS) is not kept(form, xi, POINTS)  # a writable one is never kept
+    assert kept(form, xi, fixed) is not first  # the case is over
 
 
 def test_case_keys_outputs_by_every_operand():
