@@ -182,15 +182,18 @@ def _tachibana_field(phi: EndomorphismField, xi: CovariantField) -> CovariantFie
     """The (0,q+1) field
     Phi_{l k1..kq} = phi^m_l d_m xi_{k1..kq} - d_l (phi xi)_{k1..kq}
                      + sum_a (d_{ka} phi^m_l) xi_{k1..m..kq},
-    with (phi xi) the first-slot action.  No purity gate here."""
+    with (phi xi) the first-slot action, whose partials come by the product
+    rule from phi's and xi's jets: its values are not formed.  No purity
+    gate here."""
     q = xi.q
-    starred = apply_endo_cov(phi, xi)
 
     def rule(p, k):
         f, x = phi.jets(p, k + 1), xi.jets(p, k + 1)
+        d_starred = (slot_einsum("lm{s},{R}->l{S}", q, f.d, x)
+                     + slot_einsum("m{s},l{R}->l{S}", q, f, x.d))
         return (
             slot_einsum("ml,m{S}->l{S}", q, f, x.d)
-            - starred.jets(p, k + 1).d
+            - d_starred
             + sum_over_slots("{s}ml,{R}->l{S}", q, f.d, x)
         )
 

@@ -33,6 +33,7 @@ from .bundle import BundlePoint, adapted_frame, check_rank, cross_section_point
 from .tensor import (
     ConnectionField,
     CovariantField,
+    PointSet,
     covariant_derivative_cov,
     curvature,
     einsum,
@@ -54,15 +55,16 @@ def require_symmetric(gamma: ConnectionField, points) -> None:
     symmetric in its lower pair at the points (one point or a batch), up
     to STRUCTURAL_TOL.  Points it passed in this case pass again unread."""
     n = gamma.n
-    p, passed = np.reshape(points, (-1, n)), _passed_points(gamma)
-    if any(np.array_equal(seen, p) for seen in passed):
+    p, passed = np.asarray(points, dtype=np.float64), _passed_points(gamma)
+    if any(seen.holds(p) for seen in passed):
         return
-    g = gamma.jets(points, 0)[0].reshape(-1, n, n, n)  # at points as given: the cached jets
-    check = sampling.sampled_check(p, g - np.swapaxes(g, -1, -2), sampling.STRUCTURAL_TOL)
+    g = gamma.jets(p, 0)[0].reshape(-1, n, n, n)  # at points as given: the cached jets
+    check = sampling.sampled_check(p.reshape(-1, n), g - np.swapaxes(g, -1, -2),
+                                   sampling.STRUCTURAL_TOL)
     if not check.passed:
         raise TorsionError(f"connection must be symmetric in its lower indices (torsion-free): "
                            f"asymmetry {check.residual:.3e} exceeds {check.tol:.1e}")
-    passed.append(p.copy())
+    passed.append(PointSet(p))
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,10 @@ def sample_points(
     bool mask (k,), True where a row is unusable (for example a chart
     singularity).  Slots fill in draw order, each from the first usable
     candidate after the previous slot's; a slot gives up after max_tries
-    consecutive rejected redraws, counted across blocks.
+    consecutive rejected redraws, counted across blocks.  A block the
+    screen keeps whole fills the open slots as drawn, with no count of
+    rejected runs, and ends the draw; when it is the first block, it is
+    the array returned.
     """
     lo, hi = box
     if not (np.isfinite(hi - lo) and lo < hi):
@@ -51,24 +54,26 @@ def sample_points(
     rng = np.random.default_rng(seed)
     if screen is None:
         return rng.uniform(lo, hi, size=(count, dim))
-    points = np.empty((count, dim), dtype=np.float64)
-    filled = misses = 0
+    taken, filled, misses = [], 0, 0
     while filled < count:
         # one candidate per open slot: a block never outruns the slots
         block = rng.uniform(lo, hi, size=(count - filled, dim))
-        kept = np.flatnonzero(~np.asarray(screen(block), dtype=bool))
-        # rejected rows in front of each kept row and after the last one;
-        # the last run carries into the next block
-        runs = np.diff(kept, prepend=-1, append=len(block)) - 1
-        runs[0] += misses
-        if runs.max() > max_tries:
-            raise RuntimeError(
-                f"could not sample a regular point after {max_tries} redraws"
-            )
-        misses = runs[-1]
-        points[filled : filled + len(kept)] = block[kept]
-        filled += len(kept)
-    return points
+        rejected = np.asarray(screen(block), dtype=bool)
+        if rejected.any():
+            kept = np.flatnonzero(~rejected)
+            # rejected rows in front of each kept row and after the last one;
+            # the last run carries into the next block
+            runs = np.diff(kept, prepend=-1, append=len(block)) - 1
+            runs[0] += misses
+            if runs.max() > max_tries:
+                raise RuntimeError(
+                    f"could not sample a regular point after {max_tries} redraws"
+                )
+            misses = runs[-1]
+            block = block[kept]
+        taken.append(block)  # a block kept whole fills every open slot as drawn
+        filled += len(block)
+    return taken[0] if len(taken) == 1 else np.concatenate(taken)
 
 
 def sampled_check(points, residuals, tol: float, detail: dict | None = None) -> "SampledCheck":
@@ -83,7 +88,9 @@ def sampled_check(points, residuals, tol: float, detail: dict | None = None) -> 
     going to the earliest draw."""
     parts = [np.abs(r).max(axis=tuple(range(1, np.ndim(r))))
              for r in (residuals if isinstance(residuals, list) else [residuals])]
-    per_point = parts[0] if len(parts) == 1 else np.max(parts, axis=0)
+    per_point = parts[0]
+    for part in parts[1:]:  # pairwise: no stacked copy, and a NaN still wins
+        per_point = np.maximum(per_point, part)
     worst = int(np.argmax(per_point))  # a NaN is its own argmax
     residual = float(per_point[worst])
     point = tuple(np.asarray(points)[worst])

@@ -47,7 +47,11 @@ Each field keeps the raw jets of its last point set, non-finite entries
 and all, with the lowest order at which they are not finite, found by
 one finiteness scan when they are computed.  jets(points, order) serves
 any order up to the cached one and raises SingularPointError only when
-order reaches that non-finite order.  finite_rows(points, order, fill),
+order reaches that non-finite order.  The point set is kept as a
+PointSet: the array as given, when it is read-only and owns its data,
+and a copy for any other array.  So a read of the case's points, which
+are read-only, is a hit with no comparison, and an array changed in
+place is never served stale jets.  finite_rows(points, order, fill),
 the sampling screen's read of an input field, is a per-point mask that
 never raises; on a miss it computes the jets to fill, the highest order
 the case's checks read, when the block may become the case's point set,
@@ -145,6 +149,33 @@ def _read_only(out):
     return out
 
 
+class PointSet:
+    """A point array as a cache keeps it: the array as given, while its
+    contents are held fixed (it is read-only and owns its data, so no view
+    writes into it), and a copy.  holds(p) is an identity test for that
+    array while it stays read-only; any other array, or that one made
+    writable again, is compared with the copy, and an equal read-only
+    owner becomes the array kept."""
+
+    __slots__ = ("given", "copy")
+
+    def __init__(self, p: np.ndarray):
+        self.given, self.copy = (p if _fixed(p) else None), p.copy()
+
+    def holds(self, p: np.ndarray) -> bool:
+        if p is self.given and not p.flags.writeable:
+            return True
+        if p.shape != self.copy.shape or not (self.copy == p).all():
+            return False
+        if _fixed(p):
+            self.given = p
+        return True
+
+
+def _fixed(p: np.ndarray) -> bool:
+    return not p.flags.writeable and p.flags.owndata
+
+
 class Jets(tuple):
     """Values and partials of one field at a batch of points: [0] the
     values, [k] the k-th partials, the derivative axes right after the
@@ -178,17 +209,23 @@ def jet_einsum(spec: str, *operands: Jets) -> Jets:
     """einsum of Jets over their batch axes: the values contract by
     spec, and so, by the product rule, do the first partials when every
     operand carries them.  The result carries order 0 or 1."""
-    ins, out = spec.split("->")
-    subs = ins.split(",")
 
     def term(d: int) -> np.ndarray:  # with operand d differentiated, or none
-        spec = ",".join("..." + "Z" * (i == d) + s for i, s in enumerate(subs))
         arrays = [j[1] if i == d else j[0] for i, j in enumerate(operands)]
-        return einsum(f"{spec}->...{'Z' * (d >= 0)}{out}", *arrays)
+        return einsum(_term_spec(spec, d), *arrays)
 
     if min(map(len, operands)) < 2:
         return Jets([term(-1)])
     return Jets([term(-1), sum(term(d) for d in range(len(operands)))])
+
+
+@functools.cache
+def _term_spec(spec: str, d: int) -> str:
+    """jet_einsum's spec over the batch axes, with operand d's derivative
+    axis Z in front of its subscripts and of the output's (d >= 0)."""
+    ins, out = spec.split("->")
+    subs = ",".join("..." + "Z" * (i == d) + s for i, s in enumerate(ins.split(",")))
+    return f"{subs}->...{'Z' * (d >= 0)}{out}"
 
 
 def slot_einsum(spec: str, q: int, *operands, slot: int = 0):
@@ -199,12 +236,18 @@ def slot_einsum(spec: str, q: int, *operands, slot: int = 0):
     replaced by the summed index m.  Works alike on float arrays and,
     through jet_einsum, on Jets.
     """
-    letters = SLOTS[:q]
-    swapped = letters[:slot] + "m" + letters[slot + 1 :]
-    spec = spec.format(S=letters, s=letters[slot], R=swapped)
+    spec = _slot_spec(spec, q, slot)
     if isinstance(operands[0], Jets):
         return jet_einsum(spec, *operands)
     return einsum(spec, *operands)
+
+
+@functools.cache
+def _slot_spec(spec: str, q: int, slot: int) -> str:
+    """slot_einsum's template spec written out for q slots and that slot."""
+    letters = SLOTS[:q]
+    swapped = letters[:slot] + "m" + letters[slot + 1 :]
+    return spec.format(S=letters, s=letters[slot], R=swapped)
 
 
 def sum_over_slots(spec: str, q: int, *operands):
@@ -295,12 +338,15 @@ class Field:
         """Values and partials to the given order at points (..., n): an
         input field goes to order 2, an operator output to order 1.  The
         arrays are read-only; the last point set's are kept for the next
-        call.  Raises SingularPointError when one of them is not finite."""
+        call, which they serve when it passes the same read-only array (by
+        identity) or equal points (against a copy), returning the kept
+        Jets itself when they end at the order asked.  Raises
+        SingularPointError when one of them is not finite."""
         p = self._points(points, order)
         raw, bad = self._raw(p, order)
         if bad <= order:
             self._non_finite(p, raw[bad], bad)
-        return Jets(raw[: order + 1])
+        return raw if len(raw) == order + 1 else Jets(raw[: order + 1])
 
     def finite_rows(self, points, order: int, fill: int | None = None) -> np.ndarray:
         """Mask of shape points.shape[:-1], True where an input field's
@@ -336,7 +382,7 @@ class Field:
         none is): from the cache when it holds p that far, else computed
         to order and cached in its place."""
         last = self._last
-        if last and len(last[1]) > order and last[0].shape == p.shape and (last[0] == p).all():
+        if last and len(last[1]) > order and last[0].holds(p):
             return last[1], last[2]
         self._last = None  # let the old jets go before the new ones are made
         if self._rule is None:
@@ -350,7 +396,7 @@ class Field:
         for a in raw:
             a.flags.writeable = False
         bad = next((k for k, a in enumerate(raw) if not np.isfinite(a).all()), len(raw))
-        self._last = (p.copy(), raw, bad)
+        self._last = (PointSet(p), raw, bad)
         return raw, bad
 
     def _non_finite(self, p: np.ndarray, a: np.ndarray, k: int):

@@ -433,6 +433,41 @@ def test_checks_of_a_case_share_one_tachibana_field(monkeypatch):
     assert all(f is built[0] for f in built)
 
 
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_purity_and_theorem1_contract_phi_into_the_first_slot_once(q, tmp_path, monkeypatch):
+    # the purity defect contracts phi's values into xi's first slot, and the
+    # Tachibana image takes only that contraction's partials, by the
+    # product rule from phi's and xi's jets: the einsum runs once
+    specs = collections.Counter()
+    einsum = tensor.einsum
+    monkeypatch.setattr(tensor, "einsum",
+                        lambda spec, *ops, **kw: specs.update([spec]) or einsum(spec, *ops, **kw))
+    doc = generic_scenario(5, 2, q)
+    path = write_scenario(tmp_path, q=q, phi=doc["phi"], xi=doc["xi"], checks=["purity", "theorem1"])
+    run_scenario(path)
+    first_slot = {1: "...mA,...m->...A", 2: "...mA,...mB->...AB", 3: "...mA,...mBC->...ABC"}
+    assert specs[first_slot[q]] == 1
+
+
+def test_a_case_keeps_its_points_by_identity(monkeypatch):
+    # the case's points are read-only: every input field's jets cache and
+    # the symmetry gate's passed list end up keeping that array itself
+    cases, passed = [], []
+    sample, passed_points = cli._sample_scenario_points, connection_lift._passed_points
+    monkeypatch.setattr(cli, "_sample_scenario_points",
+                        lambda sc, *args: cases.append((sc, sample(sc, *args))) or cases[-1][1])
+    monkeypatch.setattr(connection_lift, "_passed_points",
+                        lambda gamma: passed.append(passed_points(gamma)) or passed[-1])
+    for name in ("theorem1_analytic.json", "sphere_cross_section.json"):
+        assert run_scenario(str(SCENARIOS / name)).passed
+    for sc, points in cases:
+        fields = [f for f in (sc.phi, sc.xi, sc.v, sc.a, sc.gamma) if f is not None]
+        assert len(fields) == 2 and not points.flags.writeable
+        assert all(f._last[0].given is points for f in fields)
+    assert passed and all(lst is passed[0] for lst in passed)
+    assert len(passed[0]) == 1 and passed[0][0].given is cases[1][1]
+
+
 def test_a_case_leaves_no_reference_cycle(monkeypatch):
     # the derived fields of a run, and the jets they keep, go when it
     # returns by reference counting alone, with the cyclic collector off

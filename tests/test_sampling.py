@@ -93,6 +93,11 @@ def _both(dim, seed, count, max_tries, pattern, box=(0.2, 1.5)):
 # misses spread over four blocks, one row each after the first
 @example(dim=2, seed=1, count=3, max_tries=4, runs=[0, 0, 4])
 @example(dim=2, seed=1, count=3, max_tries=3, runs=[0, 0, 4])
+# the first block of four keeps two rows and ends on two misses; the
+# second block, two rows, is kept whole after them
+@example(dim=2, seed=1, count=4, max_tries=2, runs=[0, 0, 2, 0])
+# one slot, and nothing rejected
+@example(dim=3, seed=1, count=1, max_tries=0, runs=[])
 def test_block_sampler_matches_per_candidate_loop(dim, seed, count, max_tries, runs):
     _both(dim, seed, count, max_tries, runs_pattern(runs))
 

@@ -737,6 +737,44 @@ def test_finite_rows_fills_the_cache_to_the_order_asked(monkeypatch):
         xi.finite_rows(POINTS, 0, 3)
 
 
+def test_jets_cache_keeps_a_read_only_array_by_identity_and_any_other_by_contents(monkeypatch):
+    runs = []
+    tape_jets = expr.Tape.jets
+    monkeypatch.setattr(expr.Tape, "jets",
+                        lambda tape, p, k: runs.append(k) or tape_jets(tape, p, k))
+    xi = CovariantField(2, 1, ["x1*x2", "x2^3"])
+    fixed = POINTS.copy()
+    fixed.flags.writeable = False
+    first = xi.jets(fixed, 1)
+    assert xi._last[0].given is fixed
+    assert xi.jets(fixed, 1) is first  # the cached Jets itself, at the order it ends at
+    # an equal but distinct array is served without a tape run, and an
+    # equal read-only one becomes the array kept
+    assert xi.jets(POINTS.copy(), 0)[0] is first[0] and xi._last[0].given is fixed
+    other = POINTS.copy()
+    other.flags.writeable = False
+    assert xi.jets(other, 1) is first and xi._last[0].given is other
+    assert runs == [1]
+    # a read-only array made writable again, then mutated: the kept copy catches it
+    other.flags.writeable = True
+    other[0] = [0.5, 2.0]
+    assert xi.jets(other, 0)[0][0].tolist() == [1.0, 8.0] and runs == [1, 0]
+    # a writable array mutated in place between two reads
+    moving = POINTS.copy()
+    xi.jets(moving, 0)
+    moving[3] = [2.0, 0.5]
+    assert xi.jets(moving, 0)[0][3].tolist() == [1.0, 0.125] and runs == [1, 0, 0, 0]
+    # a read-only view of a writable array is not held by identity: its
+    # base can still write into it
+    base = POINTS.copy()
+    view = base[:]
+    view.flags.writeable = False
+    xi.jets(view, 0)
+    assert xi._last[0].given is None
+    base[5] = [3.0, 1.0]
+    assert xi.jets(view, 0)[0][5].tolist() == [3.0, 1.0] and runs == [1, 0, 0, 0, 0, 0]
+
+
 # ---------------------------------------------------------------------------
 # the characterization probes in closed form
 
