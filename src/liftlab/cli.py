@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -113,7 +114,71 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        """to_dict() as json.dumps(..., sort_keys=True, indent=2) writes it,
+        plus a newline, byte for byte, written by the report's fixed
+        layout: json's indented form runs its pure-Python encoder."""
+        d = self.to_dict()
+        checks = ",\n".join(
+            "    {\n"
+            f'      "detail": {_json_detail(c["detail"])},\n'
+            f'      "id": {_json_value(c["id"])},\n'
+            f'      "residual": {_json_value(c["residual"])},\n'
+            f'      "status": {_json_value(c["status"])},\n'
+            f'      "tolerance": {_json_value(c["tolerance"])},\n'
+            f'      "worst_point": {_json_list(c["worst_point"], "      ")}\n'
+            "    }" for c in d["checks"])
+        checks = f"[\n{checks}\n  ]" if checks else "[]"
+        return (
+            "{\n"
+            f'  "box": {_json_list(d["box"], "  ")},\n'
+            f'  "checks": {checks},\n'
+            f'  "n": {_json_value(d["n"])},\n'
+            f'  "passed": {_json_value(d["passed"])},\n'
+            f'  "points": {_json_value(d["points"])},\n'
+            f'  "q": {_json_value(d["q"])},\n'
+            f'  "scenario": {_json_value(d["scenario"])},\n'
+            f'  "seed": {_json_value(d["seed"])}\n'
+            "}\n"
+        )
+
+
+def _json_value(v) -> str:
+    """A float, str, None, bool or int as json.dumps writes it."""
+    if isinstance(v, float):
+        text = float.__repr__(v)
+        return _FLOAT_NAMES.get(text, text)
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's, for float's repr
+
+
+def _json_list(values, pad: str) -> str:
+    """A list of values as json.dumps(indent=2) writes it on a line indented by pad."""
+    if not values:
+        return "[]"
+    sep = ",\n" + pad + "  "
+    return "[\n" + pad + "  " + sep.join(map(_json_value, values)) + "\n" + pad + "]"
+
+
+def _json_detail(detail: dict) -> str:
+    """A check's detail, its keys sorted, as json.dumps(sort_keys=True,
+    indent=2) writes it at a check's depth."""
+    if not detail:
+        return "{}"
+    items = ",\n        ".join(f"{encode_basestring_ascii(k)}: {_json_value(v)}"
+                               for k, v in sorted(detail.items()))
+    return "{\n        " + items + "\n      }"
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +342,7 @@ def _sample_scenario_points(sc: Scenario, seed: int, count: int, box) -> np.ndar
                 for kind in ("phi", "xi", "v", "a", "gamma") if getattr(sc, kind) is not None]
 
     def screen(block: np.ndarray) -> np.ndarray:
+        block.flags.writeable = False  # so that a block kept whole is held by identity
         bad = np.zeros(len(block), dtype=bool)
         for f, order, fill in screened:
             bad |= ~f.finite_rows(block, order, fill if len(block) == count else None)

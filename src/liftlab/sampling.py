@@ -86,7 +86,7 @@ def sampled_check(points, residuals, tol: float, detail: dict | None = None) -> 
     and the check passes when the largest is <= tol; one that is not
     finite raises SingularPointError.  The worst point attains it, ties
     going to the earliest draw."""
-    parts = [np.abs(r).max(axis=tuple(range(1, np.ndim(r))))
+    parts = [np.maximum.reduce(np.abs(r), axis=tuple(range(1, np.ndim(r))))
              for r in (residuals if isinstance(residuals, list) else [residuals])]
     per_point = parts[0]
     for part in parts[1:]:  # pairwise: no stacked copy, and a NaN still wins

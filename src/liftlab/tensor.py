@@ -47,11 +47,20 @@ Each field keeps the raw jets of its last point set, non-finite entries
 and all, with the lowest order at which they are not finite, found by
 one finiteness scan when they are computed.  jets(points, order) serves
 any order up to the cached one and raises SingularPointError only when
-order reaches that non-finite order.  The point set is kept as a
-PointSet: the array as given, when it is read-only and owns its data,
-and a copy for any other array.  So a read of the case's points, which
-are read-only, is a hit with no comparison, and an array changed in
-place is never served stale jets.  finite_rows(points, order, fill),
+order reaches that non-finite order.
+
+Identity rule: an array is trusted by identity only while nothing can
+change its contents, that is while it is read-only and so is every
+array up its .base chain (a read-only view of a writable array changes
+through its base), and only at the shape it had when it was kept (a
+shape can be reassigned in place).  Any other array is compared by
+contents.  The jets cache keeps its point set as a PointSet, the array
+as given when the rule trusts it next to a copy, so a read of the
+case's points, which are read-only, is a hit with no comparison, and
+an array changed in place is never served stale jets; kept keys its
+arrays by the same rule.  The jets a field caches are read-only with
+their owners, the tape's output arrays included, so they qualify as
+kept's keys.  finite_rows(points, order, fill),
 the sampling screen's read of an input field, is a per-point mask that
 never raises; on a miss it computes the jets to fill, the highest order
 the case's checks read, when the block may become the case's point set,
@@ -60,7 +69,7 @@ only the order asked: lower-order Taylor coefficients do not depend on
 the truncation order, so an order-2 run holds the lower-order runs bit
 for bit.  In one_case(), opened by cli.run_scenario per case, each
 builder gives one output per operands, and kept forms an array once for
-the same fields and read-only arrays (the case's points, the jets): a
+the same fields and trusted arrays (the case's points, the jets): a
 case evaluates what its checks share once, and nothing that depends on
 the points outlives it.
 
@@ -128,15 +137,15 @@ def shared(builder):
 
 def kept(form, *operands):
     """form(*operands), formed once per one_case() for the same operands:
-    fields and read-only arrays, each by identity, which holds their
-    contents fixed.  With another operand, or outside a case, it is formed
-    on every call.  The arrays it returns, alone or in a tuple, are made
-    read-only."""
+    fields, and arrays whose contents nothing can change (_fixed), each
+    by identity and shape.  With another operand, or outside a case, it
+    is formed on every call.  The arrays it returns, alone or in a tuple,
+    are made read-only, with every array up their base chains."""
     table = _CASE.get(None)
-    if table is None or not all(isinstance(a, Field) or isinstance(a, np.ndarray)
-                                and not a.flags.writeable for a in operands):
+    if table is None or not all(isinstance(a, Field) or isinstance(a, np.ndarray) and _fixed(a)
+                                for a in operands):
         return _read_only(form(*operands))
-    key = (form,) + tuple(map(id, operands))
+    key = (form,) + tuple((id(a), a.shape) for a in operands)
     if key not in table:  # the operands go in too, so that no other object takes their ids
         table[key] = _read_only(form(*operands)), operands
     return table[key][0]
@@ -144,36 +153,47 @@ def kept(form, *operands):
 
 def _read_only(out):
     for a in out if isinstance(out, tuple) else (out,):
-        if isinstance(a, np.ndarray):
+        while isinstance(a, np.ndarray):
             a.flags.writeable = False
+            a = a.base
     return out
 
 
+def _fixed(a: np.ndarray) -> bool:
+    """Whether nothing can change a's contents: it is read-only, and so is
+    every array up its base chain, which ends in an array that owns its
+    data.  A read-only view of a writable array changes through its base."""
+    while not a.flags.writeable:
+        a = a.base
+        if not isinstance(a, np.ndarray):
+            return a is None
+    return False
+
+
 class PointSet:
-    """A point array as a cache keeps it: the array as given, while its
-    contents are held fixed (it is read-only and owns its data, so no view
-    writes into it), and a copy.  holds(p) is an identity test for that
-    array while it stays read-only; any other array, or that one made
-    writable again, is compared with the copy, and an equal read-only
-    owner becomes the array kept."""
+    """A point array as a cache keeps it: the array as given, while
+    nothing can change its contents (_fixed), and a copy.  is_given(p) is an
+    identity test for that array, at the copy's shape, while it stays
+    fixed; holds(p) also compares any other array with the copy, and an
+    equal fixed one becomes the array kept."""
 
     __slots__ = ("given", "copy")
 
     def __init__(self, p: np.ndarray):
         self.given, self.copy = (p if _fixed(p) else None), p.copy()
 
+    def is_given(self, p) -> bool:
+        given = self.given
+        return given is not None and p is given and p.shape == self.copy.shape and _fixed(p)
+
     def holds(self, p: np.ndarray) -> bool:
-        if p is self.given and not p.flags.writeable:
+        if self.is_given(p):
             return True
         if p.shape != self.copy.shape or not (self.copy == p).all():
             return False
         if _fixed(p):
             self.given = p
         return True
-
-
-def _fixed(p: np.ndarray) -> bool:
-    return not p.flags.writeable and p.flags.owndata
 
 
 class Jets(tuple):
@@ -210,13 +230,16 @@ def jet_einsum(spec: str, *operands: Jets) -> Jets:
     spec, and so, by the product rule, do the first partials when every
     operand carries them.  The result carries order 0 or 1."""
 
-    def term(d: int) -> np.ndarray:  # with operand d differentiated, or none
-        arrays = [j[1] if i == d else j[0] for i, j in enumerate(operands)]
-        return einsum(_term_spec(spec, d), *arrays)
-
+    values = [j[0] for j in operands]
+    out = einsum(_term_spec(spec, -1), *values)
     if min(map(len, operands)) < 2:
-        return Jets([term(-1)])
-    return Jets([term(-1), sum(term(d) for d in range(len(operands)))])
+        return Jets((out,))
+    terms = (einsum(_term_spec(spec, d), *values[:d], j[1], *values[d + 1 :])
+             for d, j in enumerate(operands))  # with operand d differentiated
+    partials = next(terms)  # a new array when a second term follows
+    for term in terms:
+        partials += term
+    return Jets((out, partials))
 
 
 @functools.cache
@@ -338,14 +361,19 @@ class Field:
         """Values and partials to the given order at points (..., n): an
         input field goes to order 2, an operator output to order 1.  The
         arrays are read-only; the last point set's are kept for the next
-        call, which they serve when it passes the same read-only array (by
-        identity) or equal points (against a copy), returning the kept
-        Jets itself when they end at the order asked.  Raises
+        call, which they serve when it passes the same fixed array (by
+        identity, at its kept shape: with no further validation when they
+        are finite to order) or equal points (against a copy), returning
+        the kept Jets itself when they end at the order asked.  Raises
         SingularPointError when one of them is not finite."""
-        p = self._points(points, order)
-        raw, bad = self._raw(p, order)
-        if bad <= order:
-            self._non_finite(p, raw[bad], bad)
+        last = self._last
+        if last and 0 <= order < last[2] and last[0].is_given(points):
+            raw = last[1]  # finite to order: what the path below returns
+        else:
+            p = self._points(points, order)
+            raw, bad = self._raw(p, order)
+            if bad <= order:
+                self._non_finite(p, raw[bad], bad)
         return raw if len(raw) == order + 1 else Jets(raw[: order + 1])
 
     def finite_rows(self, points, order: int, fill: int | None = None) -> np.ndarray:
@@ -393,8 +421,7 @@ class Field:
             )
         else:
             raw = Jets(self._rule(p, order)[: order + 1])
-        for a in raw:
-            a.flags.writeable = False
+        _read_only(raw)  # the owners too: the arrays are fixed, kept's keys
         bad = next((k for k, a in enumerate(raw) if not np.isfinite(a).all()), len(raw))
         self._last = (PointSet(p), raw, bad)
         return raw, bad

@@ -117,6 +117,29 @@ def test_json_report_shape(tmp_path, capsys):
     assert sorted(doc) == ["box", "checks", "n", "passed", "points", "q", "scenario", "seed"]
 
 
+# names with quotes, backslashes, control and non-ASCII characters
+_TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\xe9 \U0001f600'), st.characters()),
+                max_size=6)
+_FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]))
+_CHECKS = st.builds(
+    sampling.SampledCheck, st.booleans(), _FLOATS, _FLOATS,
+    st.lists(_FLOATS, min_size=1, max_size=4).map(tuple),
+    st.dictionaries(_TEXT, st.one_of(_TEXT, st.booleans(), st.integers(), _FLOATS, st.none()),
+                    max_size=3))
+
+
+@settings(deadline=None)
+@given(name=_TEXT, n=st.integers(1, 4), q=st.integers(1, 3), seed=st.integers(0, 2**64),
+       count=st.integers(1, 10**6), box=st.tuples(_FLOATS, _FLOATS),
+       results=st.lists(st.tuples(_TEXT, _CHECKS), min_size=1, max_size=10))
+@example(name="", n=2, q=1, seed=0, count=1, box=(0.2, 1.5),
+         results=[("purity", sampling.SampledCheck(True, 0.0, 1e-9, (0.5,), {}))])
+def test_the_report_is_json_dumps_sorted_indent_2_byte_for_byte(name, n, q, seed, count, box,
+                                                                results):
+    report = cli.Report(name, n, q, seed, count, box, results)
+    assert report.to_json() == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # seed precedence
 
@@ -857,6 +880,26 @@ def test_a_case_forms_what_its_checks_share_once(tmp_path, monkeypatch):
     assert {name: len(once) for name, once in formed.items()} == {
         "_slot_terms": 1, "_lifted_endo": 1, "_purity_defect": 1}
     assert all(ref() is None for once in formed.values() for refs in once for ref in refs)
+
+
+@pytest.mark.parametrize("name", ["sphere_cross_section", "theorem1_analytic"])
+def test_a_case_finds_its_points_by_identity_not_by_contents(name, monkeypatch):
+    # the screen makes the block it reads read-only, so when it keeps that
+    # block whole, each field caches the case's points as given and every
+    # later read of them is an identity hit, not a comparison with a copy
+    by_contents = []
+    holds = tensor.PointSet.holds
+
+    def counting(held, p):
+        identity = held.is_given(p)
+        found = holds(held, p)
+        if found and not identity:
+            by_contents.append(p)
+        return found
+
+    monkeypatch.setattr(tensor.PointSet, "holds", counting)
+    run_scenario(str(SCENARIOS / f"{name}.json"))
+    assert by_contents == []
 
 
 def test_the_sign_flipped_lift_is_not_served_the_kept_terms():

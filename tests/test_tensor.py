@@ -17,7 +17,7 @@ from _fields import (
     random_vector_field,
     replace_slot,
 )
-from liftlab import bundle, connection_lift, expr, presets, sampling
+from liftlab import bundle, connection_lift, expr, presets, sampling, tensor
 from liftlab.presets import (
     flat_connection,
     sphere_chart_connection,
@@ -773,6 +773,133 @@ def test_jets_cache_keeps_a_read_only_array_by_identity_and_any_other_by_content
     assert xi._last[0].given is None
     base[5] = [3.0, 1.0]
     assert xi.jets(view, 0)[0][5].tolist() == [3.0, 1.0] and runs == [1, 0, 0, 0, 0, 0]
+
+
+def test_a_shape_reassigned_in_place_is_not_served_the_old_jets():
+    # a read-only owner read once, then given another shape in place: its
+    # jets are those of a fresh copy at the new shape, and no PointSet (the
+    # jets cache's, the symmetry gate's) holds it by identity any more
+    xi = CovariantField(2, 1, ["x1*x2", "x2^3"])
+    p = POINTS[:4].copy()
+    p.flags.writeable = False
+    xi.evaluate(p)
+    held = tensor.PointSet(p)
+    p.shape = (2, 2, 2)
+    assert xi.evaluate(p).shape == xi.evaluate(p.copy()).shape == (2, 2, 2)
+    assert np.array_equal(xi.evaluate(p), xi.evaluate(p.copy()))
+    assert not held.is_given(p) and not held.holds(p)
+
+
+def test_kept_compares_a_read_only_view_of_a_writable_array():
+    # the view changes through its base, so kept forms again: it is not
+    # served what it formed before the base was written
+    xi = CovariantField(2, 1, ["x1", "x2"])
+    base = np.array([[0.5, 0.7], [0.9, 1.1]])
+    view = base[:]
+    view.flags.writeable = False
+
+    def form(field, points):
+        return field.evaluate(points)
+
+    with one_case():
+        kept(form, xi, view)
+        base[0, 0] = 9.0
+        assert kept(form, xi, view)[0].tolist() == [9.0, 0.7]
+        # a view of an owner made read-only is trusted, at the shape it had
+        base.flags.writeable = False
+        assert kept(form, xi, view) is kept(form, xi, view)
+        first = kept(form, xi, view)
+        view.shape = (1, 2, 2)
+        assert kept(form, xi, view) is not first and kept(form, xi, view).shape == (1, 2, 2)
+
+
+def test_cached_jets_and_their_owners_are_read_only():
+    # what kept is keyed by: a field's jets, for an input field (views of the
+    # tape's outputs) and an operator output alike
+    xi, phi = CovariantField(2, 1, ["x1*x2", "x2^3"]), standard_complex_r2()
+    fixed = POINTS.copy()
+    fixed.flags.writeable = False
+    for field in (xi, apply_endo_cov(phi, xi), xi.partials()):
+        assert all(map(tensor._fixed, field.jets(fixed, 1)))
+
+
+def _raised(read):
+    try:
+        read()
+    except Exception as e:  # noqa: BLE001 - the error itself is compared
+        return type(e), str(e)
+    return None
+
+
+@pytest.mark.parametrize("fresh", [
+    lambda: CovariantField(2, 1, ["x1*x2", "x2^3"]),
+    lambda: apply_endo_cov(standard_complex_r2(), CovariantField(2, 1, ["x1*x2", "x2^3"])),
+])
+def test_a_warm_read_raises_or_answers_as_a_cold_one(fresh):
+    fixed = POINTS.copy()
+    fixed.flags.writeable = False
+    warm = fresh()
+    top = warm._top
+    warm.jets(fixed, top)
+
+    def both(read):  # read(field), warm and on a field with nothing cached
+        cold = fresh()
+        got, want = _raised(lambda: read(warm)), _raised(lambda: read(cold))
+        if want is None:
+            assert [a.tolist() for a in read(warm)] == [a.tolist() for a in read(cold)]
+        assert got == want
+        return got
+
+    for order in (-1, top + 1):  # an order out of range
+        assert both(lambda f: f.jets(fixed, order))[0] is ValueError
+    # points of another chart, and the cached array given that shape in place
+    assert both(lambda f: f.jets(POINTS3, 0))[0] is ValueError
+    other = fixed.copy()
+    other.flags.writeable = False
+    warm.jets(other, 0)
+    other.shape = (-1, 4)
+    assert both(lambda f: f.jets(other, 0))[0] is ValueError
+    # a writable array, compared by contents: equal, then changed
+    warm.jets(fixed, 0)
+    moving = fixed.copy()
+    assert both(lambda f: f.jets(moving, 1)) is None
+    moving[2] = [1.25, 0.5]
+    assert both(lambda f: f.jets(moving, 1)) is None
+    # the array kept, made writable again and changed
+    warm.jets(fixed, 0)
+    assert warm._last[0].given is fixed
+    fixed.flags.writeable = True
+    fixed[0] = [0.5, 1.5]
+    assert both(lambda f: f.jets(fixed, 0)) is None
+
+
+def test_a_warm_read_raises_at_a_cached_non_finite_order_as_a_cold_one():
+    # exp(-1/x1^2) is finite at x1 = 0, its partial along x1 is not
+    fresh = lambda: CovariantField(2, 1, ["exp(-1/x1^2)", "x2"])  # noqa: E731
+    p = np.array([[0.3, 0.2], [0.0, 0.5]])
+    p.flags.writeable = False
+    warm = fresh()
+    assert warm.finite_rows(p, 0, 2).all() and warm._last[2] == 1
+    assert warm.jets(p, 0)[0].tolist() == fresh().jets(p, 0)[0].tolist()
+    for order in (1, 2):
+        cold = _raised(lambda: fresh().jets(p, order))
+        assert cold[0] is expr.SingularPointError
+        assert _raised(lambda: warm.jets(p, order)) == cold
+
+
+def test_a_read_of_the_array_kept_skips_validation(monkeypatch):
+    # a hit on the fixed array as given runs no asarray and no shape check
+    xi = CovariantField(2, 1, ["x1*x2", "x2^3"])
+    fixed = POINTS.copy()
+    fixed.flags.writeable = False
+    first = xi.jets(fixed, 2)
+    calls = []
+    points = tensor.Field._points
+    monkeypatch.setattr(tensor.Field, "_points", lambda f, *a: calls.append(a) or points(f, *a))
+    assert xi.jets(fixed, 2) is first and xi.jets(fixed, 1)[1] is first[1]
+    assert calls == []
+    xi.jets(fixed.copy(), 1)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
