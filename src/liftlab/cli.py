@@ -331,9 +331,8 @@ def _sample_scenario_points(sc: Scenario, seed: int, count: int, box) -> np.ndar
     # curvature enters most connection checks, and its poles are those of
     # gamma's partials.  The first block, count rows, is the case's point
     # set when the screen keeps it whole, so there each field's jets go as
-    # far as the checks read them, and the checks read them from the
-    # field's cache; a later block is never the point set, and when one
-    # was drawn each field read is computed once more, on the points.
+    # far as the checks read them; after a later block, each field the
+    # checks read runs once more, on the points.
     reads = {"gamma": 0}  # the symmetry gate reads gamma's values
     for c in sc.checks:
         for kind, order in _CHECKS[c][0].items():
@@ -355,9 +354,10 @@ def _sample_scenario_points(sc: Scenario, seed: int, count: int, box) -> np.ndar
     except (MemoryError, ValueError) as exc:
         # numpy refuses a point array it cannot hold with one or the other
         raise ScenarioError(f"points: cannot hold that many sample points ({exc})") from None
+    points.flags.writeable = False  # so that its jets, and what the checks share, are kept
     for f, order, fill in screened:
         if fill is not None:
-            f.finite_rows(points, order, fill)  # a cache hit when the first block was kept
+            f.finite_rows(points, order, fill)  # a table hit when the first block was kept
     return points
 
 
@@ -450,7 +450,6 @@ def run_scenario(
 
     with np.errstate(all="ignore"), one_case():  # non-finite values are caught where made
         points = _sample_scenario_points(sc, seed, count, box)
-        points.flags.writeable = False  # so that what the checks share is kept for them
         if sc.gamma is not None:
             # where the screen found gamma regular, by the connection functions' rule
             try:

@@ -10,11 +10,12 @@ curvature.  All remaining blocks vanish identically.
 The same module carries the cross-section geometry the lift induces:
 the induced base connection, the second-fundamental-form analogue, the
 totally-geodesic test, and the curvature tangency identity along the
-cross-section.  In one case, the checks read one section_lift (the frame
-differentiated with the lifted connection) and one
-gauss_second_fundamental, and the t-independent terms of the fibre block,
-from Gamma, its partials and R, are formed once (tensor.kept) for both
-lifts of lift_connection_zeros and the section lift.
+cross-section.  In one case (tensor.one_case) the checks read one lift
+along the section (the frame differentiated with the lifted connection)
+and one gauss_second_fundamental, and the t-independent terms of the
+fibre block, from Gamma, its partials and R, are formed once
+(tensor.kept) for both lifts of lift_connection_zeros and the section
+lift; outside a case each call forms its own.
 
 Each of them needs a symmetric (torsion-free) connection and measures
 that hypothesis at the points it evaluates, by require_symmetric.
@@ -22,7 +23,6 @@ that hypothesis at the points it evaluates, by require_symmetric.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -33,7 +33,6 @@ from .bundle import BundlePoint, adapted_frame, check_rank, cross_section_point
 from .tensor import (
     ConnectionField,
     CovariantField,
-    PointSet,
     covariant_derivative_cov,
     curvature,
     einsum,
@@ -43,8 +42,6 @@ from .tensor import (
     sum_over_slots,
 )
 
-_passed_points = shared(lambda gamma: [])  # what require_symmetric passed in this case
-
 
 class TorsionError(ValueError):
     """The lift and the cross-section geometry require a symmetric connection."""
@@ -53,18 +50,18 @@ class TorsionError(ValueError):
 def require_symmetric(gamma: ConnectionField, points) -> None:
     """Raise TorsionError, naming the residual, where Gamma is not
     symmetric in its lower pair at the points (one point or a batch), up
-    to STRUCTURAL_TOL.  Points it passed in this case pass again unread."""
-    n = gamma.n
-    p, passed = np.asarray(points, dtype=np.float64), _passed_points(gamma)
-    if any(seen.holds(p) for seen in passed):
-        return
-    g = gamma.jets(p, 0)[0].reshape(-1, n, n, n)  # at points as given: the cached jets
-    check = sampling.sampled_check(p.reshape(-1, n), g - np.swapaxes(g, -1, -2),
+    to STRUCTURAL_TOL.  In one case, fixed points it passed pass again
+    unread (tensor.kept); a failure raises again."""
+    kept(_symmetry_gate, gamma, np.asarray(points, dtype=np.float64))
+
+
+def _symmetry_gate(gamma: ConnectionField, p: np.ndarray) -> None:
+    g = gamma.jets(p, 0)[0].reshape(-1, *gamma.shape)  # at points as given: the kept jets
+    check = sampling.sampled_check(p.reshape(-1, gamma.n), g - np.swapaxes(g, -1, -2),
                                    sampling.STRUCTURAL_TOL)
     if not check.passed:
         raise TorsionError(f"connection must be symmetric in its lower indices (torsion-free): "
                            f"asymmetry {check.residual:.3e} exceeds {check.tol:.1e}")
-    passed.append(PointSet(p))
 
 
 @dataclass(frozen=True)
@@ -192,19 +189,13 @@ def _frame_and_slope_arrays(xi: CovariantField, x):
     return frame, frame.b[..., n:, :], db
 
 
-@shared
-def section_lift(gamma: ConnectionField, xi: CovariantField):
-    """d_j B^A_i + L^A_{CB} B^C_j B^B_i, the horizontal frame legs B
-    differentiated along the cross-section with the lifted connection: a
-    function of points x giving the adapted frame at x and that sum, a
-    read-only [.., A, j, i], formed once per case for the same points (kept)."""
-    return functools.partial(kept, _lift_along_section, gamma, xi)
-
-
 def _lift_along_section(gamma: ConnectionField, xi: CovariantField, x):
+    """The adapted frame's legs B and coframe rows b_inv at x, and the legs
+    differentiated along the cross-section with the lifted connection,
+    d_j B^A_i + L^A_{CB} B^C_j B^B_i as [.., A, j, i]; read through kept."""
     frame, slopes, db = _frame_and_slope_arrays(xi, x)
     lifted = complete_lift_connection(gamma, cross_section_point(xi, x))
-    return frame, db + lifted.along_section(slopes)
+    return frame.b, frame.b_inv, db + lifted.along_section(slopes)
 
 
 def induced_connection(gamma: ConnectionField, xi: CovariantField, x) -> np.ndarray:
@@ -216,8 +207,8 @@ def induced_connection(gamma: ConnectionField, xi: CovariantField, x) -> np.ndar
     on top of this.
     """
     check_rank(xi.q)
-    frame, moved = section_lift(gamma, xi)(x)
-    return einsum("...hA,...Aji->...hji", frame.b_inv, moved)
+    _, b_inv, moved = kept(_lift_along_section, gamma, xi, x)
+    return einsum("...hA,...Aji->...hji", b_inv, moved)
 
 
 @shared
@@ -269,8 +260,8 @@ def gauss_consistency(gamma: ConnectionField, xi: CovariantField, points,
     """
     n, m = xi.n, len(points)
     gauss = gauss_second_fundamental(gamma, xi).evaluate(points).reshape(m, n, n, -1)
-    frame, moved = section_lift(gamma, xi)(points)
-    lhs = moved - einsum("...hji,...Ah->...Aji", gamma.evaluate(points), frame.b)
+    b, _, moved = kept(_lift_along_section, gamma, xi, points)
+    lhs = moved - einsum("...hji,...Ah->...Aji", gamma.evaluate(points), b)
     lhs[:, n:] -= np.moveaxis(gauss, -1, -3)  # the right-hand side, H C
     return sampling.sampled_check(points, lhs, tol)
 

@@ -43,35 +43,29 @@ contract the operands' values and partials, its first partials follow
 by the product rule, so it carries jets to order 1 and never asks an
 input for more than 2.  Building one costs nothing.
 
-Each field keeps the raw jets of its last point set, non-finite entries
-and all, with the lowest order at which they are not finite, found by
-one finiteness scan when they are computed.  jets(points, order) serves
-any order up to the cached one and raises SingularPointError only when
-order reaches that non-finite order.
-
-Identity rule: an array is trusted by identity only while nothing can
-change its contents, that is while it is read-only and so is every
-array up its .base chain (a read-only view of a writable array changes
-through its base), and only at the shape it had when it was kept (a
-shape can be reassigned in place).  Any other array is compared by
-contents.  The jets cache keeps its point set as a PointSet, the array
-as given when the rule trusts it next to a copy, so a read of the
-case's points, which are read-only, is a hit with no comparison, and
-an array changed in place is never served stale jets; kept keys its
-arrays by the same rule.  The jets a field caches are read-only with
-their owners, the tape's output arrays included, so they qualify as
-kept's keys.  finite_rows(points, order, fill),
-the sampling screen's read of an input field, is a per-point mask that
-never raises; on a miss it computes the jets to fill, the highest order
-the case's checks read, when the block may become the case's point set,
-and then every check reads that one tape run.  Any other miss computes
-only the order asked: lower-order Taylor coefficients do not depend on
-the truncation order, so an order-2 run holds the lower-order runs bit
-for bit.  In one_case(), opened by cli.run_scenario per case, each
-builder gives one output per operands, and kept forms an array once for
-the same fields and trusted arrays (the case's points, the jets): a
-case evaluates what its checks share once, and nothing that depends on
-the points outlives it.
+One cache rule: nothing that depends on the points outlives the case.
+It all lives in the table of one_case(), opened by cli.run_scenario per
+case; outside a case every read computes.  The table keys an array by
+identity, and only while nothing can change its contents: while it is
+read-only and so is every array up its .base chain (a read-only view of
+a writable array changes through its base), and at the shape it had
+when it was kept (a shape can be reassigned in place).  In it, each
+shared builder gives one output per operands, kept forms an array once
+for the same fields and fixed arrays (the case's points, the jets), and
+each field has one jets entry, at one fixed array: its raw jets,
+non-finite entries and all, and the lowest order at which they are not
+finite, found by one scan when they are computed.  jets(points, order)
+serves any order up to the kept one and raises SingularPointError only
+when order reaches that non-finite order; a read at another fixed array
+replaces the entry.  The jets are read-only with their owners, the
+tape's output arrays included, so they qualify as kept's keys.
+finite_rows(points, order, fill), the sampling screen's read, is a
+per-point mask that never raises; on a miss it computes the jets to
+fill, the highest order the case's checks read, when the block may
+become the case's point set, so that every check reads that one tape
+run.  Any other miss computes only the order asked: lower-order Taylor
+coefficients do not depend on the truncation order, so an order-2 run
+holds the lower-order runs bit for bit.
 
 Memory layout: every batched array keeps the point axis first in its
 shape but stores it fastest in memory (stride one item), so that numpy's
@@ -168,32 +162,6 @@ def _fixed(a: np.ndarray) -> bool:
         if not isinstance(a, np.ndarray):
             return a is None
     return False
-
-
-class PointSet:
-    """A point array as a cache keeps it: the array as given, while
-    nothing can change its contents (_fixed), and a copy.  is_given(p) is an
-    identity test for that array, at the copy's shape, while it stays
-    fixed; holds(p) also compares any other array with the copy, and an
-    equal fixed one becomes the array kept."""
-
-    __slots__ = ("given", "copy")
-
-    def __init__(self, p: np.ndarray):
-        self.given, self.copy = (p if _fixed(p) else None), p.copy()
-
-    def is_given(self, p) -> bool:
-        given = self.given
-        return given is not None and p is given and p.shape == self.copy.shape and _fixed(p)
-
-    def holds(self, p: np.ndarray) -> bool:
-        if self.is_given(p):
-            return True
-        if p.shape != self.copy.shape or not (self.copy == p).all():
-            return False
-        if _fixed(p):
-            self.given = p
-        return True
 
 
 class Jets(tuple):
@@ -299,7 +267,7 @@ class Field:
     construction; an operator output has no comps and its tape is None.
     name: the shared builder of an operator output, else None."""
 
-    __slots__ = ("n", "shape", "tape", "name", "_comps", "_rule", "_last")
+    __slots__ = ("n", "shape", "tape", "name", "_comps", "_rule")
     kind = "field"  # names the field in a singular-point error
 
     def __init__(self, n: int, shape: tuple[int, ...], components):
@@ -321,7 +289,7 @@ class Field:
         if tuple in map(type, grid.flat):  # else the tape reads it as a (text, n) pair
             raise TypeError("cannot use tuple as an expression; give its text")
         self.tape = compiled([(v, n) if isinstance(v, str) else v for v in grid.flat])
-        self.name, self._comps, self._rule, self._last = None, None, None, None
+        self.name, self._comps, self._rule = None, None, None
 
     @classmethod
     def _of(cls, n: int, shape: tuple[int, ...], rule) -> "Field":
@@ -329,8 +297,7 @@ class Field:
         <= 1, from the Jets of validated operands or, with none, from
         the points alone; it has no comps."""
         f = object.__new__(cls)
-        f.n, f.shape, f._comps, f.tape, f._rule, f._last = n, shape, (), None, rule, None
-        f.name = None
+        f.n, f.shape, f._comps, f.tape, f._rule, f.name = n, shape, (), None, rule, None
         return f
 
     @property
@@ -360,15 +327,14 @@ class Field:
     def jets(self, points, order: int) -> Jets:
         """Values and partials to the given order at points (..., n): an
         input field goes to order 2, an operator output to order 1.  The
-        arrays are read-only; the last point set's are kept for the next
-        call, which they serve when it passes the same fixed array (by
-        identity, at its kept shape: with no further validation when they
-        are finite to order) or equal points (against a copy), returning
-        the kept Jets itself when they end at the order asked.  Raises
-        SingularPointError when one of them is not finite."""
-        last = self._last
-        if last and 0 <= order < last[2] and last[0].is_given(points):
-            raw = last[1]  # finite to order: what the path below returns
+        arrays are read-only.  In one_case() the jets at a fixed array are
+        kept, and a later read of that array (by identity, at its kept
+        shape) takes them with no further validation when they are finite
+        to order: the kept Jets itself when they end at the order asked.
+        Raises SingularPointError when one of them is not finite."""
+        entry = self._entry(points)
+        if entry and 0 <= order < entry[3]:
+            raw = entry[2]  # finite to order: what the path below returns
         else:
             p = self._points(points, order)
             raw, bad = self._raw(p, order)
@@ -380,8 +346,8 @@ class Field:
         """Mask of shape points.shape[:-1], True where an input field's
         values and partials to order are all finite; never raises.  On a
         miss the jets are computed to fill (order when not given, at
-        least order), so that a later jets call on the same points up to
-        fill reads them from the cache."""
+        least order), so that in one_case() a later jets call on the same
+        fixed array up to fill reads them from the case table."""
         p = self._points(points, order)
         fill = order if fill is None else max(order, fill)
         raw, bad = self._raw(self._points(p, fill), fill)
@@ -404,26 +370,32 @@ class Field:
                              f"(..., {self.n}), not {p.shape}")
         return p
 
+    def _entry(self, p):
+        """The case table's jets entry (points, shape, raw, bad) of this
+        field when it is for p: the same fixed array at the same shape."""
+        entry = _CASE.get({}).get(self)
+        return entry if entry and entry[0] is p and entry[1] == p.shape and _fixed(p) else None
+
     def _raw(self, p: np.ndarray, order: int) -> tuple[Jets, int]:
         """The jets at p to order or beyond, non-finite entries and all,
         and the lowest order at which one is not finite (len(jets) when
-        none is): from the cache when it holds p that far, else computed
-        to order and cached in its place."""
-        last = self._last
-        if last and len(last[1]) > order and last[0].holds(p):
-            return last[1], last[2]
-        self._last = None  # let the old jets go before the new ones are made
+        none is): from the case table when it holds p that far, else
+        computed to order, and kept in the table's entry when p is fixed."""
+        entry = self._entry(p)
+        if entry and len(entry[2]) > order:
+            return entry[2], entry[3]
+        table = _CASE.get(None) if _fixed(p) else None  # where they are kept, if anywhere
+        if table is not None:
+            table.pop(self, None)  # let the old jets go before the new ones are made
         if self._rule is None:
-            batch = p.shape[:-1]
-            raw = Jets(
-                a.reshape(batch + (self.n,) * k + self.shape)
-                for k, a in enumerate(self.tape.jets(p, order))
-            )
+            raw = Jets(a.reshape(p.shape[:-1] + (self.n,) * k + self.shape)
+                       for k, a in enumerate(self.tape.jets(p, order)))
         else:
             raw = Jets(self._rule(p, order)[: order + 1])
         _read_only(raw)  # the owners too: the arrays are fixed, kept's keys
         bad = next((k for k, a in enumerate(raw) if not np.isfinite(a).all()), len(raw))
-        self._last = (PointSet(p), raw, bad)
+        if table is not None:
+            table[self] = p, p.shape, raw, bad
         return raw, bad
 
     def _non_finite(self, p: np.ndarray, a: np.ndarray, k: int):

@@ -1,8 +1,8 @@
-"""Seeded random fields, a spoiled lift, and the (n, q) grid that only
-the tests use.  The random polynomials are built as trees through the
-smart constructors of _symbolic, and a field takes each as its text;
-the characterization probes of liftlab.presets.random_probe are the
-same polynomials in closed form."""
+"""Seeded random fields, a spoiled lift, the (n, q) grid and read-only
+point copies that only the tests use.  The random polynomials are built
+as trees through the smart constructors of _symbolic, and a field takes
+each as its text; the characterization probes of
+liftlab.presets.random_probe are the same polynomials in closed form."""
 
 import contextlib
 
@@ -21,6 +21,13 @@ DIM_RANK = pytest.mark.parametrize(
     [(2, 1), (2, 2), (3, 1), (3, 2), (4, 3)],
     ids=["1", "2", "n3-1", "n3-2", "n4-3"],
 )
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of a: an array the case table keeps by identity."""
+    a = a.copy()
+    a.flags.writeable = False
+    return a
 
 
 def replace_slot(mi: tuple[int, ...], slot: int, value: int) -> tuple[int, ...]:

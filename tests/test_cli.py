@@ -436,7 +436,7 @@ def test_checks_of_a_case_share_one_symmetry_reduction(monkeypatch):
     check = sampling.sampled_check
 
     def counting(*args, **kwargs):
-        if sys._getframe(1).f_code.co_name == "require_symmetric":
+        if sys._getframe(1).f_code.co_name == "_symmetry_gate":
             reductions.append(args[1].shape)
         return check(*args, **kwargs)
 
@@ -472,23 +472,39 @@ def test_purity_and_theorem1_contract_phi_into_the_first_slot_once(q, tmp_path, 
     assert specs[first_slot[q]] == 1
 
 
+def _case_tables(monkeypatch) -> list:
+    """The case table of each run from here on, copied as the case ends."""
+    tables = []
+
+    @contextlib.contextmanager
+    def inspected():
+        with tensor.one_case():
+            yield
+            tables.append(dict(tensor._CASE.get()))
+
+    monkeypatch.setattr(cli, "one_case", inspected)
+    return tables
+
+
 def test_a_case_keeps_its_points_by_identity(monkeypatch):
-    # the case's points are read-only: every input field's jets cache and
-    # the symmetry gate's passed list end up keeping that array itself
-    cases, passed = [], []
-    sample, passed_points = cli._sample_scenario_points, connection_lift._passed_points
+    # the case's points are read-only: every input field's jets entry and
+    # the symmetry gate's end up keeping that array itself
+    cases = []
+    sample = cli._sample_scenario_points
     monkeypatch.setattr(cli, "_sample_scenario_points",
                         lambda sc, *args: cases.append((sc, sample(sc, *args))) or cases[-1][1])
-    monkeypatch.setattr(connection_lift, "_passed_points",
-                        lambda gamma: passed.append(passed_points(gamma)) or passed[-1])
+    tables = _case_tables(monkeypatch)
     for name in ("theorem1_analytic.json", "sphere_cross_section.json"):
         assert run_scenario(str(SCENARIOS / name)).passed
-    for sc, points in cases:
+    for (sc, points), table in zip(cases, tables):
         fields = [f for f in (sc.phi, sc.xi, sc.v, sc.a, sc.gamma) if f is not None]
         assert len(fields) == 2 and not points.flags.writeable
-        assert all(f._last[0].given is points for f in fields)
-    assert passed and all(lst is passed[0] for lst in passed)
-    assert len(passed[0]) == 1 and passed[0][0].given is cases[1][1]
+        assert all(table[f][0] is points for f in fields)
+    gates = [[entry[1] for key, entry in table.items()
+              if isinstance(key, tuple) and key[0] is connection_lift._symmetry_gate]
+             for table in tables]
+    assert gates[0] == [] and len(gates[1]) == 1
+    assert gates[1][0][0] is cases[1][0].gamma and gates[1][0][1] is cases[1][1]
 
 
 def test_a_case_leaves_no_reference_cycle(monkeypatch):
@@ -845,11 +861,16 @@ def test_the_checks_of_a_case_share_one_lift_along_the_section(name, monkeypatch
     # induced_equals_base and gauss_consistency both read d_j B + L B B at
     # the section; lift_connection_zeros lifts at fibre points of its own
     lifts, formed = [], []
-    lift, section_lift = connection_lift.complete_lift_connection, connection_lift.section_lift
+    lift, along = connection_lift.complete_lift_connection, connection_lift._lift_along_section
     monkeypatch.setattr(connection_lift, "complete_lift_connection",
                         lambda gamma, at: lifts.append(at) or lift(gamma, at))
-    monkeypatch.setattr(connection_lift, "section_lift",
-                        lambda *ops: formed.append(weakref.ref(section_lift(*ops))) or formed[-1]())
+
+    def forming(*ops):
+        out = along(*ops)
+        formed.append([weakref.ref(a) for a in out])
+        return out
+
+    monkeypatch.setattr(connection_lift, "_lift_along_section", forming)
     report = run_scenario(str(SCENARIOS / name))
     checks = dict(report.results)
     assert "induced_equals_base" in checks and "gauss_consistency" in checks
@@ -857,8 +878,8 @@ def test_the_checks_of_a_case_share_one_lift_along_the_section(name, monkeypatch
     on_section = [at for at in lifts
                   if np.array_equal(at.fibre, xi.evaluate(at.base).reshape(at.fibre.shape))]
     assert len(on_section) == 1 and len(lifts) == 2
-    # the shared builder's outputs, and the arrays they keep, go with the case
-    assert len(formed) == 2 and all(ref() is None for ref in formed)
+    # formed once for both, and the arrays it keeps go with the case
+    assert len(formed) == 1 and all(ref() is None for ref in formed[0])
 
 
 def test_a_case_forms_what_its_checks_share_once(tmp_path, monkeypatch):
@@ -884,22 +905,23 @@ def test_a_case_forms_what_its_checks_share_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", ["sphere_cross_section", "theorem1_analytic"])
 def test_a_case_finds_its_points_by_identity_not_by_contents(name, monkeypatch):
-    # the screen makes the block it reads read-only, so when it keeps that
-    # block whole, each field caches the case's points as given and every
-    # later read of them is an identity hit, not a comparison with a copy
-    by_contents = []
-    holds = tensor.PointSet.holds
-
-    def counting(held, p):
-        identity = held.is_given(p)
-        found = holds(held, p)
-        if found and not identity:
-            by_contents.append(p)
-        return found
-
-    monkeypatch.setattr(tensor.PointSet, "holds", counting)
+    # the screen makes the block it reads read-only, and the sampler the
+    # points it returns, so every read of a field at the case's points
+    # passes that array itself, which the case table holds by identity,
+    # never an equal copy, which it would compute again
+    cases, reads = [], []
+    sample = cli._sample_scenario_points
+    monkeypatch.setattr(cli, "_sample_scenario_points",
+                        lambda sc, *args: cases.append(sample(sc, *args)) or cases[-1])
+    for method in ("jets", "finite_rows"):
+        def reading(field, points, *args, read=getattr(tensor.Field, method)):
+            reads.append(points)
+            return read(field, points, *args)
+        monkeypatch.setattr(tensor.Field, method, reading)
     run_scenario(str(SCENARIOS / f"{name}.json"))
-    assert by_contents == []
+    (points,) = cases
+    equal = [p for p in reads if np.shape(p) == points.shape and np.array_equal(p, points)]
+    assert equal and all(p is points for p in equal)
 
 
 def test_the_sign_flipped_lift_is_not_served_the_kept_terms():

@@ -12,9 +12,10 @@ from _fields import (
     flipped_curvature,
     random_covariant_field,
     random_symmetric_connection,
+    read_only,
     replace_slot,
 )
-from liftlab import connection_lift, sampling
+from liftlab import connection_lift, sampling, tensor
 from liftlab.bundle import BundlePoint, adapted_frame, cross_section_point
 from liftlab.cli import _check_lift_zeros
 from liftlab.connection_lift import (
@@ -41,6 +42,7 @@ from liftlab.tensor import (
     CovariantField,
     covariant_derivative_cov,
     curvature,
+    kept,
     one_case,
     rank_multi_index,
 )
@@ -162,38 +164,52 @@ def test_require_symmetric_takes_one_point_or_any_batch(shape):
 
 def test_require_symmetric_reads_the_cached_jets(monkeypatch):
     # at one point or a batch, the gate reads the jets its caller took and
-    # leaves them cached for the next reader
+    # leaves them in the case table for the next reader
     gamma = ConnectionField(2, {(1, 1, 2): "x1*x2", (1, 2, 1): "x2*x1"})
     evaluated = []
     tape_jets = type(gamma.tape).jets
     monkeypatch.setattr(type(gamma.tape), "jets",
                         lambda tape, p, k: evaluated.append(p.shape) or tape_jets(tape, p, k))
-    for pts in (POINTS, POINTS[3]):
-        gamma.jets(pts, 1)
-        require_symmetric(gamma, pts)
-        gamma.jets(pts, 1)
+    with one_case():
+        for pts in (read_only(POINTS), read_only(POINTS[3])):
+            gamma.jets(pts, 1)
+            require_symmetric(gamma, pts)
+            gamma.jets(pts, 1)
     assert evaluated == [(16, 2), (2,)]
 
 
 def test_require_symmetric_in_a_case_passes_again_only_where_it_passed(monkeypatch):
     # Gamma^1_{12} - Gamma^1_{21} = x1 - x2 vanishes on the diagonal only
     gamma = ConnectionField(2, {(1, 1, 2): "x1", (1, 2, 1): "x2"})
-    diagonal = np.repeat(POINTS[:4, :1], 2, axis=1)
+    diagonal = read_only(np.repeat(POINTS[:4, :1], 2, axis=1))
+    off_diagonal = read_only(POINTS[:4])
     reductions = []
     check = sampling.sampled_check
     monkeypatch.setattr(sampling, "sampled_check",
                         lambda *args: reductions.append(args[1].shape) or check(*args))
     with one_case():
         require_symmetric(gamma, diagonal)
-        require_symmetric(gamma, diagonal.copy())
+        require_symmetric(gamma, diagonal)
         assert len(reductions) == 1
+        require_symmetric(gamma, diagonal.copy())  # a writable array is looked at afresh
+        assert len(reductions) == 2
         with pytest.raises(TorsionError):
-            require_symmetric(gamma, POINTS[:4])
+            require_symmetric(gamma, off_diagonal)
         with pytest.raises(TorsionError):
-            require_symmetric(gamma, POINTS[:4])
-        assert len(reductions) == 3
+            require_symmetric(gamma, off_diagonal)
+        assert len(reductions) == 4
     require_symmetric(gamma, diagonal)  # the case is over: a fresh look
-    assert len(reductions) == 4
+    assert len(reductions) == 5
+
+
+def test_the_section_lift_a_case_shares_isread_only():
+    # induced_connection and gauss_consistency read the one lift of the
+    # case, so neither may be handed an array it could write into
+    x = read_only(POINTS[:8])
+    with one_case():
+        out = kept(connection_lift._lift_along_section, SPHERE, AFFINE_XI, x)
+        assert kept(connection_lift._lift_along_section, SPHERE, AFFINE_XI, x) is out
+        assert all(isinstance(a, np.ndarray) and tensor._fixed(a) for a in out)
 
 
 def test_mirrored_entries_written_differently_are_symmetric():

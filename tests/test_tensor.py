@@ -1,6 +1,7 @@
 import gc
 import itertools
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from _fields import (
     random_covariant_field,
     random_polynomial_expr,
     random_symmetric_connection,
+    read_only,
     random_vector_field,
     replace_slot,
 )
@@ -637,7 +639,7 @@ def test_case_keys_outputs_by_every_operand():
 
 
 # ---------------------------------------------------------------------------
-# the jets cache: one tape run per point set
+# a field's jets in the case table: one tape run per point set
 
 
 def _lower_orders_match(tape, pts):
@@ -698,21 +700,22 @@ def test_finite_rows_masks_by_order_and_never_raises():
 @pytest.mark.parametrize("order", [0, 1, 2])
 @pytest.mark.parametrize("rows", [[0, 1, 2, 3], [0, 2, 3], [0, 3]], ids=["value", "first", "second"])
 def test_jets_after_finite_rows_raise_as_a_fresh_field(rows, order):
-    # the cache holds the screen's non-finite jets: each order raises, or
-    # not, as the first jets call of a field that was never screened
-    pts = STEEP_POINTS[rows]
+    # the case table holds the screen's non-finite jets: each order raises,
+    # or not, as the first jets call of a field that was never screened
+    pts = read_only(STEEP_POINTS[rows])
     screened = VectorField(3, STEEP)
-    screened.finite_rows(pts, 0, 2)
-    fresh = VectorField(3, STEEP)
-    try:
-        want = fresh.jets(pts, order)
-    except expr.SingularPointError as exc:
-        with pytest.raises(expr.SingularPointError) as err:
-            screened.jets(pts, order)
-        assert str(err.value) == str(exc)
-        assert str(err.value.subtree) == str(exc.subtree)
-    else:
-        assert [a.tobytes() for a in screened.jets(pts, order)] == [a.tobytes() for a in want]
+    with one_case():
+        screened.finite_rows(pts, 0, 2)
+        assert len(screened._entry(pts)[2]) == 3
+        try:
+            want = VectorField(3, STEEP).jets(pts, order)
+        except expr.SingularPointError as exc:
+            with pytest.raises(expr.SingularPointError) as err:
+                screened.jets(pts, order)
+            assert str(err.value) == str(exc)
+            assert str(err.value.subtree) == str(exc.subtree)
+        else:
+            assert [a.tobytes() for a in screened.jets(pts, order)] == [a.tobytes() for a in want]
 
 
 def test_finite_rows_fills_the_cache_to_the_order_asked(monkeypatch):
@@ -720,74 +723,91 @@ def test_finite_rows_fills_the_cache_to_the_order_asked(monkeypatch):
     tape_jets = expr.Tape.jets
     monkeypatch.setattr(expr.Tape, "jets",
                         lambda tape, p, k: runs.append((len(p), k)) or tape_jets(tape, p, k))
-    xi = CovariantField(2, 2, {(1, 2): "x1*x2^2", (2, 1): "sin(x1)"})
-    xi.finite_rows(POINTS, 0)  # no fill: only the order screened
-    assert runs == [(16, 0)]
-    xi.finite_rows(POINTS, 0, 2)
-    for order in (2, 0, 1):
-        xi.jets(POINTS, order)
-    assert runs == [(16, 0), (16, 2)]
-    # a fill below order is order; any other miss computes only the order
-    # asked, and an upgrade too
-    xi.finite_rows(POINTS[:8], 1, 0)
-    xi.jets(POINTS[:4], 0)
-    xi.jets(POINTS[:4], 1)
-    assert runs == [(16, 0), (16, 2), (8, 1), (4, 0), (4, 1)]
-    with pytest.raises(ValueError, match="up to order 2, not 3"):
-        xi.finite_rows(POINTS, 0, 3)
+    xi = CovariantField(2, 2, {(1, 2): "x1*x2", (2, 1): "sin(x1)"})
+    points, eight, four = (read_only(POINTS[:k]) for k in (16, 8, 4))
+    with one_case():
+        xi.finite_rows(points, 0)  # no fill: only the order screened
+        assert runs == [(16, 0)]
+        xi.finite_rows(points, 0, 2)
+        for order in (2, 0, 1):
+            xi.jets(points, order)
+        assert runs == [(16, 0), (16, 2)]
+        # a fill below order is order; any other miss computes only the
+        # order asked, and an upgrade too
+        xi.finite_rows(eight, 1, 0)
+        xi.jets(four, 0)
+        xi.jets(four, 1)
+        assert runs == [(16, 0), (16, 2), (8, 1), (4, 0), (4, 1)]
+        with pytest.raises(ValueError, match="up to order 2, not 3"):
+            xi.finite_rows(points, 0, 3)
 
 
-def test_jets_cache_keeps_a_read_only_array_by_identity_and_any_other_by_contents(monkeypatch):
+def test_jets_cache_keeps_a_read_only_array_by_identity_and_computes_any_other(monkeypatch):
     runs = []
     tape_jets = expr.Tape.jets
     monkeypatch.setattr(expr.Tape, "jets",
                         lambda tape, p, k: runs.append(k) or tape_jets(tape, p, k))
     xi = CovariantField(2, 1, ["x1*x2", "x2^3"])
-    fixed = POINTS.copy()
-    fixed.flags.writeable = False
-    first = xi.jets(fixed, 1)
-    assert xi._last[0].given is fixed
-    assert xi.jets(fixed, 1) is first  # the cached Jets itself, at the order it ends at
-    # an equal but distinct array is served without a tape run, and an
-    # equal read-only one becomes the array kept
-    assert xi.jets(POINTS.copy(), 0)[0] is first[0] and xi._last[0].given is fixed
-    other = POINTS.copy()
-    other.flags.writeable = False
-    assert xi.jets(other, 1) is first and xi._last[0].given is other
-    assert runs == [1]
-    # a read-only array made writable again, then mutated: the kept copy catches it
-    other.flags.writeable = True
-    other[0] = [0.5, 2.0]
-    assert xi.jets(other, 0)[0][0].tolist() == [1.0, 8.0] and runs == [1, 0]
-    # a writable array mutated in place between two reads
-    moving = POINTS.copy()
-    xi.jets(moving, 0)
-    moving[3] = [2.0, 0.5]
-    assert xi.jets(moving, 0)[0][3].tolist() == [1.0, 0.125] and runs == [1, 0, 0, 0]
-    # a read-only view of a writable array is not held by identity: its
-    # base can still write into it
-    base = POINTS.copy()
-    view = base[:]
-    view.flags.writeable = False
-    xi.jets(view, 0)
-    assert xi._last[0].given is None
-    base[5] = [3.0, 1.0]
-    assert xi.jets(view, 0)[0][5].tolist() == [3.0, 1.0] and runs == [1, 0, 0, 0, 0, 0]
+    fixed = read_only(POINTS)
+    with one_case():
+        first = xi.jets(fixed, 1)
+        assert xi._entry(fixed)[0] is fixed
+        assert xi.jets(fixed, 1) is first  # the kept Jets itself, at the order it ends at
+        # an equal read-only array is another point set: it is computed
+        # and replaces the entry
+        other = read_only(POINTS)
+        assert xi.jets(other, 1) is not first and runs == [1, 1]
+        assert xi._entry(fixed) is None and xi._entry(other)[0] is other
+        # the array kept, made writable again, then mutated: it is read afresh
+        other.flags.writeable = True
+        other[0] = [0.5, 2.0]
+        assert xi.jets(other, 0)[0][0].tolist() == [1.0, 8.0] and runs == [1, 1, 0]
+        # a writable array mutated in place between two reads
+        moving = POINTS.copy()
+        xi.jets(moving, 0)
+        moving[3] = [2.0, 0.5]
+        assert xi.jets(moving, 0)[0][3].tolist() == [1.0, 0.125] and runs == [1, 1, 0, 0, 0]
+        # a read-only view of a writable array is not kept: its base can
+        # still write into it
+        base = POINTS.copy()
+        view = base[:]
+        view.flags.writeable = False
+        xi.jets(view, 0)
+        assert xi._entry(view) is None
+        base[5] = [3.0, 1.0]
+        assert xi.jets(view, 0)[0][5].tolist() == [3.0, 1.0] and runs == [1, 1, 0, 0, 0, 0, 0]
+
+
+def test_jets_are_kept_only_in_the_case(monkeypatch):
+    # the case table holds a field's jets and lets them go with the case;
+    # outside a case every read computes, a fixed array's too
+    runs = []
+    tape_jets = expr.Tape.jets
+    monkeypatch.setattr(expr.Tape, "jets",
+                        lambda tape, p, k: runs.append(k) or tape_jets(tape, p, k))
+    xi = CovariantField(2, 1, ["x1*x2", "x2^3"])
+    fixed = read_only(POINTS)
+    with one_case():
+        values = weakref.ref(xi.jets(fixed, 2)[0])
+        assert xi.jets(fixed, 1)[0] is values()
+    assert values() is None
+    xi.jets(fixed, 1)
+    xi.jets(fixed, 1)
+    assert runs == [2, 1, 1]
 
 
 def test_a_shape_reassigned_in_place_is_not_served_the_old_jets():
     # a read-only owner read once, then given another shape in place: its
-    # jets are those of a fresh copy at the new shape, and no PointSet (the
-    # jets cache's, the symmetry gate's) holds it by identity any more
+    # jets are those of a fresh copy at the new shape, and the case table
+    # no longer holds it by identity
     xi = CovariantField(2, 1, ["x1*x2", "x2^3"])
-    p = POINTS[:4].copy()
-    p.flags.writeable = False
-    xi.evaluate(p)
-    held = tensor.PointSet(p)
-    p.shape = (2, 2, 2)
-    assert xi.evaluate(p).shape == xi.evaluate(p.copy()).shape == (2, 2, 2)
-    assert np.array_equal(xi.evaluate(p), xi.evaluate(p.copy()))
-    assert not held.is_given(p) and not held.holds(p)
+    p = read_only(POINTS[:4])
+    with one_case():
+        xi.evaluate(p)
+        p.shape = (2, 2, 2)
+        assert xi._entry(p) is None
+        assert xi.evaluate(p).shape == xi.evaluate(p.copy()).shape == (2, 2, 2)
+        assert np.array_equal(xi.evaluate(p), xi.evaluate(p.copy()))
 
 
 def test_kept_compares_a_read_only_view_of_a_writable_array():
@@ -836,70 +856,70 @@ def _raised(read):
     lambda: apply_endo_cov(standard_complex_r2(), CovariantField(2, 1, ["x1*x2", "x2^3"])),
 ])
 def test_a_warm_read_raises_or_answers_as_a_cold_one(fresh):
-    fixed = POINTS.copy()
-    fixed.flags.writeable = False
-    warm = fresh()
-    top = warm._top
-    warm.jets(fixed, top)
+    fixed = read_only(POINTS)
+    with one_case():
+        warm = fresh()
+        top = warm._top
+        warm.jets(fixed, top)
 
-    def both(read):  # read(field), warm and on a field with nothing cached
-        cold = fresh()
-        got, want = _raised(lambda: read(warm)), _raised(lambda: read(cold))
-        if want is None:
-            assert [a.tolist() for a in read(warm)] == [a.tolist() for a in read(cold)]
-        assert got == want
-        return got
+        def both(read):  # read(field), warm and on a field with nothing kept
+            cold = fresh()
+            got, want = _raised(lambda: read(warm)), _raised(lambda: read(cold))
+            if want is None:
+                assert [a.tolist() for a in read(warm)] == [a.tolist() for a in read(cold)]
+            assert got == want
+            return got
 
-    for order in (-1, top + 1):  # an order out of range
-        assert both(lambda f: f.jets(fixed, order))[0] is ValueError
-    # points of another chart, and the cached array given that shape in place
-    assert both(lambda f: f.jets(POINTS3, 0))[0] is ValueError
-    other = fixed.copy()
-    other.flags.writeable = False
-    warm.jets(other, 0)
-    other.shape = (-1, 4)
-    assert both(lambda f: f.jets(other, 0))[0] is ValueError
-    # a writable array, compared by contents: equal, then changed
-    warm.jets(fixed, 0)
-    moving = fixed.copy()
-    assert both(lambda f: f.jets(moving, 1)) is None
-    moving[2] = [1.25, 0.5]
-    assert both(lambda f: f.jets(moving, 1)) is None
-    # the array kept, made writable again and changed
-    warm.jets(fixed, 0)
-    assert warm._last[0].given is fixed
-    fixed.flags.writeable = True
-    fixed[0] = [0.5, 1.5]
-    assert both(lambda f: f.jets(fixed, 0)) is None
+        for order in (-1, top + 1):  # an order out of range
+            assert both(lambda f: f.jets(fixed, order))[0] is ValueError
+        # points of another chart, and the kept array given that shape in place
+        assert both(lambda f: f.jets(POINTS3, 0))[0] is ValueError
+        other = read_only(fixed)
+        warm.jets(other, 0)
+        other.shape = (-1, 4)
+        assert both(lambda f: f.jets(other, 0))[0] is ValueError
+        # a writable array: equal, then changed
+        warm.jets(fixed, 0)
+        moving = fixed.copy()
+        assert both(lambda f: f.jets(moving, 1)) is None
+        moving[2] = [1.25, 0.5]
+        assert both(lambda f: f.jets(moving, 1)) is None
+        # the array kept, made writable again and changed
+        warm.jets(fixed, 0)
+        assert warm._entry(fixed)[0] is fixed
+        fixed.flags.writeable = True
+        fixed[0] = [0.5, 1.5]
+        assert both(lambda f: f.jets(fixed, 0)) is None
 
 
 def test_a_warm_read_raises_at_a_cached_non_finite_order_as_a_cold_one():
     # exp(-1/x1^2) is finite at x1 = 0, its partial along x1 is not
     fresh = lambda: CovariantField(2, 1, ["exp(-1/x1^2)", "x2"])  # noqa: E731
-    p = np.array([[0.3, 0.2], [0.0, 0.5]])
-    p.flags.writeable = False
+    p = read_only(np.array([[0.3, 0.2], [0.0, 0.5]]))
     warm = fresh()
-    assert warm.finite_rows(p, 0, 2).all() and warm._last[2] == 1
-    assert warm.jets(p, 0)[0].tolist() == fresh().jets(p, 0)[0].tolist()
-    for order in (1, 2):
-        cold = _raised(lambda: fresh().jets(p, order))
-        assert cold[0] is expr.SingularPointError
-        assert _raised(lambda: warm.jets(p, order)) == cold
+    with one_case():
+        assert warm.finite_rows(p, 0, 2).all() and warm._entry(p)[3] == 1
+        assert warm.jets(p, 0)[0].tolist() == fresh().jets(p, 0)[0].tolist()
+        for order in (1, 2):
+            cold = _raised(lambda: fresh().jets(p, order))
+            assert cold[0] is expr.SingularPointError
+            assert _raised(lambda: warm.jets(p, order)) == cold
 
 
 def test_a_read_of_the_array_kept_skips_validation(monkeypatch):
     # a hit on the fixed array as given runs no asarray and no shape check
     xi = CovariantField(2, 1, ["x1*x2", "x2^3"])
-    fixed = POINTS.copy()
-    fixed.flags.writeable = False
-    first = xi.jets(fixed, 2)
-    calls = []
-    points = tensor.Field._points
-    monkeypatch.setattr(tensor.Field, "_points", lambda f, *a: calls.append(a) or points(f, *a))
-    assert xi.jets(fixed, 2) is first and xi.jets(fixed, 1)[1] is first[1]
-    assert calls == []
-    xi.jets(fixed.copy(), 1)
-    assert len(calls) == 1
+    fixed = read_only(POINTS)
+    with one_case():
+        first = xi.jets(fixed, 2)
+        calls = []
+        points = tensor.Field._points
+        monkeypatch.setattr(tensor.Field, "_points",
+                            lambda f, *a: calls.append(a) or points(f, *a))
+        assert xi.jets(fixed, 2) is first and xi.jets(fixed, 1)[1] is first[1]
+        assert calls == []
+        xi.jets(fixed.copy(), 1)
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
