@@ -5,10 +5,10 @@ fibre coordinates of a covariant tensor, ordered by multi-index rank.
 A (0,q) field xi determines the cross-section x -> (x, xi(x)); the
 machinery here builds the adapted frame along it, lifts vectors,
 tensors, and endomorphisms, and verifies the structure-preservation
-statements about those lifts on sampled points.  In one case, the lifted
-endomorphism (read by the characterization and Theorem 1) and the purity
-defect (read by the purity check, the Tachibana gate and Theorem 1) are
-each formed once (tensor.kept), as read-only arrays.
+statements about those lifts on sampled points.  In the case each check
+runs in (tensor.in_case), the lifted endomorphism (characterization,
+Theorem 1) and the purity defect (purity, the Tachibana gate, Theorem 1)
+are each formed once, read-only (tensor.shared).
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .tensor import (
     contract_slot_endo,
     contraction,
     einsum,
+    in_case,
     jet_einsum,
-    kept,
     lie_derivative_cov,
     lie_derivative_endo,
     shared,
@@ -160,17 +160,15 @@ def complete_lift_vector_on_section(v: VectorField, xi: CovariantField, x) -> np
 # Purity, the Tachibana operator, and the Nijenhuis tensor
 
 
+@in_case
+@shared
 def purity_residual(phi: EndomorphismField, xi: CovariantField, points) -> np.ndarray:
     """Signed disagreements of the q slot contractions of phi into xi at
     a batch of points, every slot against every slot: [point, slot, slot,
-    *shape], read-only and formed once per case (tensor.kept).  A rank-1
-    tensor has one contraction, so it is pure by definition (residual 0)."""
+    *shape], read-only and formed once per case.  A rank-1 tensor has one
+    contraction, so it is pure by definition (residual 0)."""
     if phi.n != xi.n:
         raise ValueError("endomorphism and tensor field live on different charts")
-    return kept(_purity_defect, phi, xi, points)
-
-
-def _purity_defect(phi: EndomorphismField, xi: CovariantField, points) -> np.ndarray:
     slots = [contract_slot_endo(xi, phi, s).evaluate(points) for s in range(1, xi.q + 1)]
     # stacked points-fastest, as each slot is stored, so the differences are too
     c = np.stack(slots, 1, out=np.empty((len(points), xi.q) + xi.shape, order="F"))
@@ -219,6 +217,7 @@ def tachibana(
     return _tachibana_field(phi, xi)
 
 
+@in_case
 def is_almost_analytic(
     phi: EndomorphismField,
     xi: CovariantField,
@@ -263,12 +262,11 @@ def contract_one_two_cov(t: OneTwoTensorField, xi: CovariantField) -> CovariantF
 # Complete lift of an endomorphism along the cross-section
 
 
-def complete_lift_endo_on_section(
-    phi: EndomorphismField, xi: CovariantField, x
-) -> np.ndarray:
+@shared
+def complete_lift_endo_on_section(phi: EndomorphismField, xi: CovariantField, x) -> np.ndarray:
     """Complete lift of phi at (x, xi(x)), adapted frame, shape
     (..., n + n^q, n + n^q) with the point axes in front, read-only and
-    formed once per case (tensor.kept).
+    formed once per case.
 
     Blocks: phi itself on horizontal legs, minus the Tachibana image as
     the fibre-from-horizontal coupling, and the first-slot action of phi
@@ -279,12 +277,7 @@ def complete_lift_endo_on_section(
     """
     if phi.n != xi.n:
         raise ValueError("endomorphism and tensor field live on different charts")
-    check_rank(xi.q)
-    return kept(_lifted_endo, phi, xi, x)
-
-
-def _lifted_endo(phi: EndomorphismField, xi: CovariantField, x) -> np.ndarray:
-    n, q = xi.n, xi.q
+    n, q = xi.n, check_rank(xi.q)
     nf = n**q
     x = np.asarray(x, dtype=np.float64)
     batch = x.shape[:-1]
@@ -306,6 +299,7 @@ def _lifted_endo(phi: EndomorphismField, xi: CovariantField, x) -> np.ndarray:
 # Verification of the lift identities
 
 
+@in_case
 def verify_characterization(
     phi: EndomorphismField,
     xi: CovariantField,
@@ -345,6 +339,7 @@ def verify_characterization(
     return sampling.sampled_check(points, list(parts.values()), tol, detail)
 
 
+@in_case
 def verify_theorem1(
     phi: EndomorphismField,
     xi: CovariantField,

@@ -25,6 +25,7 @@ from .tensor import (
     EndomorphismField,
     VectorField,
     curvature,
+    enter,
     one_case,
 )
 
@@ -329,10 +330,9 @@ def load_scenario(path: str) -> Scenario:
 def _sample_scenario_points(sc: Scenario, seed: int, count: int, box) -> np.ndarray:
     # rows whose values are finite, and for gamma its first partials too:
     # curvature enters most connection checks, and its poles are those of
-    # gamma's partials.  The first block, count rows, is the case's point
-    # set when the screen keeps it whole, so there each field's jets go as
-    # far as the checks read them; after a later block, each field the
-    # checks read runs once more, on the points.
+    # gamma's partials.  On the first block, count rows, each field's jets
+    # go as far as the checks read them: it is the case's points when the
+    # screen keeps it whole.
     reads = {"gamma": 0}  # the symmetry gate reads gamma's values
     for c in sc.checks:
         for kind, order in _CHECKS[c][0].items():
@@ -341,10 +341,11 @@ def _sample_scenario_points(sc: Scenario, seed: int, count: int, box) -> np.ndar
                 for kind in ("phi", "xi", "v", "a", "gamma") if getattr(sc, kind) is not None]
 
     def screen(block: np.ndarray) -> np.ndarray:
-        block.flags.writeable = False  # so that a block kept whole is held by identity
+        first = len(block) == count
+        block = enter(block) if first else block  # the case keeps what it takes of a first block
         bad = np.zeros(len(block), dtype=bool)
         for f, order, fill in screened:
-            bad |= ~f.finite_rows(block, order, fill if len(block) == count else None)
+            bad |= ~f.finite_rows(block, order, fill if first else None)
         return bad
 
     try:
@@ -354,7 +355,7 @@ def _sample_scenario_points(sc: Scenario, seed: int, count: int, box) -> np.ndar
     except (MemoryError, ValueError) as exc:
         # numpy refuses a point array it cannot hold with one or the other
         raise ScenarioError(f"points: cannot hold that many sample points ({exc})") from None
-    points.flags.writeable = False  # so that its jets, and what the checks share, are kept
+    points = enter(points)  # the first block's copy when the screen kept it whole
     for f, order, fill in screened:
         if fill is not None:
             f.finite_rows(points, order, fill)  # a table hit when the first block was kept

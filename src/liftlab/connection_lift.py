@@ -10,12 +10,11 @@ curvature.  All remaining blocks vanish identically.
 The same module carries the cross-section geometry the lift induces:
 the induced base connection, the second-fundamental-form analogue, the
 totally-geodesic test, and the curvature tangency identity along the
-cross-section.  In one case (tensor.one_case) the checks read one lift
-along the section (the frame differentiated with the lifted connection)
-and one gauss_second_fundamental, and the t-independent terms of the
-fibre block, from Gamma, its partials and R, are formed once
-(tensor.kept) for both lifts of lift_connection_zeros and the section
-lift; outside a case each call forms its own.
+cross-section.  In the case each check runs in (tensor.in_case), one
+lift along the section (the frame differentiated with the lifted
+connection) and one gauss_second_fundamental serve every check, and the
+fibre block's t-independent terms, from Gamma, its partials and R, are
+formed once for every lift there (tensor.shared).
 
 Each of them needs a symmetric (torsion-free) connection and measures
 that hypothesis at the points it evaluates, by require_symmetric.
@@ -36,7 +35,7 @@ from .tensor import (
     covariant_derivative_cov,
     curvature,
     einsum,
-    kept,
+    in_case,
     shared,
     slot_einsum,
     sum_over_slots,
@@ -47,15 +46,13 @@ class TorsionError(ValueError):
     """The lift and the cross-section geometry require a symmetric connection."""
 
 
+@shared
 def require_symmetric(gamma: ConnectionField, points) -> None:
     """Raise TorsionError, naming the residual, where Gamma is not
     symmetric in its lower pair at the points (one point or a batch), up
-    to STRUCTURAL_TOL.  In one case, fixed points it passed pass again
-    unread (tensor.kept); a failure raises again."""
-    kept(_symmetry_gate, gamma, np.asarray(points, dtype=np.float64))
-
-
-def _symmetry_gate(gamma: ConnectionField, p: np.ndarray) -> None:
+    to STRUCTURAL_TOL.  In one case, the case's points pass again unread
+    once they passed; a failure raises again."""
+    p = np.asarray(points, dtype=np.float64)
     g = gamma.jets(p, 0)[0].reshape(-1, *gamma.shape)  # at points as given: the kept jets
     check = sampling.sampled_check(p.reshape(-1, gamma.n), g - np.swapaxes(g, -1, -2),
                                    sampling.STRUCTURAL_TOL)
@@ -133,6 +130,7 @@ def complete_lift_connection(gamma: ConnectionField, at: BundlePoint) -> LiftedC
     return LiftedConnectionCoeffs(at.n, at.q, g, fibre_bb)
 
 
+@shared
 def _slot_terms(g, dg, r4):
     """The t-independent terms of t_linear_block, as [.., m, x, a] and
     [.., m, s, x, a]."""
@@ -157,8 +155,8 @@ def t_linear_block(g, dg, r4, t, q: int):
     """The fibre_bb block [.., i_, m, s] at fibre coordinates t[.., n^q]
     (rank order), from Gamma g[.., h, j, i], its partials dg[.., m, h, j, i]
     and the curvature r4[.., k, j, i, l]; linear in t.  Its t-independent
-    terms are formed once per case for the same read-only arrays (kept)."""
-    replace, single = kept(_slot_terms, g, dg, r4)
+    terms are formed once per case for the same jets the case made."""
+    replace, single = _slot_terms(g, dg, r4)
     fibre_bb = sum(np.moveaxis(_slot_apply(single, c, q, t), -1, -3) for c in range(q))
     # The quadratic part: slot c replaced through Gamma^a_{s x}, then slot
     # b through Gamma^a_{m x}, on the fibre axes split around slot b; the
@@ -189,25 +187,27 @@ def _frame_and_slope_arrays(xi: CovariantField, x):
     return frame, frame.b[..., n:, :], db
 
 
+@shared
 def _lift_along_section(gamma: ConnectionField, xi: CovariantField, x):
     """The adapted frame's legs B and coframe rows b_inv at x, and the legs
     differentiated along the cross-section with the lifted connection,
-    d_j B^A_i + L^A_{CB} B^C_j B^B_i as [.., A, j, i]; read through kept."""
+    d_j B^A_i + L^A_{CB} B^C_j B^B_i as [.., A, j, i]."""
     frame, slopes, db = _frame_and_slope_arrays(xi, x)
     lifted = complete_lift_connection(gamma, cross_section_point(xi, x))
     return frame.b, frame.b_inv, db + lifted.along_section(slopes)
 
 
-def induced_connection(gamma: ConnectionField, xi: CovariantField, x) -> np.ndarray:
+@in_case
+def induced_connection(gamma: ConnectionField, xi: CovariantField, points) -> np.ndarray:
     """Connection induced on the cross-section by the lifted connection.
 
-    Returns the coefficients at x as an array [.., h, j, i].  Assembled
+    Returns the coefficients at points as an array [.., h, j, i].  Assembled
     the long way through the lifted coefficients and the adapted coframe;
     agreeing with the base coefficients is the point of the check built
     on top of this.
     """
     check_rank(xi.q)
-    _, b_inv, moved = kept(_lift_along_section, gamma, xi, x)
+    _, b_inv, moved = _lift_along_section(gamma, xi, points)
     return einsum("...hA,...Aji->...hji", b_inv, moved)
 
 
@@ -238,6 +238,7 @@ def gauss_second_fundamental(gamma: ConnectionField, xi: CovariantField) -> Cova
     return CovariantField._of(xi.n, (xi.n,) * (q + 2), rule)
 
 
+@in_case
 def is_totally_geodesic(gamma: ConnectionField, xi: CovariantField, points,
                         tol: float = sampling.DEFAULT_TOL) -> sampling.SampledCheck:
     """Sampled test for H = 0; passes exactly for a totally geodesic
@@ -245,6 +246,7 @@ def is_totally_geodesic(gamma: ConnectionField, xi: CovariantField, points,
     return sampling.sampled_check(points, gauss_second_fundamental(gamma, xi).evaluate(points), tol)
 
 
+@in_case
 def gauss_consistency(gamma: ConnectionField, xi: CovariantField, points,
                       tol: float = sampling.DEFAULT_TOL) -> sampling.SampledCheck:
     """Check, on sampled points, that differentiating the adapted frame
@@ -260,7 +262,7 @@ def gauss_consistency(gamma: ConnectionField, xi: CovariantField, points,
     """
     n, m = xi.n, len(points)
     gauss = gauss_second_fundamental(gamma, xi).evaluate(points).reshape(m, n, n, -1)
-    b, _, moved = kept(_lift_along_section, gamma, xi, points)
+    b, _, moved = _lift_along_section(gamma, xi, points)
     lhs = moved - einsum("...hji,...Ah->...Aji", gamma.evaluate(points), b)
     lhs[:, n:] -= np.moveaxis(gauss, -1, -3)  # the right-hand side, H C
     return sampling.sampled_check(points, lhs, tol)
@@ -272,8 +274,8 @@ def gauss_consistency(gamma: ConnectionField, xi: CovariantField, points,
 
 def _curvature_cov_derivative(gamma: ConnectionField, point) -> np.ndarray:
     """(nabla_c R)_{kji}^l at a point, as dr[.., c, k, j, i, l]."""
+    r4, dr = curvature(gamma).jets(point, 1)  # first, so that gamma is read once, to order 2
     g = gamma.evaluate(point)
-    r4, dr = curvature(gamma).jets(point, 1)
     return (
         dr
         - einsum("...mck,...mjil->...ckjil", g, r4)
@@ -283,6 +285,7 @@ def _curvature_cov_derivative(gamma: ConnectionField, point) -> np.ndarray:
     )
 
 
+@in_case
 def curvature_tangency(gamma: ConnectionField, xi: CovariantField, points,
                        tol: float = sampling.DEFAULT_TOL) -> sampling.SampledCheck:
     """Sampled residual of the identity that makes curvature variation
@@ -301,11 +304,11 @@ def curvature_tangency(gamma: ConnectionField, xi: CovariantField, points,
     if gamma.n != xi.n:
         raise ValueError("connection and tensor field live on different charts")
     q = xi.q
-    r4 = curvature(gamma).evaluate(points)
+    dr = _curvature_cov_derivative(gamma, points)  # each field read first at its highest order
     require_symmetric(gamma, points)  # reads the jets the curvature took
-    dr = _curvature_cov_derivative(gamma, points)
-    xiv = xi.evaluate(points)
+    r4 = curvature(gamma).evaluate(points)
     dxi = covariant_derivative_cov(gamma, xi).evaluate(points)  # [.., c, h1, .., hq]
+    xiv = xi.evaluate(points)
     # Both sides indexed [point, k, j, i, h1..hq].  The terms at k and j come
     # in pairs that differ by k <-> j, so each pair is built once and
     # antisymmetrized.

@@ -43,8 +43,7 @@ def sample_points(
     candidate after the previous slot's; a slot gives up after max_tries
     consecutive rejected redraws, counted across blocks.  A block the
     screen keeps whole fills the open slots as drawn, with no count of
-    rejected runs, and ends the draw; when it is the first block, it is
-    the array returned.
+    rejected runs, and ends the draw.
     """
     lo, hi = box
     if not (np.isfinite(hi - lo) and lo < hi):
@@ -73,7 +72,7 @@ def sample_points(
             block = block[kept]
         taken.append(block)  # a block kept whole fills every open slot as drawn
         filled += len(block)
-    return taken[0] if len(taken) == 1 else np.concatenate(taken)
+    return np.concatenate(taken)
 
 
 def sampled_check(points, residuals, tol: float, detail: dict | None = None) -> "SampledCheck":

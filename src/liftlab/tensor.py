@@ -43,29 +43,19 @@ contract the operands' values and partials, its first partials follow
 by the product rule, so it carries jets to order 1 and never asks an
 input for more than 2.  Building one costs nothing.
 
-One cache rule: nothing that depends on the points outlives the case.
-It all lives in the table of one_case(), opened by cli.run_scenario per
-case; outside a case every read computes.  The table keys an array by
-identity, and only while nothing can change its contents: while it is
-read-only and so is every array up its .base chain (a read-only view of
-a writable array changes through its base), and at the shape it had
-when it was kept (a shape can be reassigned in place).  In it, each
-shared builder gives one output per operands, kept forms an array once
-for the same fields and fixed arrays (the case's points, the jets), and
-each field has one jets entry, at one fixed array: its raw jets,
-non-finite entries and all, and the lowest order at which they are not
-finite, found by one scan when they are computed.  jets(points, order)
-serves any order up to the kept one and raises SingularPointError only
-when order reaches that non-finite order; a read at another fixed array
-replaces the entry.  The jets are read-only with their owners, the
-tape's output arrays included, so they qualify as kept's keys.
-finite_rows(points, order, fill), the sampling screen's read, is a
-per-point mask that never raises; on a miss it computes the jets to
-fill, the highest order the case's checks read, when the block may
-become the case's point set, so that every check reads that one tape
-run.  Any other miss computes only the order asked: lower-order Taylor
-coefficients do not depend on the truncation order, so an order-2 run
-holds the lower-order runs bit for bit.
+One cache rule: nothing that depends on the points outlives the case,
+and a case trusts by identity only the arrays it made.  All of it lives
+in the table of one_case(), opened per case by cli.run_scenario and by a
+public check called outside one (in_case); outside a case every read
+computes.  enter(points) gives the case its own read-only copy of its
+points.  There each field has one jets entry: its raw jets, non-finite
+entries and all, and the lowest order at which they are not finite; a
+read at any other array keeps nothing.  A shared form keys fields and
+ints as themselves, and an array by identity only when the case made it
+and holds it (its points, their jets); with any other, it forms anew.
+An order-2 run holds the lower-order runs bit for bit (lower-order
+Taylor coefficients do not depend on the truncation order), so one
+entry serves every order up to its own.
 
 Memory layout: every batched array keeps the point axis first in its
 shape but stores it fastest in memory (stride one item), so that numpy's
@@ -80,6 +70,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
+import inspect
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -116,33 +107,58 @@ def one_case():
         _CASE.reset(token)
 
 
-def shared(builder):
-    """builder giving one output per operands inside one_case(), else a new one, named for it."""
-    @functools.wraps(builder)
-    def build(*operands):
-        table, key = _CASE.get({}), (builder,) + operands
-        if key not in table:
-            out = table[key] = builder(*operands)
-            if isinstance(out, Field):
-                out.name = builder.__name__.strip("_")
-        return table[key]
-    return build
-
-
-def kept(form, *operands):
-    """form(*operands), formed once per one_case() for the same operands:
-    fields, and arrays whose contents nothing can change (_fixed), each
-    by identity and shape.  With another operand, or outside a case, it
-    is formed on every call.  The arrays it returns, alone or in a tuple,
-    are made read-only, with every array up their base chains."""
+def enter(points) -> np.ndarray:
+    """The open case's own read-only float64 copy of points, the one it is
+    on when they are bit for bit the same (the table stays), else a new
+    one (the table is emptied); outside a case, points as given."""
     table = _CASE.get(None)
-    if table is None or not all(isinstance(a, Field) or isinstance(a, np.ndarray) and _fixed(a)
-                                for a in operands):
-        return _read_only(form(*operands))
-    key = (form,) + tuple((id(a), a.shape) for a in operands)
-    if key not in table:  # the operands go in too, so that no other object takes their ids
-        table[key] = _read_only(form(*operands)), operands
-    return table[key][0]
+    if table is None or table.get(enter) is points:
+        return points
+    p, own = np.array(points, dtype=np.float64), table.get(enter)
+    if own is None or own.shape != p.shape or own.tobytes() != p.tobytes():
+        table.clear()
+        p.flags.writeable = False
+        table[enter] = table[id(p)] = own = p  # the points, and an array the case made
+    return own
+
+
+def in_case(check):
+    """check(.., points, ..) run as called when points are the open case's,
+    else on enter(points) in a one_case() of its own."""
+    signature = inspect.signature(check)
+    at = list(signature.parameters).index("points")
+
+    @functools.wraps(check)
+    def run(*args, **kwargs):
+        if len(args) > at and args[at] is _CASE.get({}).get(enter):
+            return check(*args, **kwargs)
+        call = signature.bind(*args, **kwargs)  # which raises as check would on a bad call
+        with one_case():
+            call.arguments["points"] = enter(call.arguments["points"])
+            return check(*call.args, **call.kwargs)
+    return run
+
+
+def shared(form):
+    """form(*operands), formed once per one_case() for the same operands
+    (keyed as above), else on every call; an array output, alone or in a
+    tuple, is made read-only, and a field output is named for the form."""
+    @functools.wraps(form)
+    def build(*operands):
+        table, key = _CASE.get({}), [form]
+        for a in operands:  # an operand the case did not make gives None
+            key.append(a if isinstance(a, (Field, int))
+                       else id(a) if table.get(id(a)) is a else None)
+        key = tuple(key)
+        if None not in key and key in table:
+            return table[key][0]
+        out = _read_only(form(*operands))
+        if isinstance(out, Field):
+            out.name = form.__name__.strip("_")
+        if None not in key:  # the operands go in too, so that no other array takes their ids
+            table[key] = out, operands
+        return out
+    return build
 
 
 def _read_only(out):
@@ -151,17 +167,6 @@ def _read_only(out):
             a.flags.writeable = False
             a = a.base
     return out
-
-
-def _fixed(a: np.ndarray) -> bool:
-    """Whether nothing can change a's contents: it is read-only, and so is
-    every array up its base chain, which ends in an array that owns its
-    data.  A read-only view of a writable array changes through its base."""
-    while not a.flags.writeable:
-        a = a.base
-        if not isinstance(a, np.ndarray):
-            return a is None
-    return False
 
 
 class Jets(tuple):
@@ -325,16 +330,14 @@ class Field:
         return self.jets(points, 1)[1].copy(order="K")
 
     def jets(self, points, order: int) -> Jets:
-        """Values and partials to the given order at points (..., n): an
-        input field goes to order 2, an operator output to order 1.  The
-        arrays are read-only.  In one_case() the jets at a fixed array are
-        kept, and a later read of that array (by identity, at its kept
-        shape) takes them with no further validation when they are finite
-        to order: the kept Jets itself when they end at the order asked.
+        """Values and partials to the given order at points (..., n), as
+        read-only arrays: an input field goes to order 2, an operator output
+        to order 1.  At the case's points, the kept jets, unvalidated, when
+        they are finite to order (the kept Jets itself when they end there).
         Raises SingularPointError when one of them is not finite."""
         entry = self._entry(points)
-        if entry and 0 <= order < entry[3]:
-            raw = entry[2]  # finite to order: what the path below returns
+        if entry and 0 <= order < entry[1]:
+            raw = entry[0]  # finite to order: what the path below returns
         else:
             p = self._points(points, order)
             raw, bad = self._raw(p, order)
@@ -344,10 +347,9 @@ class Field:
 
     def finite_rows(self, points, order: int, fill: int | None = None) -> np.ndarray:
         """Mask of shape points.shape[:-1], True where an input field's
-        values and partials to order are all finite; never raises.  On a
-        miss the jets are computed to fill (order when not given, at
-        least order), so that in one_case() a later jets call on the same
-        fixed array up to fill reads them from the case table."""
+        values and partials to order are all finite; never raises.  A miss
+        computes the jets to fill (order when not given, at least order),
+        which at the case's points a later jets call up to fill reads."""
         p = self._points(points, order)
         fill = order if fill is None else max(order, fill)
         raw, bad = self._raw(self._points(p, fill), fill)
@@ -371,31 +373,31 @@ class Field:
         return p
 
     def _entry(self, p):
-        """The case table's jets entry (points, shape, raw, bad) of this
-        field when it is for p: the same fixed array at the same shape."""
-        entry = _CASE.get({}).get(self)
-        return entry if entry and entry[0] is p and entry[1] == p.shape and _fixed(p) else None
+        """This field's jets entry (raw, bad) when p is the case's points."""
+        table = _CASE.get({})
+        return table.get(self) if table.get(enter) is p else None
 
     def _raw(self, p: np.ndarray, order: int) -> tuple[Jets, int]:
-        """The jets at p to order or beyond, non-finite entries and all,
-        and the lowest order at which one is not finite (len(jets) when
-        none is): from the case table when it holds p that far, else
-        computed to order, and kept in the table's entry when p is fixed."""
-        entry = self._entry(p)
-        if entry and len(entry[2]) > order:
-            return entry[2], entry[3]
-        table = _CASE.get(None) if _fixed(p) else None  # where they are kept, if anywhere
-        if table is not None:
-            table.pop(self, None)  # let the old jets go before the new ones are made
+        """The jets at p to order or beyond, non-finite entries and all, and
+        the lowest order at which one is not finite (len(jets) when none
+        is): the entry when it goes that far, else computed to order, and
+        at the case's points kept, as arrays the case made."""
+        table, entry = _CASE.get({}), self._entry(p)
+        if entry:
+            if len(entry[0]) > order:
+                return entry
+            for a in table.pop(self)[0]:  # let the old jets go before the new ones are made
+                table.pop(id(a), None)
         if self._rule is None:
             raw = Jets(a.reshape(p.shape[:-1] + (self.n,) * k + self.shape)
                        for k, a in enumerate(self.tape.jets(p, order)))
         else:
             raw = Jets(self._rule(p, order)[: order + 1])
-        _read_only(raw)  # the owners too: the arrays are fixed, kept's keys
+        _read_only(raw)  # the owners too, the tape's outputs included
         bad = next((k for k, a in enumerate(raw) if not np.isfinite(a).all()), len(raw))
-        if table is not None:
-            table[self] = p, p.shape, raw, bad
+        if table.get(enter) is p:
+            table[self] = raw, bad
+            table.update((id(a), a) for a in raw)
         return raw, bad
 
     def _non_finite(self, p: np.ndarray, a: np.ndarray, k: int):

@@ -1,5 +1,5 @@
 """Seeded random fields, a spoiled lift, the (n, q) grid and read-only
-point copies that only the tests use.  The random polynomials are built
+arrays that only the tests use.  The random polynomials are built
 as trees through the smart constructors of _symbolic, and a field takes
 each as its text; the characterization probes of
 liftlab.presets.random_probe are the same polynomials in closed form."""
@@ -24,10 +24,21 @@ DIM_RANK = pytest.mark.parametrize(
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
-    """A read-only copy of a: an array the case table keeps by identity."""
+    """A read-only copy of a: a caller's array, which a case copies on
+    entry like any other."""
     a = a.copy()
     a.flags.writeable = False
     return a
+
+
+def read_only_chain(a) -> bool:
+    """Whether a is an array that is read-only, and so is every array up
+    its base chain."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return True
 
 
 def replace_slot(mi: tuple[int, ...], slot: int, value: int) -> tuple[int, ...]:

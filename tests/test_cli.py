@@ -436,7 +436,7 @@ def test_checks_of_a_case_share_one_symmetry_reduction(monkeypatch):
     check = sampling.sampled_check
 
     def counting(*args, **kwargs):
-        if sys._getframe(1).f_code.co_name == "_symmetry_gate":
+        if sys._getframe(1).f_code.co_name == "require_symmetric":
             reductions.append(args[1].shape)
         return check(*args, **kwargs)
 
@@ -487,8 +487,8 @@ def _case_tables(monkeypatch) -> list:
 
 
 def test_a_case_keeps_its_points_by_identity(monkeypatch):
-    # the case's points are read-only: every input field's jets entry and
-    # the symmetry gate's end up keeping that array itself
+    # the case's points are its own read-only copy: every input field has
+    # its jets entry at that array, and the symmetry gate keys by it
     cases = []
     sample = cli._sample_scenario_points
     monkeypatch.setattr(cli, "_sample_scenario_points",
@@ -499,9 +499,10 @@ def test_a_case_keeps_its_points_by_identity(monkeypatch):
     for (sc, points), table in zip(cases, tables):
         fields = [f for f in (sc.phi, sc.xi, sc.v, sc.a, sc.gamma) if f is not None]
         assert len(fields) == 2 and not points.flags.writeable
-        assert all(table[f][0] is points for f in fields)
+        assert table[tensor.enter] is points and all(f in table for f in fields)
+    gate = connection_lift.require_symmetric.__wrapped__
     gates = [[entry[1] for key, entry in table.items()
-              if isinstance(key, tuple) and key[0] is connection_lift._symmetry_gate]
+              if isinstance(key, tuple) and key[0] is gate]
              for table in tables]
     assert gates[0] == [] and len(gates[1]) == 1
     assert gates[1][0][0] is cases[1][0].gamma and gates[1][0][1] is cases[1][1]
@@ -860,17 +861,12 @@ def test_a_warm_run_compiles_nothing_and_reports_as_a_cold_one(name, monkeypatch
 def test_the_checks_of_a_case_share_one_lift_along_the_section(name, monkeypatch):
     # induced_equals_base and gauss_consistency both read d_j B + L B B at
     # the section; lift_connection_zeros lifts at fibre points of its own
-    lifts, formed = [], []
+    lifts, read = [], []
     lift, along = connection_lift.complete_lift_connection, connection_lift._lift_along_section
     monkeypatch.setattr(connection_lift, "complete_lift_connection",
                         lambda gamma, at: lifts.append(at) or lift(gamma, at))
-
-    def forming(*ops):
-        out = along(*ops)
-        formed.append([weakref.ref(a) for a in out])
-        return out
-
-    monkeypatch.setattr(connection_lift, "_lift_along_section", forming)
+    monkeypatch.setattr(connection_lift, "_lift_along_section",
+                        lambda *ops: read.append(along(*ops)) or read[-1])
     report = run_scenario(str(SCENARIOS / name))
     checks = dict(report.results)
     assert "induced_equals_base" in checks and "gauss_consistency" in checks
@@ -878,37 +874,44 @@ def test_the_checks_of_a_case_share_one_lift_along_the_section(name, monkeypatch
     on_section = [at for at in lifts
                   if np.array_equal(at.fibre, xi.evaluate(at.base).reshape(at.fibre.shape))]
     assert len(on_section) == 1 and len(lifts) == 2
-    # formed once for both, and the arrays it keeps go with the case
-    assert len(formed) == 1 and all(ref() is None for ref in formed[0])
+    # formed once for both: each read is that one output, and the arrays it
+    # keeps go with the case
+    assert len(read) == 2 and read[1] is read[0]
+    refs = [weakref.ref(a) for a in read.pop()]
+    read.clear()
+    assert all(ref() is None for ref in refs)
 
 
 def test_a_case_forms_what_its_checks_share_once(tmp_path, monkeypatch):
     # the lift terms (lift_connection_zeros twice, the section lift once),
     # the lifted phi (characterization, theorem1) and the purity defect
     # (purity, the tachibana_zero gate, theorem1); all three go with the case
-    formed = collections.defaultdict(list)
-    for module, name in ((connection_lift, "_slot_terms"), (bundle, "_lifted_endo"),
-                         (bundle, "_purity_defect")):
+    read = collections.defaultdict(list)
+    for module, name in ((connection_lift, "_slot_terms"), (bundle, "complete_lift_endo_on_section"),
+                         (bundle, "purity_residual")):
         def counting(*args, form=getattr(module, name), name=name):
-            out = form(*args)
-            arrays = out if isinstance(out, tuple) else (out,)
-            formed[name].append([weakref.ref(a) for a in arrays])
-            return out
+            read[name].append(form(*args))
+            return read[name][-1]
         monkeypatch.setattr(module, name, counting)
     checks = ["purity", "tachibana_zero", "nijenhuis_zero", "theorem1", "characterization",
               "lift_connection_zeros", "induced_equals_base"]
     run_scenario(write_scenario(tmp_path, checks=checks, **generic_scenario(27, 3, 2)))
-    assert {name: len(once) for name, once in formed.items()} == {
-        "_slot_terms": 1, "_lifted_endo": 1, "_purity_defect": 1}
-    assert all(ref() is None for once in formed.values() for refs in once for ref in refs)
+    # a form read more than once, formed once: every read is its first output
+    formed = {name: len({id(out) for out in outs}) for name, outs in read.items()}
+    assert formed == {"_slot_terms": 1, "complete_lift_endo_on_section": 1, "purity_residual": 1}
+    assert min(map(len, read.values())) >= 2
+    refs = [weakref.ref(a) for outs in read.values()
+            for a in (outs[0] if isinstance(outs[0], tuple) else (outs[0],))]
+    read.clear()
+    assert all(ref() is None for ref in refs)
 
 
 @pytest.mark.parametrize("name", ["sphere_cross_section", "theorem1_analytic"])
 def test_a_case_finds_its_points_by_identity_not_by_contents(name, monkeypatch):
-    # the screen makes the block it reads read-only, and the sampler the
-    # points it returns, so every read of a field at the case's points
-    # passes that array itself, which the case table holds by identity,
-    # never an equal copy, which it would compute again
+    # the screen reads the case's copy of its first block, and the points
+    # enter the case as that copy, so every read of a field at the case's
+    # points passes that array itself, which the case table holds by
+    # identity, never an equal copy, which it would compute again
     cases, reads = [], []
     sample = cli._sample_scenario_points
     monkeypatch.setattr(cli, "_sample_scenario_points",

@@ -12,10 +12,10 @@ from _fields import (
     flipped_curvature,
     random_covariant_field,
     random_symmetric_connection,
-    read_only,
+    read_only_chain,
     replace_slot,
 )
-from liftlab import connection_lift, sampling, tensor
+from liftlab import connection_lift, expr, sampling
 from liftlab.bundle import BundlePoint, adapted_frame, cross_section_point
 from liftlab.cli import _check_lift_zeros
 from liftlab.connection_lift import (
@@ -42,7 +42,7 @@ from liftlab.tensor import (
     CovariantField,
     covariant_derivative_cov,
     curvature,
-    kept,
+    enter,
     one_case,
     rank_multi_index,
 )
@@ -171,7 +171,7 @@ def test_require_symmetric_reads_the_cached_jets(monkeypatch):
     monkeypatch.setattr(type(gamma.tape), "jets",
                         lambda tape, p, k: evaluated.append(p.shape) or tape_jets(tape, p, k))
     with one_case():
-        for pts in (read_only(POINTS), read_only(POINTS[3])):
+        for pts in map(enter, (POINTS, POINTS[3])):
             gamma.jets(pts, 1)
             require_symmetric(gamma, pts)
             gamma.jets(pts, 1)
@@ -181,18 +181,19 @@ def test_require_symmetric_reads_the_cached_jets(monkeypatch):
 def test_require_symmetric_in_a_case_passes_again_only_where_it_passed(monkeypatch):
     # Gamma^1_{12} - Gamma^1_{21} = x1 - x2 vanishes on the diagonal only
     gamma = ConnectionField(2, {(1, 1, 2): "x1", (1, 2, 1): "x2"})
-    diagonal = read_only(np.repeat(POINTS[:4, :1], 2, axis=1))
-    off_diagonal = read_only(POINTS[:4])
+    diagonal = np.repeat(POINTS[:4, :1], 2, axis=1)
     reductions = []
     check = sampling.sampled_check
     monkeypatch.setattr(sampling, "sampled_check",
                         lambda *args: reductions.append(args[1].shape) or check(*args))
     with one_case():
-        require_symmetric(gamma, diagonal)
-        require_symmetric(gamma, diagonal)
+        p = enter(diagonal)
+        require_symmetric(gamma, p)
+        require_symmetric(gamma, p)
         assert len(reductions) == 1
-        require_symmetric(gamma, diagonal.copy())  # a writable array is looked at afresh
+        require_symmetric(gamma, diagonal)  # an array the case did not make is looked at afresh
         assert len(reductions) == 2
+        off_diagonal = enter(POINTS[:4])
         with pytest.raises(TorsionError):
             require_symmetric(gamma, off_diagonal)
         with pytest.raises(TorsionError):
@@ -205,11 +206,28 @@ def test_require_symmetric_in_a_case_passes_again_only_where_it_passed(monkeypat
 def test_the_section_lift_a_case_shares_isread_only():
     # induced_connection and gauss_consistency read the one lift of the
     # case, so neither may be handed an array it could write into
-    x = read_only(POINTS[:8])
     with one_case():
-        out = kept(connection_lift._lift_along_section, SPHERE, AFFINE_XI, x)
-        assert kept(connection_lift._lift_along_section, SPHERE, AFFINE_XI, x) is out
-        assert all(isinstance(a, np.ndarray) and tensor._fixed(a) for a in out)
+        x = enter(POINTS[:8])
+        out = connection_lift._lift_along_section(SPHERE, AFFINE_XI, x)
+        assert connection_lift._lift_along_section(SPHERE, AFFINE_XI, x) is out
+        assert all(isinstance(a, np.ndarray) and read_only_chain(a) for a in out)
+
+
+@pytest.mark.parametrize("writable", [True, False], ids=["writable", "read-only"])
+@pytest.mark.parametrize("check", [gauss_consistency, curvature_tangency, is_totally_geodesic,
+                                   induced_connection], ids=lambda check: check.__name__)
+def test_a_library_call_runs_each_input_tape_once(check, writable, monkeypatch):
+    # outside a case, a check opens one of its own on a copy of its points,
+    # so each field is read once, at the highest order the check reads it
+    points = sampling.sample_points(2, count=64)
+    points.flags.writeable = writable
+    runs = []
+    tape_jets = expr.Tape.jets
+    monkeypatch.setattr(expr.Tape, "jets",
+                        lambda tape, p, k: runs.append(tape) or tape_jets(tape, p, k))
+    check(SPHERE, METRIC, points)
+    assert sorted(map(id, runs)) == sorted(map(id, (SPHERE.tape, METRIC.tape)))
+    assert points.flags.writeable == writable
 
 
 def test_mirrored_entries_written_differently_are_symmetric():

@@ -16,6 +16,7 @@ from _fields import (
     random_polynomial_expr,
     random_symmetric_connection,
     read_only,
+    read_only_chain,
     random_vector_field,
     replace_slot,
 )
@@ -39,7 +40,7 @@ from liftlab.tensor import (
     contract_slot_endo,
     covariant_derivative_cov,
     curvature,
-    kept,
+    enter,
     lie_derivative_cov,
     lie_derivative_endo,
     one_case,
@@ -599,31 +600,37 @@ def test_builder_shares_its_output_only_inside_a_case(name):
     assert build() is not build()
 
 
-def test_kept_forms_once_per_case_for_fields_and_read_only_arrays():
+def test_shared_forms_once_per_case_for_fields_and_the_arrays_the_case_made():
     xi = CovariantField(2, 1, ["x1", "x2"])
-    fixed, other = POINTS.copy(), POINTS.copy()
-    fixed.flags.writeable = other.flags.writeable = False
     formed = []
 
+    @tensor.shared
     def form(field, points):
         formed.append(points)
         return field.evaluate(points), points[:, 0] * 2.0
 
+    @tensor.shared
     def failing(field, points):
         formed.append(points)
         raise ValueError("raised while forming")
 
     with one_case():
+        p = enter(POINTS)
         for k in (1, 2):  # what raised is not kept
             with pytest.raises(ValueError):
-                kept(failing, xi, fixed)
+                failing(xi, p)
             assert len(formed) == k
-        first = kept(form, xi, fixed)
-        assert kept(form, xi, fixed) is first and len(formed) == 3
+        first = form(xi, p)
+        assert form(xi, p) is first and len(formed) == 3
         assert not any(a.flags.writeable for a in first)
-        assert kept(form, xi, other) is not first  # arrays go by identity
-        assert kept(form, xi, POINTS) is not kept(form, xi, POINTS)  # a writable one is never kept
-    assert kept(form, xi, fixed) is not first  # the case is over
+        values = xi.jets(p, 0)[0]  # a field's jets at the case's points are the case's too
+        assert form(xi, values) is form(xi, values) and len(formed) == 4
+        # any other array forms anew: an equal copy, read-only or not, and
+        # the caller's array that entered
+        for other in (p.copy(), read_only(POINTS), POINTS):
+            assert form(xi, other) is not form(xi, other)
+        assert len(formed) == 10
+    assert form(xi, p) is not first  # the case is over
 
 
 def test_case_keys_outputs_by_every_operand():
@@ -702,11 +709,11 @@ def test_finite_rows_masks_by_order_and_never_raises():
 def test_jets_after_finite_rows_raise_as_a_fresh_field(rows, order):
     # the case table holds the screen's non-finite jets: each order raises,
     # or not, as the first jets call of a field that was never screened
-    pts = read_only(STEEP_POINTS[rows])
     screened = VectorField(3, STEEP)
     with one_case():
+        pts = enter(STEEP_POINTS[rows])
         screened.finite_rows(pts, 0, 2)
-        assert len(screened._entry(pts)[2]) == 3
+        assert len(screened._entry(pts)[0]) == 3
         try:
             want = VectorField(3, STEEP).jets(pts, order)
         except expr.SingularPointError as exc:
@@ -724,8 +731,9 @@ def test_finite_rows_fills_the_cache_to_the_order_asked(monkeypatch):
     monkeypatch.setattr(expr.Tape, "jets",
                         lambda tape, p, k: runs.append((len(p), k)) or tape_jets(tape, p, k))
     xi = CovariantField(2, 2, {(1, 2): "x1*x2", (2, 1): "sin(x1)"})
-    points, eight, four = (read_only(POINTS[:k]) for k in (16, 8, 4))
+    eight, four = POINTS[:8], POINTS[:4]
     with one_case():
+        points = enter(POINTS)
         xi.finite_rows(points, 0)  # no fill: only the order screened
         assert runs == [(16, 0)]
         xi.finite_rows(points, 0, 2)
@@ -738,37 +746,42 @@ def test_finite_rows_fills_the_cache_to_the_order_asked(monkeypatch):
         xi.jets(four, 0)
         xi.jets(four, 1)
         assert runs == [(16, 0), (16, 2), (8, 1), (4, 0), (4, 1)]
+        xi.jets(points, 2)  # reads at other points keep nothing: the entry stands
+        assert len(runs) == 5
         with pytest.raises(ValueError, match="up to order 2, not 3"):
             xi.finite_rows(points, 0, 3)
 
 
 def test_jets_cache_keeps_a_read_only_array_by_identity_and_computes_any_other(monkeypatch):
+    # the array kept is the case's own read-only copy of its points
     runs = []
     tape_jets = expr.Tape.jets
     monkeypatch.setattr(expr.Tape, "jets",
                         lambda tape, p, k: runs.append(k) or tape_jets(tape, p, k))
     xi = CovariantField(2, 1, ["x1*x2", "x2^3"])
-    fixed = read_only(POINTS)
+    caller = POINTS.copy()
     with one_case():
-        first = xi.jets(fixed, 1)
-        assert xi._entry(fixed)[0] is fixed
-        assert xi.jets(fixed, 1) is first  # the kept Jets itself, at the order it ends at
-        # an equal read-only array is another point set: it is computed
-        # and replaces the entry
+        p = enter(caller)
+        assert p is not caller and not p.flags.writeable
+        first = xi.jets(p, 1)
+        assert xi._entry(p)[0] is first
+        assert xi.jets(p, 1) is first  # the kept Jets itself, at the order it ends at
+        # an equal read-only array is another point set: it is computed and
+        # keeps nothing
         other = read_only(POINTS)
         assert xi.jets(other, 1) is not first and runs == [1, 1]
-        assert xi._entry(fixed) is None and xi._entry(other)[0] is other
-        # the array kept, made writable again, then mutated: it is read afresh
-        other.flags.writeable = True
-        other[0] = [0.5, 2.0]
-        assert xi.jets(other, 0)[0][0].tolist() == [1.0, 8.0] and runs == [1, 1, 0]
+        assert xi._entry(other) is None and xi._entry(p)[0] is first
+        # the caller's array, written after it entered: read afresh, and the
+        # case's points are what entered
+        caller[0] = [0.5, 2.0]
+        assert xi.jets(caller, 0)[0][0].tolist() == [1.0, 8.0] and runs == [1, 1, 0]
+        assert xi.jets(p, 0)[0][0].tolist() == first[0][0].tolist() and len(runs) == 3
         # a writable array mutated in place between two reads
         moving = POINTS.copy()
         xi.jets(moving, 0)
         moving[3] = [2.0, 0.5]
         assert xi.jets(moving, 0)[0][3].tolist() == [1.0, 0.125] and runs == [1, 1, 0, 0, 0]
-        # a read-only view of a writable array is not kept: its base can
-        # still write into it
+        # a read-only view of a writable array: its base can still write into it
         base = POINTS.copy()
         view = base[:]
         view.flags.writeable = False
@@ -778,16 +791,36 @@ def test_jets_cache_keeps_a_read_only_array_by_identity_and_computes_any_other(m
         assert xi.jets(view, 0)[0][5].tolist() == [3.0, 1.0] and runs == [1, 1, 0, 0, 0, 0, 0]
 
 
+def test_enter_keeps_the_table_for_the_same_bits_and_empties_it_for_any_other():
+    xi = CovariantField(2, 1, ["x1*x2", "x2^3"])
+    assert enter(POINTS) is POINTS  # outside a case, as given
+    with one_case():
+        p = enter(POINTS)
+        first = xi.jets(p, 1)
+        # the case's own points, and a bit-equal copy: the table stays
+        assert enter(p) is p and enter(POINTS.copy()) is p
+        assert xi._entry(p)[0] is first
+        # a zero of the other sign compares equal, but not bit for bit
+        zero, signed = POINTS.copy(), POINTS.copy()
+        zero[0, 0], signed[0, 0] = 0.0, -0.0
+        z = enter(zero)
+        xi.jets(z, 1)
+        assert xi._entry(p) is None and xi._entry(z) is not None
+        s = enter(signed)
+        assert s is not z and np.array_equal(s, z) and xi._entry(s) is None
+        assert s.tobytes() == signed.tobytes() and not s.flags.writeable
+
+
 def test_jets_are_kept_only_in_the_case(monkeypatch):
     # the case table holds a field's jets and lets them go with the case;
-    # outside a case every read computes, a fixed array's too
+    # outside a case every read computes, at the points the case had too
     runs = []
     tape_jets = expr.Tape.jets
     monkeypatch.setattr(expr.Tape, "jets",
                         lambda tape, p, k: runs.append(k) or tape_jets(tape, p, k))
     xi = CovariantField(2, 1, ["x1*x2", "x2^3"])
-    fixed = read_only(POINTS)
     with one_case():
+        fixed = enter(POINTS)
         values = weakref.ref(xi.jets(fixed, 2)[0])
         assert xi.jets(fixed, 1)[0] is values()
     assert values() is None
@@ -797,50 +830,50 @@ def test_jets_are_kept_only_in_the_case(monkeypatch):
 
 
 def test_a_shape_reassigned_in_place_is_not_served_the_old_jets():
-    # a read-only owner read once, then given another shape in place: its
-    # jets are those of a fresh copy at the new shape, and the case table
-    # no longer holds it by identity
+    # a read-only caller's array entered, then given another shape in
+    # place: the case's points keep theirs, and the caller's array reads
+    # as a fresh copy at the new shape
     xi = CovariantField(2, 1, ["x1*x2", "x2^3"])
-    p = read_only(POINTS[:4])
+    caller = read_only(POINTS[:4])
     with one_case():
-        xi.evaluate(p)
-        p.shape = (2, 2, 2)
-        assert xi._entry(p) is None
-        assert xi.evaluate(p).shape == xi.evaluate(p.copy()).shape == (2, 2, 2)
-        assert np.array_equal(xi.evaluate(p), xi.evaluate(p.copy()))
+        p = enter(caller)
+        want = xi.evaluate(p)
+        caller.shape = (2, 2, 2)
+        assert p.shape == (4, 2) and np.array_equal(xi.evaluate(p), want)
+        assert xi._entry(caller) is None
+        assert xi.evaluate(caller).shape == xi.evaluate(caller.copy()).shape == (2, 2, 2)
+        assert np.array_equal(xi.evaluate(caller), xi.evaluate(caller.copy()))
+        assert enter(caller) is not p and enter(caller).shape == (2, 2, 2)
 
 
-def test_kept_compares_a_read_only_view_of_a_writable_array():
-    # the view changes through its base, so kept forms again: it is not
-    # served what it formed before the base was written
+def test_shared_forms_anew_at_a_read_only_view_of_a_writable_array():
+    # the view changes through its base: the case's copy does not, and a
+    # form at the view, which the case did not make, runs on every call
     xi = CovariantField(2, 1, ["x1", "x2"])
     base = np.array([[0.5, 0.7], [0.9, 1.1]])
     view = base[:]
     view.flags.writeable = False
-
-    def form(field, points):
-        return field.evaluate(points)
-
+    form = tensor.shared(lambda field, points: field.evaluate(points))
     with one_case():
-        kept(form, xi, view)
+        p = enter(view)
+        first = form(xi, p)
         base[0, 0] = 9.0
-        assert kept(form, xi, view)[0].tolist() == [9.0, 0.7]
-        # a view of an owner made read-only is trusted, at the shape it had
+        assert form(xi, view)[0].tolist() == [9.0, 0.7]
+        assert form(xi, p) is first and first[0].tolist() == [0.5, 0.7]
+        # with its base made read-only too, the view is still not the case's
         base.flags.writeable = False
-        assert kept(form, xi, view) is kept(form, xi, view)
-        first = kept(form, xi, view)
-        view.shape = (1, 2, 2)
-        assert kept(form, xi, view) is not first and kept(form, xi, view).shape == (1, 2, 2)
+        assert form(xi, view) is not form(xi, view)
+        assert enter(view) is not p and form(xi, enter(view))[0].tolist() == [9.0, 0.7]
 
 
 def test_cached_jets_and_their_owners_are_read_only():
-    # what kept is keyed by: a field's jets, for an input field (views of the
+    # what shared keys by: a field's jets, for an input field (views of the
     # tape's outputs) and an operator output alike
     xi, phi = CovariantField(2, 1, ["x1*x2", "x2^3"]), standard_complex_r2()
-    fixed = POINTS.copy()
-    fixed.flags.writeable = False
-    for field in (xi, apply_endo_cov(phi, xi), xi.partials()):
-        assert all(map(tensor._fixed, field.jets(fixed, 1)))
+    with one_case():
+        p = enter(POINTS)
+        for field in (xi, apply_endo_cov(phi, xi), xi.partials()):
+            assert all(map(read_only_chain, field.jets(p, 1)))
 
 
 def _raised(read):
@@ -856,8 +889,8 @@ def _raised(read):
     lambda: apply_endo_cov(standard_complex_r2(), CovariantField(2, 1, ["x1*x2", "x2^3"])),
 ])
 def test_a_warm_read_raises_or_answers_as_a_cold_one(fresh):
-    fixed = read_only(POINTS)
     with one_case():
+        fixed = enter(POINTS)
         warm = fresh()
         top = warm._top
         warm.jets(fixed, top)
@@ -872,10 +905,11 @@ def test_a_warm_read_raises_or_answers_as_a_cold_one(fresh):
 
         for order in (-1, top + 1):  # an order out of range
             assert both(lambda f: f.jets(fixed, order))[0] is ValueError
-        # points of another chart, and the kept array given that shape in place
+        # points of another chart, and an entered caller's array given that
+        # shape in place
         assert both(lambda f: f.jets(POINTS3, 0))[0] is ValueError
-        other = read_only(fixed)
-        warm.jets(other, 0)
+        other = read_only(POINTS)
+        assert enter(other) is fixed
         other.shape = (-1, 4)
         assert both(lambda f: f.jets(other, 0))[0] is ValueError
         # a writable array: equal, then changed
@@ -884,21 +918,22 @@ def test_a_warm_read_raises_or_answers_as_a_cold_one(fresh):
         assert both(lambda f: f.jets(moving, 1)) is None
         moving[2] = [1.25, 0.5]
         assert both(lambda f: f.jets(moving, 1)) is None
-        # the array kept, made writable again and changed
-        warm.jets(fixed, 0)
-        assert warm._entry(fixed)[0] is fixed
-        fixed.flags.writeable = True
-        fixed[0] = [0.5, 1.5]
-        assert both(lambda f: f.jets(fixed, 0)) is None
+        # an entered caller's array, made writable again and changed
+        owner = read_only(POINTS)
+        assert enter(owner) is fixed
+        owner.flags.writeable = True
+        owner[0] = [0.5, 1.5]
+        assert both(lambda f: f.jets(owner, 0)) is None
+        assert warm._entry(fixed) is not None and fixed[0].tolist() == POINTS[0].tolist()
 
 
 def test_a_warm_read_raises_at_a_cached_non_finite_order_as_a_cold_one():
     # exp(-1/x1^2) is finite at x1 = 0, its partial along x1 is not
     fresh = lambda: CovariantField(2, 1, ["exp(-1/x1^2)", "x2"])  # noqa: E731
-    p = read_only(np.array([[0.3, 0.2], [0.0, 0.5]]))
     warm = fresh()
     with one_case():
-        assert warm.finite_rows(p, 0, 2).all() and warm._entry(p)[3] == 1
+        p = enter(np.array([[0.3, 0.2], [0.0, 0.5]]))
+        assert warm.finite_rows(p, 0, 2).all() and warm._entry(p)[1] == 1
         assert warm.jets(p, 0)[0].tolist() == fresh().jets(p, 0)[0].tolist()
         for order in (1, 2):
             cold = _raised(lambda: fresh().jets(p, order))
@@ -907,10 +942,10 @@ def test_a_warm_read_raises_at_a_cached_non_finite_order_as_a_cold_one():
 
 
 def test_a_read_of_the_array_kept_skips_validation(monkeypatch):
-    # a hit on the fixed array as given runs no asarray and no shape check
+    # a hit on the case's points runs no asarray and no shape check
     xi = CovariantField(2, 1, ["x1*x2", "x2^3"])
-    fixed = read_only(POINTS)
     with one_case():
+        fixed = enter(POINTS)
         first = xi.jets(fixed, 2)
         calls = []
         points = tensor.Field._points
